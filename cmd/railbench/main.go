@@ -1,7 +1,8 @@
 // Command railbench is a synthetic load generator for raild and
 // railfleet: it drives N concurrent clients issuing a deterministic
-// mixed stream of grid requests of varying sizes against one daemon,
-// then reports client-side latency quantiles (p50/p99) and throughput.
+// mixed stream of grid experiments (exp_req{name:"grid"}) of varying
+// sizes against one daemon, then reports client-side latency quantiles
+// (p50/p99) and throughput.
 // With -metrics it also scrapes the daemon's /metrics endpoint and
 // cross-checks that the daemon's request-duration histogram counted
 // exactly the requests railbench issued — the end-to-end proof that
@@ -22,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -35,6 +37,7 @@ import (
 	"time"
 
 	"photonrail/internal/metrics"
+	"photonrail/internal/opusnet"
 	"photonrail/internal/railserve"
 	"photonrail/internal/scenario"
 	"photonrail/internal/telemetry"
@@ -174,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			defer wg.Done()
 			for i := range work {
 				t0 := time.Now()
-				_, err := c.RunGrid(specs[i], nil)
+				_, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "grid", Grid: &specs[i]}, nil)
 				d := time.Since(t0).Seconds()
 				mu.Lock()
 				if err != nil {

@@ -31,8 +31,8 @@ func TestGoldenLoopback(t *testing.T) {
 			}
 			goldentest.Check(t, out.Bytes(), filepath.Join("testdata", "golden", "small."+format))
 		})
-		// The generic experiment path (exp_req + server-side rendering)
-		// must hit the same corpus byte for byte.
+		// Naming the grid experiment explicitly must hit the same corpus
+		// byte for byte.
 		t.Run("exp-"+format, func(t *testing.T) {
 			var out, errb bytes.Buffer
 			args := append(append([]string{}, base...), "-exp", "grid", "-timeout", "5m", "-format", format)

@@ -7,7 +7,8 @@
 // requests from any number of clients.
 //
 // With -exp, railclient runs any experiment in the photonrail registry
-// remotely (fig8, fig4, table1-3, window-analysis, bom, grids, …); the
+// remotely (fig8, fig4, table1-3, window-analysis, bom, grids, …);
+// without it, the dimension flags run as `-exp grid`. Either way the
 // daemon renders the result server-side, so the bytes match the local
 // CLI twin exactly. -timeout bounds the wait client- and server-side
 // (the daemon honors it as a per-request deadline), and a cancelled
@@ -63,7 +64,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		progress  = fs.Bool("progress", false, "print per-cell progress to stderr as the daemon streams it")
 		stats     = fs.Bool("stats", false, "print daemon serving stats to stderr after the run")
 		statsOnly = fs.Bool("daemon-stats", false, "print daemon serving stats and exit (no sweep)")
-		expName   = fs.String("exp", "", "run this registry experiment remotely instead of a grid sweep")
+		expName   = fs.String("exp", "grid", "registry experiment to run remotely (grid: the sweep the dimension flags describe)")
 		timeout   = fs.Duration("timeout", 0, "deadline for the request, enforced client- and server-side (0 = none)")
 	)
 	fs.Usage = func() {
@@ -93,9 +94,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if _, err = fmt.Fprintf(w, "daemon: cache %d hits / %d misses / %d evictions, %d in flight; grids %d executed / %d deduped; exps %d executed / %d deduped\n",
-			st.Hits, st.Misses, st.Evictions, st.InFlight,
-			st.GridsExecuted, st.GridsDeduped, st.ExpsExecuted, st.ExpsDeduped); err != nil {
+		if _, err = fmt.Fprintf(w, "daemon: cache %d hits / %d misses / %d evictions, %d in flight; exps %d executed / %d deduped\n",
+			st.Hits, st.Misses, st.Evictions, st.InFlight, st.ExpsExecuted, st.ExpsDeduped); err != nil {
 			return err
 		}
 		if _, err = fmt.Fprintf(w, "stages: build %d/%d, provision %d/%d (seeds %d/%d), time %d/%d (hits/misses)\n",
@@ -137,34 +137,55 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		onProgress = func(done, total int) { fmt.Fprintf(stderr, "railclient: %d/%d cells\n", done, total) }
 	}
 
-	if *expName != "" {
-		return runExperiment(ctx, *expName, dims, *addr, *format, *timeout, onProgress, printStats, *stats, stdout, stderr)
-	}
-
-	spec, _, err := dims.Spec()
-	if err != nil {
-		return err
+	req := opusnet.ExpRequestPayload{Name: *expName, TimeoutMS: timeout.Milliseconds()}
+	if photonrail.IsGridExperiment(*expName) {
+		// Grid experiments take railgrid's dimension flags; a built-in
+		// grid name seeds the axes the flags overlay, so
+		// `-exp fig8-5d -latencies 99` behaves like
+		// `-grid fig8-5d -latencies 99`.
+		if *expName != "grid" {
+			dims.DefaultGridName(*expName)
+		}
+		spec, _, err := dims.Spec()
+		if err != nil {
+			return err
+		}
+		req.Grid = &spec
+	} else {
+		// Non-grid experiments honor the sweep-shaped flags, so a remote
+		// run matches its local railsweep twin.
+		p, err := dims.SweepParams()
+		if err != nil {
+			return err
+		}
+		req.Iterations = p.Iterations
+		req.LatenciesMS = p.LatenciesMS
 	}
 	c, err := railserve.Dial(*addr)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-
-	run, err := c.RunGridCtx(ctx, spec, onProgress)
+	run, err := c.RunExperiment(ctx, req, onProgress)
 	if err != nil {
 		return err
 	}
 	if run.Shared {
-		fmt.Fprintf(stderr, "railclient: joined an identical in-flight sweep\n")
+		fmt.Fprintf(stderr, "railclient: joined an identical in-flight request\n")
 	}
-	if err := gridcli.RenderRows(stdout, *format, run.Name, run.Rows); err != nil {
+	switch *format {
+	case "table":
+		_, err = io.WriteString(stdout, run.Rendered)
+	case "csv":
+		_, err = io.WriteString(stdout, run.RenderedCSV)
+	case "json":
+		_, err = io.WriteString(stdout, run.RowsJSON)
+	}
+	if err != nil {
 		return err
 	}
 	if *stats {
-		if err := printStats(c, stderr); err != nil {
-			return err
-		}
+		return printStats(c, stderr)
 	}
 	return nil
 }
@@ -196,63 +217,4 @@ func printMember(w io.Writer, b opusnet.BackendStatsPayload) error {
 	}
 	_, err := fmt.Fprintln(w, line)
 	return err
-}
-
-// runExperiment serves -exp: any registry experiment over the exp_req
-// path, with the request deadline forwarded to the daemon and the
-// server-rendered bytes printed verbatim (identical to the local CLI).
-func runExperiment(ctx context.Context, name string, dims *gridcli.Dimensions, addr, format string,
-	timeout time.Duration, onProgress func(done, total int),
-	printStats func(*railserve.Client, io.Writer) error, stats bool, stdout, stderr io.Writer) error {
-	req := opusnet.ExpRequestPayload{Name: name, TimeoutMS: timeout.Milliseconds()}
-	if photonrail.IsGridExperiment(name) {
-		// Grid experiments reuse railgrid's dimension flags; a built-in
-		// grid name seeds the axes the flags overlay, so
-		// `-exp fig8-5d -latencies 99` behaves like
-		// `-grid fig8-5d -latencies 99`.
-		if name != "grid" {
-			dims.DefaultGridName(name)
-		}
-		spec, _, err := dims.Spec()
-		if err != nil {
-			return err
-		}
-		req.Grid = &spec
-	} else {
-		// Non-grid experiments honor the sweep-shaped flags, so a remote
-		// run matches its local railsweep twin.
-		p, err := dims.SweepParams()
-		if err != nil {
-			return err
-		}
-		req.Iterations = p.Iterations
-		req.LatenciesMS = p.LatenciesMS
-	}
-	c, err := railserve.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	run, err := c.RunExperiment(ctx, req, onProgress)
-	if err != nil {
-		return err
-	}
-	if run.Shared {
-		fmt.Fprintf(stderr, "railclient: joined an identical in-flight request\n")
-	}
-	switch format {
-	case "table":
-		_, err = io.WriteString(stdout, run.Rendered)
-	case "csv":
-		_, err = io.WriteString(stdout, run.RenderedCSV)
-	case "json":
-		_, err = io.WriteString(stdout, run.RowsJSON)
-	}
-	if err != nil {
-		return err
-	}
-	if stats {
-		return printStats(c, stderr)
-	}
-	return nil
 }

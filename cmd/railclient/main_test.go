@@ -46,7 +46,7 @@ func TestRemoteStats(t *testing.T) {
 		"-format", "csv", "-stats", "-progress"}, &out, &errb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errb.String(), "grids 1 executed") {
+	if !strings.Contains(errb.String(), "exps 1 executed") {
 		t.Errorf("stats = %q", errb.String())
 	}
 	if !strings.Contains(errb.String(), "railclient: ") {

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,10 +10,24 @@ import (
 	"time"
 
 	"photonrail/internal/goldentest"
-	"photonrail/internal/gridcli"
+	"photonrail/internal/opusnet"
 	"photonrail/internal/railserve"
 	"photonrail/internal/scenario"
 )
+
+// goldenFormats are the output formats the corpora pin, in file order.
+var goldenFormats = []string{"table", "csv", "json"}
+
+// runGrid serves spec through the fleet as a grid experiment and
+// returns its three server-side renderings by format name.
+func runGrid(t *testing.T, c *railserve.Client, spec scenario.Spec) map[string]string {
+	t.Helper()
+	run, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "grid", Grid: &spec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]string{"table": run.Rendered, "csv": run.RenderedCSV, "json": run.RowsJSON}
+}
 
 // startGoldenFleet brings up three raild backends and a railfleet
 // coordinator — through run(), so the CLI wiring is what's under test
@@ -72,16 +86,9 @@ func TestGoldenFleet(t *testing.T) {
 	t.Cleanup(func() { _ = c.Close() })
 
 	t.Run("fig8-5d", func(t *testing.T) {
-		run, err := c.RunGrid(scenario.SpecOf(scenario.Fig8Grid5D()), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, format := range []string{"table", "csv", "json"} {
-			var out bytes.Buffer
-			if err := gridcli.RenderRows(&out, format, run.Name, run.Rows); err != nil {
-				t.Fatal(err)
-			}
-			goldentest.Check(t, out.Bytes(), filepath.Join("testdata", "golden", "fig8-5d."+format))
+		out := runGrid(t, c, scenario.SpecOf(scenario.Fig8Grid5D()))
+		for _, format := range goldenFormats {
+			goldentest.Check(t, []byte(out[format]), filepath.Join("testdata", "golden", "fig8-5d."+format))
 		}
 	})
 
@@ -97,20 +104,13 @@ func TestGoldenFleet(t *testing.T) {
 			LatenciesMS:  []float64{5},
 			Iterations:   1,
 		}
-		run, err := c.RunGrid(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, format := range []string{"table", "csv", "json"} {
-			var out bytes.Buffer
-			if err := gridcli.RenderRows(&out, format, run.Name, run.Rows); err != nil {
-				t.Fatal(err)
-			}
+		out := runGrid(t, c, spec)
+		for _, format := range goldenFormats {
 			want, err := os.ReadFile(filepath.Join("..", "railgrid", "testdata", "golden", "small."+format))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(out.Bytes(), want) {
+			if out[format] != string(want) {
 				t.Errorf("%s output diverged from railgrid's golden corpus", format)
 			}
 		}

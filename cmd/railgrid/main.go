@@ -111,7 +111,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 }
 
 // renderResult writes the experiment result in the chosen format; the
-// bytes are identical to gridcli.RenderRows over the same rows.
+// bytes are identical to the exp_result renderings a raild daemon
+// ships for the same grid.
 func renderResult(w io.Writer, format string, res *photonrail.ExperimentResult) error {
 	switch format {
 	case "table":

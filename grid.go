@@ -33,8 +33,9 @@ type GridParallelism = scenario.Parallelism
 // GridSpec is the wire-encodable, name-based form of a Grid: models,
 // GPUs, fabrics, and schedules are carried by preset name, so a spec
 // marshals to compact JSON and travels the opusnet protocol (it is the
-// payload of both grid_req and a grid experiment's exp_req). Resolve
-// materializes it into a Grid; SpecOfGrid is the inverse.
+// payload of both a grid experiment's exp_req and the fleet's
+// cells_req). Resolve materializes it into a Grid; SpecOfGrid is the
+// inverse.
 type GridSpec = scenario.Spec
 
 // SpecOfGrid renders a Grid as its wire form.

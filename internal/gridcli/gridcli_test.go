@@ -3,7 +3,6 @@ package gridcli
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"io"
 	"reflect"
@@ -112,46 +111,6 @@ func TestParseParallelism(t *testing.T) {
 		if _, err := ParseParallelism(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
-	}
-}
-
-func TestRenderRowsFormats(t *testing.T) {
-	rows := []scenario.Row{
-		{Cell: "c1", Model: "Llama3-8B", GPU: "A100", Fabric: "photonic", LatencyMS: 10,
-			TP: 4, DP: 2, PP: 2, Schedule: "1F1B", Status: "ok",
-			MeanIterationSeconds: 1.5, Slowdown: 1.01},
-		{Cell: "c2", Model: "Llama3-8B", GPU: "A100", Fabric: "static",
-			TP: 4, DP: 2, PP: 2, Schedule: "1F1B", Status: "skip", SkipReason: "C2"},
-	}
-	var table, csv, js bytes.Buffer
-	if err := RenderRows(&table, "table", "g", rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(table.String(), `Scenario grid "g"`) ||
-		!strings.Contains(table.String(), "2 cells: 1 ok, 1 skipped") {
-		t.Errorf("table:\n%s", table.String())
-	}
-	if err := RenderRows(&csv, "csv", "g", rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(csv.String(), "cell,model,gpu,fabric,latency_ms") {
-		t.Errorf("csv:\n%s", csv.String())
-	}
-	if err := RenderRows(&js, "json", "g", rows); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Grid  string         `json:"grid"`
-		Cells []scenario.Row `json:"cells"`
-	}
-	if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Grid != "g" || len(doc.Cells) != 2 {
-		t.Errorf("json doc = %+v", doc)
-	}
-	if err := RenderRows(io.Discard, "yaml", "g", rows); err == nil {
-		t.Error("unknown format accepted")
 	}
 }
 

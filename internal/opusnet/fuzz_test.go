@@ -25,8 +25,7 @@ func seedFrame(tb testing.TB, m *Message) []byte {
 // the decoder accepts re-encodes to a frame that decodes to the same
 // message (re-encode/re-decode fixpoint); and the re-encoded stream is
 // fully consumed (framing stays self-delimiting). Seeds cover every
-// message type, including the raild grid request/progress/result
-// frames.
+// message type and, between them, every payload field.
 func FuzzMessageRoundTrip(f *testing.F) {
 	seeds := []*Message{
 		{Type: MsgRegister, Seq: 1, Rank: 3, Rail: 0, Group: "fsdp.s0.r0", Ranks: []int{0, 4, 8, 12}, Axis: 1},
@@ -37,26 +36,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		{Type: MsgErr, Seq: 6, Error: "circuit conflict"},
 		{Type: MsgStatsReq, Seq: 7},
 		{Type: MsgStatsResp, Seq: 8, Stats: &StatsPayload{Reconfigurations: 9, FastGrants: 12, QueuedGrants: 3, BlockedTimeNS: 1e6, ProvisionedRequests: 2}},
-		{Type: MsgGridReq, Seq: 9, Spec: &scenario.Spec{
-			Name: "fig8-5d", Models: []string{"Llama3-8B", "Mixtral-8x7B"}, GPUs: []string{"A100"},
-			Fabrics:      []string{"electrical", "photonic", "provisioned", "static"},
-			LatenciesMS:  []float64{1, 10, 100},
-			Parallelisms: []scenario.Parallelism{{TP: 4, DP: 2, PP: 2}, {TP: 4, DP: 1, CP: 2, PP: 2}},
-			Schedules:    []string{"1F1B"}, NICPorts: 2, NICPerPortBps: 200e9,
-			Microbatches: 12, MicrobatchSize: 2, Iterations: 2,
-		}},
-		{Type: MsgGridProgress, Seq: 10, Progress: &GridProgress{Done: 17, Total: 48}},
-		{Type: MsgGridResult, Seq: 11, Grid: &GridResultPayload{
-			Name: "fig8-5d",
-			Rows: []scenario.Row{
-				{Cell: "a/b/tp4-dp2-pp2/1F1B/photonic@10ms", Model: "Llama3-8B", GPU: "A100",
-					Fabric: "photonic", LatencyMS: 10, TP: 4, DP: 2, PP: 2, Schedule: "1F1B",
-					Status: "ok", MeanIterationSeconds: 12.3, Slowdown: 1.002, Reconfigurations: 52},
-				{Cell: "a/b/tp4-dp2-pp2/1F1B/static", Status: "skip", SkipReason: "C2"},
-			},
-			Shared: true,
-		}},
-		{Type: MsgStatsResp, Seq: 12, Cache: &CacheStatsPayload{Hits: 100, Misses: 7, Evictions: 3, InFlight: 2, GridsExecuted: 4, GridsDeduped: 9, ExpsExecuted: 2, ExpsDeduped: 5}},
+		{Type: MsgStatsResp, Seq: 12, Cache: &CacheStatsPayload{Hits: 100, Misses: 7, Evictions: 3, InFlight: 2, ExpsExecuted: 2, ExpsDeduped: 5}},
 		{Type: MsgExpReq, Seq: 13, Exp: &ExpRequestPayload{
 			Name: "fig8", TimeoutMS: 5000, Iterations: 2, LatenciesMS: []float64{0, 10, 100}, Rail: 1}},
 		{Type: MsgExpReq, Seq: 14, Exp: &ExpRequestPayload{
@@ -65,22 +45,45 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		{Type: MsgExpResult, Seq: 13, ExpResult: &ExpResultPayload{
 			Name: "fig8", Grid: "", Rendered: "Fig. 8\ncol  col\n", RenderedCSV: "a,b\n1,2\n",
 			RowsJSON: "{\n  \"iterations\": 2\n}\n", Shared: true}},
+		{Type: MsgExpResult, Seq: 14, ExpResult: &ExpResultPayload{
+			Name: "grid", Grid: "custom", Rendered: "Scenario grid \"custom\"\n\n1 cells: 1 ok, 0 skipped\n",
+			RenderedCSV: "cell,model\nc0,Llama3-8B\n", RowsJSON: "{\n  \"grid\": \"custom\",\n  \"cells\": []\n}\n"}},
+		{Type: MsgExpReq, Seq: 20, Exp: &ExpRequestPayload{
+			Name: "window-analysis", TimeoutMS: 30_000, Iterations: 3, WindowIterations: 4,
+			LatenciesMS: []float64{1, 10}, Rail: 2, GPUs: 1024}},
 		{Type: MsgCancel, Seq: 13},
 		{Type: MsgCellsReq, Seq: 15, Cells: &CellsRequestPayload{
-			Spec:    &scenario.Spec{Name: "fig8-5d", Models: []string{"Llama3-8B"}, LatenciesMS: []float64{1, 10}},
+			Spec: &scenario.Spec{
+				Name: "fig8-5d", Models: []string{"Llama3-8B", "Mixtral-8x7B"}, GPUs: []string{"A100"},
+				Fabrics:      []string{"electrical", "photonic", "provisioned", "static"},
+				LatenciesMS:  []float64{1, 10, 100},
+				Parallelisms: []scenario.Parallelism{{TP: 4, DP: 2, PP: 2}, {TP: 4, DP: 1, CP: 2, PP: 2}, {TP: 2, DP: 2, PP: 2, EP: 2}},
+				Schedules:    []string{"1F1B"}, JitterFracs: []float64{0, 0.05}, EagerRS: []bool{false, true},
+				NICPorts: 2, NICPerPortBps: 200e9, Microbatches: 12, MicrobatchSize: 2, Iterations: 2,
+			},
 			Indices: []int{0, 3, 7, 41}, TimeoutMS: 30_000}},
 		{Type: MsgCellsResult, Seq: 15, CellsResult: &CellsResultPayload{
 			Name: "fig8-5d", Indices: []int{0, 3},
 			Rows: []scenario.Row{
-				{Cell: "a/b/tp4-dp2-pp2/1F1B/electrical", Status: "ok", MeanIterationSeconds: 11.5, Slowdown: 1},
+				{Cell: "a/b/tp4-dp2-pp2-cp1-ep1/1F1B/photonic@10ms", Model: "Llama3-8B", GPU: "A100",
+					Fabric: "photonic", LatencyMS: 10, TP: 4, DP: 2, PP: 2, CP: 1, EP: 1, Schedule: "1F1B",
+					JitterFrac: 0.05, EagerRS: true, Status: "ok", MeanIterationSeconds: 12.3, Slowdown: 1.002,
+					Reconfigurations: 52, FastGrants: 40, QueuedGrants: 12, BlockedSeconds: 0.25},
 				{Cell: "a/b/tp4-dp2-pp2/1F1B/static", Status: "skip", SkipReason: "C2"},
 			},
 			Shared: true}},
 		{Type: MsgStatsResp, Seq: 16, Cache: &CacheStatsPayload{
-			Hits: 3, Misses: 2, GridsExecuted: 1, CellsExecuted: 17, CellsDeduped: 2,
+			Hits: 3, Misses: 2, ExpsExecuted: 1, CellsExecuted: 17, CellsDeduped: 2,
 			Backends: []BackendStatsPayload{
 				{Addr: "127.0.0.1:9090", Healthy: true, Cells: 12},
 				{Addr: "127.0.0.1:9091", Healthy: false, Cells: 5, Failures: 1},
+			}}},
+		{Type: MsgStatsResp, Seq: 21, Cache: &CacheStatsPayload{
+			BuildHits: 30, BuildMisses: 18, ProvisionHits: 20, ProvisionMisses: 28,
+			TimeHits: 10, TimeMisses: 38, SeedHits: 9, SeedMisses: 29,
+			Backends: []BackendStatsPayload{
+				{Addr: "b0", Healthy: true, Cells: 9, ID: "s0", Capacity: 1, State: "healthy", Static: true},
+				{Addr: "b1", Cells: 5, Failures: 2, ID: "node-b", Capacity: 4, State: "draining", LastHeartbeatAgeMS: 1200},
 			}}},
 		{Type: MsgFleetRegister, Seq: 17, FleetReg: &FleetRegisterPayload{
 			ID: "node-a", Addr: "10.0.0.7:9090", Capacity: 16}},
@@ -141,11 +144,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 func TestGridMessagesRoundTrip(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Fig8Grid5D())
 	msgs := []*Message{
-		{Type: MsgGridReq, Seq: 21, Spec: &spec},
-		{Type: MsgGridProgress, Seq: 21, Progress: &GridProgress{Done: 3, Total: 48}},
-		{Type: MsgGridResult, Seq: 21, Grid: &GridResultPayload{Name: "fig8-5d", Shared: true,
-			Rows: []scenario.Row{{Cell: "c", Status: "ok", Slowdown: 1.25}}}},
-		{Type: MsgStatsResp, Seq: 22, Cache: &CacheStatsPayload{Hits: 5, GridsExecuted: 1, GridsDeduped: 1, ExpsExecuted: 3, ExpsDeduped: 2}},
+		{Type: MsgStatsResp, Seq: 22, Cache: &CacheStatsPayload{Hits: 5, ExpsExecuted: 3, ExpsDeduped: 2}},
 		{Type: MsgExpReq, Seq: 23, Exp: &ExpRequestPayload{
 			Name: "window-analysis", TimeoutMS: 30_000, WindowIterations: 4, GPUs: 1024, Grid: &spec}},
 		{Type: MsgExpProgress, Seq: 23, Progress: &GridProgress{Done: 1, Total: 9}},

@@ -10,14 +10,13 @@
 // all ranks are acknowledged together.
 //
 // The same framed protocol also carries the raild experiment-serving
-// messages. The historical grid path (MsgGridReq/MsgGridProgress/
-// MsgGridResult) submits one scenario grid; the general path
-// (MsgExpReq/MsgExpProgress/MsgExpResult) runs any experiment in the
-// photonrail registry, honors a per-request deadline (TimeoutMS), and
-// supports client-initiated cancellation: a MsgCancel frame carrying a
-// request's Seq stops that request's wait — and only that request's;
-// an execution other clients joined keeps running for them. See
-// internal/railserve.
+// messages. MsgExpReq/MsgExpProgress/MsgExpResult run any experiment
+// in the photonrail registry — a scenario grid travels as the "grid"
+// experiment with its spec — honor a per-request deadline (TimeoutMS),
+// and support client-initiated cancellation: a MsgCancel frame
+// carrying a request's Seq stops that request's wait — and only that
+// request's; an execution other clients joined keeps running for them.
+// See internal/railserve.
 package opusnet
 
 import (
@@ -56,22 +55,12 @@ const (
 	// MsgStatsResp carries telemetry.
 	MsgStatsResp MsgType = "stats_resp"
 
-	// MsgGridReq submits a scenario grid for execution on a raild
-	// daemon; Spec carries the grid's wire form.
-	MsgGridReq MsgType = "grid_req"
-	// MsgGridProgress streams per-cell completion counts for a running
-	// grid request (correlated by Seq; advisory, may be dropped on a
-	// slow connection).
-	MsgGridProgress MsgType = "grid_progress"
-	// MsgGridResult carries a completed grid's rows.
-	MsgGridResult MsgType = "grid_result"
-
 	// MsgExpReq submits a registered photonrail experiment by name; Exp
 	// carries the parameters and optional per-request deadline.
 	MsgExpReq MsgType = "exp_req"
 	// MsgExpProgress streams completion counts for a running experiment
-	// request (grid experiments tick per cell; advisory, like
-	// MsgGridProgress).
+	// or cell-subset request (correlated by Seq; grids tick per cell;
+	// advisory, may be dropped on a slow connection).
 	MsgExpProgress MsgType = "exp_progress"
 	// MsgExpResult carries a completed experiment's renderings and rows.
 	MsgExpResult MsgType = "exp_result"
@@ -89,7 +78,7 @@ const (
 	MsgCellsReq MsgType = "cells_req"
 	// MsgCellsResult carries the executed subset's rows, in the order
 	// the request's indices listed them. Progress for a running subset
-	// streams as MsgGridProgress frames (done/total over the subset).
+	// streams as MsgExpProgress frames (done/total over the subset).
 	MsgCellsResult MsgType = "cells_result"
 
 	// MsgFleetRegister announces a raild backend to a fleet
@@ -132,12 +121,8 @@ type Message struct {
 	Error string `json:"error,omitempty"`
 	// Stats carries telemetry (MsgStatsResp).
 	Stats *StatsPayload `json:"stats,omitempty"`
-	// Spec declares the requested scenario grid (MsgGridReq).
-	Spec *scenario.Spec `json:"spec,omitempty"`
-	// Progress reports cells completed so far (MsgGridProgress).
+	// Progress reports cells completed so far (MsgExpProgress).
 	Progress *GridProgress `json:"progress,omitempty"`
-	// Grid carries an executed grid's rows (MsgGridResult).
-	Grid *GridResultPayload `json:"grid,omitempty"`
 	// Cache carries a raild daemon's serving telemetry (MsgStatsResp).
 	Cache *CacheStatsPayload `json:"cache,omitempty"`
 	// Exp declares the requested experiment (MsgExpReq).
@@ -283,37 +268,24 @@ type ExpResultPayload struct {
 	Shared bool `json:"shared,omitempty"`
 }
 
-// GridProgress is one per-cell progress tick of a running grid.
+// GridProgress is one per-cell progress tick of a running request.
 type GridProgress struct {
 	Done  int `json:"done"`
 	Total int `json:"total"`
 }
 
-// GridResultPayload is the executed grid in wire form: the flat rows
-// every renderer consumes, plus the daemon's dedup verdict.
-type GridResultPayload struct {
-	Name string         `json:"name"`
-	Rows []scenario.Row `json:"rows"`
-	// Shared reports the request was coalesced onto an identical
-	// in-flight request from another client (request-level singleflight)
-	// instead of executing the grid again.
-	Shared bool `json:"shared,omitempty"`
-}
-
 // CacheStatsPayload mirrors the daemon's engine and serving telemetry
-// over the wire: the memo-cache counters plus the request-level grid,
-// experiment, and cell-subset dedup counters. A fleet coordinator's
+// over the wire: the memo-cache counters plus the request-level
+// experiment and cell-subset dedup counters. A fleet coordinator's
 // stats additionally carry per-backend health (Backends) with the
 // cache counters summed across the backends it could reach.
 type CacheStatsPayload struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	InFlight      int64  `json:"inFlight"`
-	GridsExecuted uint64 `json:"gridsExecuted"`
-	GridsDeduped  uint64 `json:"gridsDeduped"`
-	ExpsExecuted  uint64 `json:"expsExecuted,omitempty"`
-	ExpsDeduped   uint64 `json:"expsDeduped,omitempty"`
+	Hits         uint64 `json:"hits"`
+	Misses       uint64 `json:"misses"`
+	Evictions    uint64 `json:"evictions"`
+	InFlight     int64  `json:"inFlight"`
+	ExpsExecuted uint64 `json:"expsExecuted,omitempty"`
+	ExpsDeduped  uint64 `json:"expsDeduped,omitempty"`
 	// CellsExecuted counts cells executed through the cells_req subset
 	// path; CellsDeduped counts subset requests coalesced onto an
 	// identical in-flight one.

@@ -20,9 +20,6 @@ var payloadRegistry = map[MsgType][]string{
 	MsgAck:           nil,
 	MsgErr:           nil,
 	MsgStatsResp:     {"stats", "cache"},
-	MsgGridReq:       {"spec"},
-	MsgGridProgress:  {"progress"},
-	MsgGridResult:    {"grid"},
 	MsgExpReq:        {"exp"},
 	MsgExpProgress:   {"progress"},
 	MsgExpResult:     {"expResult"},
@@ -41,14 +38,8 @@ func presentPayloads(m *Message) []string {
 	if m.Stats != nil {
 		out = append(out, "stats")
 	}
-	if m.Spec != nil {
-		out = append(out, "spec")
-	}
 	if m.Progress != nil {
 		out = append(out, "progress")
-	}
-	if m.Grid != nil {
-		out = append(out, "grid")
 	}
 	if m.Cache != nil {
 		out = append(out, "cache")
@@ -100,12 +91,8 @@ func ValidatePayload(m *Message) error {
 		required = ""
 	case MsgStatsResp:
 		required = "stats"
-	case MsgGridReq:
-		required = "spec"
-	case MsgGridProgress, MsgExpProgress:
+	case MsgExpProgress:
 		required = "progress"
-	case MsgGridResult:
-		required = "grid"
 	case MsgExpReq:
 		required = "exp"
 	case MsgExpResult:

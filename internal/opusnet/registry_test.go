@@ -3,8 +3,6 @@ package opusnet
 import (
 	"strings"
 	"testing"
-
-	"photonrail/internal/scenario"
 )
 
 // setPayload sets the payload pointer named by wire tag on m.
@@ -13,12 +11,8 @@ func setPayload(t *testing.T, m *Message, tag string) {
 	switch tag {
 	case "stats":
 		m.Stats = &StatsPayload{}
-	case "spec":
-		m.Spec = &scenario.Spec{}
 	case "progress":
 		m.Progress = &GridProgress{}
-	case "grid":
-		m.Grid = &GridResultPayload{}
 	case "cache":
 		m.Cache = &CacheStatsPayload{}
 	case "exp":
@@ -88,8 +82,8 @@ func TestValidatePayloadRejectsForeignPayload(t *testing.T) {
 }
 
 func TestValidatePayloadRequiresPrimaryPayload(t *testing.T) {
-	err := ValidatePayload(&Message{Type: MsgGridReq, Seq: 1})
-	if err == nil || !strings.Contains(err.Error(), `missing its "spec" payload`) {
-		t.Fatalf("got %v, want missing-spec error", err)
+	err := ValidatePayload(&Message{Type: MsgExpReq, Seq: 1})
+	if err == nil || !strings.Contains(err.Error(), `missing its "exp" payload`) {
+		t.Fatalf("got %v, want missing-exp error", err)
 	}
 }

@@ -149,7 +149,7 @@ func TestServeConnLateRepliesDropped(t *testing.T) {
 	mu.Lock()
 	reply := lateReply
 	mu.Unlock()
-	reply(&Message{Type: MsgGridProgress, Seq: 1, Progress: &GridProgress{Done: 1, Total: 2}}, false)
+	reply(&Message{Type: MsgExpProgress, Seq: 1, Progress: &GridProgress{Done: 1, Total: 2}}, false)
 	reply(&Message{Type: MsgAck, Seq: 1}, true) // must not panic on the closed queue
 }
 

@@ -18,7 +18,6 @@ import (
 //
 //	{prefix}_cache_hits_total / _misses_total / _evictions_total
 //	{prefix}_cache_inflight
-//	{prefix}_grids_executed_total / _deduped_total
 //	{prefix}_exps_executed_total / _deduped_total
 //	{prefix}_cells_executed_total / _deduped_total
 //	{prefix}_stage_hits_total{stage=...} / _stage_misses_total{stage=...}
@@ -30,8 +29,6 @@ func RegisterStatsMetrics(reg *telemetry.Registry, prefix string, stats func() C
 	cacheMisses := reg.Counter(prefix+"_cache_misses_total", "Memo-cache misses (computations run), as reported in stats_resp.")
 	cacheEvictions := reg.Counter(prefix+"_cache_evictions_total", "Memo-cache LRU evictions, as reported in stats_resp.")
 	cacheInflight := reg.Gauge(prefix+"_cache_inflight", "Simulations currently computing, as reported in stats_resp.")
-	gridsExecuted := reg.Counter(prefix+"_grids_executed_total", "Grid executions started (request-level singleflight wins excluded).")
-	gridsDeduped := reg.Counter(prefix+"_grids_deduped_total", "Grid requests coalesced onto an identical in-flight execution.")
 	expsExecuted := reg.Counter(prefix+"_exps_executed_total", "Experiment executions started.")
 	expsDeduped := reg.Counter(prefix+"_exps_deduped_total", "Experiment requests coalesced onto an identical in-flight execution.")
 	cellsExecuted := reg.Counter(prefix+"_cells_executed_total", "Grid cells executed through the cells_req subset path.")
@@ -47,8 +44,6 @@ func RegisterStatsMetrics(reg *telemetry.Registry, prefix string, stats func() C
 		cacheMisses.Set(st.Misses)
 		cacheEvictions.Set(st.Evictions)
 		cacheInflight.Set(float64(st.InFlight))
-		gridsExecuted.Set(st.GridsExecuted)
-		gridsDeduped.Set(st.GridsDeduped)
 		expsExecuted.Set(st.ExpsExecuted)
 		expsDeduped.Set(st.ExpsDeduped)
 		cellsExecuted.Set(st.CellsExecuted)

@@ -14,7 +14,6 @@ import (
 func TestRegisterStatsMetricsMirrorsPayload(t *testing.T) {
 	payload := CacheStatsPayload{
 		Hits: 11, Misses: 7, Evictions: 3, InFlight: 2,
-		GridsExecuted: 4, GridsDeduped: 1,
 		ExpsExecuted: 5, ExpsDeduped: 2,
 		CellsExecuted: 96, CellsDeduped: 6,
 		BuildHits: 30, BuildMisses: 18,
@@ -48,8 +47,6 @@ func TestRegisterStatsMetricsMirrorsPayload(t *testing.T) {
 		"fleet_cache_misses_total":                    7,
 		"fleet_cache_evictions_total":                 3,
 		"fleet_cache_inflight":                        2,
-		"fleet_grids_executed_total":                  4,
-		"fleet_grids_deduped_total":                   1,
 		"fleet_exps_executed_total":                   5,
 		"fleet_exps_deduped_total":                    2,
 		"fleet_cells_executed_total":                  96,

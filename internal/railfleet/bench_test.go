@@ -1,6 +1,7 @@
 package railfleet
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -43,7 +44,7 @@ func BenchmarkFleetGrid(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := c.RunGrid(spec, nil); err != nil {
+				if _, err := c.RunExperiment(context.Background(), gridReq(spec), nil); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -3,7 +3,7 @@ package railfleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -102,18 +102,37 @@ func (fl *fleet) dial() (*railserve.Client, error) {
 	return railserve.NewClient(conn), nil
 }
 
-func rowsJSON(tb testing.TB, rows []scenario.Row) string {
+// gridReq wraps spec as a grid-experiment request — the one path a
+// grid travels over the wire.
+func gridReq(spec scenario.Spec) opusnet.ExpRequestPayload {
+	return opusnet.ExpRequestPayload{Name: "grid", Grid: &spec}
+}
+
+// gridJSON renders rows as the grid experiment's JSON document: the
+// bytes a served grid's RowsJSON must equal.
+func gridJSON(tb testing.TB, name string, rows []scenario.Row) string {
 	tb.Helper()
-	b, err := json.Marshal(rows)
+	var b bytes.Buffer
+	if err := photonrail.GridExperimentResult(name, rows).RenderJSON(&b); err != nil {
+		tb.Fatal(err)
+	}
+	return b.String()
+}
+
+// localGridJSON runs grid on a fresh local engine and renders it with
+// gridJSON — the ground truth a fleet's answer is compared against.
+func localGridJSON(tb testing.TB, grid scenario.Grid) string {
+	tb.Helper()
+	local, err := photonrail.NewEngine(0).RunGrid(grid)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return string(b)
+	return gridJSON(tb, grid.Name, local.Rows())
 }
 
 // fig8Ref computes the fig8-5d ground truth once for the package: the
-// rows a single local engine produces and the simulations (misses) it
-// needs.
+// JSON rendering of a single local engine's rows and the simulations
+// (misses) it needs.
 var fig8RefOnce sync.Once
 var fig8RefRows string
 var fig8RefMisses uint64
@@ -126,11 +145,7 @@ func fig8Ref(t *testing.T) (string, uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(res.Rows())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fig8RefRows = string(b)
+		fig8RefRows = gridJSON(t, "fig8-5d", res.Rows())
 		fig8RefMisses = en.CacheStats().Misses
 	})
 	return fig8RefRows, fig8RefMisses
@@ -149,7 +164,7 @@ func TestFleetGridByteIdentical(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Fig8Grid5D())
 	var mu sync.Mutex
 	var ticks []int
-	run, err := c.RunGrid(spec, func(done, total int) {
+	run, err := c.RunExperiment(context.Background(), gridReq(spec), func(done, total int) {
 		if total != 48 {
 			t.Errorf("progress total = %d, want 48", total)
 		}
@@ -160,10 +175,10 @@ func TestFleetGridByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Name != "fig8-5d" || len(run.Rows) != 48 {
-		t.Fatalf("run = %q with %d rows", run.Name, len(run.Rows))
+	if run.Grid != "fig8-5d" {
+		t.Fatalf("run grid = %q, want fig8-5d", run.Grid)
 	}
-	if got := rowsJSON(t, run.Rows); got != wantRows {
+	if run.RowsJSON != wantRows {
 		t.Fatal("fleet rows diverged from the local engine's")
 	}
 
@@ -205,8 +220,8 @@ func TestFleetGridByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.GridsExecuted != 1 || st.GridsDeduped != 0 {
-		t.Errorf("coordinator grids executed/deduped = %d/%d, want 1/0", st.GridsExecuted, st.GridsDeduped)
+	if st.ExpsExecuted != 1 || st.ExpsDeduped != 0 {
+		t.Errorf("coordinator exps executed/deduped = %d/%d, want 1/0", st.ExpsExecuted, st.ExpsDeduped)
 	}
 	if len(st.Backends) != 3 {
 		t.Fatalf("stats carry %d backends, want 3", len(st.Backends))
@@ -252,11 +267,11 @@ func TestFleetFailoverMidGrid(t *testing.T) {
 	fl.net.Endpoint(fmt.Sprintf("b%d", victim)).KillAfterFrames(2)
 
 	c := fl.dialCoord(t)
-	run, err := c.RunGrid(scenario.SpecOf(scenario.Fig8Grid5D()), nil)
+	run, err := c.RunExperiment(context.Background(), gridReq(scenario.SpecOf(scenario.Fig8Grid5D())), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsJSON(t, run.Rows); got != wantRows {
+	if run.RowsJSON != wantRows {
 		t.Fatal("failover rows diverged from the local engine's")
 	}
 
@@ -299,7 +314,7 @@ func TestFleetAllBackendsDead(t *testing.T) {
 	fl.net.Endpoint("b0").Kill()
 	fl.net.Endpoint("b1").Kill()
 	c := fl.dialCoord(t)
-	_, err := c.RunGrid(scenario.SpecOf(scenario.Grid{Name: "doomed", LatenciesMS: []float64{5}, Iterations: 1}), nil)
+	_, err := c.RunExperiment(context.Background(), gridReq(scenario.SpecOf(scenario.Grid{Name: "doomed", LatenciesMS: []float64{5}, Iterations: 1})), nil)
 	if err == nil || !strings.Contains(err.Error(), "no live backends") {
 		t.Fatalf("err = %v, want no-live-backends", err)
 	}
@@ -319,7 +334,7 @@ func TestFleetDroppedProgressFrameHarmless(t *testing.T) {
 		LatenciesMS: []float64{5, 20},
 		Iterations:  1,
 	})
-	run, err := c.RunGrid(spec, nil)
+	run, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +342,7 @@ func TestFleetDroppedProgressFrameHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := photonrail.NewEngine(0).RunGrid(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rowsJSON(t, run.Rows), rowsJSON(t, local.Rows()); got != want {
+	if run.RowsJSON != localGridJSON(t, grid) {
 		t.Fatal("rows diverged under dropped progress frames")
 	}
 }
@@ -373,12 +384,12 @@ func TestFleetHeldBackendStallsThenCompletes(t *testing.T) {
 
 	c := fl.dialCoord(t)
 	type outcome struct {
-		run *railserve.GridRun
+		run *railserve.ExpRun
 		err error
 	}
 	res := make(chan outcome, 1)
 	go func() {
-		run, err := c.RunGrid(spec, nil)
+		run, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
 		res <- outcome{run, err}
 	}()
 
@@ -403,11 +414,7 @@ func TestFleetHeldBackendStallsThenCompletes(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	local, err := photonrail.NewEngine(0).RunGrid(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rowsJSON(t, out.run.Rows), rowsJSON(t, local.Rows()); got != want {
+	if out.run.RowsJSON != localGridJSON(t, grid) {
 		t.Fatal("rows diverged after a hold/release")
 	}
 }
@@ -424,13 +431,13 @@ func TestFleetSingleflightDedup(t *testing.T) {
 	c2 := fl.dialCoord(t)
 	spec := scenario.SpecOf(scenario.Grid{Name: "dedup", LatenciesMS: []float64{5}, Iterations: 1})
 	type outcome struct {
-		run *railserve.GridRun
+		run *railserve.ExpRun
 		err error
 	}
 	res := make(chan outcome, 2)
 	submit := func(c *railserve.Client) {
 		go func() {
-			run, err := c.RunGrid(spec, nil)
+			run, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
 			res <- outcome{run, err}
 		}()
 	}
@@ -442,7 +449,7 @@ func TestFleetSingleflightDedup(t *testing.T) {
 	submit(c2)
 	waitEvent(t, fl.coord.Telemetry(), func(ev telemetry.Event) bool { return ev.Type == "deduped" })
 	close(gate)
-	var runs []*railserve.GridRun
+	var runs []*railserve.ExpRun
 	for i := 0; i < 2; i++ {
 		out := <-res
 		if out.err != nil {
@@ -453,7 +460,7 @@ func TestFleetSingleflightDedup(t *testing.T) {
 	if runs[0].Shared == runs[1].Shared {
 		t.Errorf("shared flags = %v/%v, want exactly one joined request", runs[0].Shared, runs[1].Shared)
 	}
-	if got, want := rowsJSON(t, runs[0].Rows), rowsJSON(t, runs[1].Rows); got != want {
+	if runs[0].RowsJSON != runs[1].RowsJSON {
 		t.Fatal("coalesced fleet results diverged")
 	}
 }
@@ -596,12 +603,46 @@ func TestFleetProxiesNonGridExperiments(t *testing.T) {
 	}
 }
 
+// TestRetiredGridReqRefused: a client that still sends the retired
+// grid_req frame gets the ordinary unsupported-message-type refusal
+// from both a raild backend and the coordinator, and its connection
+// keeps serving.
+func TestRetiredGridReqRefused(t *testing.T) {
+	fl := startFleet(t, 1, 8)
+	// The frame exactly as an old client encoded it.
+	body := []byte(`{"type":"grid_req","seq":1,"spec":{"name":"fig8-5d"}}`)
+	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	for _, endpoint := range []string{"b0", "coord"} {
+		conn, err := fl.net.Dial(endpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := opusnet.ReadMessage(conn)
+		if err != nil {
+			t.Fatalf("%s: %v", endpoint, err)
+		}
+		if reply.Type != opusnet.MsgErr || reply.Seq != 1 || !strings.Contains(reply.Error, "unsupported message type") {
+			t.Errorf("%s: reply = %+v, want an unsupported-message-type error", endpoint, reply)
+		}
+		if err := opusnet.WriteMessage(conn, &opusnet.Message{Type: opusnet.MsgStatsReq, Seq: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if reply, err := opusnet.ReadMessage(conn); err != nil || reply.Type != opusnet.MsgStatsResp || reply.Seq != 2 {
+			t.Errorf("%s: stats after the refusal = %+v, %v", endpoint, reply, err)
+		}
+	}
+}
+
 // TestFleetRejectsBadRequests: the coordinator refuses what one daemon
 // would refuse — before any backend sees the request.
 func TestFleetRejectsBadRequests(t *testing.T) {
 	fl := startFleet(t, 2, 8)
 	c := fl.dialCoord(t)
-	if _, err := c.RunGrid(scenario.Spec{Models: []string{"GPT-9"}}, nil); err == nil ||
+	if _, err := c.RunExperiment(context.Background(), gridReq(scenario.Spec{Models: []string{"GPT-9"}}), nil); err == nil ||
 		!strings.Contains(err.Error(), "unknown model") {
 		t.Errorf("bad model error = %v", err)
 	}
@@ -611,7 +652,7 @@ func TestFleetRejectsBadRequests(t *testing.T) {
 		LatenciesMS:  make([]float64, 50_000),
 		Fabrics:      []scenario.FabricKind{scenario.Photonic},
 	})
-	if _, err := c.RunGrid(bomb, nil); err == nil || !strings.Contains(err.Error(), "request cap") {
+	if _, err := c.RunExperiment(context.Background(), gridReq(bomb), nil); err == nil || !strings.Contains(err.Error(), "request cap") {
 		t.Errorf("cross-product bomb error = %v", err)
 	}
 	if _, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "fig99"}, nil); err == nil ||

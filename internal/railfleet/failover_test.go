@@ -1,12 +1,12 @@
 package railfleet
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"testing"
 	"time"
 
-	"photonrail"
 	"photonrail/internal/faultnet"
 	"photonrail/internal/opusnet"
 	"photonrail/internal/railserve"
@@ -33,8 +33,9 @@ func splitSpec() scenario.Spec {
 }
 
 // requireSplit asserts both backends of a 2-backend fleet receive
-// cells for the spec, and returns the local ground-truth rows.
-func requireSplit(t *testing.T, spec scenario.Spec) string {
+// cells for the spec, and returns the local ground-truth rendering and
+// the grid's cell count.
+func requireSplit(t *testing.T, spec scenario.Spec) (string, int) {
 	t.Helper()
 	grid, err := spec.Resolve()
 	if err != nil {
@@ -49,11 +50,7 @@ func requireSplit(t *testing.T, spec scenario.Spec) string {
 	if len(assignment[0]) == 0 || len(assignment[1]) == 0 {
 		t.Fatalf("grid sharded onto one backend (%d/%d); pick axes that split", len(assignment[0]), len(assignment[1]))
 	}
-	local, err := photonrail.NewEngine(0).RunGrid(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rowsJSON(t, local.Rows())
+	return localGridJSON(t, grid), len(cells)
 }
 
 // legacyBackend serves the opusnet framing like a pre-cells_req raild:
@@ -89,7 +86,7 @@ func legacyBackend(ln net.Listener) {
 // frame, byte-identically. Pre-fix, this request never terminated.
 func TestFleetRoutesAroundLegacyBackend(t *testing.T) {
 	spec := splitSpec()
-	wantRows := requireSplit(t, spec)
+	wantRows, cells := requireSplit(t, spec)
 
 	fn := faultnet.New()
 	t.Cleanup(fn.Close)
@@ -119,10 +116,10 @@ func TestFleetRoutesAroundLegacyBackend(t *testing.T) {
 	t.Cleanup(func() { _ = c.Close() })
 
 	done := make(chan struct{})
-	var run *railserve.GridRun
+	var run *railserve.ExpRun
 	var runErr error
 	go func() {
-		run, runErr = c.RunGrid(spec, nil)
+		run, runErr = c.RunExperiment(context.Background(), gridReq(spec), nil)
 		close(done)
 	}()
 	select {
@@ -133,11 +130,11 @@ func TestFleetRoutesAroundLegacyBackend(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if got := rowsJSON(t, run.Rows); got != wantRows {
+	if run.RowsJSON != wantRows {
 		t.Fatal("mixed-fleet rows diverged from local")
 	}
-	if got := real.Stats().CellsExecuted; got != uint64(len(run.Rows)) {
-		t.Errorf("real backend executed %d of %d cells", got, len(run.Rows))
+	if got := real.Stats().CellsExecuted; got != uint64(cells) {
+		t.Errorf("real backend executed %d of %d cells", got, cells)
 	}
 }
 
@@ -149,7 +146,7 @@ func TestFleetRoutesAroundLegacyBackend(t *testing.T) {
 // backend ever being released.
 func TestFleetBatchTimeoutReshardsWedgedBackend(t *testing.T) {
 	spec := splitSpec()
-	wantRows := requireSplit(t, spec)
+	wantRows, cells := requireSplit(t, spec)
 
 	fn := faultnet.New()
 	t.Cleanup(fn.Close)
@@ -188,14 +185,14 @@ func TestFleetBatchTimeoutReshardsWedgedBackend(t *testing.T) {
 	c := railserve.NewClient(conn)
 	t.Cleanup(func() { _ = c.Close() })
 
-	run, err := c.RunGrid(spec, nil)
+	run, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsJSON(t, run.Rows); got != wantRows {
+	if run.RowsJSON != wantRows {
 		t.Fatal("rows diverged after a batch-timeout re-shard")
 	}
-	if got := backends[1].Stats().CellsExecuted; got != uint64(len(run.Rows)) {
-		t.Errorf("survivor executed %d of %d cells", got, len(run.Rows))
+	if got := backends[1].Stats().CellsExecuted; got != uint64(cells) {
+		t.Errorf("survivor executed %d of %d cells", got, cells)
 	}
 }

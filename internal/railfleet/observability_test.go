@@ -1,6 +1,7 @@
 package railfleet
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -66,7 +67,7 @@ func TestFleetStatsMonotonicAcrossBackendKill(t *testing.T) {
 	c := fl.dialCoord(t)
 
 	spec := scenario.SpecOf(scenario.Fig8Grid5D())
-	if _, err := c.RunGrid(spec, nil); err != nil {
+	if _, err := c.RunExperiment(context.Background(), gridReq(spec), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -136,7 +137,7 @@ func TestFleetStatsAfterClose(t *testing.T) {
 	c := fl.dialCoord(t)
 
 	spec := scenario.SpecOf(scenario.Grid{Name: "pre-close", LatenciesMS: []float64{5}, Iterations: 1})
-	if _, err := c.RunGrid(spec, nil); err != nil {
+	if _, err := c.RunExperiment(context.Background(), gridReq(spec), nil); err != nil {
 		t.Fatal(err)
 	}
 	st1, err := c.Stats() // retains per-backend payloads
@@ -166,8 +167,8 @@ func TestFleetStatsAfterClose(t *testing.T) {
 			t.Errorf("backend %s reported healthy after Close", b.Addr)
 		}
 	}
-	if st2.GridsExecuted != st1.GridsExecuted {
-		t.Errorf("post-Close grids executed = %d, want %d", st2.GridsExecuted, st1.GridsExecuted)
+	if st2.ExpsExecuted != st1.ExpsExecuted {
+		t.Errorf("post-Close exps executed = %d, want %d", st2.ExpsExecuted, st1.ExpsExecuted)
 	}
 	for name, v1 := range aggCounters(st1) {
 		if v2 := aggCounters(st2)[name]; v2 < v1 {
@@ -235,11 +236,11 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 	}
 	fl.net.Endpoint(fmt.Sprintf("b%d", victim)).KillAfterFrames(2)
 
-	run, err := c.RunGrid(scenario.SpecOf(scenario.Fig8Grid5D()), nil)
+	run, err := c.RunExperiment(context.Background(), gridReq(scenario.SpecOf(scenario.Fig8Grid5D())), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsJSON(t, run.Rows); got != wantRows {
+	if run.RowsJSON != wantRows {
 		t.Fatal("rows diverged from the local engine's under scrape load")
 	}
 	close(stopScrape)
@@ -283,7 +284,7 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 		"railfleet_cache_hits_total":                    st.Hits,
 		"railfleet_cache_misses_total":                  st.Misses,
 		"railfleet_cells_executed_total":                st.CellsExecuted,
-		"railfleet_grids_executed_total":                st.GridsExecuted,
+		"railfleet_exps_executed_total":                 st.ExpsExecuted,
 		"railfleet_stage_hits_total{stage=\"build\"}":   st.BuildHits,
 		"railfleet_stage_misses_total{stage=\"build\"}": st.BuildMisses,
 		"railfleet_stage_hits_total{stage=\"time\"}":    st.TimeHits,

@@ -1,6 +1,7 @@
 package railfleet
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -77,16 +78,16 @@ func TestFleetPropertyByteIdenticalNoDuplicatedWork(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d local run: %v", trial, err)
 		}
-		wantRows := rowsJSON(t, local.Rows())
+		wantRows := gridJSON(t, grid.Name, local.Rows())
 		wantMisses := en.CacheStats().Misses
 
 		fl := startFleet(t, 3, 3)
 		c := fl.dialCoord(t)
-		run, err := c.RunGrid(spec, nil)
+		run, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
 		if err != nil {
 			t.Fatalf("trial %d fleet run (spec %+v): %v", trial, spec, err)
 		}
-		if got := rowsJSON(t, run.Rows); got != wantRows {
+		if run.RowsJSON != wantRows {
 			t.Fatalf("trial %d (spec %+v): fleet rows diverged from local", trial, spec)
 		}
 		var fleetMisses, fleetCells uint64
@@ -95,9 +96,9 @@ func TestFleetPropertyByteIdenticalNoDuplicatedWork(t *testing.T) {
 			fleetMisses += st.Misses
 			fleetCells += st.CellsExecuted
 		}
-		if fleetCells != uint64(len(run.Rows)) {
+		if fleetCells != uint64(len(local.Cells)) {
 			t.Errorf("trial %d: fleet executed %d cells for a %d-cell grid (duplicated or lost work)",
-				trial, fleetCells, len(run.Rows))
+				trial, fleetCells, len(local.Cells))
 		}
 		if fleetMisses != wantMisses {
 			t.Errorf("trial %d (spec %+v): fleet-wide misses = %d, want the single run's %d",

@@ -3,15 +3,14 @@
 // invocations work unchanged, pointed at it — but executes each grid
 // across a fleet of backend raild daemons.
 //
-// For every grid_req (or grid-experiment exp_req) the coordinator
-// expands the grid locally, shards the cells across the live backends
-// by canonical workload key (see WorkloadKey/Assign: all fabric
-// variants of one workload colocate, so each electrical baseline
-// simulates exactly once fleet-wide), fans the shards out as
-// cells_req batches bounded by a per-backend in-flight cap, merges the
-// partial rows back into canonical expansion order, and streams
-// aggregated grid_progress — the fleet's output is byte-identical to a
-// single daemon's.
+// For every grid-experiment exp_req the coordinator expands the grid
+// locally, shards the cells across the live backends by canonical
+// workload key (see WorkloadKey/Assign: all fabric variants of one
+// workload colocate, so each electrical baseline simulates exactly
+// once fleet-wide), fans the shards out as cells_req batches bounded
+// by a per-backend in-flight cap, merges the partial rows back into
+// canonical expansion order, and streams aggregated exp_progress — the
+// fleet's output is byte-identical to a single daemon's.
 //
 // Membership is elastic: besides the static -backends list (sharded by
 // fleet position, byte-identically to earlier releases), backends may
@@ -32,9 +31,9 @@
 // cancellation keep raild's semantics across the fan-out: identical
 // in-flight requests coalesce onto one fleet execution, a cancel frame
 // (or dropped connection, or TimeoutMS) stops only that request's
-// wait, and when the last experiment-path waiter departs the fleet
-// execution's context is cancelled — which cancels the outstanding
-// cells_req waits, sending cancel frames to the backends.
+// wait, and when the last waiter departs the fleet execution's context
+// is cancelled — which cancels the outstanding cells_req waits,
+// sending cancel frames to the backends.
 //
 // Non-grid experiments (fig4, table1, bom, …) are proxied to one
 // backend chosen by rendezvous hash of the experiment name, failing
@@ -42,7 +41,6 @@
 package railfleet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -155,10 +153,9 @@ type Coordinator struct {
 	conns   map[net.Conn]bool
 	dynamic map[string]*backend // registered member id -> data-plane record
 	closed  bool
-	// Request-level counters, mirroring raild's: grid_req vs exp_req
-	// arrivals that started (or joined) a fleet execution.
-	gridsExecuted, gridsDeduped uint64
-	expsExecuted, expsDeduped   uint64
+	// Request-level counters, mirroring raild's: exp_req arrivals that
+	// started (or joined) a fleet execution or a proxied run.
+	expsExecuted, expsDeduped uint64
 
 	wg     sync.WaitGroup // accept loop + connection handlers
 	execWG sync.WaitGroup // fleet executions + result deliveries
@@ -236,7 +233,7 @@ func New(cfg Config) (*Coordinator, error) {
 	f.inflightG = f.tel.Metrics.Gauge("railfleet_requests_inflight",
 		"Requests admitted (validated and joined or started a fleet execution) and awaiting their final reply.")
 	f.durations = f.tel.Metrics.HistogramVec("railfleet_request_duration_seconds",
-		"Admitted-request wall time from arrival to final reply, by experiment (grid_req labels as \"grid\").",
+		"Admitted-request wall time from arrival to final reply, by experiment.",
 		telemetry.DefLatencyBuckets, "experiment")
 	f.failoversC = f.tel.Metrics.Counter("railfleet_failovers_total",
 		"Backend failures mid-request whose work was re-sharded to (or retried on) the surviving backends.")
@@ -411,10 +408,8 @@ func (f *Coordinator) Stats() opusnet.CacheStatsPayload {
 	f.mu.Lock()
 	closed := f.closed
 	out := opusnet.CacheStatsPayload{
-		GridsExecuted: f.gridsExecuted,
-		GridsDeduped:  f.gridsDeduped,
-		ExpsExecuted:  f.expsExecuted,
-		ExpsDeduped:   f.expsDeduped,
+		ExpsExecuted: f.expsExecuted,
+		ExpsDeduped:  f.expsDeduped,
 	}
 	f.mu.Unlock()
 	snaps := make([]opusnet.BackendStatsPayload, len(f.static))
@@ -538,8 +533,6 @@ func (f *Coordinator) handle(conn net.Conn) {
 
 func (f *Coordinator) dispatch(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
 	switch msg.Type {
-	case opusnet.MsgGridReq:
-		f.serveGrid(msg, reply)
 	case opusnet.MsgExpReq:
 		f.serveExp(msg, reply, cs)
 	case opusnet.MsgCancel:
@@ -636,12 +629,10 @@ func (f *Coordinator) serveDrain(msg *opusnet.Message, reply func(*opusnet.Messa
 }
 
 // fleetRun is one in-flight fleet grid execution with its subscribers;
-// both request paths (grid_req and grid-experiment exp_req) coalesce
-// onto it, keyed by the resolved grid. waiters is guarded by the
-// Coordinator mutex; grid_req waiters never depart (the legacy path
-// runs to completion), experiment waiters depart on cancel/deadline —
-// the last departure cancels the fan-out, which cancels the
-// outstanding cells_req waits on the backends.
+// grid-experiment requests coalesce onto it, keyed by the resolved
+// grid. waiters is guarded by the Coordinator mutex; waiters depart on
+// cancel/deadline — the last departure cancels the fan-out, which
+// cancels the outstanding cells_req waits on the backends.
 type fleetRun struct {
 	done     chan struct{}
 	gridName string
@@ -717,65 +708,8 @@ func (f *Coordinator) depart(key string, run *fleetRun) {
 	}
 }
 
-// serveGrid is the legacy grid path across the fleet: validate exactly
-// as one daemon would, coalesce or start the fleet execution, stream
-// aggregated progress, and deliver the merged rows. As on raild, the
-// wait is not cancellable and the execution runs to completion.
-func (f *Coordinator) serveGrid(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
-	seq := msg.Seq
-	fail := func(err error) {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-	}
-	if msg.Spec == nil {
-		fail(fmt.Errorf("railfleet: grid request without a spec"))
-		return
-	}
-	grid, err := railserve.ValidateGridSpec(*msg.Spec)
-	if err != nil {
-		fail(err)
-		return
-	}
-	key := exp.Key("fleet", grid)
-	ro := f.beginReq("grid", key, grid.CellCount())
-	run, started := f.joinRun(key, *msg.Spec, grid)
-	f.mu.Lock()
-	if started {
-		f.gridsExecuted++
-	} else {
-		f.gridsDeduped++
-	}
-	f.mu.Unlock()
-	ro.admitted(!started)
-	if f.logf != nil {
-		if started {
-			f.logf("railfleet: grid %q: fanning out (%d cells)", grid.Name, grid.CellCount())
-		} else {
-			f.logf("railfleet: grid %q: joined in-flight fleet execution", grid.Name)
-		}
-	}
-	run.subscribe(func(done, total int) {
-		reply(&opusnet.Message{Type: opusnet.MsgGridProgress, Seq: seq,
-			Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
-	})
-	f.execWG.Add(1)
-	go func() {
-		defer f.execWG.Done()
-		<-run.done
-		ro.finish(run.err, false)
-		if run.err != nil {
-			fail(run.err)
-			return
-		}
-		reply(&opusnet.Message{Type: opusnet.MsgGridResult, Seq: seq, Grid: &opusnet.GridResultPayload{
-			Name:   run.gridName,
-			Rows:   run.rows,
-			Shared: !started,
-		}}, true)
-	}()
-}
-
 // serveExp serves exp_req at the coordinator: grid experiments fan out
-// across the fleet (coalescing with grid_req onto the same fleet
+// across the fleet (identical grids coalescing onto one fleet
 // execution, rendered at the coordinator byte-identically to a raild
 // rendering); everything else is proxied to a backend.
 func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
@@ -857,7 +791,7 @@ func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message
 				fail(run.err)
 				return
 			}
-			payload, err := renderGridPayload(req.Name, run.gridName, run.rows)
+			payload, err := railserve.RenderExpPayload(req.Name, photonrail.GridExperimentResult(run.gridName, run.rows))
 			if err != nil {
 				ro.finish(err, false)
 				fail(err)
@@ -880,30 +814,6 @@ func (f *Coordinator) waitCtx(timeoutMS int64) (context.Context, context.CancelF
 		return context.WithTimeout(f.baseCtx, time.Duration(timeoutMS)*time.Millisecond)
 	}
 	return context.WithCancel(f.baseCtx)
-}
-
-// renderGridPayload renders merged fleet rows exactly as a raild
-// daemon renders a completed grid experiment, so fleet output is
-// byte-identical to a single daemon's (and to the local CLIs').
-func renderGridPayload(expName, gridName string, rows []scenario.Row) (*opusnet.ExpResultPayload, error) {
-	res := photonrail.GridExperimentResult(gridName, rows)
-	var text, csv, rowsJSON bytes.Buffer
-	if err := res.RenderText(&text); err != nil {
-		return nil, err
-	}
-	if err := res.RenderCSV(&csv); err != nil {
-		return nil, err
-	}
-	if err := res.RenderJSON(&rowsJSON); err != nil {
-		return nil, err
-	}
-	return &opusnet.ExpResultPayload{
-		Name:        expName,
-		Grid:        gridName,
-		Rendered:    text.String(),
-		RenderedCSV: csv.String(),
-		RowsJSON:    rowsJSON.String(),
-	}, nil
 }
 
 // proxyExp forwards a non-grid experiment to one backend — chosen by

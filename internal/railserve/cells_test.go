@@ -3,18 +3,21 @@ package railserve
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"photonrail"
+	"photonrail/internal/opusnet"
 	"photonrail/internal/scenario"
 	"photonrail/internal/telemetry"
 )
 
-// TestCellsSubsetMatchesGrid: the subset path returns exactly the full
-// grid's rows at the requested indices, in request order — the
-// invariant the fleet coordinator's merge relies on.
+// TestCellsSubsetMatchesGrid: the subset path returns exactly a local
+// full-grid run's rows at the requested indices, in request order —
+// the invariant the fleet coordinator's merge relies on.
 func TestCellsSubsetMatchesGrid(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{
 		Name:        "subset",
@@ -22,12 +25,16 @@ func TestCellsSubsetMatchesGrid(t *testing.T) {
 		LatenciesMS: []float64{5, 20},
 		Iterations:  1,
 	})
-	s := newTestServer(t, 0, 0)
-	c := dialTest(t, s)
-	full, err := c.RunGrid(spec, nil)
+	grid, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	full, err := photonrail.NewEngine(0).RunGrid(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, 0, 0)
+	c := dialTest(t, s)
 	indices := []int{3, 0, 2}
 	var mu sync.Mutex
 	var ticks []int
@@ -46,7 +53,7 @@ func TestCellsSubsetMatchesGrid(t *testing.T) {
 		t.Fatalf("run = %q with %d rows, want %q with %d", run.Name, len(run.Rows), "subset", len(indices))
 	}
 	for i, idx := range indices {
-		if got, want := rowsJSON(t, run.Rows[i:i+1]), rowsJSON(t, full.Rows[idx:idx+1]); got != want {
+		if got, want := rowsJSON(t, run.Rows[i:i+1]), rowsJSON(t, full.Rows()[idx:idx+1]); got != want {
 			t.Errorf("subset row %d (cell %d) diverged:\n got: %s\nwant: %s", i, idx, got, want)
 		}
 	}
@@ -65,7 +72,7 @@ func TestCellsSubsetMatchesGrid(t *testing.T) {
 }
 
 // TestCellsSingleflightDedup: identical in-flight subset requests
-// coalesce onto one execution, exactly like grids and experiments.
+// coalesce onto one execution, exactly like experiments.
 func TestCellsSingleflightDedup(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{Name: "dedup", LatenciesMS: []float64{5}, Iterations: 1})
 	s := newTestServer(t, 0, 0)
@@ -182,5 +189,50 @@ func TestCellsCancelAndDeadline(t *testing.T) {
 	s.setExecGate(nil)
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("connection unusable after cancels: %v", err)
+	}
+}
+
+// TestClientAcceptsLegacyCellsProgress: a backend from before the grid
+// frames were retired ticks cells_req progress under the old grid
+// progress type. The client must route such a tick to onProgress by
+// its payload and keep waiting for the real reply — a coordinator that
+// took the tick for a final frame would fail the batch over for
+// nothing.
+func TestClientAcceptsLegacyCellsProgress(t *testing.T) {
+	clientConn, peer := net.Pipe()
+	c := NewClient(clientConn)
+	t.Cleanup(func() { _ = c.Close() })
+	want := []scenario.Row{{Cell: "c0", Status: "ok", Slowdown: 1.5}}
+	peerErr := make(chan error, 1)
+	go func() {
+		defer peer.Close()
+		req, err := opusnet.ReadMessage(peer)
+		if err != nil {
+			peerErr <- err
+			return
+		}
+		if err := opusnet.WriteMessage(peer, &opusnet.Message{Type: "grid_progress", Seq: req.Seq,
+			Progress: &opusnet.GridProgress{Done: 1, Total: 1}}); err != nil {
+			peerErr <- err
+			return
+		}
+		peerErr <- opusnet.WriteMessage(peer, &opusnet.Message{Type: opusnet.MsgCellsResult, Seq: req.Seq,
+			CellsResult: &opusnet.CellsResultPayload{Name: "old", Indices: req.Cells.Indices, Rows: want}})
+	}()
+	var ticks [][2]int
+	run, err := c.RunCellsCtx(context.Background(), scenario.Spec{Name: "old"}, []int{0}, 0, func(done, total int) {
+		ticks = append(ticks, [2]int{done, total})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-peerErr; err != nil {
+		t.Fatalf("peer: %v", err)
+	}
+	if len(ticks) != 1 || ticks[0] != [2]int{1, 1} {
+		t.Errorf("progress ticks = %v, want [[1 1]]", ticks)
+	}
+	if got, want := rowsJSON(t, run.Rows), rowsJSON(t, want); got != want {
+		t.Errorf("rows = %s, want %s", got, want)
 	}
 }

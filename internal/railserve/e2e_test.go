@@ -1,12 +1,15 @@
 package railserve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 
 	"photonrail"
+	"photonrail/internal/opusnet"
 	"photonrail/internal/scenario"
 	"photonrail/internal/telemetry"
 )
@@ -42,12 +45,29 @@ func rowsJSON(t *testing.T, rows []scenario.Row) string {
 	return string(b)
 }
 
+// gridReq wraps spec as a grid-experiment request — the one path a
+// grid travels over the wire.
+func gridReq(spec scenario.Spec) opusnet.ExpRequestPayload {
+	return opusnet.ExpRequestPayload{Name: "grid", Grid: &spec}
+}
+
+// gridJSON renders rows as the grid experiment's JSON document: the
+// bytes a served grid's RowsJSON must equal.
+func gridJSON(t *testing.T, name string, rows []scenario.Row) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := photonrail.GridExperimentResult(name, rows).RenderJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // TestLoopbackTwoConcurrentClientsDedup is the end-to-end loopback
 // test: an in-process raild serves two concurrent railclient sessions
 // requesting the same fig8-5d grid. The daemon must coalesce them onto
-// one execution (request-level singleflight: exactly one grid
-// execution, zero additional simulations for the second client) and
-// hand both byte-identical results.
+// one execution (request-level singleflight: exactly one execution,
+// zero additional simulations for the second client) and hand both
+// byte-identical results.
 func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Fig8Grid5D())
 	grid, err := spec.Resolve()
@@ -65,7 +85,7 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	refMisses := ref.CacheStats().Misses
-	wantRows := rowsJSON(t, refRes.Rows())
+	wantRows := gridJSON(t, grid.Name, refRes.Rows())
 
 	s := newTestServer(t, 0, 0)
 	// Hold the execution at the gate until both requests are registered,
@@ -76,7 +96,7 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 	c2 := dialTest(t, s)
 
 	type outcome struct {
-		run   *GridRun
+		run   *ExpRun
 		err   error
 		ticks []int
 	}
@@ -85,7 +105,7 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 		go func() {
 			var mu sync.Mutex
 			var ticks []int
-			run, err := c.RunGrid(spec, func(done, total int) {
+			run, err := c.RunExperiment(context.Background(), gridReq(spec), func(done, total int) {
 				if total != wantCells {
 					t.Errorf("progress total = %d, want %d", total, wantCells)
 				}
@@ -115,7 +135,7 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 	})
 	close(gate) // release the execution with both subscribers attached
 
-	var runs []*GridRun
+	var runs []*ExpRun
 	allTicks := make([][]int, 0, 2)
 	for i := 0; i < 2; i++ {
 		out := <-results
@@ -128,11 +148,11 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 
 	// Byte-identical results for both clients, equal to the local run.
 	for i, run := range runs {
-		if got := rowsJSON(t, run.Rows); got != wantRows {
+		if run.RowsJSON != wantRows {
 			t.Fatalf("client %d rows diverged from the local engine's", i+1)
 		}
-		if run.Name != "fig8-5d" {
-			t.Errorf("client %d grid name = %q", i+1, run.Name)
+		if run.Grid != "fig8-5d" {
+			t.Errorf("client %d grid name = %q", i+1, run.Grid)
 		}
 	}
 	// Exactly one of the two was the execution, the other the join.
@@ -140,13 +160,13 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 		t.Errorf("shared flags = %v/%v, want exactly one joined request", runs[0].Shared, runs[1].Shared)
 	}
 
-	// Request-level dedup: one grid execution, one coalesced request.
+	// Request-level dedup: one execution, one coalesced request.
 	st, err := c1.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.GridsExecuted != 1 || st.GridsDeduped != 1 {
-		t.Fatalf("grids executed/deduped = %d/%d, want 1/1", st.GridsExecuted, st.GridsDeduped)
+	if st.ExpsExecuted != 1 || st.ExpsDeduped != 1 {
+		t.Fatalf("exps executed/deduped = %d/%d, want 1/1", st.ExpsExecuted, st.ExpsDeduped)
 	}
 	// Zero additional simulations: the daemon ran exactly the misses one
 	// local execution needs, no matter how many clients asked.
@@ -191,7 +211,7 @@ func TestRejectsOversizedGridBeforeExecuting(t *testing.T) {
 	})
 	s := newTestServer(t, 1, 0)
 	c := dialTest(t, s)
-	_, err := c.RunGrid(spec, nil)
+	_, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
 	if err == nil || !strings.Contains(err.Error(), "request cap") {
 		t.Fatalf("oversized grid error = %v", err)
 	}
@@ -205,7 +225,7 @@ func TestRejectsOversizedGridBeforeExecuting(t *testing.T) {
 		LatenciesMS:  make([]float64, 50_000),
 		Fabrics:      []scenario.FabricKind{scenario.Photonic},
 	})
-	if _, err := c.RunGrid(bomb, nil); err == nil || !strings.Contains(err.Error(), "request cap") {
+	if _, err := c.RunExperiment(context.Background(), gridReq(bomb), nil); err == nil || !strings.Contains(err.Error(), "request cap") {
 		t.Fatalf("cross-product bomb error = %v", err)
 	}
 
@@ -213,7 +233,7 @@ func TestRejectsOversizedGridBeforeExecuting(t *testing.T) {
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	if st.GridsExecuted != 0 || st.Misses != 0 {
+	if st.ExpsExecuted != 0 || st.Misses != 0 {
 		t.Fatalf("stats = %+v, want zero executions for rejected grids", st)
 	}
 }
@@ -229,7 +249,7 @@ func TestWarmCacheAcrossSequentialRequests(t *testing.T) {
 	})
 	s := newTestServer(t, 0, 0)
 	c := dialTest(t, s)
-	first, err := c.RunGrid(spec, nil)
+	first, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +257,7 @@ func TestWarmCacheAcrossSequentialRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.RunGrid(spec, nil)
+	second, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +265,14 @@ func TestWarmCacheAcrossSequentialRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rowsJSON(t, second.Rows), rowsJSON(t, first.Rows); got != want {
+	if second.RowsJSON != first.RowsJSON {
 		t.Fatal("warm rerun diverged from first run")
 	}
 	if st2.Misses != st1.Misses {
 		t.Fatalf("misses grew %d -> %d on a warm rerun", st1.Misses, st2.Misses)
 	}
-	if st2.GridsExecuted != 2 {
-		t.Fatalf("grids executed = %d, want 2 (sequential requests both execute)", st2.GridsExecuted)
+	if st2.ExpsExecuted != 2 {
+		t.Fatalf("exps executed = %d, want 2 (sequential requests both execute)", st2.ExpsExecuted)
 	}
 }
 
@@ -260,18 +280,18 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	s := newTestServer(t, 1, 0)
 	c := dialTest(t, s)
 
-	if _, err := c.RunGrid(scenario.Spec{Models: []string{"GPT-9"}}, nil); err == nil ||
+	if _, err := c.RunExperiment(context.Background(), gridReq(scenario.Spec{Models: []string{"GPT-9"}}), nil); err == nil ||
 		!strings.Contains(err.Error(), "unknown model") {
 		t.Errorf("bad model error = %v", err)
 	}
-	if _, err := c.RunGrid(scenario.Spec{JitterFracs: []float64{2}}, nil); err == nil ||
+	if _, err := c.RunExperiment(context.Background(), gridReq(scenario.Spec{JitterFracs: []float64{2}}), nil); err == nil ||
 		!strings.Contains(err.Error(), "jitter") {
 		t.Errorf("bad jitter error = %v", err)
 	}
 	// An unbounded name would make the result (or even the refusal)
 	// frame unencodable; the refusal must not echo it.
 	long := scenario.Spec{Name: strings.Repeat("n", 1<<20)}
-	if _, err := c.RunGrid(long, nil); err == nil ||
+	if _, err := c.RunExperiment(context.Background(), gridReq(long), nil); err == nil ||
 		!strings.Contains(err.Error(), "byte limit") || len(err.Error()) > 200 {
 		t.Errorf("oversized name error = %.80v", err)
 	}
@@ -292,13 +312,13 @@ func TestPipelinedRequestsOneConnection(t *testing.T) {
 		scenario.SpecOf(scenario.Grid{Name: "p2", LatenciesMS: []float64{20}, Iterations: 1}),
 	}
 	var wg sync.WaitGroup
-	got := make([]*GridRun, len(specs))
+	got := make([]*ExpRun, len(specs))
 	errs := make([]error, len(specs))
 	for i, spec := range specs {
 		wg.Add(1)
 		go func(i int, spec scenario.Spec) {
 			defer wg.Done()
-			got[i], errs[i] = c.RunGrid(spec, nil)
+			got[i], errs[i] = c.RunExperiment(context.Background(), gridReq(spec), nil)
 		}(i, spec)
 	}
 	wg.Wait()
@@ -306,8 +326,8 @@ func TestPipelinedRequestsOneConnection(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		if got[i].Name != specs[i].Name {
-			t.Errorf("request %d resolved to grid %q, want %q", i, got[i].Name, specs[i].Name)
+		if got[i].Grid != specs[i].Name {
+			t.Errorf("request %d resolved to grid %q, want %q", i, got[i].Grid, specs[i].Name)
 		}
 	}
 }
@@ -323,7 +343,7 @@ func TestBoundedDaemonEvicts(t *testing.T) {
 	})
 	s := newTestServer(t, 2, 1)
 	c := dialTest(t, s)
-	if _, err := c.RunGrid(spec, nil); err != nil {
+	if _, err := c.RunExperiment(context.Background(), gridReq(spec), nil); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats()

@@ -79,8 +79,8 @@ func TestExpLoopbackByteIdentical(t *testing.T) {
 	}
 }
 
-// TestExpGridThroughExpPath: a grid submitted via exp_req renders
-// byte-identically to the grid_req path's rows-based rendering.
+// TestExpGridThroughExpPath: a grid submitted via exp_req renders all
+// three formats byte-identically to a local run of the same grid.
 func TestExpGridThroughExpPath(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{
 		Name:        "exp-grid",
@@ -89,29 +89,22 @@ func TestExpGridThroughExpPath(t *testing.T) {
 	})
 	s := newTestServer(t, 0, 0)
 	c := dialTest(t, s)
-	run, err := c.RunExperiment(context.Background(),
-		opusnet.ExpRequestPayload{Name: "grid", Grid: &spec}, nil)
+	run, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if run.Grid != "exp-grid" {
 		t.Errorf("grid name = %q", run.Grid)
 	}
-	legacy, err := c.RunGrid(spec, nil)
-	if err != nil {
-		t.Fatal(err)
+	text, csv, rows := localRendering(t, "grid", photonrail.Params{Grid: &spec})
+	if run.Rendered != text {
+		t.Errorf("text rendering diverged:\n got: %q\nwant: %q", run.Rendered, text)
 	}
-	// RowsJSON is the indented {"grid","cells"} document; spot-check the
-	// grid name and a stable cell name rather than comparing compact vs
-	// indented JSON forms.
-	if !strings.Contains(run.RowsJSON, "\"grid\": \"exp-grid\"") {
-		t.Errorf("RowsJSON = %.120q, want the {\"grid\",\"cells\"} document", run.RowsJSON)
+	if run.RenderedCSV != csv {
+		t.Errorf("CSV rendering diverged:\n got: %q\nwant: %q", run.RenderedCSV, csv)
 	}
-	if len(legacy.Rows) == 0 || !strings.Contains(run.RowsJSON, legacy.Rows[0].Cell) {
-		t.Errorf("RowsJSON missing cell %q", legacy.Rows[0].Cell)
-	}
-	if !strings.Contains(run.Rendered, "cells:") {
-		t.Errorf("Rendered = %.120q, want the table + footer", run.Rendered)
+	if run.RowsJSON != rows {
+		t.Errorf("JSON rows diverged:\n got: %q\nwant: %q", run.RowsJSON, rows)
 	}
 }
 
@@ -292,10 +285,10 @@ func waitServerEvent(t *testing.T, s *Server, pred func(telemetry.Event) bool) {
 	}
 }
 
-// TestRunGridCtxTimeout: the legacy grid path's client-side deadline —
-// a gated execution makes the call block, the context expiry abandons
-// it promptly, and the connection stays usable.
-func TestRunGridCtxTimeout(t *testing.T) {
+// TestRunExperimentCtxTimeout: a client-side deadline — a gated
+// execution makes the call block, the context expiry abandons it
+// promptly, and the connection stays usable.
+func TestRunExperimentCtxTimeout(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{Name: "slow", LatenciesMS: []float64{5}, Iterations: 1})
 	s := newTestServer(t, 0, 0)
 	gate := make(chan struct{})
@@ -304,12 +297,12 @@ func TestRunGridCtxTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.RunGridCtx(ctx, spec, nil)
+	_, err := c.RunExperiment(ctx, gridReq(spec), nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("RunGridCtx took %v after expiry", d)
+		t.Fatalf("RunExperiment took %v after expiry", d)
 	}
 	close(gate)
 	s.setExecGate(nil)

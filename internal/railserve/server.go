@@ -1,19 +1,20 @@
 // Package railserve is the experiment-serving daemon behind cmd/raild:
 // a long-running TCP service that executes any experiment in the
 // photonrail registry — figure sweeps, window analyses, cost tables,
-// scenario grids — for remote clients over the opusnet framed
-// protocol. Where every one-shot CLI run rebuilds the memo cache from
-// scratch, the daemon keeps one engine — and its simulation cache —
-// warm across requests, shards each request's jobs across the engine's
-// worker pool, and streams progress frames back so clients render live
-// progress.
+// scenario grids (the "grid" experiment, or a built-in grid by name) —
+// for remote clients over the opusnet framed protocol. Where every
+// one-shot CLI run rebuilds the memo cache from scratch, the daemon
+// keeps one engine — and its simulation cache — warm across requests,
+// shards each request's jobs across the engine's worker pool, and
+// streams progress frames back so clients render live progress.
 //
 // Two layers of deduplication serve concurrent clients:
 //
 //   - request-level singleflight: identical in-flight requests (keyed
-//     on the resolved grid, the experiment name + parameters, or the
-//     grid + index list of a cell subset) coalesce onto one execution,
-//     with progress and results fanned out to every subscriber;
+//     on photonrail.ExperimentKey over the experiment name +
+//     parameters, or on the grid + index list of a cell subset)
+//     coalesce onto one execution, with progress and results fanned
+//     out to every subscriber;
 //   - simulation-level memoization: distinct requests sharing
 //     simulations (or electrical baselines) reuse the engine's cache.
 //
@@ -22,17 +23,15 @@
 // — the partial-execution unit internal/railfleet shards a grid into
 // when fanning it out across a fleet of these daemons.
 //
-// Cancellation is first-class on the experiment and cell-subset paths:
-// every request
-// may carry a deadline (TimeoutMS), a client may send a cancel frame
-// referencing its request's Seq, and a dropped connection cancels its
-// requests' waits. All three stop only that request's wait — an
-// execution other clients joined keeps running for them; only when the
-// last subscriber departs is the execution's context cancelled, which
-// stops scheduling new simulation jobs (in-flight simulations land in
-// the warm cache either way). Server.Close cancels the base context,
-// so shutdown also stops abandoned executions from scheduling more
-// work.
+// Cancellation is first-class: every request may carry a deadline
+// (TimeoutMS), a client may send a cancel frame referencing its
+// request's Seq, and a dropped connection cancels its requests' waits.
+// All three stop only that request's wait — an execution other clients
+// joined keeps running for them; only when the last subscriber departs
+// is the execution's context cancelled, which stops scheduling new
+// simulation jobs (in-flight simulations land in the warm cache either
+// way). Server.Close cancels the base context, so shutdown also stops
+// abandoned executions from scheduling more work.
 //
 // The engine is cost-bounded (photonrail.NewBoundedEngine), so the
 // daemon is safe to run indefinitely: cold results are evicted LRU-wise
@@ -98,34 +97,31 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu       sync.Mutex
-	inflight map[string]*gridRun // resolved-grid key -> running execution
-	runs     map[string]*waitRun // experiment/cell-subset key -> running execution
-	conns    map[net.Conn]bool
-	closed   bool
-	// gridsExecuted counts grid executions actually started;
-	// gridsDeduped counts requests coalesced onto one of them. The gap
-	// between requests received and gridsExecuted is the request-level
-	// dedup win the loopback e2e test asserts on. expsExecuted and
-	// expsDeduped are the experiment-path twins; cellsExecuted counts
+	mu     sync.Mutex
+	runs   map[string]*waitRun // experiment/cell-subset key -> running execution
+	conns  map[net.Conn]bool
+	closed bool
+	// expsExecuted counts experiment executions actually started;
+	// expsDeduped counts requests coalesced onto one of them. The gap
+	// between requests received and expsExecuted is the request-level
+	// dedup win the loopback e2e test asserts on. cellsExecuted counts
 	// CELLS executed through the subset path (the fleet distribution
 	// tests assert every backend got some), cellsDeduped coalesced
 	// subset requests.
-	gridsExecuted, gridsDeduped uint64
 	expsExecuted, expsDeduped   uint64
 	cellsExecuted, cellsDeduped uint64
 
 	// wg tracks the accept loop and connection handlers — everything
-	// Close must wait for. Grid executions and result deliveries are
+	// Close must wait for. Executions and result deliveries are
 	// tracked separately (execWG): once every connection is closed their
 	// results are undeliverable, so Close abandons them rather than
 	// blocking a shutdown on minutes of unwanted simulation.
 	wg     sync.WaitGroup
 	execWG sync.WaitGroup
 
-	// execGate, when non-nil, is received from before each grid
-	// execution starts — a test-only hook that lets the loopback tests
-	// hold a request in flight deterministically. Guarded by mu.
+	// execGate, when non-nil, is received from before each execution
+	// starts — a test-only hook that lets the loopback tests hold a
+	// request in flight deterministically. Guarded by mu.
 	execGate <-chan struct{}
 }
 
@@ -153,34 +149,6 @@ const maxGridName = 256
 // only to fail encoding the reply.
 const maxGridCells = 4096
 
-// gridRun is one in-flight grid execution with its subscribers.
-type gridRun struct {
-	done chan struct{}
-	res  *photonrail.GridResult
-	err  error
-
-	mu   sync.Mutex
-	subs []func(done, total int)
-}
-
-// subscribe adds a progress listener; fan-out calls are serialized per
-// run (the engine already serializes its progress hook, but subscribers
-// can be added mid-run).
-func (r *gridRun) subscribe(fn func(done, total int)) {
-	r.mu.Lock()
-	r.subs = append(r.subs, fn)
-	r.mu.Unlock()
-}
-
-func (r *gridRun) broadcast(done, total int) {
-	r.mu.Lock()
-	subs := r.subs
-	r.mu.Unlock()
-	for _, fn := range subs {
-		fn(done, total)
-	}
-}
-
 // NewServer starts the daemon listening on cfg.Listener (when set) or
 // a fresh TCP listener on cfg.Addr. Close stops it.
 func NewServer(cfg Config) (*Server, error) {
@@ -204,14 +172,13 @@ func NewServer(cfg Config) (*Server, error) {
 		tel:        telemetry.NewSet(eventRingCapacity, func() int64 { return time.Now().UnixNano() }),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
-		inflight:   make(map[string]*gridRun),
 		runs:       make(map[string]*waitRun),
 		conns:      make(map[net.Conn]bool),
 	}
 	s.inflightG = s.tel.Metrics.Gauge("raild_requests_inflight",
 		"Requests admitted (validated and joined or started an execution) and awaiting their final reply.")
 	s.durations = s.tel.Metrics.HistogramVec("raild_request_duration_seconds",
-		"Admitted-request wall time from arrival to final reply, by experiment (grid_req and cells_req label as \"grid\" and \"cells\").",
+		"Admitted-request wall time from arrival to final reply, by experiment (cells_req labels as \"cells\").",
 		telemetry.DefLatencyBuckets, "experiment")
 	stageDur := s.tel.Metrics.HistogramVec("raild_stage_duration_seconds",
 		"Wall time of simulations actually computed (cache misses), by pipeline stage.",
@@ -251,7 +218,7 @@ type reqObs struct {
 }
 
 // beginReq admits one request into the observability layer. expName is
-// the histogram label ("grid"/"cells" for the raw paths); cells is the
+// the histogram label ("cells" for the subset path); cells is the
 // request's cell count when it has one.
 func (s *Server) beginReq(expName, key string, cells int) *reqObs {
 	s.inflightG.Inc()
@@ -301,11 +268,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) Engine() *photonrail.Engine { return s.engine }
 
 // Stats reports the daemon's serving telemetry: the engine's cache
-// counters plus the request-level grid dedup counters.
+// counters plus the request-level dedup counters.
 func (s *Server) Stats() opusnet.CacheStatsPayload {
 	st := s.engine.CacheStats()
 	s.mu.Lock()
-	executed, deduped := s.gridsExecuted, s.gridsDeduped
 	expsExecuted, expsDeduped := s.expsExecuted, s.expsDeduped
 	cellsExecuted, cellsDeduped := s.cellsExecuted, s.cellsDeduped
 	s.mu.Unlock()
@@ -314,8 +280,6 @@ func (s *Server) Stats() opusnet.CacheStatsPayload {
 		Misses:        st.Misses,
 		Evictions:     st.Evictions,
 		InFlight:      st.InFlight,
-		GridsExecuted: executed,
-		GridsDeduped:  deduped,
 		ExpsExecuted:  expsExecuted,
 		ExpsDeduped:   expsDeduped,
 		CellsExecuted: cellsExecuted,
@@ -351,7 +315,7 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Drain waits for in-flight grid executions and result deliveries to
+// Drain waits for in-flight executions and result deliveries to
 // finish. Tests use it so abandoned executions never outlive the test
 // that started them; a production shutdown calls Close alone.
 func (s *Server) Drain() { s.execWG.Wait() }
@@ -420,8 +384,6 @@ func (s *Server) handle(conn net.Conn) {
 
 func (s *Server) dispatch(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
 	switch msg.Type {
-	case opusnet.MsgGridReq:
-		s.serveGrid(msg, reply)
 	case opusnet.MsgExpReq:
 		s.serveExp(msg, reply, cs)
 	case opusnet.MsgCellsReq:
@@ -437,93 +399,6 @@ func (s *Server) dispatch(msg *opusnet.Message, reply func(*opusnet.Message, boo
 		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: msg.Seq,
 			Error: fmt.Sprintf("railserve: unsupported message type %q", msg.Type)}, true)
 	}
-}
-
-// serveGrid resolves and validates the request, then either joins an
-// identical in-flight execution (request-level singleflight) or starts
-// one. The caller's read loop is never blocked: execution and the final
-// reply run on their own goroutine.
-func (s *Server) serveGrid(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
-	seq := msg.Seq
-	fail := func(err error) {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-	}
-	if msg.Spec == nil {
-		fail(fmt.Errorf("railserve: grid request without a spec"))
-		return
-	}
-	// validateGridSpec rejects over-large grids before any expansion or
-	// simulation: the count is computed arithmetically, so a spec whose
-	// axes multiply out to billions of cells cannot OOM the daemon, and
-	// a grid whose result frame could never be encoded is refused
-	// before burning the execution.
-	grid, err := ValidateGridSpec(*msg.Spec)
-	if err != nil {
-		fail(err)
-		return
-	}
-	cells := grid.CellCount()
-	key := exp.Key("grid", grid)
-	ro := s.beginReq("grid", key, cells)
-
-	s.mu.Lock()
-	gate := s.execGate
-	run, shared := s.inflight[key]
-	if shared {
-		s.gridsDeduped++
-	} else {
-		run = &gridRun{done: make(chan struct{})}
-		s.inflight[key] = run
-		s.gridsExecuted++
-	}
-	s.mu.Unlock()
-	ro.admitted(shared)
-
-	run.subscribe(func(done, total int) {
-		reply(&opusnet.Message{Type: opusnet.MsgGridProgress, Seq: seq,
-			Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
-	})
-
-	if !shared {
-		if s.logf != nil {
-			s.logf("railserve: grid %q: executing (%d cells)", grid.Name, cells)
-		}
-		s.execWG.Add(1)
-		go func() {
-			defer s.execWG.Done()
-			if gate != nil {
-				<-gate // test-only hold, see execGate
-			}
-			// Under the base context: Close stops the execution from
-			// scheduling further cells instead of abandoning it to run
-			// the grid out.
-			run.res, run.err = s.engine.RunGridProgressCtx(s.baseCtx, grid, run.broadcast)
-			s.mu.Lock()
-			delete(s.inflight, key)
-			s.mu.Unlock()
-			close(run.done)
-		}()
-	} else if s.logf != nil {
-		s.logf("railserve: grid %q: joined in-flight execution", grid.Name)
-	}
-
-	// Deliver the result without blocking the connection's read loop, so
-	// one client can pipeline several grid requests on one connection.
-	s.execWG.Add(1)
-	go func() {
-		defer s.execWG.Done()
-		<-run.done
-		ro.finish(run.err, false)
-		if run.err != nil {
-			fail(run.err)
-			return
-		}
-		reply(&opusnet.Message{Type: opusnet.MsgGridResult, Seq: seq, Grid: &opusnet.GridResultPayload{
-			Name:   grid.Name,
-			Rows:   run.res.Rows(),
-			Shared: shared,
-		}}, true)
-	}()
 }
 
 // waitRun is one in-flight experiment or cell-subset execution with
@@ -547,6 +422,9 @@ type waitRun struct {
 	subs []func(done, total int)
 }
 
+// subscribe adds a progress listener; fan-out calls are serialized per
+// run (the engine already serializes its progress hook, but subscribers
+// can be added mid-run).
 func (r *waitRun) subscribe(fn func(done, total int)) {
 	r.mu.Lock()
 	r.subs = append(r.subs, fn)
@@ -582,14 +460,14 @@ func (s *Server) departRun(key string, run *waitRun) {
 	}
 }
 
-// serveRun is the shared join-or-start skeleton of the cancellable
-// request paths (experiments and cell subsets): coalesce onto an
-// identical in-flight execution under key or start one via execute
-// (detached, under the server's base context), then deliver the result
-// without blocking the connection's read loop. The request's wait —
-// not the shared execution — is bounded by its timeoutMS deadline, a
-// MsgCancel frame, and the connection's lifetime; waitErr shapes the
-// error a bounded wait reports. count runs under s.mu with the join
+// serveRun is the join-or-start skeleton of both request paths
+// (experiments and cell subsets): coalesce onto an identical in-flight
+// execution under key or start one via execute (detached, under the
+// server's base context), then deliver the result without blocking the
+// connection's read loop. The request's wait — not the shared
+// execution — is bounded by its timeoutMS deadline, a MsgCancel frame,
+// and the connection's lifetime; waitErr shapes the error a bounded
+// wait reports. count runs under s.mu with the join
 // decision (counters only — it must not block); logDecision, when
 // non-nil, runs after the lock is released, so a slow Logf sink never
 // wedges the server. resultMsg shapes the final frame from the run's
@@ -597,7 +475,6 @@ func (s *Server) departRun(key string, run *waitRun) {
 func (s *Server) serveRun(
 	ro *reqObs,
 	key string, seq uint64, timeoutMS int64,
-	progressType opusnet.MsgType,
 	reply func(*opusnet.Message, bool), cs *opusnet.ConnState,
 	count func(shared bool),
 	logDecision func(shared bool),
@@ -660,7 +537,7 @@ func (s *Server) serveRun(
 	ro.admitted(shared)
 
 	run.subscribe(func(done, total int) {
-		reply(&opusnet.Message{Type: progressType, Seq: seq,
+		reply(&opusnet.Message{Type: opusnet.MsgExpProgress, Seq: seq,
 			Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
 	})
 	s.execWG.Add(1)
@@ -758,7 +635,7 @@ func (s *Server) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, boo
 	// coalescing here and cross-restart dedup there agree by construction.
 	key := photonrail.ExperimentKey(req.Name, p)
 
-	s.serveRun(s.beginReq(req.Name, key, 0), key, seq, req.TimeoutMS, opusnet.MsgExpProgress, reply, cs,
+	s.serveRun(s.beginReq(req.Name, key, 0), key, seq, req.TimeoutMS, reply, cs,
 		func(shared bool) {
 			if shared {
 				s.expsDeduped++
@@ -783,7 +660,7 @@ func (s *Server) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, boo
 			if err != nil {
 				return nil, err
 			}
-			return renderExpPayload(req.Name, res)
+			return RenderExpPayload(req.Name, res)
 		},
 		func(payload any, shared bool) *opusnet.Message {
 			p := *(payload.(*opusnet.ExpResultPayload))
@@ -836,7 +713,7 @@ func (s *Server) serveCells(msg *opusnet.Message, reply func(*opusnet.Message, b
 	indices := append([]int(nil), req.Indices...)
 	key := exp.Key("cells", grid, indices)
 
-	s.serveRun(s.beginReq("cells", key, len(indices)), key, seq, req.TimeoutMS, opusnet.MsgGridProgress, reply, cs,
+	s.serveRun(s.beginReq("cells", key, len(indices)), key, seq, req.TimeoutMS, reply, cs,
 		func(shared bool) {
 			if shared {
 				s.cellsDeduped++
@@ -872,9 +749,11 @@ func (s *Server) serveCells(msg *opusnet.Message, reply func(*opusnet.Message, b
 		})
 }
 
-// renderExpPayload renders a completed experiment once, server-side,
-// into the exact bytes each client output format prints.
-func renderExpPayload(name string, res *photonrail.ExperimentResult) (*opusnet.ExpResultPayload, error) {
+// RenderExpPayload renders a completed experiment once, server-side,
+// into the exact bytes each client output format prints. raild and the
+// fleet coordinator both shape exp_result through it, so a fleet's
+// merged grid renders byte-identically to a single daemon's.
+func RenderExpPayload(name string, res *photonrail.ExperimentResult) (*opusnet.ExpResultPayload, error) {
 	var text, csv, rows bytes.Buffer
 	if err := res.RenderText(&text); err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ type Event struct {
 	// Req is the server-assigned request id ("r17"); empty for events
 	// not tied to one request (failover, sharded waves).
 	Req string `json:"req,omitempty"`
-	// Exp is the experiment name, or "grid"/"cells" for raw grid paths.
+	// Exp is the experiment name, or "cells" for a cell-subset request.
 	Exp string `json:"exp,omitempty"`
 	// Key is the dedup key of the underlying run, so joiners can be
 	// correlated with the execution they attached to.
