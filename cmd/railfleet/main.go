@@ -15,12 +15,15 @@
 //	railfleet -register                                  # elastic fleet: backends join themselves
 //	railfleet -register -backends host:9090              # mixed: statics plus self-registered
 //
-// Backends are dialed lazily and re-probed after failures, so the
-// fleet may come up (and restart) in any order. With -register the
-// fleet is elastic: raild daemons started with -coordinator register
-// themselves (weighting the cell shard by their advertised capacity),
-// keep alive via heartbeats bounded by -heartbeat-ttl, and drain
-// gracefully on SIGTERM — joining and leaving even mid-request.
+// Static backends are dialed lazily and, after a failure, re-probed
+// every -heartbeat-ttl/3, so the fleet may come up (and restart) in
+// any order. With -register the fleet is elastic: raild daemons
+// started with -coordinator register themselves (weighting the cell
+// shard by their advertised capacity), keep alive via heartbeats
+// bounded by -heartbeat-ttl, and drain gracefully on SIGTERM — joining
+// and leaving even mid-request. Both kinds are members of one registry;
+// the i-th static backend's identity "s<i>" is reserved against
+// registration.
 package main
 
 import (
@@ -58,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 		addr     = fs.String("addr", "127.0.0.1:9091", "TCP listen address")
 		backends = fs.String("backends", "", "comma-separated static raild backend addresses")
 		register = fs.Bool("register", false, "accept self-registering backends (raild -coordinator)")
-		hbTTL    = fs.Duration("heartbeat-ttl", railctl.DefaultHeartbeatTTL, "mark a registered backend dead when its newest heartbeat is older than this")
+		hbTTL    = fs.Duration("heartbeat-ttl", railctl.DefaultHeartbeatTTL, "mark a registered backend dead when its newest heartbeat is older than this; dead static backends are re-probed every third of it")
 		inflight = fs.Int("inflight", railfleet.DefaultInFlight, "max cells in flight per backend per request")
 		batchTO  = fs.Duration("batch-timeout", railfleet.DefaultBatchTimeout, "per-batch wedge bound before a backend's cells re-shard (<0 = unbounded)")
 		metrics  = fs.String("metrics-addr", "", "HTTP address for /metrics and /events (empty = disabled)")

@@ -27,7 +27,11 @@
 //     (Print/Printf/Println), or a call through a selector named like a
 //     leveled logger (Logf, Errorf, Warnf, Infof, Debugf, logf);
 //   - network I/O: Read/Write-family methods on net-package types or
-//     the net.Conn interface, and opusnet.ReadMessage/WriteMessage.
+//     the net.Conn interface, and opusnet.ReadMessage/WriteMessage;
+//   - a dial: any call that returns a net connection (net.Dial, a
+//     listener's Accept, a dial function value), net.Pipe excepted;
+//   - a context-taking call outside package context: a cancellable
+//     blocking operation, such as an RPC client's round trip.
 //
 // Pure computation, map/slice work, and fmt.Sprintf under a lock are
 // all fine and not flagged.
@@ -282,6 +286,19 @@ func (s *scanner) call(call *ast.CallExpr, held map[string]token.Pos) {
 			what, lock, s.pass.Fset.Position(pos))
 	}
 
+	// Dials and round trips, whoever makes them: a call that yields a
+	// net connection (net.Dial, a listener's Accept, a dial function
+	// value) or takes a context.Context (a cancellable blocking call — an
+	// RPC such as a client's stats query).
+	if s.yieldsConn(call) {
+		report("dial")
+		return
+	}
+	if s.takesContext(call) {
+		report("context-taking call")
+		return
+	}
+
 	// Package-level functions: time.Sleep, log.*, fmt console printing,
 	// opusnet frame I/O.
 	if fn := s.calleeFunc(call); fn != nil && fn.Pkg() != nil {
@@ -353,6 +370,52 @@ func (s *scanner) lockOp(call *ast.CallExpr) (name, key string, ok bool) {
 		return "", "", false
 	}
 	return sel.Sel.Name, types.ExprString(sel.X), true
+}
+
+// yieldsConn reports whether the call returns a net connection —
+// except net.Pipe, which builds an in-memory pair without blocking.
+func (s *scanner) yieldsConn(call *ast.CallExpr) bool {
+	if fn := s.calleeFunc(call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "net" && fn.Name() == "Pipe" {
+		return false
+	}
+	t := s.pass.TypesInfo.TypeOf(call)
+	results, ok := t.(*types.Tuple)
+	if !ok {
+		return s.isConnType(t)
+	}
+	for i := 0; i < results.Len(); i++ {
+		if s.isConnType(results.At(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+// isConnType reports whether t is net.Conn or a concrete net
+// connection type (TCPConn, UDPConn, …), directly or behind a pointer.
+func (s *scanner) isConnType(t types.Type) bool {
+	if !s.isNetType(t) {
+		return false
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return strings.HasSuffix(t.(*types.Named).Obj().Name(), "Conn")
+}
+
+// takesContext reports whether the callee's first parameter is a
+// context.Context — outside package context itself, whose functions
+// only derive values.
+func (s *scanner) takesContext(call *ast.CallExpr) bool {
+	sig, ok := s.pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)
+	if !ok || sig.Params().Len() == 0 {
+		return false
+	}
+	if fn := s.calleeFunc(call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" {
+		return false
+	}
+	n, ok := sig.Params().At(0).Type().(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context"
 }
 
 // isNetType reports whether t is a type from the net package or the

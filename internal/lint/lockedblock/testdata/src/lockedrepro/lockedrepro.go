@@ -5,6 +5,7 @@
 package lockedrepro
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -119,3 +120,24 @@ func (s *server) spawnUnderLock(ch chan reply, r reply) {
 		ch <- r
 	}()
 }
+
+// dialLocked dials while holding the mutex — directly, through a dial
+// function value, and as a context-taking round trip; each can block
+// for a dial timeout. The in-memory net.Pipe and context derivation
+// stay quiet, as does a dial after the release.
+func (s *server) dialLocked(ctx context.Context, dial func(addr string) (net.Conn, error)) {
+	s.mu.Lock()
+	_, _ = net.Dial("tcp", "127.0.0.1:1") // want `dial while "s.mu" is held`
+	_, _ = dial("b0")                     // want `dial while "s.mu" is held`
+	_ = s.query(ctx)                      // want `context-taking call while "s.mu" is held`
+	a, b := net.Pipe()
+	cctx, cancel := context.WithCancel(ctx)
+	s.mu.Unlock()
+	_, _ = dial("b0")
+	_ = s.query(cctx)
+	cancel()
+	_, _ = a, b
+}
+
+// query stands in for an RPC client's round trip.
+func (s *server) query(ctx context.Context) error { return ctx.Err() }

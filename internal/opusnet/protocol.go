@@ -211,8 +211,8 @@ type BackendStatsPayload struct {
 	Cells    uint64 `json:"cells"`
 	Failures uint64 `json:"failures"`
 	// ID is the backend's stable identity: the registered identity for
-	// dynamic members, the positional "s<i>" for static -backends
-	// entries.
+	// self-registered members, the positional (and reserved) "s<i>" for
+	// static -backends entries.
 	ID string `json:"id,omitempty"`
 	// Capacity is the weight capacity-weighted sharding uses (static
 	// backends weigh 1).
@@ -220,11 +220,14 @@ type BackendStatsPayload struct {
 	// State is the membership state: "healthy", "draining", "drained",
 	// or "dead".
 	State string `json:"state,omitempty"`
-	// Static marks a -backends flag entry (probed by dialing) as
-	// opposed to a self-registered member (liveness from heartbeats).
+	// Static marks a -backends flag entry — a registry member whose
+	// liveness comes from the coordinator's probes (a dial or stats_req
+	// answered) — as opposed to a self-registered member, whose liveness
+	// comes from its heartbeats.
 	Static bool `json:"static,omitempty"`
-	// LastHeartbeatAgeMS is the age of the newest heartbeat for dynamic
-	// members; absent for static backends, which do not heartbeat.
+	// LastHeartbeatAgeMS is the age of the newest heartbeat for
+	// registered members; absent for static members, which do not
+	// heartbeat.
 	LastHeartbeatAgeMS int64 `json:"lastHeartbeatAgeMS,omitempty"`
 }
 

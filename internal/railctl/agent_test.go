@@ -206,7 +206,6 @@ func TestAgentRedialBackoffResets(t *testing.T) {
 	failDial.Store(true)
 
 	testDone := make(chan struct{})
-	t.Cleanup(func() { close(testDone) })
 	sleeps := make(chan time.Duration)
 	proceed := make(chan struct{})
 	const interval = 10 * time.Millisecond
@@ -238,7 +237,10 @@ func TestAgentRedialBackoffResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
+	// Cleanups run last-in first-out: release the sleep hook, then join
+	// the agent — so a failed assertion reports instead of deadlocking.
+	t.Cleanup(a.Close)
+	t.Cleanup(func() { close(testDone) })
 
 	nextSleep := func() time.Duration {
 		t.Helper()
@@ -270,6 +272,10 @@ func TestAgentRedialBackoffResets(t *testing.T) {
 	}
 
 	fc.await(t, opusnet.MsgFleetRegister)
+	// A heartbeat proves the agent saw the registration's ack: dropping
+	// the connection before the ack would fail the registration, which
+	// rightly keeps the backoff.
+	fc.await(t, opusnet.MsgHeartbeat)
 
 	// Outage two: the connection drops and dialing fails again. The
 	// successful registration in between must have reset the backoff.

@@ -2,6 +2,7 @@ package railctl
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,5 +209,86 @@ func TestRegistryMembersSortedAndSnapshotted(t *testing.T) {
 	ms := r.Members()
 	if len(ms) != 3 || ms[0].ID != "alpha" || ms[1].ID != "mid" || ms[2].ID != "zeta" {
 		t.Fatalf("members = %+v, want sorted by id", ms)
+	}
+}
+
+// TestRegistryStaticMembers pins the static-member rules: AddStatic
+// joins a member that no clock ever expires, whose liveness only
+// coordinator probes move — Probed revives it and retains its stats,
+// ProbeFailed kills it — while both are no-ops for registered members
+// and the static identity is refused to Register, Heartbeat and Drain.
+func TestRegistryStaticMembers(t *testing.T) {
+	r, ck, rec := newTestRegistry(t)
+	r.AddStatic("s0", "addr-s0")
+	if err := r.Register("a", "addr-a", 2); err != nil {
+		t.Fatal(err)
+	}
+	s0 := memberByID(t, r, "s0")
+	if !s0.Static || s0.State != StateHealthy || s0.Capacity != 1 || !s0.LastHeartbeat.IsZero() {
+		t.Fatalf("static = %+v, want healthy capacity-1 static with no heartbeat", s0)
+	}
+	if got := len(r.Assignable()); got != 2 {
+		t.Fatalf("assignable = %d, want the static and the registered member", got)
+	}
+
+	// Statics never expire: well past the TTL the registered member is
+	// dead and the static is still healthy.
+	ck.advance(time.Hour)
+	if m := memberByID(t, r, "s0"); m.State != StateHealthy {
+		t.Errorf("static state after an hour = %s, want healthy", m.State)
+	}
+	if m := memberByID(t, r, "a"); m.State != StateDead {
+		t.Fatalf("registered state after an hour = %s, want dead", m.State)
+	}
+
+	// Probe outcomes move statics only.
+	r.ProbeFailed("s0", "unreachable")
+	r.ProbeFailed("s0", "unreachable") // already dead: no second leave
+	if m := memberByID(t, r, "s0"); m.State != StateDead {
+		t.Errorf("static state after a failed probe = %s, want dead", m.State)
+	}
+	st := opusnet.CacheStatsPayload{Misses: 7}
+	r.Probed("s0", &st)
+	if m := memberByID(t, r, "s0"); m.State != StateHealthy || !m.HasStats || m.Stats.Misses != 7 {
+		t.Errorf("static after a probe = %+v, want revived with stats retained", m)
+	}
+	r.Probed("s0", nil) // a dial answered: stats stay retained
+	if m := memberByID(t, r, "s0"); !m.HasStats || m.Stats.Misses != 7 {
+		t.Errorf("static after a stats-less probe = %+v, want stats kept", m)
+	}
+	r.Probed("a", &st)
+	if m := memberByID(t, r, "a"); m.State != StateDead || m.HasStats {
+		t.Errorf("registered member after Probed = %+v, want untouched (dead, no stats)", m)
+	}
+	if err := r.Register("a", "addr-a", 2); err != nil {
+		t.Fatal(err)
+	}
+	r.ProbeFailed("a", "unreachable")
+	if m := memberByID(t, r, "a"); m.State != StateHealthy {
+		t.Errorf("registered member after ProbeFailed = %s, want healthy (heartbeats own it)", m.State)
+	}
+
+	// The static identity is reserved.
+	if err := r.Register("s0", "impostor", 4); !errors.Is(err, ErrStaticMember) || !strings.Contains(err.Error(), `"s0"`) {
+		t.Errorf("register s0 = %v, want ErrStaticMember naming s0", err)
+	}
+	if err := r.Heartbeat("s0", 4, nil); !errors.Is(err, ErrStaticMember) {
+		t.Errorf("heartbeat s0 = %v, want ErrStaticMember", err)
+	}
+	if err := r.Drain("s0", "x"); !errors.Is(err, ErrStaticMember) {
+		t.Errorf("drain s0 = %v, want ErrStaticMember", err)
+	}
+	if m := memberByID(t, r, "s0"); m.Addr != "addr-s0" || m.Capacity != 1 || m.State != StateHealthy {
+		t.Errorf("static after refused frames = %+v, want unchanged", m)
+	}
+
+	var got []string
+	for _, ev := range rec.events {
+		got = append(got, ev.Type+":"+ev.ID+":"+ev.Reason)
+	}
+	want := []string{"join:s0:", "join:a:", "leave:a:heartbeat timeout",
+		"leave:s0:unreachable", "join:s0:probe revival", "join:a:"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("events = %q, want %q", got, want)
 	}
 }

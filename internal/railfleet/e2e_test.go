@@ -253,11 +253,11 @@ func TestFleetFailoverMidGrid(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	assignment := Assign(cells, all, []int{0, 1, 2})
+	assignment := AssignWeighted(cells, all, staticTargets(0, 1, 2))
 	victim := -1
-	for bi, idxs := range assignment {
-		if len(idxs) > 0 {
-			victim = bi
+	for i := 0; i < 3; i++ {
+		if len(assignment[StaticID(i)]) > 0 {
+			victim = i
 			break
 		}
 	}
@@ -302,8 +302,8 @@ func TestFleetFailoverMidGrid(t *testing.T) {
 		}
 		fleetCells += s.Stats().CellsExecuted
 	}
-	if fleetCells < 48-uint64(len(assignment[victim])) {
-		t.Errorf("survivors executed %d cells, want >= %d", fleetCells, 48-len(assignment[victim]))
+	if fleetCells < 48-uint64(len(assignment[StaticID(victim)])) {
+		t.Errorf("survivors executed %d cells, want >= %d", fleetCells, 48-len(assignment[StaticID(victim)]))
 	}
 }
 
@@ -375,9 +375,10 @@ func TestFleetHeldBackendStallsThenCompletes(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	assignment := Assign(cells, all, []int{0, 1})
-	if len(assignment[0]) == 0 || len(assignment[1]) == 0 {
-		t.Fatalf("grid sharded onto one backend (%d/%d); pick axes that split", len(assignment[0]), len(assignment[1]))
+	assignment := AssignWeighted(cells, all, staticTargets(0, 1))
+	s0, s1 := assignment[StaticID(0)], assignment[StaticID(1)]
+	if len(s0) == 0 || len(s1) == 0 {
+		t.Fatalf("grid sharded onto one backend (%d/%d); pick axes that split", len(s0), len(s1))
 	}
 	held := fl.net.Endpoint("b0")
 	held.HoldAtFrame(1)
@@ -402,7 +403,7 @@ func TestFleetHeldBackendStallsThenCompletes(t *testing.T) {
 		if ev.Type == "cell_complete" && ev.Backend == "b1" {
 			doneB1 += ev.Cells
 		}
-		return doneB1 >= len(assignment[1])
+		return doneB1 >= len(s1)
 	})
 	select {
 	case out := <-res:

@@ -616,8 +616,9 @@ func TestStaticFleetRefusesRegistration(t *testing.T) {
 // TestDeadStaticCostsNoDialsPerRequest is the regression test for the
 // per-request re-probe of failed backends: once a static backend fails
 // a probe it is marked dead and later requests skip it outright — with
-// the background reprobe loop disabled, a down host costs exactly one
-// dial attempt ever, not one per request.
+// the background probe loop parked (an hour-long TTL puts its first
+// tick 20 minutes out), a down host costs exactly one dial attempt
+// ever, not one per request.
 func TestDeadStaticCostsNoDialsPerRequest(t *testing.T) {
 	fn := faultnet.New()
 	t.Cleanup(fn.Close)
@@ -638,12 +639,12 @@ func TestDeadStaticCostsNoDialsPerRequest(t *testing.T) {
 		return fn.Dial(addr)
 	}
 	coord, err := New(Config{
-		Listener:        fn.Listen("coord"),
-		Backends:        []string{"b0", "b1"},
-		InFlight:        8,
-		Dial:            dial,
-		ReprobeInterval: -1, // isolate the request path: no background revival
-		Logf:            t.Logf,
+		Listener:     fn.Listen("coord"),
+		Backends:     []string{"b0", "b1"},
+		InFlight:     8,
+		Dial:         dial,
+		HeartbeatTTL: time.Hour, // isolate the request path: no background revival
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -692,9 +693,10 @@ func TestDeadStaticCostsNoDialsPerRequest(t *testing.T) {
 	}
 }
 
-// TestReprobeLoopRevivesDeadStatic: the background reprobe loop — not
-// any request — brings a recovered static backend back: its join event
-// fires with no request in flight, and the next grid shards onto it.
+// TestReprobeLoopRevivesDeadStatic: the background probe loop — not
+// any request — brings a recovered static backend back: its revival
+// join fires with no request in flight, and the next grid shards onto
+// it.
 func TestReprobeLoopRevivesDeadStatic(t *testing.T) {
 	fn := faultnet.New()
 	t.Cleanup(fn.Close)
@@ -719,12 +721,12 @@ func TestReprobeLoopRevivesDeadStatic(t *testing.T) {
 		return fn.Dial(addr)
 	}
 	coord, err := New(Config{
-		Listener:        fn.Listen("coord"),
-		Backends:        []string{"b0", "b1"},
-		InFlight:        8,
-		Dial:            dial,
-		ReprobeInterval: 10 * time.Millisecond,
-		Logf:            t.Logf,
+		Listener:     fn.Listen("coord"),
+		Backends:     []string{"b0", "b1"},
+		InFlight:     8,
+		Dial:         dial,
+		HeartbeatTTL: 30 * time.Millisecond, // probes every 10ms
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -746,8 +748,10 @@ func TestReprobeLoopRevivesDeadStatic(t *testing.T) {
 	dmu.Lock()
 	down = false
 	dmu.Unlock()
+	// New already emitted a registration join for every static, and
+	// WaitFor replays history: match the revival by its reason.
 	waitEvent(t, coord.Telemetry(), func(ev telemetry.Event) bool {
-		return ev.Type == "join" && ev.Member == StaticID(1)
+		return ev.Type == "join" && ev.Member == StaticID(1) && ev.Reason == "probe revival"
 	})
 	// The revived backend owns fig8-5d cells again (guarded by the same
 	// static assignment the other e2e tests predict) and executes them.
@@ -756,7 +760,7 @@ func TestReprobeLoopRevivesDeadStatic(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	if len(Assign(cells, all, []int{0, 1})[1]) == 0 {
+	if len(AssignWeighted(cells, all, staticTargets(0, 1))[StaticID(1)]) == 0 {
 		t.Fatal("static position 1 owns no fig8-5d cells; pick a grid that splits")
 	}
 	if _, err := c.RunExperiment(context.Background(), gridReq(scenario.SpecOf(scenario.Fig8Grid5D())), nil); err != nil {
@@ -764,5 +768,233 @@ func TestReprobeLoopRevivesDeadStatic(t *testing.T) {
 	}
 	if got := servers[1].Stats().CellsExecuted; got == 0 {
 		t.Error("revived static executed no cells")
+	}
+}
+
+// TestMixedFleetReservesStaticIdentities is the regression test for
+// static-identity impersonation: a coordinator with static -backends
+// that also accepts registrations refuses fleet_register, heartbeat and
+// drain frames naming a static member's identity, so no registered
+// daemon can take over a static's shard. fig8-5d then splits across
+// the two statics exactly as the weight-1 shard predicts, the would-be
+// impostor runs nothing, and the membership view lists each identity
+// once.
+func TestMixedFleetReservesStaticIdentities(t *testing.T) {
+	wantRows, _ := fig8Ref(t)
+	fn := faultnet.New()
+	t.Cleanup(fn.Close)
+	var servers []*railserve.Server // b0, b1 static; b2 the would-be impostor
+	for i := 0; i < 3; i++ {
+		s, err := railserve.NewServer(railserve.Config{Listener: fn.Listen(fmt.Sprintf("b%d", i)), Workers: 2, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, s)
+		t.Cleanup(func() { _ = s.Close(); s.Drain() })
+	}
+	coord, err := New(Config{
+		Listener:          fn.Listen("coord"),
+		Backends:          []string{"b0", "b1"},
+		AllowRegistration: true,
+		InFlight:          8,
+		Dial:              fn.Dial,
+		Logf:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = coord.Close(); coord.Drain() })
+	conn, err := fn.Dial("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := railserve.NewClient(conn)
+	t.Cleanup(func() { _ = c.Close() })
+
+	ctx := context.Background()
+	refused := func(frame, id string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "reserved") || !strings.Contains(err.Error(), `"`+id+`"`) {
+			t.Errorf("%s naming static %s = %v, want a refusal naming the reserved identity", frame, id, err)
+		}
+	}
+	refused("fleet_register", StaticID(0), c.FleetRegister(ctx, opusnet.FleetRegisterPayload{ID: StaticID(0), Addr: "b2", Capacity: 1}))
+	refused("heartbeat", StaticID(0), c.FleetHeartbeat(ctx, opusnet.HeartbeatPayload{ID: StaticID(0), Capacity: 1}))
+	refused("drain", StaticID(1), c.FleetDrain(ctx, opusnet.DrainPayload{ID: StaticID(1), Reason: "impostor"}))
+
+	cells := scenario.Fig8Grid5D().Expand()
+	all := make([]int, len(cells))
+	for i := range all {
+		all[i] = i
+	}
+	assignment := AssignWeighted(cells, all, staticTargets(0, 1))
+	run, err := c.RunExperiment(ctx, gridReq(scenario.SpecOf(scenario.Fig8Grid5D())), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.RowsJSON != wantRows {
+		t.Fatal("rows diverged from the local engine's")
+	}
+	for i, want := range []int{len(assignment[StaticID(0)]), len(assignment[StaticID(1)]), 0} {
+		if got := servers[i].Stats().CellsExecuted; got != uint64(want) {
+			t.Errorf("b%d executed %d of %d cells, want %d (the weight-1 static shard)", i, got, len(cells), want)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]int{}
+	for _, b := range st.Backends {
+		listed[b.ID]++
+	}
+	if len(st.Backends) != 2 || listed[StaticID(0)] != 1 || listed[StaticID(1)] != 1 {
+		t.Errorf("membership view = %+v, want s0 and s1 listed once each", st.Backends)
+	}
+}
+
+// TestMixedFleetEndToEnd runs static and registered members in one
+// coordinator: a static whose dial is refused dies on the first grid
+// and the probe loop revives it once the dial opens; fig8-5d then
+// shards across all four members byte-identically; the membership view
+// tells the kinds apart; and a registered member's drain hands off
+// without a single failover.
+func TestMixedFleetEndToEnd(t *testing.T) {
+	wantRows, _ := fig8Ref(t)
+	fn := faultnet.New()
+	var statics []*railserve.Server
+	for i := 0; i < 2; i++ {
+		s, err := railserve.NewServer(railserve.Config{Listener: fn.Listen(fmt.Sprintf("b%d", i)), Workers: 2, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		statics = append(statics, s)
+	}
+	var dmu sync.Mutex
+	down := true
+	dial := func(addr string) (net.Conn, error) {
+		dmu.Lock()
+		refused := addr == "b1" && down
+		dmu.Unlock()
+		if refused {
+			return nil, fmt.Errorf("connection refused")
+		}
+		return fn.Dial(addr)
+	}
+	coord, err := New(Config{
+		Listener:          fn.Listen("coord"),
+		Backends:          []string{"b0", "b1"},
+		AllowRegistration: true,
+		HeartbeatTTL:      time.Second, // statics re-probed every ~333ms
+		InFlight:          8,
+		Dial:              dial,
+		Logf:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &elasticFleet{t: t, net: fn, coord: coord, backends: statics}
+	t.Cleanup(fl.stop)
+	fl.addMember(2, 2) // n2 on b2
+	fl.addMember(3, 2) // n3 on b3
+	c := fl.dialCoord()
+	ctx := context.Background()
+
+	// b1's dial is refused: the first grid dials it before assigning it
+	// anything, it dies, and the grid completes on the other three.
+	pre := scenario.Grid{Name: "pre-revival", LatenciesMS: []float64{5}, Iterations: 1}
+	run, err := c.RunExperiment(ctx, gridReq(scenario.SpecOf(pre)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.RowsJSON != localGridJSON(t, pre) {
+		t.Fatal("pre-revival rows diverged from the local engine's")
+	}
+	waitEvent(t, coord.Telemetry(), func(ev telemetry.Event) bool {
+		return ev.Type == "leave" && ev.Member == StaticID(1) && ev.Reason == "unreachable"
+	})
+	if got := statics[1].Stats().CellsExecuted; got != 0 {
+		t.Fatalf("refused static executed %d cells", got)
+	}
+
+	// The dial opens: the probe loop — no request — revives it.
+	dmu.Lock()
+	down = false
+	dmu.Unlock()
+	waitEvent(t, coord.Telemetry(), func(ev telemetry.Event) bool {
+		return ev.Type == "join" && ev.Member == StaticID(1) && ev.Reason == "probe revival"
+	})
+
+	// fig8-5d shards onto all four members, the revived static included.
+	cells := scenario.Fig8Grid5D().Expand()
+	all := make([]int, len(cells))
+	for i := range all {
+		all[i] = i
+	}
+	targets := append(staticTargets(0, 1), Target{ID: "n2", Weight: 2}, Target{ID: "n3", Weight: 2})
+	assignment := AssignWeighted(cells, all, targets)
+	for _, tg := range targets {
+		if len(assignment[tg.ID]) == 0 {
+			t.Fatalf("member %s owns no fig8-5d cells; pick capacities that split", tg.ID)
+		}
+	}
+	run, err = c.RunExperiment(ctx, gridReq(scenario.SpecOf(scenario.Fig8Grid5D())), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.RowsJSON != wantRows {
+		t.Fatal("fig8-5d rows diverged from the local engine's")
+	}
+	fl.mu.Lock()
+	servers := append([]*railserve.Server(nil), fl.backends...)
+	fl.mu.Unlock()
+	for i, s := range servers {
+		if s.Stats().CellsExecuted == 0 {
+			t.Errorf("b%d executed no cells", i)
+		}
+	}
+
+	// One membership view, kinds told apart.
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Backends) != 4 {
+		t.Fatalf("membership view lists %d members, want 4: %+v", len(st.Backends), st.Backends)
+	}
+	for _, b := range st.Backends {
+		static := b.ID == StaticID(0) || b.ID == StaticID(1)
+		if b.Static != static {
+			t.Errorf("member %s: Static = %v, want %v", b.ID, b.Static, static)
+		}
+		if b.Static && b.LastHeartbeatAgeMS != 0 {
+			t.Errorf("static %s reports a heartbeat age (%dms)", b.ID, b.LastHeartbeatAgeMS)
+		}
+		if !b.Healthy || b.State != string(railctl.StateHealthy) || b.Cells == 0 {
+			t.Errorf("member %s = %+v, want healthy with cells", b.ID, b)
+		}
+	}
+
+	// n3 drains: the next grid — fig8-5d's workloads at a new latency,
+	// so n3 would own a share — runs without it and without a failover.
+	dctx, dcancel := context.WithTimeout(ctx, 30*time.Second)
+	defer dcancel()
+	if err := fl.agent(1).Drain(dctx, "mixed drain"); err != nil {
+		t.Fatal(err)
+	}
+	before := servers[3].Stats().CellsExecuted
+	post := scenario.Fig8Grid5D()
+	post.Name, post.LatenciesMS = "post-drain", []float64{7}
+	if run, err = c.RunExperiment(ctx, gridReq(scenario.SpecOf(post)), nil); err != nil {
+		t.Fatal(err)
+	}
+	if run.RowsJSON != localGridJSON(t, post) {
+		t.Fatal("post-drain rows diverged from the local engine's")
+	}
+	if got := servers[3].Stats().CellsExecuted; got != before {
+		t.Errorf("drained member executed %d new cells", got-before)
+	}
+	if n := coordCounters(t, coord)["railfleet_failovers_total"]; n != 0 {
+		t.Errorf("failovers = %v, want 0 (a refused static dial and a drain are not failovers)", n)
 	}
 }

@@ -46,9 +46,10 @@ func requireSplit(t *testing.T, spec scenario.Spec) (string, int) {
 	for i := range all {
 		all[i] = i
 	}
-	assignment := Assign(cells, all, []int{0, 1})
-	if len(assignment[0]) == 0 || len(assignment[1]) == 0 {
-		t.Fatalf("grid sharded onto one backend (%d/%d); pick axes that split", len(assignment[0]), len(assignment[1]))
+	assignment := AssignWeighted(cells, all, staticTargets(0, 1))
+	s0, s1 := assignment[StaticID(0)], assignment[StaticID(1)]
+	if len(s0) == 0 || len(s1) == 0 {
+		t.Fatalf("grid sharded onto one backend (%d/%d); pick axes that split", len(s0), len(s1))
 	}
 	return localGridJSON(t, grid), len(cells)
 }

@@ -1,57 +1,47 @@
 package railfleet
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
-	"photonrail/internal/opusnet"
 	"photonrail/internal/railctl"
 	"photonrail/internal/railserve"
-	"photonrail/internal/telemetry"
 )
 
-// backend is one raild daemon the coordinator shards cells onto —
-// either a static -backends entry (liveness by dial probe) or a
-// self-registered dynamic member (liveness owned by the railctl
-// registry's heartbeat state; this struct only carries its connection
-// and per-backend counters).
+// backend is the data-plane record of one fleet member — a static
+// -backends entry or a self-registered daemon alike: its connection
+// and per-backend counters. Membership state (liveness, capacity,
+// retained stats) lives in the railctl registry.
 type backend struct {
-	index  int    // fleet position for statics; -1 for dynamic members
-	id     string // stable identity: StaticID(index), or the registered id
-	static bool
-	dial   func(addr string) (net.Conn, error)
+	id   string // the member id: StaticID(i), or the registered id
+	dial func(addr string) (net.Conn, error)
 
 	mu sync.Mutex
-	// addr is the serving address; immutable for statics, updated for a
-	// dynamic member that re-registered from a new listener.
+	// addr is the serving address; a registered member that
+	// re-registered from a new listener moves it.
 	addr     string
 	client   *railserve.Client
 	closed   bool // coordinator shut down: no more dials
-	healthy  bool
-	joined   bool // static announced live at least once (join/leave events)
-	dead     bool // static known unreachable: skip per-request probes
 	cells    uint64
 	failures uint64
-	// lastStats retains the backend's most recent successful stats_resp
-	// so an unreachable backend keeps contributing its last-known-good
-	// counters to fleet aggregates (Coordinator.Stats) instead of its
-	// contribution silently vanishing.
-	lastStats opusnet.CacheStatsPayload
 }
 
-// address returns the current serving address (dynamic members may
-// re-register from a new listener).
+// errClosed refuses dials after the coordinator closed.
+var errClosed = errors.New("railfleet: coordinator closed")
+
+// address returns the current serving address.
 func (b *backend) address() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.addr
 }
 
-// setAddr points a dynamic member at a new serving address, dropping
-// the stale connection.
+// setAddr points the backend at a new serving address, dropping the
+// stale connection.
 func (b *backend) setAddr(addr string) {
 	b.mu.Lock()
 	if b.addr == addr {
@@ -61,91 +51,29 @@ func (b *backend) setAddr(addr string) {
 	b.addr = addr
 	c := b.client
 	b.client = nil
-	b.healthy = false
 	b.mu.Unlock()
 	if c != nil {
 		_ = c.Close()
 	}
 }
 
-// retainStats records a successful stats query's payload.
-func (b *backend) retainStats(st opusnet.CacheStatsPayload) {
-	b.mu.Lock()
-	b.lastStats = st
-	b.mu.Unlock()
-}
-
-// retainedStats returns the last successfully retained stats payload
-// (zero counters for a backend never successfully queried).
-func (b *backend) retainedStats() opusnet.CacheStatsPayload {
+// conn returns the connected client without dialing; nil when nothing
+// is connected.
+func (b *backend) conn() *railserve.Client {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.lastStats
+	return b.client
 }
 
-// setUnhealthy records a failed stats query without counting it as a
-// request failure (failures tracks mid-request failovers).
-func (b *backend) setUnhealthy() {
-	b.mu.Lock()
-	b.healthy = false
-	b.mu.Unlock()
-}
-
-// connected reports whether a live client exists and whether the
-// backend is marked dead, without dialing.
-func (b *backend) connected() (connected, dead bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.client != nil, b.dead
-}
-
-// isDead reports the static probe-skip flag.
-func (b *backend) isDead() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dead
-}
-
-// markDead flags a static backend unreachable so later requests skip
-// its dial probe (the reprobe loop owns its revival); it reports
-// whether a leave event is due — the backend had been announced live.
-func (b *backend) markDead() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.static || b.closed {
-		return false
-	}
-	due := b.joined && !b.dead
-	b.dead = true
-	b.healthy = false
-	return due
-}
-
-// revive clears the probe-skip flag after a successful dial; it
-// reports whether a join event is due — the first connect, or a
-// recovery from dead.
-func (b *backend) revive() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.static {
-		return false // the registry owns dynamic lifecycle events
-	}
-	due := !b.joined || b.dead
-	b.joined = true
-	b.dead = false
-	return due
-}
-
-// get returns the backend's client, dialing if none is connected. A
-// failed dial marks the backend unhealthy. After the coordinator
-// closes, get refuses instead of re-dialing — an abandoned execution's
-// failover wave must not leak a fresh connection (and its reader
-// goroutine) past Close.
+// get returns the backend's client, dialing if none is connected.
+// After the coordinator closes, get refuses instead of re-dialing — an
+// abandoned execution's failover wave must not leak a fresh connection
+// (and its reader goroutine) past Close.
 func (b *backend) get() (*railserve.Client, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, fmt.Errorf("railfleet: coordinator closed")
+		return nil, errClosed
 	}
 	if b.client != nil {
 		c := b.client
@@ -158,12 +86,11 @@ func (b *backend) get() (*railserve.Client, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err != nil {
-		b.healthy = false
 		return nil, err
 	}
 	if b.closed {
 		_ = conn.Close() // Close raced the dial; do not leak the conn
-		return nil, fmt.Errorf("railfleet: coordinator closed")
+		return nil, errClosed
 	}
 	if b.client != nil {
 		_ = conn.Close() // lost a dial race; use the winner
@@ -172,7 +99,6 @@ func (b *backend) get() (*railserve.Client, error) {
 		return nil, fmt.Errorf("railfleet: backend %s moved to %s mid-dial", addr, b.addr)
 	} else {
 		b.client = railserve.NewClient(conn)
-		b.healthy = true
 	}
 	return b.client, nil
 }
@@ -186,7 +112,6 @@ func (b *backend) fail(c *railserve.Client) {
 	if c != nil && b.client == c {
 		b.client = nil
 	}
-	b.healthy = false
 	b.failures++
 	b.mu.Unlock()
 	if c != nil {
@@ -208,30 +133,11 @@ func (b *backend) counts() (cells, failures uint64) {
 	return b.cells, b.failures
 }
 
-// snapshot reports a static backend's health view and its live client
-// (nil when disconnected).
-func (b *backend) snapshot() (opusnet.BackendStatsPayload, *railserve.Client) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	state := ""
-	switch {
-	case b.dead:
-		state = string(railctl.StateDead)
-	case b.healthy:
-		state = string(railctl.StateHealthy)
-	}
-	return opusnet.BackendStatsPayload{
-		Addr: b.addr, ID: b.id, Static: b.static, Capacity: 1, State: state,
-		Healthy: b.healthy, Cells: b.cells, Failures: b.failures,
-	}, b.client
-}
-
-// close drops the backend's connection (joining its reader), marks the
-// backend unhealthy, and refuses future dials.
+// close drops the backend's connection (joining its reader) and
+// refuses future dials.
 func (b *backend) close() {
 	b.mu.Lock()
 	b.closed = true
-	b.healthy = false
 	c := b.client
 	b.client = nil
 	b.mu.Unlock()
@@ -240,144 +146,118 @@ func (b *backend) close() {
 	}
 }
 
-// noteStaticUp emits the join event for a static backend that just
-// probed alive (first connect or a recovery from dead).
-func (f *Coordinator) noteStaticUp(b *backend) {
-	if b.revive() {
-		f.tel.Events.Emit(telemetry.Event{Type: "join", Member: b.id, Backend: b.address(), Capacity: 1})
-	}
-}
-
-// noteStaticDown marks a static backend dead — later requests skip its
-// dial probe until the reprobe loop (or an empty-fleet rescue probe)
-// revives it — and emits the leave event if it had been announced live.
-func (f *Coordinator) noteStaticDown(b *backend, reason string) {
-	if b.markDead() {
-		f.tel.Events.Emit(telemetry.Event{Type: "leave", Member: b.id, Backend: b.address(), Reason: reason})
-	}
-}
-
-// dynamicBackend returns (creating on first use) the connection record
-// for a registered member, repointing it if the member re-registered
-// from a new address. Membership state itself lives in the registry;
-// this record only carries the data-plane connection and counters.
-func (f *Coordinator) dynamicBackend(id, addr string) *backend {
+// member returns (creating on first use) the data-plane record for a
+// registry member, repointing it if the member re-registered from a
+// new address.
+func (f *Coordinator) member(m railctl.Member) *backend {
 	f.mu.Lock()
-	b, ok := f.dynamic[id]
+	b, ok := f.members[m.ID]
 	if !ok {
-		b = &backend{index: -1, id: id, addr: addr, dial: f.dial}
-		if f.closed {
-			b.closed = true
-		}
-		f.dynamic[id] = b
+		b = &backend{id: m.ID, addr: m.Addr, dial: f.dial, closed: f.closed}
+		f.members[m.ID] = b
 	}
 	f.mu.Unlock()
-	b.setAddr(addr)
+	b.setAddr(m.Addr)
 	return b
 }
 
-// lookupDynamic returns the member's connection record, if any exists.
-func (f *Coordinator) lookupDynamic(id string) *backend {
+// lookup returns the member's data-plane record, if any exists.
+func (f *Coordinator) lookup(id string) *backend {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.dynamic[id]
+	return f.members[id]
 }
 
-// probeStatics dials the given disconnected statics concurrently — one
-// dead host must not stall the others behind its dial timeout — adding
-// the reachable ones to byID and marking the rest dead.
-func (f *Coordinator) probeStatics(probe []*backend, mu *sync.Mutex, byID map[string]*backend) {
+// connect returns b's client, dialing if none is connected, and
+// reports the outcome to the registry as a probe: a static member
+// revives or dies by it; a registered member ignores it, since its
+// heartbeats own its liveness.
+func (f *Coordinator) connect(b *backend) (*railserve.Client, error) {
+	c, err := b.get()
+	switch {
+	case err == nil:
+		f.registry.Probed(b.id, nil)
+	case !errors.Is(err, errClosed):
+		if f.logf != nil {
+			f.logf("railfleet: backend %s unreachable: %v", b.address(), err)
+		}
+		f.registry.ProbeFailed(b.id, "unreachable")
+	}
+	return c, err
+}
+
+// probe connects to the given backends concurrently — one dead host
+// must not stall the others behind its dial timeout.
+func (f *Coordinator) probe(bs []*backend) {
 	var wg sync.WaitGroup
-	for _, b := range probe {
-		b := b
+	for _, b := range bs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := b.get(); err == nil {
-				f.noteStaticUp(b)
-				mu.Lock()
-				byID[b.id] = b
-				mu.Unlock()
-			} else {
-				if f.logf != nil {
-					f.logf("railfleet: backend %s unreachable: %v", b.address(), err)
-				}
-				f.noteStaticDown(b, "unreachable")
-			}
+			_, _ = f.connect(b)
 		}()
 	}
 	wg.Wait()
 }
 
-// waveTargets assembles one wave's assignable backends: connected
-// statics join immediately, disconnected non-dead statics get one
-// concurrent probe, and known-dead statics are skipped — the reprobe
-// loop owns their revival, so a request never pays a dial timeout for
-// a backend that already failed one (the old per-request re-probe).
-// Dynamic members come from the registry's heartbeat state with their
-// advertised capacity as rendezvous weight — no dialing at all; their
-// connections open lazily when a batch lands. If nothing is assignable
-// the dead statics get a rescue probe, so a fully-restarted static
-// fleet still serves rather than failing the request.
-func (f *Coordinator) waveTargets(excluded map[string]bool) ([]Target, map[string]*backend) {
-	var mu sync.Mutex
-	byID := make(map[string]*backend, len(f.static))
-	weights := make(map[string]int, len(f.static))
-	var probe []*backend
-	for _, b := range f.static {
-		if excluded[b.id] {
+// deadStatics returns the static members the registry holds dead,
+// minus the excluded ones: only a coordinator probe revives them.
+func (f *Coordinator) deadStatics(excluded map[string]bool) []*backend {
+	var out []*backend
+	for _, m := range f.registry.Members() {
+		if m.Static && m.State == railctl.StateDead && !excluded[m.ID] {
+			out = append(out, f.member(m))
+		}
+	}
+	return out
+}
+
+// assignable reads one wave's targets from the registry: every
+// assignable member not excluded, weighted by its capacity. unprobed
+// lists the static members among them that nothing has connected to.
+func (f *Coordinator) assignable(excluded map[string]bool) (targets []Target, byID map[string]*backend, unprobed []*backend) {
+	byID = make(map[string]*backend)
+	for _, m := range f.registry.Assignable() {
+		if excluded[m.ID] {
 			continue
 		}
-		weights[b.id] = 1
-		connected, dead := b.connected()
-		switch {
-		case connected:
-			byID[b.id] = b
-		case dead:
-			// skip: the reprobe loop owns revival
-		default:
-			probe = append(probe, b)
+		b := f.member(m)
+		targets = append(targets, Target{ID: m.ID, Weight: m.Capacity})
+		byID[m.ID] = b
+		if m.Static && b.conn() == nil {
+			unprobed = append(unprobed, b)
 		}
 	}
-	f.probeStatics(probe, &mu, byID)
-	if f.registry != nil {
-		for _, m := range f.registry.Assignable() {
-			if excluded[m.ID] {
-				continue
-			}
-			byID[m.ID] = f.dynamicBackend(m.ID, m.Addr)
-			weights[m.ID] = m.Capacity
-		}
+	return targets, byID, unprobed
+}
+
+// waveTargets assembles one wave's assignable members (sorted by id)
+// from the registry. A static member nothing has connected to is
+// dialed before its first assignment, so a refused dial kills it
+// before it holds cells; a registered member's connection opens lazily
+// when a batch lands. Dead members cost the request nothing — the
+// probe loop owns the revival of dead statics — unless nothing is
+// assignable: then the dead statics get a rescue probe, so a
+// fully-restarted static fleet still serves rather than failing the
+// request.
+func (f *Coordinator) waveTargets(excluded map[string]bool) ([]Target, map[string]*backend) {
+	targets, byID, unprobed := f.assignable(excluded)
+	if len(unprobed) > 0 {
+		f.probe(unprobed)
+		targets, byID, _ = f.assignable(excluded)
 	}
-	if len(byID) == 0 {
-		var rescue []*backend
-		for _, b := range f.static {
-			if !excluded[b.id] && b.isDead() {
-				rescue = append(rescue, b)
-			}
-		}
-		f.probeStatics(rescue, &mu, byID)
+	if len(targets) == 0 {
+		f.probe(f.deadStatics(excluded))
+		targets, byID, _ = f.assignable(excluded)
 	}
-	targets := make([]Target, 0, len(byID))
-	for id := range byID { //lint:allow maporder sorted below
-		targets = append(targets, Target{ID: id, Weight: weights[id]})
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ID < targets[j].ID })
 	return targets, byID
 }
 
-// DefaultReprobeInterval is the cadence at which the coordinator
-// re-probes dead static backends in the background when Config leaves
-// it zero: fast enough that a restarted daemon rejoins within a couple
-// of seconds, slow enough that a down host costs one dial attempt per
-// tick instead of one per request.
-const DefaultReprobeInterval = 2 * time.Second
-
-// reprobeLoop revives dead static backends in the background — the
-// request path skips them entirely, so this loop is the only thing
-// (besides the empty-fleet rescue probe) that brings a restarted
+// probeLoop re-probes dead static members every interval — the cadence
+// an agent heartbeats at. Requests skip dead members, so this loop
+// (besides the empty-fleet rescue probe) is what brings a restarted
 // static daemon back into the rotation.
-func (f *Coordinator) reprobeLoop(interval time.Duration) {
+func (f *Coordinator) probeLoop(interval time.Duration) {
 	defer f.wg.Done()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -386,21 +266,41 @@ func (f *Coordinator) reprobeLoop(interval time.Duration) {
 		case <-f.baseCtx.Done():
 			return
 		case <-ticker.C:
+			f.probe(f.deadStatics(nil))
 		}
-		var wg sync.WaitGroup
-		for _, b := range f.static {
-			if !b.isDead() {
-				continue
-			}
-			b := b
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := b.get(); err == nil {
-					f.noteStaticUp(b)
-				}
-			}()
-		}
-		wg.Wait()
 	}
+}
+
+// refreshStatics asks every live connected static member for a fresh
+// stats_req, concurrently and bounded by statsTimeout (a wedged backend
+// degrades the aggregate instead of hanging it), and reports what it
+// saw: an answer is a probe the registry retains the stats of, a
+// failure marks the member dead until the next probe. Registered
+// members are not asked — their heartbeats already carried their
+// snapshots.
+func (f *Coordinator) refreshStatics() {
+	ctx, cancel := context.WithTimeout(f.baseCtx, statsTimeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, m := range f.registry.Assignable() {
+		if !m.Static {
+			continue
+		}
+		c := f.member(m).conn()
+		if c == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := c.StatsCtx(ctx)
+			switch {
+			case err == nil:
+				f.registry.Probed(m.ID, &st)
+			case f.baseCtx.Err() == nil:
+				f.registry.ProbeFailed(m.ID, "stats unanswered")
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"photonrail/internal/opusnet"
+	"photonrail/internal/railctl"
 	"photonrail/internal/scenario"
 	"photonrail/internal/telemetry"
 )
@@ -223,11 +224,11 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	assignment := Assign(cells, all, []int{0, 1, 2})
+	assignment := AssignWeighted(cells, all, staticTargets(0, 1, 2))
 	victim := -1
-	for bi, idxs := range assignment {
-		if len(idxs) > 0 {
-			victim = bi
+	for i := 0; i < 3; i++ {
+		if len(assignment[StaticID(i)]) > 0 {
+			victim = i
 			break
 		}
 	}
@@ -312,4 +313,46 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 			t.Errorf("series %s regressed across scrapes with a dead backend: %g -> %g (present %v)", name, v1, v2, ok)
 		}
 	}
+}
+
+// TestFleetStatsOneMembershipView applies "scrape ≡ stats frame" to
+// membership: on a fresh 2-static fleet — before any request, after
+// one grid, and after one backend is killed — every stats_resp member
+// has a state, Healthy says exactly "the state is healthy", and the
+// railfleet_members{state} gauge counts the same states.
+func TestFleetStatsOneMembershipView(t *testing.T) {
+	fl := startFleet(t, 2, 8)
+	c := fl.dialCoord(t)
+	check := func(point string) {
+		t.Helper()
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]float64{}
+		for _, b := range st.Backends {
+			if b.State == "" {
+				t.Errorf("%s: member %s has no state", point, b.ID)
+			}
+			if b.Healthy != (b.State == string(railctl.StateHealthy)) {
+				t.Errorf("%s: member %s healthy=%v in state %q", point, b.ID, b.Healthy, b.State)
+			}
+			counts[b.State]++
+		}
+		scrape := coordCounters(t, fl.coord)
+		for _, state := range []railctl.State{railctl.StateHealthy, railctl.StateDraining, railctl.StateDrained, railctl.StateDead} {
+			series := fmt.Sprintf("railfleet_members{state=%q}", state)
+			if got := scrape[series]; got != counts[string(state)] {
+				t.Errorf("%s: %s = %v, stats_resp counts %v", point, series, got, counts[string(state)])
+			}
+		}
+	}
+	check("before any request")
+	spec := scenario.SpecOf(scenario.Grid{Name: "one-view", LatenciesMS: []float64{5}, Iterations: 1})
+	if _, err := c.RunExperiment(context.Background(), gridReq(spec), nil); err != nil {
+		t.Fatal(err)
+	}
+	check("after one grid")
+	fl.net.Endpoint("b1").Kill()
+	check("after killing b1")
 }

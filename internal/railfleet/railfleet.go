@@ -5,35 +5,39 @@
 //
 // For every grid-experiment exp_req the coordinator expands the grid
 // locally, shards the cells across the live backends by canonical
-// workload key (see WorkloadKey/Assign: all fabric variants of one
-// workload colocate, so each electrical baseline simulates exactly
+// workload key (see WorkloadKey/AssignWeighted: all fabric variants of
+// one workload colocate, so each electrical baseline simulates exactly
 // once fleet-wide), fans the shards out as cells_req batches bounded
 // by a per-backend in-flight cap, merges the partial rows back into
 // canonical expansion order, and streams aggregated exp_progress — the
 // fleet's output is byte-identical to a single daemon's.
 //
-// Membership is elastic: besides the static -backends list (sharded by
-// fleet position, byte-identically to earlier releases), backends may
-// register themselves over the same protocol (fleet_register), keep
-// alive with heartbeats that piggyback their serving stats, and depart
-// gracefully with a drain frame — the internal/railctl control plane.
-// Dynamic liveness is heartbeat-edge driven (no per-request dial
-// probes); capacity advertised at registration weights the rendezvous
-// shard, so a bigger worker pool draws proportionally more cells; and
-// a draining backend finishes its in-flight batch while its unstarted
-// cells hand off to the next wave without tripping failover.
+// Membership is one internal/railctl registry. Each static -backends
+// entry is a member with the reserved identity StaticID(i) and weight
+// 1 (sharded by fleet position, byte-identically to earlier releases),
+// kept alive by the coordinator's own probes: a dial or stats_req it
+// answers, a failure that marks it dead, and a probe loop that revives
+// it. Backends may also register themselves over the same protocol
+// (fleet_register), keep alive with heartbeats that piggyback their
+// serving stats, and depart gracefully with a drain frame. Registered
+// liveness is heartbeat-edge driven (no per-request dial probes);
+// capacity advertised at registration weights the rendezvous shard, so
+// a bigger worker pool draws proportionally more cells; and a draining
+// backend finishes its in-flight batch while its unstarted cells hand
+// off to the next wave without tripping failover.
 //
 // Failover is part of the contract: a backend that dies, times out, or
 // errors mid-grid has its unfinished cells re-sharded across the
 // survivors (wave by wave, until done or no backend is left), and a
-// failed static backend is re-probed in the background, so a restarted
-// daemon rejoins on its own. Request-level singleflight and
-// cancellation keep raild's semantics across the fan-out: identical
-// in-flight requests coalesce onto one fleet execution, a cancel frame
-// (or dropped connection, or TimeoutMS) stops only that request's
-// wait, and when the last waiter departs the fleet execution's context
-// is cancelled — which cancels the outstanding cells_req waits,
-// sending cancel frames to the backends.
+// failed static backend is re-probed in the background every
+// HeartbeatTTL/3, so a restarted daemon rejoins on its own.
+// Request-level singleflight and cancellation keep raild's semantics
+// across the fan-out: identical in-flight requests coalesce onto one
+// fleet execution, a cancel frame (or dropped connection, or
+// TimeoutMS) stops only that request's wait, and when the last waiter
+// departs the fleet execution's context is cancelled — which cancels
+// the outstanding cells_req waits, sending cancel frames to the
+// backends.
 //
 // Non-grid experiments (fig4, table1, bom, …) are proxied to one
 // backend chosen by rendezvous hash of the experiment name, failing
@@ -76,11 +80,9 @@ type Config struct {
 	AllowRegistration bool
 	// HeartbeatTTL marks a registered backend dead when its newest
 	// heartbeat is older than this; 0 means railctl.DefaultHeartbeatTTL.
+	// Dead static backends are re-probed every HeartbeatTTL/3, the
+	// cadence an agent heartbeats at.
 	HeartbeatTTL time.Duration
-	// ReprobeInterval is the background cadence at which dead static
-	// backends are re-dialed (the request path skips them); 0 means
-	// DefaultReprobeInterval, negative disables the loop.
-	ReprobeInterval time.Duration
 	// Now replaces the membership clock for tests; nil means time.Now.
 	Now func() time.Time
 	// InFlight caps the cells one backend holds in flight per request
@@ -119,18 +121,19 @@ const eventRingCapacity = 4096
 // Coordinator is the fleet front end.
 type Coordinator struct {
 	ln           net.Listener
-	static       []*backend
 	inFlight     int
 	batchTimeout time.Duration
 	logf         func(format string, args ...any)
 	dial         func(addr string) (net.Conn, error)
 	now          func() time.Time
 
-	// registry is the dynamic-membership control plane (nil unless
-	// Config.AllowRegistration): self-registered backends, heartbeat
-	// liveness, graceful drain. Data-plane connections for its members
-	// live in dynamic, keyed by member id, guarded by mu.
-	registry *railctl.Registry
+	// registry is the membership table: static members kept alive by
+	// coordinator probes, registered members by heartbeats. Data-plane
+	// connections for its members live in members, keyed by member id,
+	// guarded by mu. allowRegistration gates the fleet_register,
+	// heartbeat and drain frames.
+	registry          *railctl.Registry
+	allowRegistration bool
 
 	// tel is the coordinator's observability surface: sampled
 	// stats_resp metrics (via Stats, so a scrape and a stats frame
@@ -151,7 +154,7 @@ type Coordinator struct {
 	mu      sync.Mutex
 	runs    map[string]*fleetRun // resolved-grid key -> in-flight fleet execution
 	conns   map[net.Conn]bool
-	dynamic map[string]*backend // registered member id -> data-plane record
+	members map[string]*backend // member id -> data-plane record
 	closed  bool
 	// Request-level counters, mirroring raild's: exp_req arrivals that
 	// started (or joined) a fleet execution or a proxied run.
@@ -213,21 +216,23 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	//lint:allow ctxbg the coordinator's lifetime root: request contexts derive from it and Close cancels it
 	baseCtx, baseCancel := context.WithCancel(context.Background())
-	f := &Coordinator{
-		ln:           ln,
-		inFlight:     inFlight,
-		batchTimeout: batchTimeout,
-		logf:         cfg.Logf,
-		dial:         dial,
-		now:          now,
-		baseCtx:      baseCtx,
-		baseCancel:   baseCancel,
-		runs:         make(map[string]*fleetRun),
-		conns:        make(map[net.Conn]bool),
-		dynamic:      make(map[string]*backend),
+	ttl := cfg.HeartbeatTTL
+	if ttl <= 0 {
+		ttl = railctl.DefaultHeartbeatTTL
 	}
-	for i, addr := range cfg.Backends {
-		f.static = append(f.static, &backend{index: i, id: StaticID(i), static: true, addr: addr, dial: dial})
+	f := &Coordinator{
+		ln:                ln,
+		inFlight:          inFlight,
+		batchTimeout:      batchTimeout,
+		logf:              cfg.Logf,
+		dial:              dial,
+		now:               now,
+		allowRegistration: cfg.AllowRegistration,
+		baseCtx:           baseCtx,
+		baseCancel:        baseCancel,
+		runs:              make(map[string]*fleetRun),
+		conns:             make(map[net.Conn]bool),
+		members:           make(map[string]*backend),
 	}
 	f.tel = telemetry.NewSet(eventRingCapacity, func() int64 { return time.Now().UnixNano() })
 	f.inflightG = f.tel.Metrics.Gauge("railfleet_requests_inflight",
@@ -238,30 +243,27 @@ func New(cfg Config) (*Coordinator, error) {
 	f.failoversC = f.tel.Metrics.Counter("railfleet_failovers_total",
 		"Backend failures mid-request whose work was re-sharded to (or retried on) the surviving backends.")
 	f.membersG = f.tel.Metrics.GaugeVec("railfleet_members",
-		"Fleet members by membership state; static -backends entries count as healthy until a probe or batch failure marks them dead.",
+		"Fleet members by membership state, static and registered alike; a static member is healthy until a probe, stats query or batch fails on it.",
 		"state")
 	f.tel.Metrics.OnScrape(f.sampleMembership)
-	if cfg.AllowRegistration {
-		f.registry = railctl.NewRegistry(railctl.Config{
-			TTL: cfg.HeartbeatTTL,
-			Now: now,
-			OnEvent: func(ev railctl.Event) {
-				if f.logf != nil {
-					f.logf("railfleet: member %s (%s): %s %s", ev.ID, ev.Addr, ev.Type, ev.Reason)
-				}
-				f.tel.Events.Emit(telemetry.Event{Type: ev.Type, Member: ev.ID,
-					Backend: ev.Addr, Capacity: ev.Capacity, Reason: ev.Reason})
-			},
-		})
+	f.registry = railctl.NewRegistry(railctl.Config{
+		TTL: ttl,
+		Now: now,
+		OnEvent: func(ev railctl.Event) {
+			if f.logf != nil {
+				f.logf("railfleet: member %s (%s): %s %s", ev.ID, ev.Addr, ev.Type, ev.Reason)
+			}
+			f.tel.Events.Emit(telemetry.Event{Type: ev.Type, Member: ev.ID,
+				Backend: ev.Addr, Capacity: ev.Capacity, Reason: ev.Reason})
+		},
+	})
+	for i, addr := range cfg.Backends {
+		f.registry.AddStatic(StaticID(i), addr)
 	}
 	opusnet.RegisterStatsMetrics(f.tel.Metrics, "railfleet", f.Stats)
-	reprobe := cfg.ReprobeInterval
-	if reprobe == 0 {
-		reprobe = DefaultReprobeInterval
-	}
-	if reprobe > 0 && len(f.static) > 0 {
+	if len(cfg.Backends) > 0 {
 		f.wg.Add(1)
-		go f.reprobeLoop(reprobe)
+		go f.probeLoop(ttl / 3)
 	}
 	f.wg.Add(1)
 	go f.acceptLoop()
@@ -276,17 +278,8 @@ func (f *Coordinator) sampleMembership() {
 		railctl.StateHealthy: 0, railctl.StateDraining: 0,
 		railctl.StateDrained: 0, railctl.StateDead: 0,
 	}
-	for _, b := range f.static {
-		if b.isDead() {
-			counts[railctl.StateDead]++
-		} else {
-			counts[railctl.StateHealthy]++
-		}
-	}
-	if f.registry != nil {
-		for _, m := range f.registry.Members() {
-			counts[m.State]++
-		}
+	for _, m := range f.registry.Members() {
+		counts[m.State]++
 	}
 	for state, n := range counts { //lint:allow maporder gauge series are independent; set order is immaterial
 		f.membersG.With(string(state)).Set(n)
@@ -364,16 +357,13 @@ func (f *Coordinator) Close() error {
 	f.baseCancel()
 	err := f.ln.Close()
 	f.wg.Wait()
-	for _, b := range f.static {
-		b.close()
-	}
 	f.mu.Lock()
-	dyn := make([]*backend, 0, len(f.dynamic))
-	for _, b := range f.dynamic { //lint:allow maporder collecting for close; order is immaterial
-		dyn = append(dyn, b)
+	bs := make([]*backend, 0, len(f.members))
+	for _, b := range f.members { //lint:allow maporder collecting for close; order is immaterial
+		bs = append(bs, b)
 	}
 	f.mu.Unlock()
-	for _, b := range dyn {
+	for _, b := range bs {
 		b.close()
 	}
 	return err
@@ -382,27 +372,25 @@ func (f *Coordinator) Close() error {
 // Drain waits for in-flight fleet executions and result deliveries.
 func (f *Coordinator) Drain() { f.execWG.Wait() }
 
-// statsTimeout bounds one backend's stats query inside an aggregated
-// Stats call, so a wedged backend degrades the aggregate instead of
-// hanging it.
+// statsTimeout bounds the static members' stats queries inside one
+// Stats call.
 const statsTimeout = 5 * time.Second
 
 // Stats reports the coordinator's serving telemetry: its request-level
-// counters, the per-backend membership view, and the cache counters
-// aggregated across the fleet. Live static backends are queried
-// concurrently under a bounded context and their answers retained; a
-// backend that does not answer is reported unhealthy and contributes
-// its last-known-good counters instead of silently vanishing, so fleet
-// aggregates never go backwards when a backend dies. Dynamic members
-// are never queried here: their newest heartbeat already carried their
-// snapshot, and the registry retains it (members are never deleted, so
-// a dead member's counters keep contributing). (A backend that
-// restarts legitimately resets its own counters; monotonicity is
+// counters, the per-member membership view, and the cache counters
+// aggregated across the fleet, all read from the registry. Live
+// connected static members are first asked for a fresh stats_req (see
+// refreshStatics); registered members are never queried here, since
+// their newest heartbeat already carried their snapshot. The registry
+// retains every member's last snapshot (members are never deleted), so
+// a dead member keeps contributing its last-known-good counters and
+// fleet aggregates never go backwards when a backend dies. (A backend
+// that restarts legitimately resets its own counters; monotonicity is
 // guaranteed across unreachability, not across backend restarts.)
 //
 // After Close, Stats returns promptly without querying anything —
-// local counters plus the retained per-backend contributions, every
-// backend reported unhealthy — rather than racing the cancelled base
+// local counters plus the retained per-member contributions, every
+// member reported unhealthy — rather than racing the cancelled base
 // context.
 func (f *Coordinator) Stats() opusnet.CacheStatsPayload {
 	f.mu.Lock()
@@ -412,57 +400,24 @@ func (f *Coordinator) Stats() opusnet.CacheStatsPayload {
 		ExpsDeduped:  f.expsDeduped,
 	}
 	f.mu.Unlock()
-	snaps := make([]opusnet.BackendStatsPayload, len(f.static))
-	if closed {
-		for i, b := range f.static {
-			snap, _ := b.snapshot()
-			snap.Healthy = false
-			snaps[i] = snap
-		}
-	} else {
-		ctx, cancel := context.WithTimeout(f.baseCtx, statsTimeout)
-		defer cancel()
-		var wg sync.WaitGroup
-		for i, b := range f.static {
-			i, b := i, b
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				snap, c := b.snapshot()
-				if c != nil {
-					if bst, err := c.StatsCtx(ctx); err == nil {
-						b.retainStats(bst)
-					} else {
-						b.setUnhealthy()
-						snap.Healthy = false
-					}
-				}
-				snaps[i] = snap
-			}()
-		}
-		wg.Wait()
+	if !closed {
+		f.refreshStatics()
 	}
-	// Aggregate over the retained snapshots of ALL backends — reachable
-	// or not — so no contribution is ever dropped from the sums.
-	for i, b := range f.static {
-		addStats(&out, b.retainedStats(), snaps[i].Healthy)
-	}
-	if f.registry != nil {
-		nowT := f.now()
-		for _, m := range f.registry.Members() {
-			snap := opusnet.BackendStatsPayload{
-				Addr: m.Addr, ID: m.ID, Capacity: m.Capacity, State: string(m.State),
-				Healthy:            !closed && m.State == railctl.StateHealthy,
-				LastHeartbeatAgeMS: nowT.Sub(m.LastHeartbeat).Milliseconds(),
-			}
-			if b := f.lookupDynamic(m.ID); b != nil {
-				snap.Cells, snap.Failures = b.counts()
-			}
-			addStats(&out, m.Stats, snap.Healthy)
-			snaps = append(snaps, snap)
+	nowT := f.now()
+	for _, m := range f.registry.Members() {
+		snap := opusnet.BackendStatsPayload{
+			Addr: m.Addr, ID: m.ID, Static: m.Static, Capacity: m.Capacity, State: string(m.State),
+			Healthy: !closed && m.State == railctl.StateHealthy,
 		}
+		if !m.LastHeartbeat.IsZero() {
+			snap.LastHeartbeatAgeMS = nowT.Sub(m.LastHeartbeat).Milliseconds()
+		}
+		if b := f.lookup(m.ID); b != nil {
+			snap.Cells, snap.Failures = b.counts()
+		}
+		addStats(&out, m.Stats, snap.Healthy)
+		out.Backends = append(out.Backends, snap)
 	}
-	out.Backends = snaps
 	return out
 }
 
@@ -537,12 +492,8 @@ func (f *Coordinator) dispatch(msg *opusnet.Message, reply func(*opusnet.Message
 		f.serveExp(msg, reply, cs)
 	case opusnet.MsgCancel:
 		cs.CancelSeq(msg.Seq)
-	case opusnet.MsgFleetRegister:
-		f.serveFleetRegister(msg, reply)
-	case opusnet.MsgHeartbeat:
-		f.serveHeartbeat(msg, reply)
-	case opusnet.MsgDrain:
-		f.serveDrain(msg, reply)
+	case opusnet.MsgFleetRegister, opusnet.MsgHeartbeat, opusnet.MsgDrain:
+		f.serveMembership(msg, reply)
 	case opusnet.MsgStatsReq:
 		seq := msg.Seq
 		f.execWG.Add(1)
@@ -557,75 +508,37 @@ func (f *Coordinator) dispatch(msg *opusnet.Message, reply func(*opusnet.Message
 	}
 }
 
-// serveFleetRegister admits (or refreshes) a dynamic member. The
-// registration connection is pure control plane: cells travel over
-// connections the coordinator dials to the member's advertised
-// address, so a member behind the same dialer as the statics needs no
-// extra plumbing.
-func (f *Coordinator) serveFleetRegister(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
-	seq := msg.Seq
-	if f.registry == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: dynamic registration disabled (static -backends fleet)"}, true)
+// serveMembership serves the registration plane — fleet_register,
+// heartbeat and drain — when registration is allowed. The connection
+// is pure control plane: cells travel over connections the coordinator
+// dials to a member's advertised address, so a member behind the same
+// dialer as the statics needs no extra plumbing. A heartbeat from an
+// unknown identity is refused so the agent re-registers (the
+// coordinator may have restarted and lost its table); a drain of one
+// acks, since the member is already not part of the fleet and a
+// retried SIGTERM must not fail; and every frame naming a static
+// member's reserved identity is refused (railctl.ErrStaticMember).
+func (f *Coordinator) serveMembership(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
+	var err error
+	switch {
+	case !f.allowRegistration:
+		err = errors.New("railfleet: dynamic registration disabled (static -backends fleet)")
+	case msg.Type == opusnet.MsgFleetRegister && msg.FleetReg != nil:
+		err = f.registry.Register(msg.FleetReg.ID, msg.FleetReg.Addr, msg.FleetReg.Capacity)
+	case msg.Type == opusnet.MsgHeartbeat && msg.Heartbeat != nil:
+		err = f.registry.Heartbeat(msg.Heartbeat.ID, msg.Heartbeat.Capacity, msg.Heartbeat.Stats)
+	case msg.Type == opusnet.MsgDrain && msg.DrainReq != nil:
+		if err = f.registry.Drain(msg.DrainReq.ID, msg.DrainReq.Reason); errors.Is(err, railctl.ErrUnknownMember) {
+			err = nil
+		}
+	default:
+		err = fmt.Errorf("railfleet: %s without a payload", msg.Type)
+	}
+	if err != nil {
+		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: msg.Seq, Error: err.Error()}, true)
 		return
 	}
-	p := msg.FleetReg
-	if p == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: fleet_register without a payload"}, true)
-		return
-	}
-	if err := f.registry.Register(p.ID, p.Addr, p.Capacity); err != nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-		return
-	}
-	reply(&opusnet.Message{Type: opusnet.MsgAck, Seq: seq}, true)
-}
-
-// serveHeartbeat refreshes a member's liveness (and stats snapshot).
-// An unknown identity is refused so the agent re-registers — the
-// coordinator may have restarted and lost the membership table.
-func (f *Coordinator) serveHeartbeat(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
-	seq := msg.Seq
-	if f.registry == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: dynamic registration disabled (static -backends fleet)"}, true)
-		return
-	}
-	p := msg.Heartbeat
-	if p == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: heartbeat without a payload"}, true)
-		return
-	}
-	if err := f.registry.Heartbeat(p.ID, p.Capacity, p.Stats); err != nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-		return
-	}
-	reply(&opusnet.Message{Type: opusnet.MsgAck, Seq: seq}, true)
-}
-
-// serveDrain marks a member draining. Unknown identities ack: the
-// member is already not part of the fleet, which is all a drain asks
-// for — a drain must be idempotent so a retried SIGTERM cannot fail.
-func (f *Coordinator) serveDrain(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
-	seq := msg.Seq
-	if f.registry == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: dynamic registration disabled (static -backends fleet)"}, true)
-		return
-	}
-	p := msg.DrainReq
-	if p == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: drain without a payload"}, true)
-		return
-	}
-	if err := f.registry.Drain(p.ID, p.Reason); err != nil && !errors.Is(err, railctl.ErrUnknownMember) {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-		return
-	}
-	reply(&opusnet.Message{Type: opusnet.MsgAck, Seq: seq}, true)
+	reply(&opusnet.Message{Type: opusnet.MsgAck, Seq: msg.Seq}, true)
 }
 
 // fleetRun is one in-flight fleet grid execution with its subscribers;
@@ -845,13 +758,11 @@ func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message
 		order := f.proxyOrder(req.Name)
 		var lastErr error
 		for _, b := range order {
-			c, err := b.get()
+			c, err := f.connect(b)
 			if err != nil {
-				f.noteStaticDown(b, "unreachable")
 				lastErr = err
 				continue
 			}
-			f.noteStaticUp(b)
 			run, err := c.RunExperiment(wctx, req, func(done, total int) {
 				reply(&opusnet.Message{Type: opusnet.MsgExpProgress, Seq: seq,
 					Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
@@ -867,7 +778,7 @@ func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message
 						f.logf("railfleet: backend %s died serving experiment %q: %v (failing over)", b.address(), req.Name, err)
 					}
 					b.fail(c)
-					f.noteStaticDown(b, "failover")
+					f.registry.ProbeFailed(b.id, "failover")
 					f.failoversC.Inc()
 					f.tel.Events.Emit(telemetry.Event{Type: "failover", Req: ro.id, Exp: req.Name,
 						Backend: b.address(), Member: b.id, Err: err.Error()})
@@ -892,55 +803,41 @@ func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message
 	}()
 }
 
-// proxyOrder ranks the fleet's backends by weighted rendezvous score
+// proxyOrder ranks the fleet's members by weighted rendezvous score
 // for an experiment name — the same hash the cell shard uses, so
-// repeat requests land on the same warm cache. Assignable members and
-// non-dead statics rank first; dead statics are appended as a last
-// resort (the failover walk will probe them only when everything
-// better already failed).
+// repeat requests land on the same warm cache. Assignable members rank
+// first; dead statics are appended as a last resort (the failover walk
+// probes them only when everything better already failed).
 func (f *Coordinator) proxyOrder(name string) []*backend {
 	type cand struct {
-		b *backend
-		t Target
+		m     railctl.Member
+		score float64
 	}
 	var live, last []cand
-	for _, b := range f.static {
-		c := cand{b, Target{ID: b.id, Weight: 1}}
-		if b.isDead() {
-			last = append(last, c)
-		} else {
+	for _, m := range f.registry.Members() {
+		c := cand{m, weightedScore(name, Target{ID: m.ID, Weight: m.Capacity})}
+		switch {
+		case m.State == railctl.StateHealthy:
 			live = append(live, c)
-		}
-	}
-	if f.registry != nil {
-		for _, m := range f.registry.Assignable() {
-			live = append(live, cand{f.dynamicBackend(m.ID, m.Addr), Target{ID: m.ID, Weight: m.Capacity}})
+		case m.Static && m.State == railctl.StateDead:
+			last = append(last, c)
 		}
 	}
 	rank := func(cs []cand) {
 		sort.Slice(cs, func(i, j int) bool {
-			si, sj := weightedScore(name, cs[i].t), weightedScore(name, cs[j].t)
-			if si != sj {
-				return si > sj
+			if cs[i].score != cs[j].score {
+				return cs[i].score > cs[j].score
 			}
-			return cs[i].t.ID < cs[j].t.ID
+			return cs[i].m.ID < cs[j].m.ID
 		})
 	}
 	rank(live)
 	rank(last)
 	out := make([]*backend, 0, len(live)+len(last))
 	for _, c := range append(live, last...) {
-		out = append(out, c.b)
+		out = append(out, f.member(c.m))
 	}
 	return out
-}
-
-// draining reports whether a backend is gracefully departing: a
-// dynamic member the registry marked draining. A drainer keeps (and
-// finishes) the batch it already holds; its unsubmitted cells hand off
-// to the next wave without failover accounting.
-func (f *Coordinator) draining(b *backend) bool {
-	return !b.static && f.registry != nil && f.registry.Draining(b.id)
 }
 
 // executeGrid fans one expanded grid out across the fleet and merges
@@ -1025,7 +922,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 			go func() {
 				defer wg.Done()
 				for start := 0; start < len(idxs); start += f.inFlight {
-					if f.draining(b) {
+					if f.registry.Draining(b.id) {
 						// Graceful departure: the unsubmitted remainder hands
 						// off to the next wave. No failover counter, no
 						// exclusion — this is the drain working as designed.
@@ -1044,7 +941,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 						if ctx.Err() != nil {
 							return // cancelled: the wave exit reports it
 						}
-						if f.draining(b) {
+						if f.registry.Draining(b.id) {
 							// The drain raced the batch: its connection may
 							// already be gone, but the departure is still
 							// graceful — hand off, don't count a failover.
@@ -1059,7 +956,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 							f.logf("railfleet: backend %s failed %d cells of grid %q: %v (re-sharding)",
 								b.address(), len(idxs)-start, grid.Name, err)
 						}
-						f.noteStaticDown(b, "failover")
+						f.registry.ProbeFailed(b.id, "failover")
 						f.failoversC.Inc()
 						f.tel.Events.Emit(telemetry.Event{Type: "failover", Exp: grid.Name,
 							Backend: b.address(), Member: b.id, Cells: len(idxs) - start, Wave: wave, Err: err.Error()})

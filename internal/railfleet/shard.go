@@ -33,10 +33,10 @@ type Target struct {
 	Weight int
 }
 
-// StaticID is the identity of the i-th static -backends entry. Fleet
-// positions, not addresses, feed the hash, so a static fleet's
-// assignment is reproducible across runs and port choices — the same
-// rationale the pre-weighted sharding used.
+// StaticID is the registry identity of the i-th static -backends
+// entry, reserved against registration; statics shard as weight-1
+// targets. Fleet positions, not addresses, feed the hash, so a static
+// fleet's assignment is reproducible across runs and port choices.
 func StaticID(i int) string { return "s" + strconv.Itoa(i) }
 
 // weightedScore ranks one target for one workload key — weighted
@@ -102,25 +102,6 @@ func AssignWeighted(cells []scenario.Cell, remaining []int, targets []Target) ma
 		}
 		if owner != "" {
 			out[owner] = append(out[owner], idx)
-		}
-	}
-	return out
-}
-
-// Assign is AssignWeighted over equal-weight static fleet positions —
-// the static -backends sharding, kept as its own entry point so
-// static-only fleets (and the tests that predict their assignments)
-// have a stable, weight-free contract.
-func Assign(cells []scenario.Cell, remaining []int, alive []int) map[int][]int {
-	targets := make([]Target, len(alive))
-	for i, bi := range alive {
-		targets[i] = Target{ID: StaticID(bi), Weight: 1}
-	}
-	byID := AssignWeighted(cells, remaining, targets)
-	out := make(map[int][]int, len(alive))
-	for i, bi := range alive {
-		if idxs := byID[targets[i].ID]; len(idxs) > 0 {
-			out[bi] = idxs
 		}
 	}
 	return out

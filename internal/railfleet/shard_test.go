@@ -8,6 +8,16 @@ import (
 	"photonrail/internal/scenario"
 )
 
+// staticTargets lists the weight-1 targets of the given static fleet
+// positions: the shard a -backends fleet computes for its statics.
+func staticTargets(positions ...int) []Target {
+	out := make([]Target, len(positions))
+	for i, p := range positions {
+		out[i] = Target{ID: StaticID(p), Weight: 1}
+	}
+	return out
+}
+
 // TestAssignCoversEveryCellOnce: the shard assignment partitions the
 // remaining indices exactly — no cell lost, none duplicated — and
 // keeps per-backend lists in expansion order.
@@ -17,12 +27,12 @@ func TestAssignCoversEveryCellOnce(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	assignment := Assign(cells, all, []int{0, 1, 2})
+	assignment := AssignWeighted(cells, all, staticTargets(0, 1, 2))
 	seen := make(map[int]int)
-	for bi, idxs := range assignment {
+	for id, idxs := range assignment {
 		for j := 1; j < len(idxs); j++ {
 			if idxs[j] <= idxs[j-1] {
-				t.Fatalf("backend %d list not in expansion order: %v", bi, idxs)
+				t.Fatalf("backend %s list not in expansion order: %v", id, idxs)
 			}
 		}
 		for _, idx := range idxs {
@@ -37,7 +47,7 @@ func TestAssignCoversEveryCellOnce(t *testing.T) {
 	// The acceptance distribution: every backend executes >= 1 cell of
 	// the 48-cell fig8-5d grid on a 3-backend fleet.
 	for bi := 0; bi < 3; bi++ {
-		if len(assignment[bi]) == 0 {
+		if len(assignment[StaticID(bi)]) == 0 {
 			t.Errorf("backend %d received no fig8-5d cells", bi)
 		}
 	}
@@ -51,15 +61,15 @@ func TestAssignColocatesWorkloads(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	assignment := Assign(cells, all, []int{0, 1, 2})
-	owner := make(map[string]int)
-	for bi, idxs := range assignment {
+	assignment := AssignWeighted(cells, all, staticTargets(0, 1, 2))
+	owner := make(map[string]string)
+	for id, idxs := range assignment {
 		for _, idx := range idxs {
 			key := WorkloadKey(cells[idx])
-			if prev, ok := owner[key]; ok && prev != bi {
-				t.Fatalf("workload %q split across backends %d and %d", key, prev, bi)
+			if prev, ok := owner[key]; ok && prev != id {
+				t.Fatalf("workload %q split across backends %s and %s", key, prev, id)
 			}
-			owner[key] = bi
+			owner[key] = id
 		}
 	}
 }
@@ -73,7 +83,7 @@ func TestAssignRendezvousStability(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	before := Assign(cells, all, []int{0, 1, 2})
+	before := AssignWeighted(cells, all, staticTargets(0, 1, 2))
 	for _, dead := range []int{0, 1, 2} {
 		var alive []int
 		for bi := 0; bi < 3; bi++ {
@@ -81,15 +91,16 @@ func TestAssignRendezvousStability(t *testing.T) {
 				alive = append(alive, bi)
 			}
 		}
-		after := Assign(cells, all, alive)
+		after := AssignWeighted(cells, all, staticTargets(alive...))
 		for _, bi := range alive {
-			beforeSet := make(map[int]bool, len(before[bi]))
-			for _, idx := range before[bi] {
+			id := StaticID(bi)
+			beforeSet := make(map[int]bool, len(before[id]))
+			for _, idx := range before[id] {
 				beforeSet[idx] = true
 			}
-			for _, idx := range before[bi] {
+			for _, idx := range before[id] {
 				found := false
-				for _, got := range after[bi] {
+				for _, got := range after[id] {
 					if got == idx {
 						found = true
 						break
@@ -100,12 +111,12 @@ func TestAssignRendezvousStability(t *testing.T) {
 				}
 			}
 			// Anything new on bi must have belonged to the dead backend.
-			for _, idx := range after[bi] {
+			for _, idx := range after[id] {
 				if beforeSet[idx] {
 					continue
 				}
 				inDead := false
-				for _, d := range before[dead] {
+				for _, d := range before[StaticID(dead)] {
 					if d == idx {
 						inDead = true
 						break
