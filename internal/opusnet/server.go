@@ -149,23 +149,15 @@ func (s *Server) acceptLoop() {
 		})
 }
 
-// replyBuffer bounds the per-connection reply queue. A healthy shim has
-// at most a handful of outstanding requests, so a connection this many
-// replies behind has a dead or wedged socket.
-const replyBuffer = 64
-
-// handle serves one shim connection. Replies for a connection are
-// serialized through a per-connection writer goroutine so that grant
-// callbacks (which fire under the server mutex) never block on the
-// socket.
-//
-// Two rules keep a sick connection from wedging the whole server:
-// the writer keeps draining out after a socket error (discarding
-// messages) until the channel closes, and reply never blocks — if the
-// buffer is full the connection is dead or wedged, so the reply is
-// dropped and the connection closed (surfacing an error to the peer)
-// rather than parked under s.mu, where it would deadlock every other
-// connection's dispatch.
+// handle serves one shim connection on ServeConn, the serving loop
+// raild and the fleet coordinator share: replies queue to a
+// per-connection writer goroutine, so grant callbacks (which fire under
+// the server mutex) never block on the socket. Every controller reply is
+// required — a shim waits on each one — so a connection too far behind
+// to queue one is dead or wedged, and ServeConn closes it (surfacing an
+// error to the peer) rather than parking the reply under s.mu, where it
+// would deadlock every other connection's dispatch. Replies after the
+// connection ends, such as a grant for a departed rank, are dropped.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -174,42 +166,9 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	out := make(chan *Message, replyBuffer)
-	var wout sync.WaitGroup
-	wout.Add(1)
-	go func() {
-		defer wout.Done()
-		dead := false
-		for m := range out {
-			if dead {
-				continue // drain so reply senders never block on a dead socket
-			}
-			if err := WriteMessage(conn, m); err != nil {
-				dead = true
-			}
-		}
-	}()
-	defer wout.Wait()
-	defer close(out)
-	reply := func(m *Message) {
-		defer func() { recover() }() // connection torn down mid-grant
-		select {
-		case out <- m:
-		default:
-			// replyBuffer outstanding replies: the peer is dead or
-			// wedged. Close the connection so its shim sees an error
-			// instead of waiting forever on the dropped reply (and so
-			// the read loop tears the handler down).
-			_ = conn.Close()
-		}
-	}
-	for {
-		msg, err := ReadMessage(conn)
-		if err != nil {
-			return
-		}
-		s.dispatch(msg, reply)
-	}
+	ServeConn(conn, func(msg *Message, reply func(*Message, bool), _ *ConnState) {
+		s.dispatch(msg, func(m *Message) { reply(m, true) })
+	})
 }
 
 func (s *Server) dispatch(msg *Message, reply func(*Message)) {

@@ -44,14 +44,14 @@ func TestDeadConnectionDoesNotDeadlockServer(t *testing.T) {
 	}
 
 	// Flood more replies than the buffer holds. Pre-fix, dispatch blocks
-	// on reply ~replyBuffer+2 with s.mu held and this goroutine never
+	// on reply ~serveReplyBuffer+2 with s.mu held and this goroutine never
 	// finishes (its pipe write waits on the stuck read loop). Post-fix
 	// the server drops the overflow and closes the wedged connection, so
 	// the flood either completes or fails fast with a write error — only
 	// a timeout means the deadlock is back.
 	floodDone := make(chan error, 1)
 	go func() {
-		for i := 0; i < replyBuffer+20; i++ {
+		for i := 0; i < serveReplyBuffer+20; i++ {
 			if err := WriteMessage(p2, &Message{Type: MsgStatsReq, Seq: uint64(100 + i)}); err != nil {
 				floodDone <- err
 				return

@@ -73,6 +73,23 @@ func (fl *fleet) stop() {
 	fl.net.Close()
 }
 
+// holdBackends withholds every backend's frames from now on, so a fleet
+// execution stays in flight with no hook in the coordinator, and
+// returns the (idempotent) release.
+func (fl *fleet) holdBackends() (release func()) {
+	var eps []*faultnet.Endpoint
+	for i := range fl.backends {
+		ep := fl.net.Endpoint(fmt.Sprintf("b%d", i))
+		ep.HoldAtFrame(ep.Frames() + 1)
+		eps = append(eps, ep)
+	}
+	return func() {
+		for _, ep := range eps {
+			ep.Release()
+		}
+	}
+}
+
 // startFleet is newFleet with test-scoped cleanup.
 func startFleet(t *testing.T, n, inFlight int) *fleet {
 	t.Helper()
@@ -425,9 +442,9 @@ func TestFleetHeldBackendStallsThenCompletes(t *testing.T) {
 // rows and exactly one is flagged shared.
 func TestFleetSingleflightDedup(t *testing.T) {
 	fl := startFleet(t, 2, 8)
-	// Gate the fleet execution so the requests provably overlap.
-	gate := make(chan struct{})
-	fl.coord.setExecGate(gate)
+	// Hold the backends so the requests provably overlap.
+	release := fl.holdBackends()
+	defer release()
 	c1 := fl.dialCoord(t)
 	c2 := fl.dialCoord(t)
 	spec := scenario.SpecOf(scenario.Grid{Name: "dedup", LatenciesMS: []float64{5}, Iterations: 1})
@@ -449,7 +466,7 @@ func TestFleetSingleflightDedup(t *testing.T) {
 	waitEvent(t, fl.coord.Telemetry(), func(ev telemetry.Event) bool { return ev.Type == "submitted" })
 	submit(c2)
 	waitEvent(t, fl.coord.Telemetry(), func(ev telemetry.Event) bool { return ev.Type == "deduped" })
-	close(gate)
+	release()
 	var runs []*railserve.ExpRun
 	for i := 0; i < 2; i++ {
 		out := <-res
@@ -544,9 +561,8 @@ func TestFleetExpPathByteIdenticalToDaemon(t *testing.T) {
 // are held, and releasing them does not resurrect the request.
 func TestFleetExpCancelPropagates(t *testing.T) {
 	fl := startFleet(t, 2, 8)
-	gate := make(chan struct{})
-	fl.coord.setExecGate(gate)
-	defer close(gate)
+	release := fl.holdBackends()
+	defer release()
 	c := fl.dialCoord(t)
 	spec := scenario.SpecOf(scenario.Grid{Name: "cancel", LatenciesMS: []float64{5}, Iterations: 1})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -567,7 +583,9 @@ func TestFleetExpCancelPropagates(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled fleet experiment did not return promptly")
 	}
-	// The connection survives the cancellation.
+	// The connection survives the cancellation (released first: a
+	// stats_req waits on the backends' answers).
+	release()
 	if _, err := c.Stats(); err != nil {
 		t.Fatal(err)
 	}
@@ -659,6 +677,11 @@ func TestFleetRejectsBadRequests(t *testing.T) {
 	if _, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "fig99"}, nil); err == nil ||
 		!strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("unknown experiment error = %v", err)
+	}
+	spec := scenario.SpecOf(scenario.Grid{Name: "g"})
+	if _, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "table1", Grid: &spec}, nil); err == nil ||
+		!strings.Contains(err.Error(), "does not take a grid") {
+		t.Errorf("grid-on-table error = %v", err)
 	}
 	// No backend was ever touched.
 	for i, s := range fl.backends {

@@ -153,7 +153,7 @@ func (f *Coordinator) member(m railctl.Member) *backend {
 	f.mu.Lock()
 	b, ok := f.members[m.ID]
 	if !ok {
-		b = &backend{id: m.ID, addr: m.Addr, dial: f.dial, closed: f.closed}
+		b = &backend{id: m.ID, addr: m.Addr, dial: f.dial, closed: f.Closed()}
 		f.members[m.ID] = b
 	}
 	f.mu.Unlock()
@@ -258,12 +258,12 @@ func (f *Coordinator) waveTargets(excluded map[string]bool) ([]Target, map[strin
 // (besides the empty-fleet rescue probe) is what brings a restarted
 // static daemon back into the rotation.
 func (f *Coordinator) probeLoop(interval time.Duration) {
-	defer f.wg.Done()
+	defer f.probeWG.Done()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-f.baseCtx.Done():
+		case <-f.Context().Done():
 			return
 		case <-ticker.C:
 			f.probe(f.deadStatics(nil))
@@ -279,7 +279,7 @@ func (f *Coordinator) probeLoop(interval time.Duration) {
 // members are not asked — their heartbeats already carried their
 // snapshots.
 func (f *Coordinator) refreshStatics() {
-	ctx, cancel := context.WithTimeout(f.baseCtx, statsTimeout)
+	ctx, cancel := context.WithTimeout(f.Context(), statsTimeout)
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, m := range f.registry.Assignable() {
@@ -297,7 +297,7 @@ func (f *Coordinator) refreshStatics() {
 			switch {
 			case err == nil:
 				f.registry.Probed(m.ID, &st)
-			case f.baseCtx.Err() == nil:
+			case f.Context().Err() == nil:
 				f.registry.ProbeFailed(m.ID, "stats unanswered")
 			}
 		}()

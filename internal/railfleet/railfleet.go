@@ -31,17 +31,21 @@
 // survivors (wave by wave, until done or no backend is left), and a
 // failed static backend is re-probed in the background every
 // HeartbeatTTL/3, so a restarted daemon rejoins on its own.
-// Request-level singleflight and cancellation keep raild's semantics
-// across the fan-out: identical in-flight requests coalesce onto one
-// fleet execution, a cancel frame (or dropped connection, or
-// TimeoutMS) stops only that request's wait, and when the last waiter
-// departs the fleet execution's context is cancelled — which cancels
-// the outstanding cells_req waits, sending cancel frames to the
-// backends.
+// Request-level singleflight and cancellation are raild's own: the
+// coordinator is built on railserve.Core, the serving skeleton raild
+// runs on, so every exp_req is admitted by the same join-or-start code.
+// Identical in-flight requests coalesce onto one execution, a cancel
+// frame (or dropped connection, or TimeoutMS) stops only that request's
+// wait and its progress frames, and when the last waiter departs the
+// execution's context is cancelled — which cancels the outstanding
+// cells_req waits, sending cancel frames to the backends.
 //
 // Non-grid experiments (fig4, table1, bom, …) are proxied to one
 // backend chosen by rendezvous hash of the experiment name, failing
-// over to the next live backend on connection errors.
+// over to the next live backend on connection errors. They coalesce at
+// the coordinator on photonrail.ExperimentKey, exactly as raild keys
+// them, so identical concurrent requests reach a backend as one
+// exp_req; each waiter's deadline is enforced at the coordinator.
 package railfleet
 
 import (
@@ -51,7 +55,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"photonrail"
@@ -113,14 +116,12 @@ const DefaultInFlight = 16
 // it only fires on genuinely stuck backends.
 const DefaultBatchTimeout = 5 * time.Minute
 
-// eventRingCapacity bounds the coordinator's request-lifecycle event
-// ring (see the railserve twin): a fig8-5d fan-out emits a few hundred
-// sharded/cell_complete events, so 4096 retains several full grids.
-const eventRingCapacity = 4096
-
-// Coordinator is the fleet front end.
+// Coordinator is the fleet front end: the railserve serving Core (accept
+// loop, request singleflight, observability, Drain) over a fan-out
+// across the fleet's members.
 type Coordinator struct {
-	ln           net.Listener
+	*railserve.Core
+	tel          *telemetry.Set // the Core's
 	inFlight     int
 	batchTimeout time.Duration
 	logf         func(format string, args ...any)
@@ -135,46 +136,17 @@ type Coordinator struct {
 	registry          *railctl.Registry
 	allowRegistration bool
 
-	// tel is the coordinator's observability surface: sampled
-	// stats_resp metrics (via Stats, so a scrape and a stats frame
-	// agree), live request gauges/histograms, the failover counter, and
-	// the lifecycle event ring.
-	tel        *telemetry.Set
-	reqSeq     atomic.Uint64
-	inflightG  *telemetry.Gauge
-	durations  *telemetry.HistogramVec
 	failoversC *telemetry.Counter
 	membersG   *telemetry.GaugeVec
 
-	// baseCtx parents every fleet execution and request wait; Close
-	// cancels it.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
+	// exps counts exp_req arrivals that started (or joined) a fleet
+	// execution or a proxied run, mirroring raild's counters.
+	exps railserve.DedupCounters
 
 	mu      sync.Mutex
-	runs    map[string]*fleetRun // resolved-grid key -> in-flight fleet execution
-	conns   map[net.Conn]bool
 	members map[string]*backend // member id -> data-plane record
-	closed  bool
-	// Request-level counters, mirroring raild's: exp_req arrivals that
-	// started (or joined) a fleet execution or a proxied run.
-	expsExecuted, expsDeduped uint64
 
-	wg     sync.WaitGroup // accept loop + connection handlers
-	execWG sync.WaitGroup // fleet executions + result deliveries
-
-	// execGate, when non-nil, is received from before each fleet
-	// execution starts — the same test-only hook raild has, so the
-	// singleflight and cancellation tests hold a request in flight
-	// deterministically. Guarded by mu.
-	execGate <-chan struct{}
-}
-
-// setExecGate installs the test-only execution gate.
-func (f *Coordinator) setExecGate(gate <-chan struct{}) {
-	f.mu.Lock()
-	f.execGate = gate
-	f.mu.Unlock()
+	probeWG sync.WaitGroup // the dead-static probe loop
 }
 
 // New starts a coordinator for the given backends. Backends are dialed
@@ -191,17 +163,6 @@ func New(cfg Config) (*Coordinator, error) {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
 		}
 	}
-	ln := cfg.Listener
-	if ln == nil {
-		addr := cfg.Addr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		var err error
-		if ln, err = net.Listen("tcp", addr); err != nil {
-			return nil, err
-		}
-	}
 	inFlight := cfg.InFlight
 	if inFlight <= 0 {
 		inFlight = DefaultInFlight
@@ -214,32 +175,25 @@ func New(cfg Config) (*Coordinator, error) {
 	if now == nil {
 		now = time.Now
 	}
-	//lint:allow ctxbg the coordinator's lifetime root: request contexts derive from it and Close cancels it
-	baseCtx, baseCancel := context.WithCancel(context.Background())
 	ttl := cfg.HeartbeatTTL
 	if ttl <= 0 {
 		ttl = railctl.DefaultHeartbeatTTL
 	}
+	core, err := railserve.NewCore(railserve.CoreConfig{Addr: cfg.Addr, Listener: cfg.Listener, Prefix: "railfleet", Logf: cfg.Logf})
+	if err != nil {
+		return nil, err
+	}
 	f := &Coordinator{
-		ln:                ln,
+		Core:              core,
+		tel:               core.Telemetry(),
 		inFlight:          inFlight,
 		batchTimeout:      batchTimeout,
 		logf:              cfg.Logf,
 		dial:              dial,
 		now:               now,
 		allowRegistration: cfg.AllowRegistration,
-		baseCtx:           baseCtx,
-		baseCancel:        baseCancel,
-		runs:              make(map[string]*fleetRun),
-		conns:             make(map[net.Conn]bool),
 		members:           make(map[string]*backend),
 	}
-	f.tel = telemetry.NewSet(eventRingCapacity, func() int64 { return time.Now().UnixNano() })
-	f.inflightG = f.tel.Metrics.Gauge("railfleet_requests_inflight",
-		"Requests admitted (validated and joined or started a fleet execution) and awaiting their final reply.")
-	f.durations = f.tel.Metrics.HistogramVec("railfleet_request_duration_seconds",
-		"Admitted-request wall time from arrival to final reply, by experiment.",
-		telemetry.DefLatencyBuckets, "experiment")
 	f.failoversC = f.tel.Metrics.Counter("railfleet_failovers_total",
 		"Backend failures mid-request whose work was re-sharded to (or retried on) the surviving backends.")
 	f.membersG = f.tel.Metrics.GaugeVec("railfleet_members",
@@ -260,13 +214,11 @@ func New(cfg Config) (*Coordinator, error) {
 	for i, addr := range cfg.Backends {
 		f.registry.AddStatic(StaticID(i), addr)
 	}
-	opusnet.RegisterStatsMetrics(f.tel.Metrics, "railfleet", f.Stats)
 	if len(cfg.Backends) > 0 {
-		f.wg.Add(1)
+		f.probeWG.Add(1)
 		go f.probeLoop(ttl / 3)
 	}
-	f.wg.Add(1)
-	go f.acceptLoop()
+	core.Start(f.dispatch, f.Stats)
 	return f, nil
 }
 
@@ -286,77 +238,13 @@ func (f *Coordinator) sampleMembership() {
 	}
 }
 
-// Telemetry exposes the coordinator's metrics registry and event log;
-// cmd/railfleet serves Telemetry().Handler() on -metrics-addr, and the
-// fleet tests wait deterministically on Telemetry().Events.
-func (f *Coordinator) Telemetry() *telemetry.Set { return f.tel }
-
-// reqObs carries one admitted request's observability lifecycle —
-// railserve's twin, over the coordinator's instruments.
-type reqObs struct {
-	tel       *telemetry.Set
-	inflightG *telemetry.Gauge
-	durations *telemetry.HistogramVec
-	id        string
-	exp       string
-	key       string
-	cells     int
-	start     time.Time
-}
-
-func (f *Coordinator) beginReq(expName, key string, cells int) *reqObs {
-	f.inflightG.Inc()
-	return &reqObs{
-		tel: f.tel, inflightG: f.inflightG, durations: f.durations,
-		id:  fmt.Sprintf("r%d", f.reqSeq.Add(1)),
-		exp: expName, key: key, cells: cells, start: time.Now(),
-	}
-}
-
-// admitted emits submitted/deduped; call with no coordinator lock held,
-// after the join decision is visible in the counters.
-func (ro *reqObs) admitted(shared bool) {
-	typ := "submitted"
-	if shared {
-		typ = "deduped"
-	}
-	ro.tel.Events.Emit(telemetry.Event{Type: typ, Req: ro.id, Exp: ro.exp, Key: ro.key, Cells: ro.cells})
-}
-
-// finish lands the request's one histogram sample and terminal event;
-// see the railserve twin for the contract.
-func (ro *reqObs) finish(err error, cancelled bool) {
-	d := time.Since(ro.start)
-	ro.durations.With(ro.exp).Observe(d.Seconds())
-	ro.inflightG.Dec()
-	typ := "result"
-	if cancelled {
-		typ = "cancel"
-	}
-	ev := telemetry.Event{Type: typ, Req: ro.id, Exp: ro.exp, Key: ro.key, Cells: ro.cells, DurationNS: d.Nanoseconds()}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	ro.tel.Events.Emit(ev)
-}
-
-// Addr returns the listen address for clients to dial.
-func (f *Coordinator) Addr() string { return f.ln.Addr().String() }
-
 // Close stops accepting, tears down live connections, cancels in-flight
-// fleet executions, closes the backend connections, and waits for the
-// connection handlers. Like raild, executions are abandoned rather than
-// waited for (Drain exists for tests).
+// fleet executions, waits for the connection handlers and the probe
+// loop, and closes the backend connections. Like raild, executions are
+// abandoned rather than waited for (Drain exists for tests).
 func (f *Coordinator) Close() error {
-	f.mu.Lock()
-	f.closed = true
-	for conn := range f.conns {
-		_ = conn.Close()
-	}
-	f.mu.Unlock()
-	f.baseCancel()
-	err := f.ln.Close()
-	f.wg.Wait()
+	err := f.Core.Close()
+	f.probeWG.Wait()
 	f.mu.Lock()
 	bs := make([]*backend, 0, len(f.members))
 	for _, b := range f.members { //lint:allow maporder collecting for close; order is immaterial
@@ -368,9 +256,6 @@ func (f *Coordinator) Close() error {
 	}
 	return err
 }
-
-// Drain waits for in-flight fleet executions and result deliveries.
-func (f *Coordinator) Drain() { f.execWG.Wait() }
 
 // statsTimeout bounds the static members' stats queries inside one
 // Stats call.
@@ -393,13 +278,11 @@ const statsTimeout = 5 * time.Second
 // member reported unhealthy — rather than racing the cancelled base
 // context.
 func (f *Coordinator) Stats() opusnet.CacheStatsPayload {
-	f.mu.Lock()
-	closed := f.closed
+	closed := f.Closed()
 	out := opusnet.CacheStatsPayload{
-		ExpsExecuted: f.expsExecuted,
-		ExpsDeduped:  f.expsDeduped,
+		ExpsExecuted: f.exps.Executed.Load(),
+		ExpsDeduped:  f.exps.Deduped.Load(),
 	}
-	f.mu.Unlock()
 	if !closed {
 		f.refreshStatics()
 	}
@@ -444,48 +327,6 @@ func addStats(out *opusnet.CacheStatsPayload, bst opusnet.CacheStatsPayload, hea
 	out.SeedMisses += bst.SeedMisses
 }
 
-func (f *Coordinator) acceptLoop() {
-	defer f.wg.Done()
-	opusnet.AcceptLoop(f.ln,
-		func() bool {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return f.closed
-		},
-		func(err error) {
-			if f.logf != nil {
-				f.logf("railfleet: accept: %v", err)
-			}
-		},
-		func(conn net.Conn) bool {
-			f.mu.Lock()
-			if f.closed {
-				f.mu.Unlock()
-				return false
-			}
-			f.conns[conn] = true
-			f.mu.Unlock()
-			f.wg.Add(1)
-			go f.handle(conn)
-			return true
-		})
-}
-
-// handle serves one client connection on opusnet's shared serving
-// skeleton — the same writer-goroutine, drop-advisory-frames,
-// close-on-wedge, cancellation-registry discipline raild uses (see
-// opusnet.ServeConn).
-func (f *Coordinator) handle(conn net.Conn) {
-	defer f.wg.Done()
-	defer func() {
-		f.mu.Lock()
-		delete(f.conns, conn)
-		f.mu.Unlock()
-		_ = conn.Close()
-	}()
-	opusnet.ServeConn(conn, f.dispatch)
-}
-
 func (f *Coordinator) dispatch(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
 	switch msg.Type {
 	case opusnet.MsgExpReq:
@@ -496,12 +337,10 @@ func (f *Coordinator) dispatch(msg *opusnet.Message, reply func(*opusnet.Message
 		f.serveMembership(msg, reply)
 	case opusnet.MsgStatsReq:
 		seq := msg.Seq
-		f.execWG.Add(1)
-		go func() { // Stats queries backends; never block the read loop
-			defer f.execWG.Done()
+		f.Go(func() { // Stats queries backends; never block the read loop
 			st := f.Stats()
 			reply(&opusnet.Message{Type: opusnet.MsgStatsResp, Seq: seq, Cache: &st}, true)
-		}()
+		})
 	default:
 		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: msg.Seq,
 			Error: fmt.Sprintf("railfleet: unsupported message type %q", msg.Type)}, true)
@@ -541,114 +380,39 @@ func (f *Coordinator) serveMembership(msg *opusnet.Message, reply func(*opusnet.
 	reply(&opusnet.Message{Type: opusnet.MsgAck, Seq: msg.Seq}, true)
 }
 
-// fleetRun is one in-flight fleet grid execution with its subscribers;
-// grid-experiment requests coalesce onto it, keyed by the resolved
-// grid. waiters is guarded by the Coordinator mutex; waiters depart on
-// cancel/deadline — the last departure cancels the fan-out, which
-// cancels the outstanding cells_req waits on the backends.
-type fleetRun struct {
-	done     chan struct{}
-	gridName string
-	rows     []scenario.Row
-	err      error
-	cancel   context.CancelFunc
-	waiters  int // guarded by Coordinator.mu
-
-	mu   sync.Mutex
-	subs []func(done, total int)
-}
-
-func (r *fleetRun) subscribe(fn func(done, total int)) {
-	r.mu.Lock()
-	r.subs = append(r.subs, fn)
-	r.mu.Unlock()
-}
-
-func (r *fleetRun) broadcast(done, total int) {
-	r.mu.Lock()
-	subs := r.subs
-	r.mu.Unlock()
-	for _, fn := range subs {
-		fn(done, total)
-	}
-}
-
-// joinRun coalesces onto (or starts) the fleet execution for the
-// resolved grid; started reports whether this request started it.
-func (f *Coordinator) joinRun(key string, spec scenario.Spec, grid scenario.Grid) (run *fleetRun, started bool) {
-	f.mu.Lock()
-	gate := f.execGate
-	run, shared := f.runs[key]
-	if shared {
-		run.waiters++
-		f.mu.Unlock()
-		return run, false
-	}
-	runCtx, runCancel := context.WithCancel(f.baseCtx)
-	run = &fleetRun{done: make(chan struct{}), gridName: grid.Name, cancel: runCancel, waiters: 1}
-	f.runs[key] = run
-	f.mu.Unlock()
-	f.execWG.Add(1)
-	go func() {
-		defer f.execWG.Done()
-		if gate != nil {
-			<-gate // test-only hold, see execGate
-		}
-		run.rows, run.err = f.executeGrid(runCtx, spec, grid, run.broadcast)
-		f.mu.Lock()
-		if f.runs[key] == run {
-			delete(f.runs, key)
-		}
-		f.mu.Unlock()
-		runCancel()
-		close(run.done)
-	}()
-	return run, true
-}
-
-// depart drops one waiter; the last one leaving cancels the fan-out
-// and removes the run so a later identical request starts fresh.
-func (f *Coordinator) depart(key string, run *fleetRun) {
-	f.mu.Lock()
-	run.waiters--
-	last := run.waiters == 0
-	if last && f.runs[key] == run {
-		delete(f.runs, key)
-	}
-	f.mu.Unlock()
-	if last {
-		run.cancel()
-	}
-}
-
-// serveExp serves exp_req at the coordinator: grid experiments fan out
-// across the fleet (identical grids coalescing onto one fleet
-// execution, rendered at the coordinator byte-identically to a raild
-// rendering); everything else is proxied to a backend.
+// serveExp serves exp_req at the coordinator on the railserve Core, so
+// requests coalesce, wait, cancel and depart exactly as they do at a
+// raild: grid experiments fan out across the fleet (identical grids
+// coalescing onto one fleet execution, rendered once at the coordinator
+// byte-identically to a raild rendering); everything else is proxied to
+// a backend, coalescing on the key raild itself would use.
 func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
-	seq := msg.Seq
-	fail := func(err error) {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
+	var r *railserve.Request
+	var err error
+	if msg.Exp != nil && photonrail.IsGridExperiment(msg.Exp.Name) {
+		r, err = f.gridRequest(*msg.Exp)
+	} else {
+		r, err = f.proxyRequest(msg.Exp)
 	}
-	req := msg.Exp
-	if req == nil {
-		fail(fmt.Errorf("railfleet: experiment request without a payload"))
+	if err != nil {
+		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: msg.Seq, Error: err.Error()}, true)
 		return
 	}
-	if _, ok := photonrail.Lookup(req.Name); !ok {
-		fail(fmt.Errorf("railfleet: unknown experiment (see photonrail.Experiments; grids run via name %q)", "grid"))
-		return
-	}
-	if !photonrail.IsGridExperiment(req.Name) {
-		// A grid on a non-grid experiment is rejected by the backend,
-		// exactly as a direct raild request would be.
-		f.proxyExp(msg, reply, cs)
-		return
-	}
-	// Resolve the effective grid exactly as the registry would: an
-	// explicit spec wins; a built-in grid experiment falls back to its
-	// registered grid; bare "grid" falls back to the paper-default
-	// custom grid.
+	name := msg.Exp.Name
+	r.Seq, r.TimeoutMS = msg.Seq, msg.Exp.TimeoutMS
+	r.Exp = name
+	r.Desc = fmt.Sprintf("railfleet: experiment %q", name)
+	r.Count = f.exps.Count(1)
+	r.Result = railserve.ExpResult(msg.Seq, name)
+	f.Serve(r, reply, cs)
+}
+
+// gridRequest resolves a grid experiment's effective grid exactly as the
+// registry would — an explicit spec wins; a built-in grid experiment
+// falls back to its registered grid; bare "grid" falls back to the
+// paper-default custom grid — and executes it as one fleet fan-out,
+// keyed on the resolved grid.
+func (f *Coordinator) gridRequest(req opusnet.ExpRequestPayload) (*railserve.Request, error) {
 	var spec scenario.Spec
 	switch {
 	case req.Grid != nil:
@@ -661,146 +425,72 @@ func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message
 	}
 	grid, err := railserve.ValidateGridSpec(spec)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
-
-	wctx, wcancel := f.waitCtx(req.TimeoutMS)
-	if !cs.Register(seq, wcancel) {
-		wcancel()
-		return
-	}
-	key := exp.Key("fleet", grid)
-	ro := f.beginReq(req.Name, key, grid.CellCount())
-	run, started := f.joinRun(key, spec, grid)
-	f.mu.Lock()
-	if started {
-		f.expsExecuted++
-	} else {
-		f.expsDeduped++
-	}
-	f.mu.Unlock()
-	ro.admitted(!started)
-	if f.logf != nil {
-		if started {
-			f.logf("railfleet: experiment %q: fanning out grid %q", req.Name, grid.Name)
-		} else {
-			f.logf("railfleet: experiment %q: joined in-flight fleet execution", req.Name)
-		}
-	}
-	run.subscribe(func(done, total int) {
-		reply(&opusnet.Message{Type: opusnet.MsgExpProgress, Seq: seq,
-			Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
-	})
-	f.execWG.Add(1)
-	go func() {
-		defer f.execWG.Done()
-		defer cs.Unregister(seq)
-		defer wcancel()
-		select {
-		case <-run.done:
-			if run.err != nil {
-				ro.finish(run.err, false)
-				fail(run.err)
-				return
-			}
-			payload, err := railserve.RenderExpPayload(req.Name, photonrail.GridExperimentResult(run.gridName, run.rows))
+	return &railserve.Request{
+		Key:   exp.Key("fleet", grid),
+		Cells: grid.CellCount(),
+		Execute: func(ctx context.Context, progress func(done, total int)) (any, error) {
+			rows, err := f.executeGrid(ctx, spec, grid, progress)
 			if err != nil {
-				ro.finish(err, false)
-				fail(err)
-				return
+				return nil, err
 			}
-			payload.Shared = !started
-			ro.finish(nil, false)
-			reply(&opusnet.Message{Type: opusnet.MsgExpResult, Seq: seq, ExpResult: payload}, true)
-		case <-wctx.Done():
-			f.depart(key, run)
-			ro.finish(wctx.Err(), true)
-			fail(fmt.Errorf("railfleet: experiment %q: %w", req.Name, wctx.Err()))
-		}
-	}()
+			return railserve.RenderExpPayload(req.Name, photonrail.GridExperimentResult(grid.Name, rows))
+		},
+	}, nil
 }
 
-// waitCtx bounds one request's wait under the base context.
-func (f *Coordinator) waitCtx(timeoutMS int64) (context.Context, context.CancelFunc) {
-	if timeoutMS > 0 {
-		return context.WithTimeout(f.baseCtx, time.Duration(timeoutMS)*time.Millisecond)
+// proxyRequest forwards a non-grid experiment to one backend, keyed on
+// photonrail.ExperimentKey exactly as raild keys it. The forwarded
+// request carries no TimeoutMS: each waiter's deadline is enforced
+// here, and the last departure cancels the backend call.
+func (f *Coordinator) proxyRequest(req *opusnet.ExpRequestPayload) (*railserve.Request, error) {
+	_, p, err := railserve.ResolveExp(req)
+	if err != nil {
+		return nil, err
 	}
-	return context.WithCancel(f.baseCtx)
+	fwd := *req
+	fwd.TimeoutMS = 0
+	return &railserve.Request{
+		Key: photonrail.ExperimentKey(req.Name, p),
+		Execute: func(ctx context.Context, progress func(done, total int)) (any, error) {
+			return f.proxy(ctx, fwd, progress)
+		},
+	}, nil
 }
 
-// proxyExp forwards a non-grid experiment to one backend — chosen by
-// rendezvous hash of the experiment name so repeat requests land on
-// the same warm cache — failing over to the next live backend on
-// connection errors. Application-level refusals are returned as-is: a
-// retry elsewhere would only repeat them.
-func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
-	seq := msg.Seq
-	req := *msg.Exp
-	fail := func(err error) {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-	}
-	wctx, wcancel := f.waitCtx(req.TimeoutMS)
-	if !cs.Register(seq, wcancel) {
-		wcancel()
-		return
-	}
-	ro := f.beginReq(req.Name, "", 0)
-	f.mu.Lock()
-	f.expsExecuted++
-	f.mu.Unlock()
-	ro.admitted(false)
-	f.execWG.Add(1)
-	go func() {
-		defer f.execWG.Done()
-		defer cs.Unregister(seq)
-		defer wcancel()
-		order := f.proxyOrder(req.Name)
-		var lastErr error
-		for _, b := range order {
-			c, err := f.connect(b)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			run, err := c.RunExperiment(wctx, req, func(done, total int) {
-				reply(&opusnet.Message{Type: opusnet.MsgExpProgress, Seq: seq,
-					Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
-			})
-			if err != nil {
-				if wctx.Err() != nil {
-					ro.finish(wctx.Err(), true)
-					fail(fmt.Errorf("railfleet: experiment %q: %w", req.Name, wctx.Err()))
-					return
-				}
-				if errors.Is(err, railserve.ErrConnDown) {
-					if f.logf != nil {
-						f.logf("railfleet: backend %s died serving experiment %q: %v (failing over)", b.address(), req.Name, err)
-					}
-					b.fail(c)
-					f.registry.ProbeFailed(b.id, "failover")
-					f.failoversC.Inc()
-					f.tel.Events.Emit(telemetry.Event{Type: "failover", Req: ro.id, Exp: req.Name,
-						Backend: b.address(), Member: b.id, Err: err.Error()})
-					lastErr = err
-					continue
-				}
-				ro.finish(err, false)
-				fail(err)
-				return
-			}
-			ro.finish(nil, false)
-			reply(&opusnet.Message{Type: opusnet.MsgExpResult, Seq: seq, ExpResult: &opusnet.ExpResultPayload{
-				Name: run.Name, Grid: run.Grid,
-				Rendered: run.Rendered, RenderedCSV: run.RenderedCSV, RowsJSON: run.RowsJSON,
-				Shared: run.Shared,
-			}}, true)
-			return
+// proxy runs a request on one backend — chosen by rendezvous hash of
+// the experiment name so repeat requests land on the same warm cache —
+// failing over to the next live backend on connection errors.
+// Application-level refusals are returned as-is: a retry elsewhere
+// would only repeat them.
+func (f *Coordinator) proxy(ctx context.Context, req opusnet.ExpRequestPayload, progress func(done, total int)) (*opusnet.ExpResultPayload, error) {
+	var lastErr error
+	for _, b := range f.proxyOrder(req.Name) {
+		c, err := f.connect(b)
+		if err != nil {
+			lastErr = err
+			continue
 		}
-		err := fmt.Errorf("railfleet: no live backend served experiment %q (last error: %v)", req.Name, lastErr)
-		ro.finish(err, false)
-		fail(err)
-	}()
+		run, err := c.RunExperiment(ctx, req, progress)
+		if err == nil {
+			return &opusnet.ExpResultPayload{Name: run.Name, Grid: run.Grid,
+				Rendered: run.Rendered, RenderedCSV: run.RenderedCSV, RowsJSON: run.RowsJSON}, nil
+		}
+		if ctx.Err() != nil || !errors.Is(err, railserve.ErrConnDown) {
+			return nil, err
+		}
+		if f.logf != nil {
+			f.logf("railfleet: backend %s died serving experiment %q: %v (failing over)", b.address(), req.Name, err)
+		}
+		b.fail(c)
+		f.registry.ProbeFailed(b.id, "failover")
+		f.failoversC.Inc()
+		f.tel.Events.Emit(telemetry.Event{Type: "failover", Exp: req.Name,
+			Backend: b.address(), Member: b.id, Err: err.Error()})
+		lastErr = err
+	}
+	return nil, fmt.Errorf("railfleet: no live backend served experiment %q (last error: %v)", req.Name, lastErr)
 }
 
 // proxyOrder ranks the fleet's members by weighted rendezvous score

@@ -318,24 +318,6 @@ func (g *Gateway) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(out)
 }
 
-// paramsOf maps the wire payload to registry parameters exactly as the
-// daemon does, so photonrail.ExperimentKey hashes identically here and
-// there.
-func paramsOf(req opusnet.ExpRequestPayload) photonrail.Params {
-	p := photonrail.Params{
-		Iterations:       req.Iterations,
-		WindowIterations: req.WindowIterations,
-		LatenciesMS:      req.LatenciesMS,
-		Rail:             req.Rail,
-		GPUs:             req.GPUs,
-	}
-	if req.Grid != nil {
-		spec := *req.Grid
-		p.Grid = &spec
-	}
-	return p
-}
-
 // requestCost weighs a request for the fair queue: grid experiments
 // cost their cell count, everything else 1 — so a 4096-cell grid pays
 // for its size against a fig4's single unit.
@@ -381,7 +363,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	p := paramsOf(req)
+	p := railserve.ExpParams(req)
 	key := photonrail.ExperimentKey(name, p)
 
 	g.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -308,5 +309,73 @@ func TestRunExperimentCtxTimeout(t *testing.T) {
 	s.setExecGate(nil)
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("connection unusable after timeout: %v", err)
+	}
+}
+
+// TestExpDepartedWaiterGetsNoProgress: a raw-frame client joins a gated
+// grid execution and cancels. After its error frame, no progress frame
+// for the cancelled seq may reach it: a stats_req sent once the
+// execution completed fences the stream.
+func TestExpDepartedWaiterGetsNoProgress(t *testing.T) {
+	spec := scenario.SpecOf(scenario.Grid{Name: "departed", LatenciesMS: []float64{5, 10, 20}, Iterations: 1})
+	s := newTestServer(t, 0, 0)
+	gate := make(chan struct{})
+	s.setExecGate(gate)
+	resA := make(chan error, 1)
+	a := dialTest(t, s)
+	go func() {
+		_, err := a.RunExperiment(context.Background(), gridReq(spec), nil)
+		resA <- err
+	}()
+	waitServerEvent(t, s, func(ev telemetry.Event) bool { return ev.Type == "submitted" && ev.Exp == "grid" })
+
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := conn.SetDeadline(time.Now().Add(60 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	req := gridReq(spec)
+	if err := opusnet.WriteMessage(conn, &opusnet.Message{Type: opusnet.MsgExpReq, Seq: 1, Exp: &req}); err != nil {
+		t.Fatal(err)
+	}
+	waitServerEvent(t, s, func(ev telemetry.Event) bool { return ev.Type == "deduped" && ev.Exp == "grid" })
+	if err := opusnet.WriteMessage(conn, &opusnet.Message{Type: opusnet.MsgCancel, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, err := opusnet.ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Seq == 1 && m.Type == opusnet.MsgErr {
+			break
+		}
+	}
+
+	close(gate)
+	if err := <-resA; err != nil {
+		t.Fatalf("remaining waiter: %v", err)
+	}
+	if err := opusnet.WriteMessage(conn, &opusnet.Message{Type: opusnet.MsgStatsReq, Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for {
+		m, err := opusnet.ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type == opusnet.MsgStatsResp && m.Seq == 2 {
+			break
+		}
+		if m.Seq == 1 {
+			stale++
+		}
+	}
+	if stale != 0 {
+		t.Errorf("%d frames for the cancelled seq arrived after its error frame, want 0", stale)
 	}
 }

@@ -346,7 +346,10 @@ func TestConcurrentScrapeAndEmitHammer(t *testing.T) {
 	h := s.Metrics.HistogramVec("hammer_seconds", "h", DefLatencyBuckets, "exp")
 	c := s.Metrics.Counter("hammer_total", "h")
 	g := s.Metrics.Gauge("hammer_inflight", "h")
-	s.Metrics.OnScrape(func() { c.Set(c.Value()) })
+	// The hook samples the inline counter into a mirror, as the Counter
+	// contract asks: Set on the counter Inc races would lose increments.
+	mirror := s.Metrics.Counter("hammer_mirror_total", "h")
+	s.Metrics.OnScrape(func() { mirror.Set(c.Value()) })
 
 	const emitters = 8
 	const perEmitter = 500
