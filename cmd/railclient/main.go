@@ -9,11 +9,12 @@
 // With -exp, railclient runs any experiment in the photonrail registry
 // remotely (fig8, fig4, table1-3, window-analysis, bom, grids, …);
 // without it, the dimension flags run as `-exp grid`. Either way the
-// daemon renders the result server-side, so the bytes match the local
-// CLI twin exactly. -timeout bounds the wait client- and server-side
-// (the daemon honors it as a per-request deadline), and a cancelled
-// wait sends a protocol cancel frame so the daemon stops only this
-// request's wait.
+// bytes match the local CLI twin exactly: the daemon renders the
+// result server-side, and a grid's table or CSV is derived here from
+// the JSON rows it ships. -timeout bounds the wait client- and
+// server-side (the daemon honors it as a per-request deadline), and a
+// cancelled wait sends a protocol cancel frame so the daemon stops
+// only this request's wait.
 //
 // Usage:
 //
@@ -173,15 +174,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if run.Shared {
 		fmt.Fprintf(stderr, "railclient: joined an identical in-flight request\n")
 	}
-	switch *format {
-	case "table":
-		_, err = io.WriteString(stdout, run.Rendered)
-	case "csv":
-		_, err = io.WriteString(stdout, run.RenderedCSV)
-	case "json":
-		_, err = io.WriteString(stdout, run.RowsJSON)
-	}
+	out, err := run.Render(*format)
 	if err != nil {
+		return err
+	}
+	if _, err := io.WriteString(stdout, out); err != nil {
 		return err
 	}
 	if *stats {

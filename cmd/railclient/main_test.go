@@ -10,6 +10,7 @@ import (
 	"photonrail/internal/opusnet"
 	"photonrail/internal/railfleet"
 	"photonrail/internal/railserve"
+	"photonrail/internal/scenario"
 )
 
 func startDaemon(t *testing.T) string {
@@ -81,6 +82,42 @@ func TestRemoteExperimentMatchesLocal(t *testing.T) {
 	}
 	if out.String() != want.String() {
 		t.Errorf("remote table3 diverged from local:\n got: %q\nwant: %q", out.String(), want.String())
+	}
+}
+
+// TestRemoteUnnamedBuiltinGridText: fig8-5d sent with an unnamed spec
+// runs as grid "", and railclient's print path (railserve.ExpRun.Render
+// over the rows the daemon ships) still renders it as a grid, byte-
+// identical to a local registry run.
+func TestRemoteUnnamedBuiltinGridText(t *testing.T) {
+	c, err := railserve.Dial(startDaemon(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	spec := scenario.Spec{LatenciesMS: []float64{5}, Iterations: 1}
+	run, err := c.RunExperiment(t.Context(), opusnet.ExpRequestPayload{Name: "fig8-5d", Grid: &spec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Grid != "" {
+		t.Fatalf("grid name = %q, want the unnamed spec's empty name", run.Grid)
+	}
+	e, _ := photonrail.Lookup("fig8-5d")
+	res, err := e.Run(context.Background(), photonrail.NewEngine(1), photonrail.Params{Grid: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := res.RenderText(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := run.Render("table")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(got, "Scenario grid\n") || got != want.String() {
+		t.Errorf("unnamed fig8-5d text diverged from the local run:\n got: %q\nwant: %q", got, want.String())
 	}
 }
 

@@ -19,14 +19,21 @@ import (
 var goldenFormats = []string{"table", "csv", "json"}
 
 // runGrid serves spec through the fleet as a grid experiment and
-// returns its three server-side renderings by format name.
+// returns the bytes each output format prints, by format name, as a
+// client renders them (railserve.ExpRun.Render).
 func runGrid(t *testing.T, c *railserve.Client, spec scenario.Spec) map[string]string {
 	t.Helper()
 	run, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "grid", Grid: &spec}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]string{"table": run.Rendered, "csv": run.RenderedCSV, "json": run.RowsJSON}
+	out := make(map[string]string, len(goldenFormats))
+	for _, format := range goldenFormats {
+		if out[format], err = run.Render(format); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // startGoldenFleet brings up three raild backends and a railfleet

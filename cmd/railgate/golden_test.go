@@ -70,40 +70,50 @@ func startGateway(t *testing.T, extra ...string) string {
 }
 
 // TestGoldenGateway pins the HTTP front door byte for byte: the fig8-5d
-// grid requested over plain HTTP/JSON must render exactly the committed
+// grid requested over plain HTTP must render exactly the committed
 // corpus — and exactly the bytes cmd/railfleet's fleet corpus pins, so
-// gateway, fleet, daemon, and local CLI all print the same result. CI
-// runs this test in its loopback golden step. Regenerate this package's
-// copy intentionally with `go test ./cmd/railgate -run Golden -update`
-// (the railfleet corpus is never written from here).
+// gateway, fleet, daemon, and local CLI all print the same result. The
+// table and CSV are derived at the gateway from the JSON rows the
+// daemon ships, so all three formats are pinned. CI runs this test in
+// its loopback golden step. Regenerate this package's JSON copy
+// intentionally with `go test ./cmd/railgate -run Golden -update` (the
+// railfleet corpus is never written from here).
 func TestGoldenGateway(t *testing.T) {
 	base := startGateway(t)
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/experiments/fig8-5d", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
-	}
-	goldentest.Check(t, body, filepath.Join("testdata", "golden", "fig8-5d.json"))
+	for _, tc := range []struct{ accept, format string }{
+		{"application/json", "json"},
+		{"text/plain", "table"},
+		{"text/csv", "csv"},
+	} {
+		req, err := http.NewRequest(http.MethodPost, base+"/v1/experiments/fig8-5d", strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", tc.accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d, body %s", tc.accept, resp.StatusCode, body)
+		}
+		if tc.format == "json" {
+			goldentest.Check(t, body, filepath.Join("testdata", "golden", "fig8-5d.json"))
+		}
 
-	// The same bytes the fleet corpus commits: the front door adds no
-	// rendering of its own.
-	want, err := os.ReadFile(filepath.Join("..", "railfleet", "testdata", "golden", "fig8-5d.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want) {
-		t.Error("gateway JSON diverged from cmd/railfleet's fig8-5d golden corpus")
+		// The same bytes the fleet corpus commits: the table and CSV the
+		// front door derives come from the library's own renderers.
+		want, err := os.ReadFile(filepath.Join("..", "railfleet", "testdata", "golden", "fig8-5d."+tc.format))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Errorf("gateway %s diverged from cmd/railfleet's fig8-5d golden corpus", tc.format)
+		}
 	}
 }

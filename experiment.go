@@ -102,12 +102,11 @@ type ExperimentResult struct {
 	Experiment string
 	// Grid is the executed grid's name for grid experiments ("" otherwise).
 	Grid string
-	// Sections is the aligned-text rendering, in order.
+	// Sections is the aligned-text rendering, in order. A grid result
+	// (Rows of type GridRows) leaves it nil: its table and CSV are
+	// built from the rows when RenderText or RenderCSV is called, so a
+	// caller that only wants JSON never builds a table.
 	Sections []Section
-	// CSVSections, when non-nil, replaces Sections in CSV mode (grid
-	// experiments render a fully numeric table there); nil means CSV
-	// mode renders Sections with each table as CSV.
-	CSVSections []Section
 	// Rows is the structured payload: exactly what -json emits.
 	Rows any
 }
@@ -115,17 +114,37 @@ type ExperimentResult struct {
 // RenderText writes the aligned-text rendering: tables aligned, text
 // sections verbatim, concatenated in order.
 func (r *ExperimentResult) RenderText(w io.Writer) error {
-	return renderSections(w, r.Sections, false)
+	return renderSections(w, r.sections(false), false)
 }
 
 // RenderCSV writes the CSV rendering: each table as CSV, text sections
 // verbatim.
 func (r *ExperimentResult) RenderCSV(w io.Writer) error {
-	sections := r.Sections
-	if r.CSVSections != nil {
-		sections = r.CSVSections
+	return renderSections(w, r.sections(true), true)
+}
+
+// sections returns what a text (or CSV) rendering writes. A grid
+// result builds it from its rows: the aligned table plus the ok/skip
+// footer, or the fully numeric CSV table alone. Any other result
+// renders its Sections.
+func (r *ExperimentResult) sections(csv bool) []Section {
+	g, ok := r.Rows.(GridRows)
+	if !ok {
+		return r.Sections
 	}
-	return renderSections(w, sections, true)
+	if csv {
+		return []Section{{Table: scenario.CSVTableFromRows(g.Cells)}}
+	}
+	skipped := 0
+	for _, row := range g.Cells {
+		if row.Status == "skip" {
+			skipped++
+		}
+	}
+	return []Section{
+		{Table: scenario.TableFromRows(g.Grid, g.Cells)},
+		{Text: fmt.Sprintf("\n%d cells: %d ok, %d skipped\n", len(g.Cells), len(g.Cells)-skipped, skipped)},
+	}
 }
 
 // RenderJSON writes the structured rows as indented JSON.
@@ -573,10 +592,8 @@ func runBOM(ctx context.Context, en *Engine, p Params) (*ExperimentResult, error
 	return &ExperimentResult{Sections: sections, Rows: boms}, nil
 }
 
-// runGrid executes a resolved grid and shapes the result with the
-// historical railgrid renderings: the aligned table plus an ok/skip
-// footer, the fully numeric CSV table, and the {"grid","cells"} JSON
-// document.
+// runGrid executes a resolved grid and shapes its rows as the grid
+// experiment's result.
 func runGrid(ctx context.Context, en *Engine, g Grid, onCell func(done, total int)) (*ExperimentResult, error) {
 	res, err := en.RunGridProgressCtx(ctx, g, onCell)
 	if err != nil {
@@ -586,27 +603,14 @@ func runGrid(ctx context.Context, en *Engine, g Grid, onCell func(done, total in
 }
 
 // GridExperimentResult shapes executed grid rows as the grid
-// experiment's result: the aligned table plus the ok/skip footer, the
-// fully numeric CSV table, and the {"grid","cells"} JSON document.
-// Rows are all a renderer needs, so a fleet coordinator that merged
-// rows from several daemons renders them byte-identically to a
+// experiment's result. It holds only the {"grid","cells"} rows; the
+// historical railgrid table (plus its ok/skip footer) and the fully
+// numeric CSV table are built from them when rendered. Rows are all a
+// renderer needs, so rows merged from several daemons, or decoded from
+// a result's JSON rendering, render byte-identically to a
 // single-daemon (or local) run.
 func GridExperimentResult(name string, rows []scenario.Row) *ExperimentResult {
-	skipped := 0
-	for _, row := range rows {
-		if row.Status == "skip" {
-			skipped++
-		}
-	}
-	return &ExperimentResult{
-		Grid: name,
-		Sections: []Section{
-			{Table: scenario.TableFromRows(name, rows)},
-			{Text: fmt.Sprintf("\n%d cells: %d ok, %d skipped\n", len(rows), len(rows)-skipped, skipped)},
-		},
-		CSVSections: []Section{{Table: scenario.CSVTableFromRows(rows)}},
-		Rows:        GridRows{Grid: name, Cells: rows},
-	}
+	return &ExperimentResult{Grid: name, Rows: GridRows{Grid: name, Cells: rows}}
 }
 
 // DescribeExperiments renders the registry as a human-readable listing:

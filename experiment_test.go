@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -221,8 +221,23 @@ func TestGridExperimentMatchesRunGrid(t *testing.T) {
 	if gotCSV.String() != wantCSV.String() {
 		t.Errorf("grid CSV diverged")
 	}
-	if !strings.Contains(res.Sections[1].Text, "cells:") {
-		t.Errorf("grid footer = %q", res.Sections[1].Text)
+	var gotText, wantText bytes.Buffer
+	if err := res.RenderText(&gotText); err != nil {
+		t.Fatal(err)
+	}
+	if err := legacy.Table().Render(&wantText); err != nil {
+		t.Fatal(err)
+	}
+	skipped := 0
+	for _, row := range legacy.Rows() {
+		if row.Status == "skip" {
+			skipped++
+		}
+	}
+	n := len(legacy.Rows())
+	wantText.WriteString(fmt.Sprintf("\n%d cells: %d ok, %d skipped\n", n, n-skipped, skipped))
+	if gotText.String() != wantText.String() {
+		t.Errorf("grid text (table plus footer) diverged:\n got: %q\nwant: %q", gotText.String(), wantText.String())
 	}
 }
 

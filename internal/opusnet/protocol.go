@@ -250,17 +250,22 @@ type ExpRequestPayload struct {
 }
 
 // ExpResultPayload is a completed experiment in wire form. The daemon
-// renders once and ships the exact bytes each output format prints, so
-// a remote invocation is byte-identical to its local twin without the
-// client re-implementing any renderer.
+// renders once and ships exact bytes, so a remote invocation is
+// byte-identical to its local twin. A grid experiment ships only
+// RowsJSON, its one canonical rendering: the client derives the table
+// or CSV from those rows when it is asked for one
+// (railserve.ExpRun.Render). Every other experiment ships all three
+// renderings, because its text is not a function of its rows. Clients
+// read whatever renderings a daemon carries, so an older daemon's
+// three-rendering grid result still prints as it did.
 type ExpResultPayload struct {
 	// Name is the experiment that ran.
 	Name string `json:"name"`
 	// Grid is the executed grid's name for grid experiments.
 	Grid string `json:"gridName,omitempty"`
-	// Rendered is the aligned-text rendering.
+	// Rendered is the aligned-text rendering (empty for a grid).
 	Rendered string `json:"rendered,omitempty"`
-	// RenderedCSV is the CSV rendering.
+	// RenderedCSV is the CSV rendering (empty for a grid).
 	RenderedCSV string `json:"renderedCSV,omitempty"`
 	// RowsJSON is the indented-JSON rendering of the structured rows
 	// (carried as a string so re-encoding the frame cannot re-compact

@@ -540,14 +540,19 @@ func TestFleetExpPathByteIdenticalToDaemon(t *testing.T) {
 	if got.Name != "grid" || got.Grid != "exp-grid" {
 		t.Errorf("exp run = %q / grid %q", got.Name, got.Grid)
 	}
-	if got.Rendered != want.Rendered {
-		t.Errorf("text rendering diverged:\n got: %q\nwant: %q", got.Rendered, want.Rendered)
+	for _, format := range []string{"table", "csv", "json"} {
+		g, gerr := got.Render(format)
+		w, werr := want.Render(format)
+		if gerr != nil || werr != nil {
+			t.Fatalf("render %s: %v / %v", format, gerr, werr)
+		}
+		if g != w {
+			t.Errorf("%s rendering diverged:\n got: %q\nwant: %q", format, g, w)
+		}
 	}
-	if got.RenderedCSV != want.RenderedCSV {
-		t.Error("CSV rendering diverged")
-	}
-	if got.RowsJSON != want.RowsJSON {
-		t.Error("JSON rendering diverged")
+	if got.Rendered != "" || got.RenderedCSV != "" {
+		t.Errorf("coordinator's grid exp_result carried rendered %d / renderedCSV %d bytes, want only rowsJSON",
+			len(got.Rendered), len(got.RenderedCSV))
 	}
 	mu.Lock()
 	if len(ticks) == 0 {
@@ -619,6 +624,11 @@ func TestFleetProxiesNonGridExperiments(t *testing.T) {
 	}
 	if run.Rendered != want.String() {
 		t.Errorf("proxied table3 diverged:\n got: %q\nwant: %q", run.Rendered, want.String())
+	}
+	// A non-grid result's text is not a function of its rows, so the
+	// proxied exp_result still carries all three renderings.
+	if run.RenderedCSV == "" || run.RowsJSON == "" {
+		t.Errorf("proxied table3 carried renderedCSV %d / rowsJSON %d bytes, want both", len(run.RenderedCSV), len(run.RowsJSON))
 	}
 }
 

@@ -383,8 +383,8 @@ func (f *Coordinator) serveMembership(msg *opusnet.Message, reply func(*opusnet.
 // serveExp serves exp_req at the coordinator on the railserve Core, so
 // requests coalesce, wait, cancel and depart exactly as they do at a
 // raild: grid experiments fan out across the fleet (identical grids
-// coalescing onto one fleet execution, rendered once at the coordinator
-// byte-identically to a raild rendering); everything else is proxied to
+// coalescing onto one fleet execution, whose merged rows ship as the
+// JSON rendering a raild would ship); everything else is proxied to
 // a backend, coalescing on the key raild itself would use.
 func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
 	var r *railserve.Request

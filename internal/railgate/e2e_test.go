@@ -2,16 +2,21 @@ package railgate
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"photonrail"
 	"photonrail/internal/opusnet"
 	"photonrail/internal/railserve"
 	"photonrail/internal/resultstore"
+	"photonrail/internal/scenario"
 	"photonrail/internal/telemetry"
 )
 
@@ -126,6 +131,144 @@ func TestE2ECrossRestartDedup(t *testing.T) {
 	}
 	if got := daemon2.Stats().ExpsExecuted; got != 1 {
 		t.Fatalf("changed-params request did not reach the daemon (ExpsExecuted = %d, want 1)", got)
+	}
+}
+
+// fleetCorpus reads cmd/railfleet's committed fig8-5d rendering in one
+// output format — the bytes every serving path must print.
+func fleetCorpus(t *testing.T, format string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "cmd", "railfleet", "testdata", "golden", "fig8-5d."+format))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestE2EGridTableAndCSVFromRows: a daemon ships fig8-5d as its JSON
+// rows alone, and the gateway derives the table and the CSV from them
+// — on a fresh run, an async poll and a store hit alike — byte for
+// byte equal to cmd/railfleet's corpus. The store holds only the rows,
+// and its hits run no new simulation.
+func TestE2EGridTableAndCSVFromRows(t *testing.T) {
+	store, err := resultstore.Open(resultstore.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon, client := startDaemon(t)
+	g, err := New(Config{Runner: client, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+
+	check := func(resp *http.Response, format, cached string) {
+		t.Helper()
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", format, resp.StatusCode, body)
+		}
+		if body != fleetCorpus(t, format) {
+			t.Errorf("%s (cached %s) diverged from cmd/railfleet's fig8-5d corpus:\n%s", format, cached, body)
+		}
+		if got := resp.Header.Get("Railgate-Cached"); got != cached {
+			t.Errorf("%s: Railgate-Cached = %q, want %s", format, got, cached)
+		}
+	}
+
+	// Fresh run, table.
+	resp := post(t, srv, "/v1/experiments/fig8-5d", "", "", map[string]string{"Accept": "text/plain"})
+	key := resp.Header.Get("Railgate-Key")
+	check(resp, "table", "false")
+	ent, ok := store.Get(key)
+	if !ok {
+		t.Fatal("fresh run was not spilled to the store")
+	}
+	if ent.Rendered != "" || ent.RenderedCSV != "" || ent.RowsJSON != fleetCorpus(t, "json") {
+		t.Errorf("stored grid entry holds rendered %d / renderedCSV %d bytes and rowsJSON equal to the corpus %v; want only the rows",
+			len(ent.Rendered), len(ent.RenderedCSV), ent.RowsJSON == fleetCorpus(t, "json"))
+	}
+
+	// Store hits, CSV and table: no new execution, no engine lookup.
+	before := daemon.Stats()
+	check(post(t, srv, "/v1/experiments/fig8-5d", "", "", map[string]string{"Accept": "text/csv"}), "csv", "true")
+	check(post(t, srv, "/v1/experiments/fig8-5d?format=table", "", "", nil), "table", "true")
+	if after := daemon.Stats(); after.ExpsExecuted != before.ExpsExecuted || after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("store hits reached the daemon: before %+v, after %+v", before, after)
+	}
+
+	// Fresh run, CSV, through an async poll on a gateway without a store.
+	g2, err := New(Config{Runner: client})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	srv2 := httptest.NewServer(g2.Handler())
+	defer srv2.Close()
+	resp = post(t, srv2, "/v1/experiments/fig8-5d?async=1", "", "", nil)
+	var env struct{ ID string }
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		req, err := http.NewRequest(http.MethodGet, srv2.URL+"/v1/runs/"+env.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", "text/csv")
+		resp, err := srv2.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			check(resp, "csv", "false")
+			break
+		}
+		readBody(t, resp)
+		if resp.StatusCode != http.StatusAccepted || time.Now().After(deadline) {
+			t.Fatalf("async poll status = %d", resp.StatusCode)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := daemon.Stats().ExpsExecuted; got != 2 {
+		t.Fatalf("daemon ExpsExecuted = %d, want 2 (one per store-less fresh run)", got)
+	}
+}
+
+// TestE2EUnnamedBuiltinGridText: fig8-5d posted with an unnamed spec
+// runs as grid "" and is still served as a grid's text — derived from
+// its rows at the gateway — byte-identical to a local registry run.
+func TestE2EUnnamedBuiltinGridText(t *testing.T) {
+	_, client := startDaemon(t)
+	g, err := New(Config{Runner: client})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+
+	spec := scenario.Spec{LatenciesMS: []float64{5}, Iterations: 1}
+	e, _ := photonrail.Lookup("fig8-5d")
+	res, err := e.Run(context.Background(), photonrail.NewEngine(1), photonrail.Params{Grid: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := res.RenderText(&want); err != nil {
+		t.Fatal(err)
+	}
+	resp := post(t, srv, "/v1/experiments/fig8-5d", "", `{"grid":{"latenciesMS":[5],"iterations":1}}`,
+		map[string]string{"Accept": "text/plain"})
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	if !strings.HasPrefix(body, "Scenario grid\n") || body != want.String() {
+		t.Errorf("unnamed fig8-5d text diverged from the local run:\n got: %q\nwant: %q", body, want.String())
 	}
 }
 

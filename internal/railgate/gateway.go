@@ -438,7 +438,8 @@ func isAsync(r *http.Request) bool {
 }
 
 // decodeBody parses the optional JSON parameter payload; an empty body
-// is the zero payload.
+// is the zero payload. Only whitespace may follow the parameter object:
+// a second value or stray bytes are refused like an unknown field.
 func decodeBody(body io.Reader, req *opusnet.ExpRequestPayload) error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -447,6 +448,9 @@ func decodeBody(body io.Reader, req *opusnet.ExpRequestPayload) error {
 			return nil
 		}
 		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("trailing data after the parameter object")
 	}
 	return nil
 }
@@ -603,21 +607,30 @@ func negotiate(r *http.Request) string {
 	return "json"
 }
 
-// serveEntry writes the run's rendering in the negotiated format. The
-// bytes are exactly what the engine rendered once at execution time —
-// identical to the corresponding CLI output, and identical across
-// store hits, daemon restarts, and gateways.
+// serveEntry writes the run's rendering in the negotiated format,
+// through railserve.ExpRun.Render: the bytes the engine rendered once
+// at execution time, or a grid's table or CSV derived from its stored
+// JSON rows. Either way they are identical to the corresponding CLI
+// output, and identical across fresh runs, polls, store hits, daemon
+// restarts, and gateways.
 func (g *Gateway) serveEntry(w http.ResponseWriter, r *http.Request, rn *run, code int) {
-	var body, ctype string
+	var format, ctype string
 	switch negotiate(r) {
 	case "json":
-		body, ctype = rn.entry.RowsJSON, "application/json; charset=utf-8"
+		format, ctype = "json", "application/json; charset=utf-8"
 	case "csv":
-		body, ctype = rn.entry.RenderedCSV, "text/csv; charset=utf-8"
+		format, ctype = "csv", "text/csv; charset=utf-8"
 	case "table", "text":
-		body, ctype = rn.entry.Rendered, "text/plain; charset=utf-8"
+		format, ctype = "table", "text/plain; charset=utf-8"
 	default:
 		g.errorJSON(w, rn.tenant, http.StatusNotAcceptable, "railgate: unknown format (want table, csv, or json)")
+		return
+	}
+	res := railserve.ExpRun{Name: rn.experiment, Grid: rn.entry.Grid,
+		Rendered: rn.entry.Rendered, RenderedCSV: rn.entry.RenderedCSV, RowsJSON: rn.entry.RowsJSON}
+	body, err := res.Render(format)
+	if err != nil {
+		g.errorJSON(w, rn.tenant, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	g.reqTotal.With(rn.tenant, strconv.Itoa(code)).Inc()

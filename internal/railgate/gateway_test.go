@@ -179,6 +179,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"/v1/experiments/nope", "", http.StatusNotFound},
 		{"/v1/experiments/eq1", "{not json", http.StatusBadRequest},
 		{"/v1/experiments/eq1", `{"bogusField":1}`, http.StatusBadRequest},
+		{"/v1/experiments/eq1", `{"iterations":1}xyz`, http.StatusBadRequest},
+		{"/v1/experiments/eq1", `{"iterations":1}{"iterations":99}`, http.StatusBadRequest},
 		{"/v1/experiments/eq1", `{"grid":{"models":["opus-6"]}}`, http.StatusBadRequest},
 		{"/v1/experiments/grid", `{"grid":{"models":["no-such-model"]}}`, http.StatusBadRequest},
 	}
@@ -194,6 +196,44 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if got := fr.calls.Load(); got != 0 {
 		t.Fatalf("runner calls = %d, want 0 (refused before execution)", got)
+	}
+}
+
+// TestDecodeBodyTrailingBytes pins the parameter decoder's framing:
+// one JSON value, optionally surrounded by whitespace, and nothing
+// after it — trailing bytes are refused like an unknown field.
+func TestDecodeBodyTrailingBytes(t *testing.T) {
+	cases := []struct {
+		body  string
+		ok    bool
+		iters int
+	}{
+		{"", true, 0},
+		{" \n\t\r ", true, 0},
+		{`{"iterations":1}`, true, 1},
+		{"{\"iterations\":1} \n\t\r", true, 1},
+		{` {"iterations":2}` + "\n", true, 2},
+		{`{"iterations":1}xyz`, false, 0},
+		{`{"iterations":1}{"iterations":99}`, false, 0},
+		{`{"iterations":1}}`, false, 0},
+		{`{"iterations":1}]`, false, 0},
+		{`{"iterations":1} 5`, false, 0},
+		{`{"iterations":1} "x"`, false, 0},
+		{`{"iterations":1} {`, false, 0},
+		{`{"iterations":1},`, false, 0},
+		{`{"bogusField":1}`, false, 0},
+		{`{"iterations":1`, false, 0},
+	}
+	for _, tc := range cases {
+		var req opusnet.ExpRequestPayload
+		err := decodeBody(strings.NewReader(tc.body), &req)
+		if (err == nil) != tc.ok {
+			t.Errorf("decodeBody(%q) err = %v, want accepted=%v", tc.body, err, tc.ok)
+			continue
+		}
+		if tc.ok && req.Iterations != tc.iters {
+			t.Errorf("decodeBody(%q) iterations = %d, want %d", tc.body, req.Iterations, tc.iters)
+		}
 	}
 }
 

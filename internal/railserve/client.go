@@ -2,12 +2,15 @@ package railserve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
+	"photonrail"
 	"photonrail/internal/opusnet"
 	"photonrail/internal/scenario"
 )
@@ -201,17 +204,57 @@ func (c *Client) RunCellsCtx(ctx context.Context, spec scenario.Spec, indices []
 }
 
 // ExpRun is one completed experiment as the daemon reported it: the
-// exact bytes each output format prints, rendered server-side.
+// renderings it carried, rendered server-side. Render turns it into the
+// bytes an output format prints.
 type ExpRun struct {
 	// Name is the experiment that ran; Grid is the executed grid's name
 	// for grid experiments.
 	Name, Grid string
 	// Rendered, RenderedCSV, and RowsJSON are the aligned-text, CSV,
-	// and indented-JSON renderings.
+	// and indented-JSON renderings. A grid experiment carries only
+	// RowsJSON.
 	Rendered, RenderedCSV, RowsJSON string
 	// Shared reports the daemon coalesced this request onto an
 	// identical in-flight request.
 	Shared bool
+}
+
+// Render returns the bytes format ("table", "csv" or "json") prints
+// for the run: the rendering the server carried, or, for a grid
+// experiment that carried only its JSON rows, the table or CSV derived
+// from RowsJSON through photonrail.GridExperimentResult —
+// byte-identical to a local run. It is the one place a client turns a
+// result into output (railclient, and railgate for fresh runs, polls
+// and store hits alike), and it derives only the format asked for. A
+// grid is recognised by its experiment name, not its grid name, which
+// an unnamed spec leaves empty.
+func (r *ExpRun) Render(format string) (string, error) {
+	var carried string
+	switch format {
+	case "json":
+		return r.RowsJSON, nil
+	case "table":
+		carried = r.Rendered
+	case "csv":
+		carried = r.RenderedCSV
+	default:
+		return "", fmt.Errorf("railserve: unknown format %q (want table, csv, or json)", format)
+	}
+	if carried != "" || !photonrail.IsGridExperiment(r.Name) {
+		return carried, nil
+	}
+	var rows photonrail.GridRows
+	if err := json.Unmarshal([]byte(r.RowsJSON), &rows); err != nil {
+		return "", fmt.Errorf("railserve: grid rows of %q: %w", r.Name, err)
+	}
+	res := photonrail.GridExperimentResult(rows.Grid, rows.Cells)
+	render := res.RenderText
+	if format == "csv" {
+		render = res.RenderCSV
+	}
+	var out strings.Builder
+	err := render(&out)
+	return out.String(), err
 }
 
 // RunExperiment submits a registered experiment by name and blocks

@@ -17,7 +17,7 @@ import (
 )
 
 // localRendering runs a registry experiment in-process and returns the
-// three renderings the daemon is expected to ship byte for byte.
+// three renderings a client must print byte for byte.
 func localRendering(t *testing.T, name string, p photonrail.Params) (text, csv, rows string) {
 	t.Helper()
 	e, ok := photonrail.Lookup(name)
@@ -98,14 +98,74 @@ func TestExpGridThroughExpPath(t *testing.T) {
 		t.Errorf("grid name = %q", run.Grid)
 	}
 	text, csv, rows := localRendering(t, "grid", photonrail.Params{Grid: &spec})
-	if run.Rendered != text {
-		t.Errorf("text rendering diverged:\n got: %q\nwant: %q", run.Rendered, text)
+	if got := mustRender(t, run, "table"); got != text {
+		t.Errorf("text rendering diverged:\n got: %q\nwant: %q", got, text)
 	}
-	if run.RenderedCSV != csv {
-		t.Errorf("CSV rendering diverged:\n got: %q\nwant: %q", run.RenderedCSV, csv)
+	if got := mustRender(t, run, "csv"); got != csv {
+		t.Errorf("CSV rendering diverged:\n got: %q\nwant: %q", got, csv)
 	}
 	if run.RowsJSON != rows {
 		t.Errorf("JSON rows diverged:\n got: %q\nwant: %q", run.RowsJSON, rows)
+	}
+}
+
+// mustRender renders a run in one output format, as a client prints it.
+func mustRender(t *testing.T, run *ExpRun, format string) string {
+	t.Helper()
+	out, err := run.Render(format)
+	if err != nil {
+		t.Fatalf("render %s: %v", format, err)
+	}
+	return out
+}
+
+// TestExpResultCarriesRowsOnlyForGrids pins what exp_result carries: a
+// grid experiment ships only its JSON rows (its table and CSV are
+// derived at the edge that asks), while a non-grid experiment, whose
+// text is not a function of its rows, still ships all three.
+func TestExpResultCarriesRowsOnlyForGrids(t *testing.T) {
+	s := newTestServer(t, 0, 0)
+	c := dialTest(t, s)
+	spec := scenario.SpecOf(scenario.Grid{Name: "rows-only", LatenciesMS: []float64{5}, Iterations: 1})
+	grid, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid.Rendered != "" || grid.RenderedCSV != "" || grid.RowsJSON == "" {
+		t.Errorf("grid exp_result carried rendered %d / renderedCSV %d / rowsJSON %d bytes, want 0 / 0 / >0",
+			len(grid.Rendered), len(grid.RenderedCSV), len(grid.RowsJSON))
+	}
+	eq1, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "eq1"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eq1.Rendered == "" || eq1.RenderedCSV == "" || eq1.RowsJSON == "" {
+		t.Errorf("eq1 exp_result carried rendered %d / renderedCSV %d / rowsJSON %d bytes, want all three",
+			len(eq1.Rendered), len(eq1.RenderedCSV), len(eq1.RowsJSON))
+	}
+}
+
+// TestRenderFormats pins ExpRun.Render's contract: carried renderings
+// are returned as they are (so a new client reads an old daemon's
+// three renderings), nothing is derived for a non-grid experiment, and
+// unknown formats and undecodable grid rows are errors.
+func TestRenderFormats(t *testing.T) {
+	carried := &ExpRun{Name: "fig8-5d", Grid: "fig8-5d", Rendered: "old table\n", RenderedCSV: "old,csv\n", RowsJSON: "{}\n"}
+	for _, tc := range []struct{ format, want string }{
+		{"table", "old table\n"}, {"csv", "old,csv\n"}, {"json", "{}\n"},
+	} {
+		if got := mustRender(t, carried, tc.format); got != tc.want {
+			t.Errorf("carried %s = %q, want %q", tc.format, got, tc.want)
+		}
+	}
+	if got := mustRender(t, &ExpRun{Name: "eq1", RowsJSON: "{}"}, "table"); got != "" {
+		t.Errorf("non-grid table derived %q from rows, want the (empty) carried text", got)
+	}
+	if _, err := carried.Render("yaml"); err == nil {
+		t.Error("unknown format accepted")
+	}
+	if _, err := (&ExpRun{Name: "grid", RowsJSON: "{torn"}).Render("csv"); err == nil {
+		t.Error("undecodable grid rows rendered")
 	}
 }
 

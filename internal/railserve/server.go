@@ -34,6 +34,13 @@
 // Server.Close cancels the base context, so shutdown also stops
 // abandoned executions from scheduling more work.
 //
+// Results render once, where asked. A grid experiment's exp_result
+// carries only its indented JSON rows (RenderExpPayload); the edge that
+// wants its table or CSV derives it from those rows with
+// ExpRun.Render, which railclient and the railgate front door share.
+// Every other experiment carries all three renderings, since its text
+// is not a function of its rows.
+//
 // That contract lives in one place: Core, the serving skeleton (accept
 // loop, base context, request singleflight, per-request observability,
 // Drain). Server is Core over a warm engine; the internal/railfleet
@@ -346,25 +353,29 @@ func (s *Server) serveCells(msg *opusnet.Message, reply func(*opusnet.Message, b
 }
 
 // RenderExpPayload renders a completed experiment once, server-side,
-// into the exact bytes each client output format prints. raild and the
-// fleet coordinator both shape exp_result through it, so a fleet's
-// merged grid renders byte-identically to a single daemon's.
+// into its exp_result payload. raild and the fleet coordinator both
+// shape exp_result through it, so a fleet's merged grid travels
+// byte-identically to a single daemon's. A grid experiment ships only
+// its JSON rows: its table and CSV are functions of those rows, and
+// the edge that asks for one derives it (see ExpRun.Render). Every
+// other experiment ships all three renderings, because its text is not
+// a function of its rows (eq1's footer, window-analysis's CDF tables).
 func RenderExpPayload(name string, res *photonrail.ExperimentResult) (*opusnet.ExpResultPayload, error) {
-	var text, csv, rows bytes.Buffer
+	var rows bytes.Buffer
+	if err := res.RenderJSON(&rows); err != nil {
+		return nil, err
+	}
+	out := &opusnet.ExpResultPayload{Name: name, Grid: res.Grid, RowsJSON: rows.String()}
+	if photonrail.IsGridExperiment(name) {
+		return out, nil
+	}
+	var text, csv bytes.Buffer
 	if err := res.RenderText(&text); err != nil {
 		return nil, err
 	}
 	if err := res.RenderCSV(&csv); err != nil {
 		return nil, err
 	}
-	if err := res.RenderJSON(&rows); err != nil {
-		return nil, err
-	}
-	return &opusnet.ExpResultPayload{
-		Name:        name,
-		Grid:        res.Grid,
-		Rendered:    text.String(),
-		RenderedCSV: csv.String(),
-		RowsJSON:    rows.String(),
-	}, nil
+	out.Rendered, out.RenderedCSV = text.String(), csv.String()
+	return out, nil
 }

@@ -6,7 +6,11 @@
 // daemon restart — resolves to the same stored object instead of
 // recomputing. The request-level singleflight the daemon applies in
 // flight thereby generalizes into cross-restart dedup: same key, same
-// bytes, zero new simulations.
+// bytes, zero new simulations. A grid's object holds its JSON rows
+// only; the gateway derives a table or CSV from them when asked.
+//
+// Each object is <dir>/<key>.json: one "sha256:<hex>" line recording
+// the checksum of the body, then the body, the Entry's JSON.
 //
 // Durability contract:
 //
@@ -15,8 +19,11 @@
 //     leaves either the old object or none — never a torn one (with
 //     Fsync set, the file and directory are fsync'd first, so the
 //     rename is durable across power loss too);
-//   - reads self-heal: a corrupt or unreadable object is dropped and
-//     counted, and the caller sees a plain miss;
+//   - reads are verified: Get recomputes the body's sha256, so a
+//     flipped byte is caught even where the object still parses;
+//   - reads self-heal: a corrupt, unverifiable (no checksum) or
+//     unreadable object is dropped and counted, and the caller sees a
+//     plain miss;
 //   - the store is size-bounded: when the object-byte sum exceeds
 //     MaxBytes, least-recently-used objects (by mtime, which Get
 //     refreshes) are evicted until it fits, never evicting the object
@@ -27,6 +34,9 @@
 package resultstore
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -37,10 +47,12 @@ import (
 	"time"
 )
 
-// Entry is one stored experiment result: the exact bytes each output
-// format serves, rendered once by the daemon (or engine) that computed
-// it. Serving a stored entry is byte-identical to serving the original
-// run by construction.
+// Entry is one stored experiment result: the renderings the daemon (or
+// engine) that computed it shipped. A grid experiment's entry holds
+// only RowsJSON, from which its table and CSV are derived when served
+// (railserve.ExpRun.Render); any other entry holds all three. Serving a
+// stored entry is byte-identical to serving the original run by
+// construction.
 type Entry struct {
 	// Experiment is the registry name that produced the result.
 	Experiment string `json:"experiment"`
@@ -156,7 +168,41 @@ func Open(cfg Config) (*Store, error) {
 const (
 	tmpPrefix = ".tmp-"
 	objSuffix = ".json"
+	// sumPrefix opens an object file's first line, which records the
+	// sha256 of the body after it: the entry's JSON.
+	sumPrefix = "sha256:"
 )
+
+// encodeObject frames an entry's JSON body behind its checksum line.
+func encodeObject(ent Entry) ([]byte, error) {
+	body, err := json.Marshal(ent)
+	if err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(body)
+	data := make([]byte, 0, len(sumPrefix)+hex.EncodedLen(len(sum))+1+len(body))
+	data = append(data, sumPrefix...)
+	data = hex.AppendEncode(data, sum[:])
+	data = append(data, '\n')
+	return append(data, body...), nil
+}
+
+// decodeObject verifies an object file's checksum line against its
+// body and decodes the body.
+func decodeObject(data []byte) (Entry, error) {
+	var ent Entry
+	head, body, _ := bytes.Cut(data, []byte{'\n'})
+	want, ok := bytes.CutPrefix(head, []byte(sumPrefix))
+	if !ok {
+		return ent, fmt.Errorf("resultstore: object has no checksum")
+	}
+	sum := sha256.Sum256(body)
+	if got := hex.AppendEncode(nil, sum[:]); !bytes.Equal(got, want) {
+		return ent, fmt.Errorf("resultstore: object checksum mismatch")
+	}
+	err := json.Unmarshal(body, &ent)
+	return ent, err
+}
 
 // validKey accepts the lowercase-hex hashes photonrail.ExperimentKey
 // produces (and nothing that could traverse paths or collide with temp
@@ -210,11 +256,11 @@ func (s *Store) Get(key string) (Entry, bool) {
 	data, err := os.ReadFile(s.path(key))
 	var ent Entry
 	if err == nil {
-		err = json.Unmarshal(data, &ent)
+		ent, err = decodeObject(data)
 	}
 	if err != nil {
-		// Torn by an external hand or corrupt on disk: drop the object so
-		// the next Put rewrites it cleanly.
+		// Torn by an external hand, corrupt on disk, or written without a
+		// checksum: drop the object so the next Put rewrites it cleanly.
 		s.dropLocked(key, obj)
 		s.stats.Errors++
 		s.stats.Misses++
@@ -235,7 +281,7 @@ func (s *Store) Put(key string, ent Entry) error {
 	if !validKey(key) {
 		return fmt.Errorf("resultstore: invalid key %q (want the canonical experiment hash)", key)
 	}
-	data, err := json.Marshal(ent)
+	data, err := encodeObject(ent)
 	if err != nil {
 		return fmt.Errorf("resultstore: encode %s: %w", key, err)
 	}

@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -155,6 +156,56 @@ func TestCorruptObjectSelfHeals(t *testing.T) {
 	}
 	if got, ok := s.Get(key); !ok || got.Rendered != "clean" {
 		t.Fatalf("rewritten object Get = %+v, %v", got, ok)
+	}
+}
+
+// TestChecksumCatchesParseableCorruption: an object whose body still
+// parses but no longer matches its recorded checksum — one digit of a
+// stored rowsJSON flipped, or the checksum line missing altogether, as
+// in a plain-JSON object — is dropped and read as a miss, never served.
+func TestChecksumCatchesParseableCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(data []byte) []byte
+	}{
+		{"flipped digit", func(data []byte) []byte {
+			return bytes.Replace(data, []byte("1.25"), []byte("9.25"), 1)
+		}},
+		{"no checksum line", func(data []byte) []byte {
+			_, body, _ := bytes.Cut(data, []byte{'\n'})
+			return body
+		}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openTest(t, Config{})
+			key := testKey(byte(i))
+			ent := Entry{Experiment: "fig8-5d", Grid: "fig8-5d",
+				RowsJSON: "{\n  \"grid\": \"fig8-5d\",\n  \"cells\": [{\"slowdown\": 1.25}]\n}\n"}
+			if err := s.Put(key, ent); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(s.path(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := tc.corrupt(data)
+			if bytes.Equal(bad, data) {
+				t.Fatal("corruption changed nothing")
+			}
+			if err := os.WriteFile(s.path(key), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s.Get(key); ok {
+				t.Fatalf("corrupted object served as a hit: %+v", got)
+			}
+			if _, err := os.Stat(s.path(key)); !os.IsNotExist(err) {
+				t.Fatalf("corrupted object not removed: %v", err)
+			}
+			if st := s.Stats(); st.Errors != 1 || st.Misses != 1 || st.Hits != 0 || st.Entries != 0 {
+				t.Fatalf("stats = %+v, want 1 error / 1 miss / 0 hits / 0 entries", st)
+			}
+		})
 	}
 }
 
