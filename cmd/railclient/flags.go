@@ -1,11 +1,9 @@
-// Package gridcli is the shared command-line surface of the
-// experiment CLIs: cmd/railgrid (local execution) and cmd/railclient
-// (remote execution against a raild daemon) register the same
-// dimension flags and build the same wire-encodable scenario.Spec from
-// them, so a railgrid invocation and its railclient twin differ only
-// in where the cells simulate. The registry-driven one-shot CLIs
-// (railcost, railwindows) share their run loop here too.
-package gridcli
+package main
+
+// The grid dimension flags: the thirteen of them describe a grid as a
+// wire-encodable scenario.Spec, and -latencies/-iters double as a
+// sweep experiment's params, so a request is the same whether it runs
+// in-process or on a daemon.
 
 import (
 	"context"
@@ -23,47 +21,20 @@ import (
 	"photonrail/internal/topo"
 )
 
-// WithTimeout returns a context bounded by d, derived from parent;
+// withTimeout returns a context bounded by d, derived from parent;
 // d <= 0 means no deadline (the returned cancel func is still
-// non-nil). The shared -timeout plumbing of every experiment CLI. The
-// parent is the CLI main's signal context, so Ctrl-C cancels a run
-// whether or not a -timeout was set — manufacturing a root here was
-// exactly the detachment raillint's ctxbg now bans.
-func WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+// non-nil). The parent is main's signal context, so Ctrl-C cancels a
+// run whether or not a -timeout was set — manufacturing a root here was
+// exactly the detachment raillint's ctxbg bans.
+func withTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	if d > 0 {
 		return context.WithTimeout(parent, d)
 	}
 	return context.WithCancel(parent)
 }
 
-// RunExperiments looks up and runs each named registry experiment on
-// the engine with the same params, rendering each result to w (CSV
-// when csv is set) — the shared body of the one-shot registry CLIs
-// (railcost, railwindows).
-func RunExperiments(ctx context.Context, en *photonrail.Engine, names []string, p photonrail.Params, csv bool, w io.Writer) error {
-	for _, name := range names {
-		e, ok := photonrail.Lookup(name)
-		if !ok {
-			return fmt.Errorf("experiment %q not registered", name)
-		}
-		res, err := e.Run(ctx, en, p)
-		if err != nil {
-			return err
-		}
-		if csv {
-			err = res.RenderCSV(w)
-		} else {
-			err = res.RenderText(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Dimensions holds the registered dimension flag values.
-type Dimensions struct {
+// dimensions holds the registered dimension flag values.
+type dimensions struct {
 	gridName  *string
 	models    *string
 	gpus      *string
@@ -79,25 +50,15 @@ type Dimensions struct {
 	iters     *int
 }
 
-// DefaultGridName sets the -grid flag's value when the user did not
-// supply one. railclient's `-exp <built-in grid>` path uses it so the
-// dimension flags overlay that grid's axes — exactly what
-// `-grid <name>` would do — instead of the paper-default custom grid.
-func (d *Dimensions) DefaultGridName(name string) {
-	if *d.gridName == "" {
-		*d.gridName = name
-	}
-}
-
-// Register installs the grid dimension flags on fs and returns their
-// holder; call Spec after fs.Parse.
-func Register(fs *flag.FlagSet) *Dimensions {
-	return &Dimensions{
+// registerDims installs the grid dimension flags on fs and returns
+// their holder; call spec after fs.Parse.
+func registerDims(fs *flag.FlagSet) *dimensions {
+	return &dimensions{
 		gridName:  fs.String("grid", "", "built-in grid name (see -list); dimension flags override its axes"),
 		models:    fs.String("models", "", "comma-separated model presets (e.g. Llama3-8B,Mixtral-8x7B)"),
 		gpus:      fs.String("gpus", "", "comma-separated GPU presets (e.g. A100,H100)"),
 		fabrics:   fs.String("fabrics", "", "comma-separated fabric kinds: electrical,photonic,provisioned,static"),
-		latencies: fs.String("latencies", "", "comma-separated reconfiguration latencies in ms"),
+		latencies: fs.String("latencies", "", "comma-separated reconfiguration latencies in ms (grids and fig8)"),
 		par:       fs.String("par", "", "comma-separated parallelisms TP:DP:PP[:CP[:EP]] (e.g. 4:2:2,4:1:2:2)"),
 		schedules: fs.String("schedules", "", "comma-separated pipeline schedules: 1F1B,GPipe"),
 		jitters:   fs.String("jitters", "", "comma-separated compute jitter fractions (e.g. 0,0.03)"),
@@ -105,22 +66,25 @@ func Register(fs *flag.FlagSet) *Dimensions {
 		nic:       fs.String("nic", "", "NIC port split: 1x400, 2x200, or 4x100"),
 		mb:        fs.Int("mb", 0, "microbatches per iteration (0 = grid default)"),
 		mbs:       fs.Int("mbs", 0, "microbatch size (0 = grid default)"),
-		iters:     fs.Int("iters", 0, "training iterations per cell (0 = grid default)"),
+		iters:     fs.Int("iters", 0, "training iterations per grid cell or fig8 simulation (0 = default)"),
 	}
 }
 
-// Spec builds the wire-encodable grid spec the flags describe — a named
-// grid's axes when -grid was given (the zero grid's paper defaults
-// otherwise), overlaid with every non-empty dimension flag — along with
-// its resolved, validated Grid. Unknown names and malformed dimensions
-// fail here, not at execution time; railgrid runs the returned grid
-// locally, railclient sends the spec to a daemon.
-func (d *Dimensions) Spec() (scenario.Spec, scenario.Grid, error) {
+// spec builds the wire-encodable grid spec the flags describe — the
+// -grid flag's built-in axes, else those of defaultGrid (a built-in
+// grid experiment's own name; "" for the paper-default custom grid),
+// overlaid with every non-empty dimension flag. Unknown names and
+// malformed dimensions fail here, not at execution time.
+func (d *dimensions) spec(defaultGrid string) (scenario.Spec, error) {
 	var spec scenario.Spec
-	if *d.gridName != "" {
-		mk, ok := scenario.Grids()[*d.gridName]
+	name := *d.gridName
+	if name == "" {
+		name = defaultGrid
+	}
+	if name != "" {
+		mk, ok := scenario.Grids()[name]
 		if !ok {
-			return scenario.Spec{}, scenario.Grid{}, fmt.Errorf("unknown grid %q (built-ins: %s)", *d.gridName, strings.Join(GridNames(), ", "))
+			return scenario.Spec{}, fmt.Errorf("unknown grid %q (built-ins: %s)", name, strings.Join(gridNames(), ", "))
 		}
 		spec = scenario.SpecOf(mk())
 	}
@@ -138,7 +102,7 @@ func (d *Dimensions) Spec() (scenario.Spec, scenario.Grid, error) {
 		for _, s := range splitList(*d.latencies) {
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
-				return scenario.Spec{}, scenario.Grid{}, fmt.Errorf("bad latency %q: %w", s, err)
+				return scenario.Spec{}, fmt.Errorf("bad latency %q: %w", s, err)
 			}
 			spec.LatenciesMS = append(spec.LatenciesMS, v)
 		}
@@ -146,9 +110,9 @@ func (d *Dimensions) Spec() (scenario.Spec, scenario.Grid, error) {
 	if *d.par != "" {
 		spec.Parallelisms = nil
 		for _, s := range splitList(*d.par) {
-			p, err := ParseParallelism(s)
+			p, err := parseParallelism(s)
 			if err != nil {
-				return scenario.Spec{}, scenario.Grid{}, err
+				return scenario.Spec{}, err
 			}
 			spec.Parallelisms = append(spec.Parallelisms, p)
 		}
@@ -161,7 +125,7 @@ func (d *Dimensions) Spec() (scenario.Spec, scenario.Grid, error) {
 		for _, s := range splitList(*d.jitters) {
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
-				return scenario.Spec{}, scenario.Grid{}, fmt.Errorf("bad jitter %q: %w", s, err)
+				return scenario.Spec{}, fmt.Errorf("bad jitter %q: %w", s, err)
 			}
 			spec.JitterFracs = append(spec.JitterFracs, v)
 		}
@@ -171,7 +135,7 @@ func (d *Dimensions) Spec() (scenario.Spec, scenario.Grid, error) {
 		for _, s := range splitList(*d.eager) {
 			v, err := strconv.ParseBool(s)
 			if err != nil {
-				return scenario.Spec{}, scenario.Grid{}, fmt.Errorf("bad eager value %q: %w", s, err)
+				return scenario.Spec{}, fmt.Errorf("bad eager value %q: %w", s, err)
 			}
 			spec.EagerRS = append(spec.EagerRS, v)
 		}
@@ -186,7 +150,7 @@ func (d *Dimensions) Spec() (scenario.Spec, scenario.Grid, error) {
 		case "4x100":
 			pc = topo.FourPort100G
 		default:
-			return scenario.Spec{}, scenario.Grid{}, fmt.Errorf("unknown NIC split %q (want 1x400, 2x200, 4x100)", *d.nic)
+			return scenario.Spec{}, fmt.Errorf("unknown NIC split %q (want 1x400, 2x200, 4x100)", *d.nic)
 		}
 		spec.NICPorts = pc.Ports
 		spec.NICPerPortBps = int64(pc.PerPort)
@@ -203,25 +167,24 @@ func (d *Dimensions) Spec() (scenario.Spec, scenario.Grid, error) {
 	if spec.Name == "" {
 		spec.Name = "custom"
 	}
-	// Fail fast on unknown names and malformed grids: the daemon would
+	// Fail fast on unknown names and malformed grids: a daemon would
 	// reject them too, but a CLI should not need a round trip to say so.
 	g, err := spec.Resolve()
 	if err != nil {
-		return scenario.Spec{}, scenario.Grid{}, err
+		return scenario.Spec{}, err
 	}
 	if err := g.Validate(); err != nil {
-		return scenario.Spec{}, scenario.Grid{}, err
+		return scenario.Spec{}, err
 	}
-	return spec, g, nil
+	return spec, nil
 }
 
-// SweepParams maps the dimension flags a non-grid experiment honors
+// sweepParams maps the dimension flags a non-grid experiment honors
 // onto registry params: -latencies becomes LatenciesMS and -iters
-// becomes Iterations (railclient's `-exp fig8 -latencies 0,10
-// -iters 1` must match its local `railsweep` twin instead of silently
-// running paper defaults). Flags with no non-grid meaning are left at
-// their registry defaults.
-func (d *Dimensions) SweepParams() (photonrail.Params, error) {
+// becomes Iterations (`-exp fig8 -latencies 0,10 -iters 1` runs that
+// sweep, not the paper defaults). Flags with no non-grid meaning are
+// left at their registry defaults.
+func (d *dimensions) sweepParams() (photonrail.Params, error) {
 	p := photonrail.Params{Iterations: *d.iters}
 	if *d.latencies != "" {
 		for _, s := range splitList(*d.latencies) {
@@ -229,14 +192,17 @@ func (d *Dimensions) SweepParams() (photonrail.Params, error) {
 			if err != nil {
 				return photonrail.Params{}, fmt.Errorf("bad latency %q: %w", s, err)
 			}
+			if v < 0 {
+				return photonrail.Params{}, fmt.Errorf("negative latency %v", v)
+			}
 			p.LatenciesMS = append(p.LatenciesMS, v)
 		}
 	}
 	return p, nil
 }
 
-// ParseParallelism parses TP:DP:PP[:CP[:EP]].
-func ParseParallelism(s string) (scenario.Parallelism, error) {
+// parseParallelism parses TP:DP:PP[:CP[:EP]].
+func parseParallelism(s string) (scenario.Parallelism, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) < 3 || len(parts) > 5 {
 		return scenario.Parallelism{}, fmt.Errorf("bad parallelism %q: want TP:DP:PP[:CP[:EP]]", s)
@@ -262,8 +228,8 @@ func splitList(s string) []string {
 	return out
 }
 
-// CheckFormat validates a -format value.
-func CheckFormat(format string) error {
+// checkFormat validates a -format value.
+func checkFormat(format string) error {
 	switch format {
 	case "table", "csv", "json":
 		return nil
@@ -271,8 +237,8 @@ func CheckFormat(format string) error {
 	return fmt.Errorf("unknown format %q (want table, csv, json)", format)
 }
 
-// GridNames lists the built-in grids, sorted.
-func GridNames() []string {
+// gridNames lists the built-in grids, sorted.
+func gridNames() []string {
 	var names []string
 	for name := range scenario.Grids() {
 		names = append(names, name)
@@ -281,10 +247,10 @@ func GridNames() []string {
 	return names
 }
 
-// PrintCatalog lists the built-in grids and the preset spellings every
+// printCatalog lists the built-in grids and the preset spellings every
 // dimension flag accepts.
-func PrintCatalog(w io.Writer) {
-	fmt.Fprintf(w, "built-in grids: %s\n", strings.Join(GridNames(), ", "))
+func printCatalog(w io.Writer) {
+	fmt.Fprintf(w, "built-in grids: %s\n", strings.Join(gridNames(), ", "))
 	var ms, gs []string
 	for _, m := range model.Presets() {
 		ms = append(ms, m.Name)

@@ -1,4 +1,4 @@
-package gridcli
+package main
 
 import (
 	"bytes"
@@ -10,28 +10,28 @@ import (
 	"testing"
 	"time"
 
-	"photonrail"
 	"photonrail/internal/scenario"
 )
 
-func specFromArgs(t *testing.T, args ...string) (scenario.Spec, error) {
+// parseDims registers the dimension flags on a fresh flag set and
+// parses args into them.
+func parseDims(t *testing.T, args ...string) *dimensions {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	d := Register(fs)
+	d := registerDims(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	spec, g, err := d.Spec()
+	return d
+}
+
+func specFromArgs(t *testing.T, args ...string) (scenario.Spec, error) {
+	t.Helper()
+	spec, err := parseDims(t, args...).spec("")
 	if err == nil {
-		// The returned grid is the spec's resolution — callers rely on
-		// them agreeing.
-		want, rerr := spec.Resolve()
-		if rerr != nil {
+		if _, rerr := spec.Resolve(); rerr != nil {
 			t.Fatalf("returned spec does not resolve: %v", rerr)
-		}
-		if !reflect.DeepEqual(g, want) {
-			t.Fatalf("returned grid diverges from spec resolution")
 		}
 	}
 	return spec, err
@@ -55,9 +55,6 @@ func TestSpecFromFlags(t *testing.T) {
 	}
 	if spec.Iterations != 3 {
 		t.Errorf("iterations = %d", spec.Iterations)
-	}
-	if _, err := spec.Resolve(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -99,16 +96,16 @@ func TestSpecRejectsBadDimensions(t *testing.T) {
 }
 
 func TestParseParallelism(t *testing.T) {
-	p, err := ParseParallelism("4:2:2")
+	p, err := parseParallelism("4:2:2")
 	if err != nil || (p != scenario.Parallelism{TP: 4, DP: 2, PP: 2}) {
 		t.Errorf("got %+v, %v", p, err)
 	}
-	p, err = ParseParallelism("4:1:2:2:1")
+	p, err = parseParallelism("4:1:2:2:1")
 	if err != nil || p.CP != 2 || p.EP != 1 {
 		t.Errorf("5D got %+v, %v", p, err)
 	}
 	for _, bad := range []string{"", "4", "4:2", "4:2:2:2:2:2", "4:x:2"} {
-		if _, err := ParseParallelism(bad); err == nil {
+		if _, err := parseParallelism(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
 	}
@@ -116,7 +113,7 @@ func TestParseParallelism(t *testing.T) {
 
 func TestPrintCatalog(t *testing.T) {
 	var out bytes.Buffer
-	PrintCatalog(&out)
+	printCatalog(&out)
 	for _, want := range []string{"fig8-5d", "Llama3-8B", "A100", "provisioned", "GPipe"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("catalog missing %q", want)
@@ -125,7 +122,7 @@ func TestPrintCatalog(t *testing.T) {
 }
 
 func TestWithTimeout(t *testing.T) {
-	ctx, cancel := WithTimeout(t.Context(), time.Hour)
+	ctx, cancel := withTimeout(t.Context(), time.Hour)
 	if _, ok := ctx.Deadline(); !ok {
 		t.Error("positive timeout produced no deadline")
 	}
@@ -133,7 +130,7 @@ func TestWithTimeout(t *testing.T) {
 	if ctx.Err() == nil {
 		t.Error("cancel did not cancel the deadline context")
 	}
-	ctx, cancel = WithTimeout(t.Context(), 0)
+	ctx, cancel = withTimeout(t.Context(), 0)
 	if _, ok := ctx.Deadline(); ok {
 		t.Error("zero timeout produced a deadline")
 	}
@@ -145,7 +142,7 @@ func TestWithTimeout(t *testing.T) {
 
 func TestWithTimeoutInheritsParentCancellation(t *testing.T) {
 	parent, stop := context.WithCancel(t.Context())
-	ctx, cancel := WithTimeout(parent, time.Hour)
+	ctx, cancel := withTimeout(parent, time.Hour)
 	defer cancel()
 	stop()
 	select {
@@ -155,91 +152,50 @@ func TestWithTimeoutInheritsParentCancellation(t *testing.T) {
 	}
 }
 
-func TestRunExperiments(t *testing.T) {
-	en := photonrail.NewEngine(1)
-	var text, csv bytes.Buffer
-	if err := RunExperiments(context.Background(), en, []string{"table1", "table3"}, photonrail.Params{}, false, &text); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text.String(), "Table 1") || !strings.Contains(text.String(), "Table 3") {
-		t.Errorf("text output = %.120q", text.String())
-	}
-	if err := RunExperiments(context.Background(), en, []string{"table1"}, photonrail.Params{}, true, &csv); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(csv.String(), ",") {
-		t.Errorf("csv output = %.120q", csv.String())
-	}
-	if err := RunExperiments(context.Background(), en, []string{"nope"}, photonrail.Params{}, false, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "not registered") {
-		t.Errorf("unknown experiment error = %v", err)
-	}
-}
-
+// TestDefaultGridName: a built-in grid experiment's name seeds the
+// axes the flags overlay, and an explicit -grid wins over it.
 func TestDefaultGridName(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	d := Register(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	d.DefaultGridName("fig8-5d")
-	spec, _, err := d.Spec()
+	spec, err := parseDims(t).spec("fig8-5d")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.Name != "fig8-5d" {
 		t.Errorf("defaulted grid = %q, want fig8-5d", spec.Name)
 	}
-	// An explicit -grid wins over the default.
-	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs2.SetOutput(io.Discard)
-	d2 := Register(fs2)
-	if err := fs2.Parse([]string{"-grid", "fig8-5d", "-latencies", "7"}); err != nil {
-		t.Fatal(err)
-	}
-	d2.DefaultGridName("other")
-	spec2, _, err := d2.Spec()
+	spec, err = parseDims(t, "-grid", "fig8-5d", "-latencies", "7").spec("other")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec2.Name != "fig8-5d" || !reflect.DeepEqual(spec2.LatenciesMS, []float64{7}) {
-		t.Errorf("spec = %+v", spec2)
+	if spec.Name != "fig8-5d" || !reflect.DeepEqual(spec.LatenciesMS, []float64{7}) {
+		t.Errorf("spec = %+v", spec)
 	}
 }
 
 func TestSweepParams(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	d := Register(fs)
-	if err := fs.Parse([]string{"-latencies", "0,10", "-iters", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := d.SweepParams()
+	p, err := parseDims(t, "-latencies", "0, 10,100.5", "-iters", "3").sweepParams()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Iterations != 3 || !reflect.DeepEqual(p.LatenciesMS, []float64{0, 10}) {
+	if p.Iterations != 3 || !reflect.DeepEqual(p.LatenciesMS, []float64{0, 10, 100.5}) {
 		t.Errorf("params = %+v", p)
 	}
-	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs2.SetOutput(io.Discard)
-	d2 := Register(fs2)
-	if err := fs2.Parse([]string{"-latencies", "zzz"}); err != nil {
-		t.Fatal(err)
+	if p, err := parseDims(t).sweepParams(); err != nil || p.LatenciesMS != nil {
+		t.Errorf("no -latencies = %v, %v; want nil (the registry default)", p.LatenciesMS, err)
 	}
-	if _, err := d2.SweepParams(); err == nil {
-		t.Error("bad latency accepted")
+	for _, bad := range []string{"zzz", "1,x", "-1"} {
+		if _, err := parseDims(t, "-latencies", bad).sweepParams(); err == nil {
+			t.Errorf("latencies %q accepted", bad)
+		}
 	}
 }
 
 func TestCheckFormat(t *testing.T) {
 	for _, ok := range []string{"table", "csv", "json"} {
-		if err := CheckFormat(ok); err != nil {
+		if err := checkFormat(ok); err != nil {
 			t.Errorf("%q rejected: %v", ok, err)
 		}
 	}
-	if err := CheckFormat("yaml"); err == nil {
+	if err := checkFormat("yaml"); err == nil {
 		t.Error("yaml accepted")
 	}
 }

@@ -3,8 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"photonrail"
 	"photonrail/internal/opusnet"
@@ -121,18 +125,55 @@ func TestRemoteUnnamedBuiltinGridText(t *testing.T) {
 	}
 }
 
+// TestRejectsBadInput: malformed dimensions, unknown experiments,
+// negative counts, flag conflicts and unreachable daemons fail before
+// anything prints — on both paths.
 func TestRejectsBadInput(t *testing.T) {
 	addr := startDaemon(t)
 	cases := [][]string{
+		{"-grid", "nope"},
+		{"-models", "GPT-17"},
+		{"-gpus", "TPU"},
+		{"-fabrics", "teleport"},
+		{"-latencies", "x"},
+		{"-latencies", "-4"},
+		{"-par", "4:2"},
+		{"-schedules", "zigzag"},
+		{"-eager", "maybe"},
+		{"-nic", "3x133"},
+		{"-format", "yaml", "-iters", "1"},
+		{"-exp", "fig99"},
+		{"-exp", "table1,fig99"},
+		{"-exp", ","},
+		{"-exp", "fig8", "-latencies", "1,x"},
+		{"-exp", "fig8", "-latencies", "-1"},
+		{"-exp", "bom", "-cluster-gpus", "-1"},
+		{"-exp", "fig4", "-window-iters", "-1"},
+		{"-exp", "fig3", "-rail", "-1"},
+		{"-parallel", "-1"},
+		{"-daemon-stats"}, // no daemon to ask
+		{"-nope"},
+		{"positional"},
+		// Spellings of the commands railclient replaced fail loudly
+		// rather than run something else.
+		{"-gpus", "0", "-bom"},
+		{"-iterations", "0"},
+		{"-json", "-exp", "fig7"},
+		{"-clients", "0"},
+		{"-mix", "nonsense"},
+		{"-addr", addr, "-parallel", "2"}, // a daemon sizes its own engine
 		{"-addr", addr, "-models", "GPT-17"},
 		{"-addr", addr, "-format", "yaml"},
+		{"-addr", addr, "-exp", "fig99"},
 		{"-addr", "127.0.0.1:1", "-par", "4:2:2"}, // nothing listening
-		{"positional"},
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer
 		if err := run(t.Context(), args, &out, &errb); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+		if out.Len() > 0 {
+			t.Errorf("args %v printed %q before failing", args, out.String())
 		}
 	}
 }
@@ -142,8 +183,136 @@ func TestListCatalog(t *testing.T) {
 	if err := run(t.Context(), []string{"-list"}, &out, &errb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "fig8-5d") {
-		t.Errorf("catalog = %q", out.String())
+	for _, want := range []string{"fig8-5d", "Llama3-8B", "A100", "provisioned", "window-analysis", "all: table1"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("catalog missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestFig8GridParallelMatchesSequential is the in-process acceptance
+// check: the built-in >=24-cell grid in parallel produces output
+// byte-identical to -parallel 1, with skips reported and the shared
+// electrical baselines simulated exactly once per batch (5 workload
+// baselines + 15 photonic + 15 provisioned points + 10 compiled
+// programs = 45 misses; every further lookup is a hit).
+func TestFig8GridParallelMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the full fig8-5d grid twice")
+	}
+	if n := len(photonrail.Fig8Grid5D().Expand()); n < 24 {
+		t.Fatalf("fig8-5d has %d cells, want >= 24", n)
+	}
+	runGrid := func(parallel string) (string, string) {
+		var out, errb bytes.Buffer
+		if err := run(t.Context(), []string{"-grid", "fig8-5d", "-parallel", parallel, "-stats"}, &out, &errb); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), errb.String()
+	}
+	seq, seqStats := runGrid("1")
+	par, parStats := runGrid("8")
+	if seq != par {
+		t.Error("parallel output differs from sequential")
+	}
+	if !strings.Contains(seq, "skip: ") || !strings.Contains(seq, "(C2)") {
+		t.Error("skips not reported in table output")
+	}
+	if !strings.Contains(seqStats, "engine: 1 workers") || !strings.Contains(parStats, "engine: 8 workers") {
+		t.Errorf("-parallel did not size the engine: %q / %q", seqStats, parStats)
+	}
+	for _, stats := range []string{seqStats, parStats} {
+		if !strings.Contains(stats, "/ 45 misses") {
+			t.Errorf("cache stats = %q, want exactly 45 misses (shared baselines simulated once)", stats)
+		}
+	}
+}
+
+// TestLocalProgress: the in-process path streams per-cell progress to
+// stderr, like a daemon's ticks.
+func TestLocalProgress(t *testing.T) {
+	var out, errb bytes.Buffer
+	if err := run(t.Context(), append([]string{"-progress", "-format", "csv"}, smallGrid...), &out, &errb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(errb.String(), "railclient: 3/3 cells") {
+		t.Errorf("progress = %q, want a final 3/3 tick", errb.String())
+	}
+}
+
+// TestExpAllRunsSweepBatch: -exp all is the table1, table2, table3,
+// fig7, fig4, fig8 batch — its text is those six renderings in order,
+// and its JSON is one object with exactly those keys.
+func TestExpAllRunsSweepBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates fig4 and fig8 at paper scale")
+	}
+	runOut := func(args ...string) string {
+		t.Helper()
+		var out, errb bytes.Buffer
+		if err := run(t.Context(), args, &out, &errb); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	var want strings.Builder
+	for _, name := range sweepBatch {
+		want.WriteString(runOut("-exp", name))
+	}
+	if got := runOut("-exp", "all"); got != want.String() {
+		t.Error("-exp all diverged from its six experiments run one by one")
+	}
+	var rows map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(runOut("-exp", "all", "-format", "json")), &rows); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(sweepBatch) {
+		t.Errorf("JSON keys = %d, want %d", len(rows), len(sweepBatch))
+	}
+	for _, name := range sweepBatch {
+		if _, ok := rows[name]; !ok {
+			t.Errorf("JSON object lacks %q", name)
+		}
+	}
+}
+
+// TestDaemonStatsHonorsTimeout is the regression test for stats
+// queries that ignored -timeout: against a daemon that accepts and
+// never replies, -daemon-stats must give up at the deadline.
+func TestDaemonStatsHonorsTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		defer close(accepted)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		for c := range accepted {
+			_ = c.Close()
+		}
+	})
+	done := make(chan error, 1)
+	go func() {
+		var out, errb bytes.Buffer
+		done <- run(t.Context(), []string{"-addr", ln.Addr().String(), "-daemon-stats", "-timeout", "200ms"}, &out, &errb)
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want the -timeout deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("-daemon-stats still blocked on a silent daemon 5s past its 200ms -timeout")
 	}
 }
 

@@ -22,8 +22,9 @@
 //	raild -metrics-addr :9190        # also serve /metrics and /events over HTTP
 //	raild -coordinator 10.0.0.9:9091 -id node-a   # join an elastic fleet
 //
-// Drive it with cmd/railclient, which accepts railgrid's dimension
-// flags for grid sweeps and -exp for any registered experiment.
+// Drive it with cmd/railclient -addr, which takes the dimension flags
+// for grid sweeps and -exp for any registered experiment, and prints
+// the same bytes it prints running in-process.
 package main
 
 import (

@@ -78,12 +78,12 @@ func startGoldenFleet(t *testing.T) string {
 // TestGoldenFleet pins the fleet path byte for byte: the full 48-cell
 // fig8-5d grid served by a 3-backend fleet must render exactly the
 // committed corpus in every output format, and the canonical small
-// grid must match cmd/railgrid's own golden files — the same bytes a
-// single-process run produces, proving the fan-out is invisible in the
+// grid must match railclient's own golden files — the same bytes an
+// in-process run produces, proving the fan-out is invisible in the
 // output. CI runs this test in its loopback golden step. Regenerate
 // the fig8-5d corpus intentionally with
-// `go test ./cmd/railfleet -run Golden -update` (railgrid's files are
-// never written from here).
+// `go test ./cmd/railfleet -run Golden -update` (railclient's files
+// are never written from here).
 func TestGoldenFleet(t *testing.T) {
 	addr := startGoldenFleet(t)
 	c, err := railserve.Dial(addr)
@@ -99,10 +99,10 @@ func TestGoldenFleet(t *testing.T) {
 		}
 	})
 
-	// The exact grid railgrid's golden corpus pins, through the fleet:
-	// the bytes must equal railgrid's committed files, not a corpus of
-	// our own.
-	t.Run("railgrid-corpus", func(t *testing.T) {
+	// The exact grid railclient's small.* corpus pins, through the
+	// fleet: the bytes must equal railclient's committed files, not a
+	// corpus of our own.
+	t.Run("railclient-corpus", func(t *testing.T) {
 		spec := scenario.Spec{
 			Name:         "custom",
 			Models:       []string{"Llama3-8B"},
@@ -113,12 +113,12 @@ func TestGoldenFleet(t *testing.T) {
 		}
 		out := runGrid(t, c, spec)
 		for _, format := range goldenFormats {
-			want, err := os.ReadFile(filepath.Join("..", "railgrid", "testdata", "golden", "small."+format))
+			want, err := os.ReadFile(filepath.Join("..", "railclient", "testdata", "golden", "small."+format))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if out[format] != string(want) {
-				t.Errorf("%s output diverged from railgrid's golden corpus", format)
+				t.Errorf("%s output diverged from railclient's golden corpus", format)
 			}
 		}
 	})

@@ -3,11 +3,10 @@ package photonrail
 // The experiment registry: every figure, table, and scenario grid the
 // repository reproduces is a named, parameterized, cancellable
 // Experiment. The registry is the single entry point every client
-// shares — the CLIs (cmd/railsweep, cmd/railgrid, cmd/railwindows,
-// cmd/railcost), the raild daemon (which serves exp_req frames for any
-// registered name), and library callers — while the historical
-// package-level and Engine signatures remain as thin compatibility
-// wrappers with byte-identical output.
+// shares — the cmd/railclient CLI, the raild daemon (which serves
+// exp_req frames for any registered name), and library callers — while
+// the historical package-level and Engine signatures remain as thin
+// compatibility wrappers with byte-identical output.
 //
 // The cancellation contract, top to bottom:
 //
@@ -72,7 +71,7 @@ type Params struct {
 }
 
 // ParamInfo documents one parameter an experiment honors, for
-// discoverable listings (railsweep -list, the daemon's catalog).
+// discoverable listings (railclient -list, the daemon's catalog).
 type ParamInfo struct {
 	// Name is the Params field consulted.
 	Name string
@@ -246,7 +245,7 @@ func windowIterations(p Params) int {
 
 // Fig4Summary is the scripted-consumer shape of the fig4 experiment:
 // the per-rail window-size quantiles and the rail-0 traffic-class
-// breakdown (this is railsweep's historical -json fig4 payload).
+// breakdown (the -format json fig4 payload).
 type Fig4Summary struct {
 	FractionOver1ms float64           `json:"fractionOver1ms"`
 	PerRail         []Fig4RailSummary `json:"perRail"`
@@ -293,15 +292,15 @@ func Fig4SummaryOf(rep *WindowReport) Fig4Summary {
 }
 
 // Fig8Sweep pairs the fig8 sweep points with the workload scale they
-// were simulated at (railsweep's historical -json fig8 payload).
+// were simulated at (the -format json fig8 payload).
 type Fig8Sweep struct {
 	Iterations int          `json:"iterations"`
 	Points     []SweepPoint `json:"points"`
 }
 
 // GridRows is the scripted-consumer shape of a grid experiment: the
-// grid's name plus its flat, wire-encodable rows (the historical
-// railgrid/railclient -format json document).
+// grid's name plus its flat, wire-encodable rows (the railclient
+// -format json document).
 type GridRows struct {
 	Grid  string         `json:"grid"`
 	Cells []scenario.Row `json:"cells"`
@@ -604,7 +603,7 @@ func runGrid(ctx context.Context, en *Engine, g Grid, onCell func(done, total in
 
 // GridExperimentResult shapes executed grid rows as the grid
 // experiment's result. It holds only the {"grid","cells"} rows; the
-// historical railgrid table (plus its ok/skip footer) and the fully
+// aligned grid table (plus its ok/skip footer) and the fully
 // numeric CSV table are built from them when rendered. Rows are all a
 // renderer needs, so rows merged from several daemons, or decoded from
 // a result's JSON rendering, render byte-identically to a
@@ -615,7 +614,7 @@ func GridExperimentResult(name string, rows []scenario.Row) *ExperimentResult {
 
 // DescribeExperiments renders the registry as a human-readable listing:
 // one line per experiment plus its honored parameters — the catalog
-// railsweep -list prints and the golden registry-surface test pins.
+// railclient -list prints and the golden registry-surface test pins.
 func DescribeExperiments(w io.Writer) error {
 	for _, e := range Experiments() {
 		if _, err := fmt.Fprintf(w, "%-16s %s\n", e.Name, e.Description); err != nil {

@@ -1,6 +1,6 @@
 // Package goldentest compares command output against committed golden
-// files, byte for byte. The cmd/ regression corpora (railgrid,
-// railsweep, railwindows) use it to pin every output format of their
+// files, byte for byte. The cmd/ regression corpora (railclient,
+// railfleet, railgate) use it to pin every output format of their
 // canonical invocations; regenerate after an intentional output change
 // with
 //

@@ -5,8 +5,8 @@
 // (PR 4): deadlines, client cancel frames, and connection teardown all
 // flow through one ctx chain. A context.Background() (or TODO()) in
 // internal/... quietly detaches everything below it from that chain —
-// the way internal/gridcli's -timeout plumbing detached CLI runs from
-// Ctrl-C. New daemon and fleet code must thread its caller's context;
+// the way the experiment CLIs' shared -timeout plumbing, when it lived
+// in an internal package, detached CLI runs from Ctrl-C. New daemon and fleet code must thread its caller's context;
 // the few legitimate roots (a server's lifetime base context, the
 // deprecated compatibility wrappers) carry //lint:allow ctxbg
 // annotations with reasons. Repo-root compatibility wrappers are

@@ -1,7 +1,7 @@
 // Package ctxbgrepro is the ctxbg corpus: manufactured root contexts
-// in an internal package, including the distilled internal/gridcli
-// -timeout shape this analyzer exists to catch, plus annotated roots
-// that must stay quiet.
+// in an internal package, including the distilled shape of the CLIs'
+// shared -timeout helper this analyzer exists to catch, plus annotated
+// roots that must stay quiet.
 package ctxbgrepro
 
 import (
@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// withTimeout is the distilled pre-fix gridcli.WithTimeout: the CLI's
-// -timeout plumbing manufactured its own root, detaching every run
-// from signal handling.
+// withTimeout is the distilled pre-fix shared -timeout helper: the
+// CLIs' -timeout plumbing manufactured its own root, detaching every
+// run from signal handling.
 func withTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 	if d > 0 {
 		return context.WithTimeout(context.Background(), d) // want `context\.Background\(\) in internal package`

@@ -13,6 +13,7 @@ import (
 
 	"photonrail/internal/opusnet"
 	"photonrail/internal/railctl"
+	"photonrail/internal/railserve"
 	"photonrail/internal/scenario"
 	"photonrail/internal/telemetry"
 )
@@ -180,7 +181,8 @@ func TestFleetStatsAfterClose(t *testing.T) {
 
 // TestFleetObservabilityEndToEnd is the PR's acceptance e2e: a
 // 3-backend fleet serves the 48-cell fig8-5d grid while /metrics is
-// scraped concurrently over HTTP and one backend is killed mid-grid.
+// scraped concurrently over HTTP and one backend is killed mid-grid,
+// while it holds cells.
 // Afterwards: the request-latency histogram has samples, the scraped
 // cache/stage counters equal the framed stats_resp exactly, the
 // sharded-event distribution covers all 48 cells, the failover counter
@@ -217,8 +219,13 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 		}()
 	}
 
-	// Kill a backend that holds cells, mid-grid (after 2 served frames:
-	// past its first progress frame, before its first batch result).
+	// Kill a backend while it holds cells, whatever the scrapers do.
+	// Its frames are held from before the grid, so it cannot deliver a
+	// result (or answer a scrape) until the kill; the kill lands once it
+	// has started executing its subset, so the coordinator must fail
+	// its cells over. A kill armed on a frame count could instead fire
+	// on scrape replies before the backend held any cells, leaving
+	// nothing to fail over.
 	cells := scenario.Fig8Grid5D().Expand()
 	all := make([]int, len(cells))
 	for i := range all {
@@ -235,9 +242,31 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no backend received cells")
 	}
-	fl.net.Endpoint(fmt.Sprintf("b%d", victim)).KillAfterFrames(2)
+	ep := fl.net.Endpoint(fmt.Sprintf("b%d", victim))
+	ep.HoldAtFrame(ep.Frames() + 1)
 
-	run, err := c.RunExperiment(context.Background(), gridReq(scenario.SpecOf(scenario.Fig8Grid5D())), nil)
+	type result struct {
+		run *railserve.ExpRun
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		run, err := c.RunExperiment(context.Background(), gridReq(scenario.SpecOf(scenario.Fig8Grid5D())), nil)
+		done <- result{run, err}
+	}()
+	deadline := time.After(30 * time.Second)
+	for fl.backends[victim].Stats().CellsExecuted == 0 {
+		select {
+		case r := <-done:
+			t.Fatalf("grid ended (err %v) before backend b%d held cells", r.err, victim)
+		case <-deadline:
+			t.Fatalf("backend b%d never received its cells", victim)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	ep.Kill()
+	r := <-done
+	run, err := r.run, r.err
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // over plain HTTP:
 //
 //	GET  /v1/experiments           — the registry catalog (JSON, or the
-//	                                 railsweep -list text via Accept)
+//	                                 registry listing text via Accept)
 //	POST /v1/experiments/{name}    — run an experiment; body is the
 //	                                 JSON parameter payload (the wire
 //	                                 ExpRequestPayload shape); ?async=1

@@ -203,9 +203,10 @@ func (c *Client) RunCellsCtx(ctx context.Context, spec scenario.Spec, indices []
 	return &CellsRun{Name: r.Name, Indices: r.Indices, Rows: r.Rows, Shared: r.Shared}, nil
 }
 
-// ExpRun is one completed experiment as the daemon reported it: the
-// renderings it carried, rendered server-side. Render turns it into the
-// bytes an output format prints.
+// ExpRun is one completed experiment as a daemon reported it (or as
+// railclient's in-process path rendered it, through the same
+// RenderExpPayload): the renderings it carried. Render turns it into
+// the bytes an output format prints.
 type ExpRun struct {
 	// Name is the experiment that ran; Grid is the executed grid's name
 	// for grid experiments.
@@ -275,12 +276,18 @@ func (c *Client) RunExperiment(ctx context.Context, req opusnet.ExpRequestPayloa
 	if resp.Type != opusnet.MsgExpResult || resp.ExpResult == nil {
 		return nil, fmt.Errorf("railserve: unexpected reply %q to experiment request", resp.Type)
 	}
-	r := resp.ExpResult
+	return NewExpRun(resp.ExpResult), nil
+}
+
+// NewExpRun wraps an exp_result payload as the ExpRun a client renders,
+// whether the payload came over the wire or from RenderExpPayload in
+// the same process, so both print through the same Render.
+func NewExpRun(r *opusnet.ExpResultPayload) *ExpRun {
 	return &ExpRun{
 		Name: r.Name, Grid: r.Grid,
 		Rendered: r.Rendered, RenderedCSV: r.RenderedCSV, RowsJSON: r.RowsJSON,
 		Shared: r.Shared,
-	}, nil
+	}
 }
 
 // ack sends a request frame and blocks for its MsgAck, bounded by ctx

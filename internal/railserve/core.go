@@ -324,7 +324,7 @@ func (ro *reqObs) admitted(shared bool) {
 
 // finish observes the request's wall time into the latency histogram
 // (every admitted request lands exactly one sample, result or error —
-// railbench counts on that) and emits the terminal lifecycle event:
+// TestScrapeCountsConcurrentRequests counts on that) and emits the terminal lifecycle event:
 // "result", or "cancel" when the wait ended by deadline, cancel frame,
 // or teardown.
 func (ro *reqObs) finish(err error, cancelled bool) {

@@ -388,7 +388,7 @@ func formatFloat(v float64) string {
 // it) into a map from full series name — including the {label="..."}
 // suffix — to value. Comment and blank lines are skipped. It
 // understands exactly the subset Render emits, which is all a
-// cross-checking client (railbench, the e2e tests) needs.
+// cross-checking client (the e2e tests) needs.
 func ParseSamples(r io.Reader) (map[string]float64, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -17,21 +17,15 @@ out="${1:-coverage.txt}"
 floors="
 photonrail 85
 photonrail/cmd/opusim 25
-photonrail/cmd/railbench 78
-photonrail/cmd/railclient 70
-photonrail/cmd/railcost 70
+photonrail/cmd/railclient 80
 photonrail/cmd/raild 55
 photonrail/cmd/raillint 28
 photonrail/cmd/railfleet 60
 photonrail/cmd/railgate 75
-photonrail/cmd/railgrid 60
-photonrail/cmd/railsweep 60
-photonrail/cmd/railwindows 70
 photonrail/internal/collective 90
 photonrail/internal/cost 90
 photonrail/internal/exp 90
 photonrail/internal/faultnet 80
-photonrail/internal/gridcli 85
 photonrail/internal/lint/allow 88
 photonrail/internal/lint/analysis 90
 photonrail/internal/lint/analysistest 78
