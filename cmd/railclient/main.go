@@ -82,7 +82,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr        = fs.String("addr", "", "raild or railfleet address (empty = run in-process)")
 		list        = fs.Bool("list", false, "list built-in grids, presets and experiments, then exit")
 		format      = fs.String("format", "table", "output format: table, csv, or json")
-		progress    = fs.Bool("progress", false, "print per-cell progress to stderr")
+		progress    = fs.Bool("progress", false, "print progress to stderr: every cell in-process; with -addr at most one tick per 50 ms, none for a faster run")
 		stats       = fs.Bool("stats", false, "print engine (or, with -addr, daemon) stats to stderr after the run")
 		statsOnly   = fs.Bool("daemon-stats", false, "print the -addr daemon's serving stats and exit (no run)")
 		expNames    = fs.String("exp", "grid", "comma-separated registry experiments, or all (grid: the sweep the dimension flags describe)")

@@ -59,8 +59,9 @@ const (
 	// carries the parameters and optional per-request deadline.
 	MsgExpReq MsgType = "exp_req"
 	// MsgExpProgress streams completion counts for a running experiment
-	// or cell-subset request (correlated by Seq; grids tick per cell;
-	// advisory, may be dropped on a slow connection).
+	// or cell-subset request (correlated by Seq; advisory: a server
+	// sends at most one per 50 ms per execution, none for a request
+	// that finishes sooner, and may drop one on a slow connection).
 	MsgExpProgress MsgType = "exp_progress"
 	// MsgExpResult carries a completed experiment's renderings and rows.
 	MsgExpResult MsgType = "exp_result"
@@ -276,7 +277,11 @@ type ExpResultPayload struct {
 	Shared bool `json:"shared,omitempty"`
 }
 
-// GridProgress is one per-cell progress tick of a running request.
+// GridProgress is one progress tick of a running request: Done of
+// Total cells finished. raild and railfleet send at most one per 50 ms
+// per execution (none for a request that finishes sooner), so a reader
+// must not count on a tick per cell or on a final Done == Total; the
+// result frame reports completion.
 type GridProgress struct {
 	Done  int `json:"done"`
 	Total int `json:"total"`

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -198,20 +199,11 @@ func TestFleetGridByteIdentical(t *testing.T) {
 	if run.RowsJSON != wantRows {
 		t.Fatal("fleet rows diverged from the local engine's")
 	}
-
-	// Aggregated progress streamed monotonically up to completion.
+	// The coordinator forwards at most one aggregated tick per progress
+	// interval, so how many arrive depends on timing; those that do
+	// increase strictly and stay within the grid, and the result follows.
 	mu.Lock()
-	if len(ticks) == 0 {
-		t.Fatal("no aggregated progress frames")
-	}
-	for i := 1; i < len(ticks); i++ {
-		if ticks[i] <= ticks[i-1] {
-			t.Fatalf("progress ticks not increasing: %v", ticks)
-		}
-	}
-	if last := ticks[len(ticks)-1]; last != 48 {
-		t.Errorf("final progress tick = %d, want 48", last)
-	}
+	requireRising(t, ticks, 48)
 	mu.Unlock()
 
 	// Cells actually distributed: every backend executed >= 1 cell, and
@@ -251,40 +243,96 @@ func TestFleetGridByteIdentical(t *testing.T) {
 	if st.CellsExecuted != 48 {
 		t.Errorf("aggregated cellsExecuted = %d, want 48", st.CellsExecuted)
 	}
+
+	// Unthrottled, the coordinator's aggregation reports every cell: its
+	// last committed batch always emits 48 of 48.
+	grid, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks = nil
+	if _, err := fl.coord.executeGrid(context.Background(), spec, grid, func(done, total int) {
+		ticks = append(ticks, done) // executeGrid serializes its ticks
+	}); err != nil {
+		t.Fatal(err)
+	}
+	requireRising(t, ticks, 48)
+	if len(ticks) == 0 || ticks[len(ticks)-1] != 48 {
+		t.Errorf("executeGrid ticks = %v, want a final 48", ticks)
+	}
 }
 
-// TestFleetFailoverMidGrid is the acceptance failover e2e: one backend
-// is killed mid-grid by the fault harness (at an exact served-frame
-// count, so the kill lands between its first progress frame and its
-// results), and the client still receives the full, byte-identical
-// result — the dead backend's cells re-shard to the survivors.
-func TestFleetFailoverMidGrid(t *testing.T) {
-	wantRows, _ := fig8Ref(t)
-	fl := startFleet(t, 3, 4)
+// requireRising fails t unless ticks increase strictly and never
+// exceed total.
+func requireRising(t *testing.T, ticks []int, total int) {
+	t.Helper()
+	for i, d := range ticks {
+		if d > total || (i > 0 && d <= ticks[i-1]) {
+			t.Fatalf("progress ticks %v: want strictly increasing, at most %d", ticks, total)
+		}
+	}
+}
 
-	// Pick a backend that will receive cells under the static shard
-	// assignment, and kill it after it has served 2 frames — mid-grid,
-	// before it can deliver its first batch's result.
+// firstAssigned returns the position in targets of the first one the
+// fig8-5d grid shards cells onto, and how many cells it gets.
+func firstAssigned(t *testing.T, targets []Target) (int, int) {
+	t.Helper()
 	cells := scenario.Fig8Grid5D().Expand()
 	all := make([]int, len(cells))
 	for i := range all {
 		all[i] = i
 	}
-	assignment := AssignWeighted(cells, all, staticTargets(0, 1, 2))
-	victim := -1
-	for i := 0; i < 3; i++ {
-		if len(assignment[StaticID(i)]) > 0 {
-			victim = i
-			break
+	assignment := AssignWeighted(cells, all, targets)
+	for i, tg := range targets {
+		if n := len(assignment[tg.ID]); n > 0 {
+			return i, n
 		}
 	}
-	if victim < 0 {
-		t.Fatal("no backend received cells")
-	}
-	fl.net.Endpoint(fmt.Sprintf("b%d", victim)).KillAfterFrames(2)
+	t.Fatal("no target received cells")
+	return -1, 0
+}
 
+// killMidGrid runs the fig8-5d grid through c and kills endpoint name,
+// served by srv, while srv holds cells. The endpoint's frames are held
+// from before the grid, so it can deliver no result (nor answer a
+// scrape) before the kill; the kill lands once srv has admitted a
+// cells batch, so the coordinator must fail that batch over. A kill
+// armed on a frame count instead depends on which frames the backend
+// sends first, and throttled progress leaves that to timing.
+func killMidGrid(t *testing.T, fn *faultnet.Network, name string, srv *railserve.Server, c *railserve.Client) (*railserve.ExpRun, error) {
+	t.Helper()
+	ep := fn.Endpoint(name)
+	ep.HoldAtFrame(ep.Frames() + 1)
+	done := runAsync(context.Background(), c, gridReq(scenario.SpecOf(scenario.Fig8Grid5D())))
+	deadline := time.After(30 * time.Second)
+	for srv.Stats().CellsExecuted == 0 {
+		select {
+		case out := <-done:
+			t.Fatalf("grid ended (err %v) before backend %s held cells", out.err, name)
+		case <-deadline:
+			t.Fatalf("backend %s never received its cells", name)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	ep.Kill()
+	out := <-done
+	return out.run, out.err
+}
+
+// TestFleetFailoverMidGrid is the acceptance failover e2e: one backend
+// is killed mid-grid by the fault harness (once it holds cells and
+// before it can deliver any, see killMidGrid), and the client still
+// receives the full, byte-identical result — the dead backend's cells
+// re-shard to the survivors.
+func TestFleetFailoverMidGrid(t *testing.T) {
+	wantRows, _ := fig8Ref(t)
+	fl := startFleet(t, 3, 4)
+
+	// Kill a backend that receives cells under the static shard
+	// assignment.
+	victim, victimCells := firstAssigned(t, staticTargets(0, 1, 2))
 	c := fl.dialCoord(t)
-	run, err := c.RunExperiment(context.Background(), gridReq(scenario.SpecOf(scenario.Fig8Grid5D())), nil)
+	run, err := killMidGrid(t, fl.net, fmt.Sprintf("b%d", victim), fl.backends[victim], c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +367,8 @@ func TestFleetFailoverMidGrid(t *testing.T) {
 		}
 		fleetCells += s.Stats().CellsExecuted
 	}
-	if fleetCells < 48-uint64(len(assignment[StaticID(victim)])) {
-		t.Errorf("survivors executed %d cells, want >= %d", fleetCells, 48-len(assignment[StaticID(victim)]))
+	if fleetCells < 48-uint64(victimCells) {
+		t.Errorf("survivors executed %d cells, want >= %d", fleetCells, 48-victimCells)
 	}
 }
 
@@ -337,29 +385,76 @@ func TestFleetAllBackendsDead(t *testing.T) {
 	}
 }
 
+// tickingBackend answers each cells_req from raw frames: one progress
+// frame, then a cells_result carrying rows at the requested indices.
+// Any other frame gets an error reply.
+func tickingBackend(ln net.Listener, rows []scenario.Row) {
+	rawBackend(ln, func(msg *opusnet.Message) []*opusnet.Message {
+		if msg.Type != opusnet.MsgCellsReq || msg.Cells == nil || msg.Cells.Spec == nil {
+			return []*opusnet.Message{{Type: opusnet.MsgErr, Seq: msg.Seq,
+				Error: fmt.Sprintf("tickingBackend: unexpected %q", msg.Type)}}
+		}
+		idx := msg.Cells.Indices
+		batch := make([]scenario.Row, len(idx))
+		for j, i := range idx {
+			batch[j] = rows[i]
+		}
+		return []*opusnet.Message{
+			{Type: opusnet.MsgExpProgress, Seq: msg.Seq, Progress: &opusnet.GridProgress{Done: 1, Total: len(idx)}},
+			{Type: opusnet.MsgCellsResult, Seq: msg.Seq,
+				CellsResult: &opusnet.CellsResultPayload{Name: msg.Cells.Spec.Name, Indices: idx, Rows: batch}},
+		}
+	})
+}
+
 // TestFleetDroppedProgressFrameHarmless: advisory progress frames may
-// vanish (here: the backend's first served frame is dropped by the
-// harness); the result must still be complete and correct.
+// vanish (here: each backend's first served frame, which its stub
+// sends as a progress tick, is dropped by the harness); the result must
+// still be complete and correct.
 func TestFleetDroppedProgressFrameHarmless(t *testing.T) {
-	fl := startFleet(t, 2, 8)
-	fl.net.Endpoint("b0").DropFrame(1)
-	fl.net.Endpoint("b1").DropFrame(1)
-	c := fl.dialCoord(t)
 	spec := scenario.SpecOf(scenario.Grid{
 		Name:        "droppy",
 		Fabrics:     []scenario.FabricKind{scenario.Electrical, scenario.Photonic},
 		LatenciesMS: []float64{5, 20},
 		Iterations:  1,
 	})
-	run, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	grid, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.RowsJSON != localGridJSON(t, grid) {
+	local, err := photonrail.NewEngine(0).RunGrid(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := faultnet.New()
+	t.Cleanup(fn.Close)
+	for _, name := range []string{"b0", "b1"} {
+		tickingBackend(fn.Listen(name), local.Rows())
+		fn.Endpoint(name).DropFrame(1)
+	}
+	coord, err := New(Config{
+		Listener: fn.Listen("coord"),
+		Backends: []string{"b0", "b1"},
+		InFlight: 8,
+		Dial:     fn.Dial,
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = coord.Close(); coord.Drain() })
+	conn, err := fn.Dial("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := railserve.NewClient(conn)
+	t.Cleanup(func() { _ = c.Close() })
+
+	run, err := c.RunExperiment(context.Background(), gridReq(spec), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.RowsJSON != gridJSON(t, grid.Name, local.Rows()) {
 		t.Fatal("rows diverged under dropped progress frames")
 	}
 }
@@ -527,13 +622,28 @@ func TestFleetExpPathByteIdenticalToDaemon(t *testing.T) {
 
 	fl := startFleet(t, 3, 4)
 	c := fl.dialCoord(t)
+	// The coordinator forwards at most one tick per 50 ms of its
+	// execution, and this grid runs faster than that. So hold the
+	// backends until the execution is older than the interval: the
+	// batch committed after the release then ticks for certain.
+	release := fl.holdBackends()
+	defer release()
 	var ticks []int
 	var mu sync.Mutex
-	got, err := c.RunExperiment(context.Background(), req, func(done, total int) {
-		mu.Lock()
-		ticks = append(ticks, done)
-		mu.Unlock()
-	})
+	result := make(chan expOutcome, 1)
+	go func() {
+		run, err := c.RunExperiment(context.Background(), req, func(done, total int) {
+			mu.Lock()
+			ticks = append(ticks, done)
+			mu.Unlock()
+		})
+		result <- expOutcome{run, err}
+	}()
+	waitEvent(t, fl.coord.Telemetry(), func(ev telemetry.Event) bool { return ev.Type == "sharded" })
+	time.Sleep(100 * time.Millisecond) // twice the progress interval
+	release()
+	out := <-result
+	got, err := out.run, out.err
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -352,34 +352,19 @@ func TestElasticFleetJoinDrainMidRequest(t *testing.T) {
 func TestElasticMemberKilledMidGridFailsOver(t *testing.T) {
 	wantRows, _ := fig8Ref(t)
 	fl := startElasticFleet(t, 4, time.Second)
-	for i := 0; i < 2; i++ {
-		fl.addMember(i, 2)
+	var servers [2]*railserve.Server
+	for i := range servers {
+		servers[i], _ = fl.addMember(i, 2)
 	}
 
-	cells := scenario.Fig8Grid5D().Expand()
-	all := make([]int, len(cells))
-	for i := range all {
-		all[i] = i
-	}
+	// Kill a member's serving endpoint once it holds cells and before
+	// it delivers any (see killMidGrid): a mid-grid death at a
+	// reproducible point.
 	targets := []Target{{ID: "n0", Weight: 2}, {ID: "n1", Weight: 2}}
-	assignment := AssignWeighted(cells, all, targets)
-	victim := ""
-	for _, tg := range targets {
-		if len(assignment[tg.ID]) > 0 {
-			victim = tg.ID
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no member received cells")
-	}
-	victimIdx := int(victim[1] - '0')
-	// Kill after 2 served frames: past its first progress frame, before
-	// its first batch result — a mid-grid death at a reproducible point.
-	fl.net.Endpoint(fmt.Sprintf("b%d", victimIdx)).KillAfterFrames(2)
-
+	victimIdx, _ := firstAssigned(t, targets)
+	victim := targets[victimIdx].ID
 	c := fl.dialCoord()
-	run, err := c.RunExperiment(context.Background(), gridReq(scenario.SpecOf(scenario.Fig8Grid5D())), nil)
+	run, err := killMidGrid(t, fl.net, fmt.Sprintf("b%d", victimIdx), servers[victimIdx], c)
 	if err != nil {
 		t.Fatal(err)
 	}

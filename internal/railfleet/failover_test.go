@@ -54,10 +54,9 @@ func requireSplit(t *testing.T, spec scenario.Spec) (string, int) {
 	return localGridJSON(t, grid), len(cells)
 }
 
-// legacyBackend serves the opusnet framing like a pre-cells_req raild:
-// every frame is answered with an application-level MsgErr on a
-// healthy connection — never a transport error.
-func legacyBackend(ln net.Listener) {
+// rawBackend serves the opusnet framing from raw frames: each frame it
+// reads is answered with the frames reply returns for it.
+func rawBackend(ln net.Listener, reply func(msg *opusnet.Message) []*opusnet.Message) {
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -71,12 +70,23 @@ func legacyBackend(ln net.Listener) {
 					if err != nil {
 						return
 					}
-					_ = opusnet.WriteMessage(conn, &opusnet.Message{Type: opusnet.MsgErr, Seq: msg.Seq,
-						Error: fmt.Sprintf("railserve: unsupported message type %q", msg.Type)})
+					for _, m := range reply(msg) {
+						_ = opusnet.WriteMessage(conn, m)
+					}
 				}
 			}()
 		}
 	}()
+}
+
+// legacyBackend serves the opusnet framing like a pre-cells_req raild:
+// every frame is answered with an application-level MsgErr on a
+// healthy connection — never a transport error.
+func legacyBackend(ln net.Listener) {
+	rawBackend(ln, func(msg *opusnet.Message) []*opusnet.Message {
+		return []*opusnet.Message{{Type: opusnet.MsgErr, Seq: msg.Seq,
+			Error: fmt.Sprintf("railserve: unsupported message type %q", msg.Type)}}
+	})
 }
 
 // TestFleetRoutesAroundLegacyBackend pins the mixed-version-fleet

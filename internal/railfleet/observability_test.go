@@ -13,7 +13,6 @@ import (
 
 	"photonrail/internal/opusnet"
 	"photonrail/internal/railctl"
-	"photonrail/internal/railserve"
 	"photonrail/internal/scenario"
 	"photonrail/internal/telemetry"
 )
@@ -219,54 +218,12 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 		}()
 	}
 
-	// Kill a backend while it holds cells, whatever the scrapers do.
-	// Its frames are held from before the grid, so it cannot deliver a
-	// result (or answer a scrape) until the kill; the kill lands once it
-	// has started executing its subset, so the coordinator must fail
-	// its cells over. A kill armed on a frame count could instead fire
-	// on scrape replies before the backend held any cells, leaving
+	// Kill a backend while it holds cells, whatever the scrapers do
+	// (see killMidGrid): a kill armed on a frame count could instead
+	// fire on scrape replies before the backend held any cells, leaving
 	// nothing to fail over.
-	cells := scenario.Fig8Grid5D().Expand()
-	all := make([]int, len(cells))
-	for i := range all {
-		all[i] = i
-	}
-	assignment := AssignWeighted(cells, all, staticTargets(0, 1, 2))
-	victim := -1
-	for i := 0; i < 3; i++ {
-		if len(assignment[StaticID(i)]) > 0 {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("no backend received cells")
-	}
-	ep := fl.net.Endpoint(fmt.Sprintf("b%d", victim))
-	ep.HoldAtFrame(ep.Frames() + 1)
-
-	type result struct {
-		run *railserve.ExpRun
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		run, err := c.RunExperiment(context.Background(), gridReq(scenario.SpecOf(scenario.Fig8Grid5D())), nil)
-		done <- result{run, err}
-	}()
-	deadline := time.After(30 * time.Second)
-	for fl.backends[victim].Stats().CellsExecuted == 0 {
-		select {
-		case r := <-done:
-			t.Fatalf("grid ended (err %v) before backend b%d held cells", r.err, victim)
-		case <-deadline:
-			t.Fatalf("backend b%d never received its cells", victim)
-		case <-time.After(time.Millisecond):
-		}
-	}
-	ep.Kill()
-	r := <-done
-	run, err := r.run, r.err
+	victim, _ := firstAssigned(t, staticTargets(0, 1, 2))
+	run, err := killMidGrid(t, fl.net, fmt.Sprintf("b%d", victim), fl.backends[victim], c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@
 //	                                 returns 202 + run id immediately
 //	GET  /v1/runs/{id}             — the completed result, negotiated:
 //	                                 JSON rows, CSV, or aligned text
-//	GET  /v1/runs/{id}/events      — the run's lifecycle + per-cell
-//	                                 progress as SSE
+//	GET  /v1/runs/{id}/events      — the run's lifecycle + progress
+//	                                 (at most one tick per 50 ms) as SSE
 //	GET  /metrics, /events         — the gateway's own observability
 //
 // Multi-tenancy: every request carries a tenant (X-Tenant header;
@@ -97,14 +97,17 @@ const (
 	evSubmitted = "submitted" // admitted past the rate limit
 	evCached    = "cached"    // served from the durable store
 	evStarted   = "started"   // granted an execution slot
-	evProgress  = "progress"  // per-cell completion tick
+	evProgress  = "progress"  // completion tick, forwarded from the Runner
 	evResult    = "result"    // completed successfully
 	evError     = "error"     // failed (or cancelled while queued)
 	evRejected  = "rejected"  // refused with 429 (Reason: rate | queue)
 )
 
-// gwEventRing bounds the gateway's event ring: deep enough to replay a
-// full 4096-cell grid's progress ticks to a late-attaching SSE client.
+// gwEventRing bounds the gateway's event ring, which every run's
+// lifecycle shares. Progress reaches it from the Runner's daemon at
+// most once per 50 ms per execution, so a late-attaching SSE client can
+// replay a run's whole stream unless thousands of other events, or
+// minutes of ticks, came after it.
 const gwEventRing = 8192
 
 // run is one accepted request's lifecycle record.

@@ -34,6 +34,7 @@ func TestCellsSubsetMatchesGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, 0, 0)
+	s.setClock(steppingClock()) // every tick is due
 	c := dialTest(t, s)
 	indices := []int{3, 0, 2}
 	var mu sync.Mutex

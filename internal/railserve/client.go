@@ -69,7 +69,12 @@ func NewClient(conn net.Conn) *Client {
 		readDone: make(chan struct{}),
 		pending:  make(map[uint64]*pendingCall),
 	}
-	go c.readLoop()
+	go func() {
+		c.readLoop()
+		// Closed once readLoop has returned, so a reader Close joined is
+		// already off the stack (the leak tests count readLoop frames).
+		close(c.readDone)
+	}()
 	return c
 }
 
@@ -85,7 +90,6 @@ func (c *Client) Close() error {
 }
 
 func (c *Client) readLoop() {
-	defer close(c.readDone)
 	for {
 		msg, err := opusnet.ReadMessage(c.conn)
 		if err != nil {

@@ -20,6 +20,14 @@ import (
 // enough to cap memory; overflow drops oldest and is counted.
 const eventRingCapacity = 4096
 
+// progressInterval is the least time between two progress ticks one
+// execution forwards to its waiters, counted from Execute's start and
+// then from each forwarded tick. Ticks are advisory and their readers
+// (railclient -progress, railgate's per-run SSE, a coordinator's own
+// waiters) are paced for people, so a request that finishes sooner
+// sends none, and a long grid still ticks up to 20 times a second.
+const progressInterval = 50 * time.Millisecond
+
 // errConnClosed ends a request whose connection was torn down before
 // the request was admitted.
 var errConnClosed = errors.New("railserve: connection closed before admission")
@@ -50,7 +58,8 @@ type CoreConfig struct {
 // servers: identical in-flight requests coalesce onto one execution,
 // each request's wait is bounded by its deadline, a cancel frame and
 // its connection, the last departing waiter cancels the execution, and
-// progress fans out to exactly the waiters still subscribed.
+// progress fans out, at most one tick per progressInterval, to exactly
+// the waiters still subscribed.
 type Core struct {
 	ln     net.Listener
 	prefix string
@@ -78,6 +87,9 @@ type Core struct {
 	// starts — a test-only hook that holds a request in flight
 	// deterministically.
 	execGate <-chan struct{}
+	// now is the progress throttle's clock: time.Now, unless a test
+	// installs its own with setClock.
+	now      func() time.Time
 	dispatch Dispatch // set by Start, before the accept loop runs
 
 	// wg tracks the accept loop and connection handlers — everything
@@ -115,6 +127,7 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 		baseCancel: baseCancel,
 		runs:       make(map[string]*waitRun),
 		conns:      make(map[net.Conn]bool),
+		now:        time.Now,
 	}
 	c.inflightG = c.tel.Metrics.Gauge(cfg.Prefix+"_requests_inflight",
 		"Requests admitted (validated and joined or started an execution) and awaiting their final reply.")
@@ -212,6 +225,14 @@ func (c *Core) setExecGate(gate <-chan struct{}) {
 	c.mu.Unlock()
 }
 
+// setClock installs the test-only progress-throttle clock; executions
+// started afterwards read it.
+func (c *Core) setClock(now func() time.Time) {
+	c.mu.Lock()
+	c.now = now
+	c.mu.Unlock()
+}
+
 func (c *Core) acceptLoop() {
 	defer c.wg.Done()
 	opusnet.AcceptLoop(c.ln,
@@ -272,7 +293,8 @@ type Request struct {
 	Count func(shared bool)
 	// Execute runs a started execution under a context that Close, or
 	// the last waiter departing, cancels; progress ticks every waiter
-	// still subscribed. Its payload is shared by all waiters.
+	// still subscribed, at most once per progressInterval. Its payload
+	// is shared by all waiters.
 	Execute func(ctx context.Context, progress func(done, total int)) (any, error)
 	// Result shapes one waiter's final frame from the payload.
 	Result func(payload any, shared bool) *opusnet.Message
@@ -312,8 +334,9 @@ func (c *Core) beginReq(r *Request) *reqObs {
 
 // admitted emits the request's submitted/deduped lifecycle event. Call
 // it with no lock held, after the join decision is visible in the
-// counters — observing the event therefore guarantees a subsequent
-// identical request coalesces.
+// counters and the waiter is subscribed to progress — observing the
+// event therefore guarantees a subsequent identical request coalesces,
+// and that the waiter sees every tick forwarded from then on.
 func (ro *reqObs) admitted(shared bool) {
 	typ := "submitted"
 	if shared {
@@ -356,9 +379,11 @@ type waitRun struct {
 	err     error
 	cancel  context.CancelFunc
 	waiters int // guarded by Core.mu
+	now     func() time.Time
 
 	mu   sync.Mutex
 	subs []*func(done, total int)
+	last time.Time // Execute's start, then the last forwarded tick
 }
 
 // subscribe adds a waiter's progress listener and returns its removal.
@@ -383,9 +408,17 @@ func (r *waitRun) subscribe(fn func(done, total int)) (unsubscribe func()) {
 	}
 }
 
+// broadcast forwards a tick to every waiter still subscribed, unless
+// it comes less than progressInterval after Execute's start or the
+// last forwarded tick; such a tick is dropped.
 func (r *waitRun) broadcast(done, total int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	t := r.now()
+	if t.Sub(r.last) < progressInterval {
+		return
+	}
+	r.last = t
 	for _, fn := range r.subs {
 		(*fn)(done, total)
 	}
@@ -402,7 +435,7 @@ func (c *Core) join(r *Request) (run *waitRun, shared bool) {
 	}
 	gate := c.execGate
 	ctx, cancel := context.WithCancel(c.baseCtx)
-	run = &waitRun{done: make(chan struct{}), cancel: cancel, waiters: 1}
+	run = &waitRun{done: make(chan struct{}), cancel: cancel, waiters: 1, now: c.now}
 	c.runs[r.Key] = run
 	c.mu.Unlock()
 	c.execWG.Add(1)
@@ -411,6 +444,7 @@ func (c *Core) join(r *Request) (run *waitRun, shared bool) {
 		if gate != nil {
 			<-gate // test-only hold, see execGate
 		}
+		run.last = run.now() // before Execute, so before any tick reads it
 		run.payload, run.err = r.Execute(ctx, run.broadcast)
 		c.mu.Lock()
 		// departRun may already have removed (or a fresh run may have
@@ -468,6 +502,10 @@ func (c *Core) Serve(r *Request, reply func(*opusnet.Message, bool), cs *opusnet
 	}
 
 	run, shared := c.join(r)
+	unsubscribe := run.subscribe(func(done, total int) {
+		reply(&opusnet.Message{Type: opusnet.MsgExpProgress, Seq: r.Seq,
+			Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
+	})
 	r.Count(shared)
 	if c.logf != nil {
 		if shared {
@@ -478,10 +516,6 @@ func (c *Core) Serve(r *Request, reply func(*opusnet.Message, bool), cs *opusnet
 	}
 	ro.admitted(shared)
 
-	unsubscribe := run.subscribe(func(done, total int) {
-		reply(&opusnet.Message{Type: opusnet.MsgExpProgress, Seq: r.Seq,
-			Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
-	})
 	c.execWG.Add(1)
 	go func() {
 		defer c.execWG.Done()

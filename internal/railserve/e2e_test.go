@@ -88,6 +88,9 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 	wantRows := gridJSON(t, grid.Name, refRes.Rows())
 
 	s := newTestServer(t, 0, 0)
+	// Every tick is due under the stepping clock, so both clients see
+	// the progress stream up to its last cell.
+	s.setClock(steppingClock())
 	// Hold the execution at the gate until both requests are registered,
 	// so the dedup assertion is deterministic on any machine speed.
 	gate := make(chan struct{})

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -298,7 +299,8 @@ func TestExpRejectsBadRequests(t *testing.T) {
 }
 
 // TestExpProgressStreams: a grid experiment through the exp path
-// streams monotonic progress ticks.
+// streams monotonic progress ticks (every tick is due under the
+// stepping clock).
 func TestExpProgressStreams(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{
 		Name:        "prog",
@@ -306,6 +308,7 @@ func TestExpProgressStreams(t *testing.T) {
 		Iterations:  1,
 	})
 	s := newTestServer(t, 0, 0)
+	s.setClock(steppingClock())
 	c := dialTest(t, s)
 	var mu sync.Mutex
 	var ticks []int
@@ -375,16 +378,20 @@ func TestRunExperimentCtxTimeout(t *testing.T) {
 // TestExpDepartedWaiterGetsNoProgress: a raw-frame client joins a gated
 // grid execution and cancels. After its error frame, no progress frame
 // for the cancelled seq may reach it: a stats_req sent once the
-// execution completed fences the stream.
+// execution completed fences the stream. Every tick is due under the
+// stepping clock, and the remaining waiter must see some, so the
+// execution did tick after the departure.
 func TestExpDepartedWaiterGetsNoProgress(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{Name: "departed", LatenciesMS: []float64{5, 10, 20}, Iterations: 1})
 	s := newTestServer(t, 0, 0)
+	s.setClock(steppingClock())
 	gate := make(chan struct{})
 	s.setExecGate(gate)
 	resA := make(chan error, 1)
+	var ticksA atomic.Int64
 	a := dialTest(t, s)
 	go func() {
-		_, err := a.RunExperiment(context.Background(), gridReq(spec), nil)
+		_, err := a.RunExperiment(context.Background(), gridReq(spec), func(int, int) { ticksA.Add(1) })
 		resA <- err
 	}()
 	waitServerEvent(t, s, func(ev telemetry.Event) bool { return ev.Type == "submitted" && ev.Exp == "grid" })
@@ -418,6 +425,9 @@ func TestExpDepartedWaiterGetsNoProgress(t *testing.T) {
 	close(gate)
 	if err := <-resA; err != nil {
 		t.Fatalf("remaining waiter: %v", err)
+	}
+	if ticksA.Load() == 0 {
+		t.Fatal("the remaining waiter got no tick, so no tick could reach the departed one")
 	}
 	if err := opusnet.WriteMessage(conn, &opusnet.Message{Type: opusnet.MsgStatsReq, Seq: 2}); err != nil {
 		t.Fatal(err)

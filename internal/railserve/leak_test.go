@@ -76,6 +76,7 @@ func TestClientCloseJoinsReader(t *testing.T) {
 func TestClientCloseJoinsReaderMidProgress(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{Name: "leak", LatenciesMS: []float64{5}, Iterations: 1})
 	s := newTestServer(t, 1, 0)
+	s.setClock(steppingClock()) // every tick is due, so one reaches the callback
 	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)

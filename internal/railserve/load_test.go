@@ -139,3 +139,43 @@ func BenchmarkRailbenchSmoke(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// warmSink keeps BenchmarkWarmGridRequest's result live.
+var warmSink string
+
+// BenchmarkWarmGridRequest times one warm fig8-5d request as the
+// gateway sends it: a JSON grid experiment with a unique name, so no
+// two requests coalesce, through an in-process daemon and Client, and
+// its JSON rendering. Every cell hits the daemon's memo (the warm-up
+// fills it, outside the timer), so the time and allocations measure
+// the request path: admission, progress, framing and JSON.
+func BenchmarkWarmGridRequest(b *testing.B) {
+	s, err := NewServer(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = s.Close(); s.Drain() }()
+	c, err := Dial(s.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	spec := scenario.SpecOf(scenario.Fig8Grid5D())
+	request := func(i int) {
+		spec.Name = fmt.Sprintf("warm-%d", i)
+		run, err := c.RunExperiment(ctx, gridReq(spec), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if warmSink, err = run.Render("json"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	request(-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request(i)
+	}
+}

@@ -6,15 +6,17 @@
 // one-shot CLI run rebuilds the memo cache from scratch, the daemon
 // keeps one engine — and its simulation cache — warm across requests,
 // shards each request's jobs across the engine's worker pool, and
-// streams progress frames back so clients render live progress.
+// streams progress frames back so clients render live progress — at
+// most one per 50 ms per execution (progressInterval), so a request
+// that finishes sooner is one result frame.
 //
 // Two layers of deduplication serve concurrent clients:
 //
 //   - request-level singleflight: identical in-flight requests (keyed
 //     on photonrail.ExperimentKey over the experiment name +
 //     parameters, or on the grid + index list of a cell subset)
-//     coalesce onto one execution, with progress and results fanned
-//     out to every waiter still subscribed;
+//     coalesce onto one execution, with (throttled) progress and
+//     results fanned out to every waiter still subscribed;
 //   - simulation-level memoization: distinct requests sharing
 //     simulations (or electrical baselines) reuse the engine's cache.
 //

@@ -48,8 +48,8 @@ type Event struct {
 	Reason string `json:"reason,omitempty"`
 	// Tenant is the requesting tenant for gateway events.
 	Tenant string `json:"tenant,omitempty"`
-	// Done/Total carry per-cell completion progress for gateway
-	// progress events (Done of Total cells finished).
+	// Done/Total carry completion progress for gateway progress
+	// events (Done of Total cells finished).
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
 }

@@ -1,17 +1,24 @@
 #!/usr/bin/env bash
 # bench_diff.sh — CI performance gate against the committed trajectory.
 #
-# Runs the short benchmarks fresh and compares each against the latest
-# committed BENCH_<N>.json snapshot by name, failing when ns/op regresses
-# more than the threshold. To keep one-shot (-benchtime 1x) noise from
-# tripping the gate:
-#   - the fresh value is the MIN over -count runs (min is the robust
-#     statistic for "has the code gotten slower");
-#   - benchmarks faster than MIN_NS are skipped (sub-millisecond one-shot
-#     timings are dominated by scheduling noise, and a regression there
-#     is invisible in wall time);
-#   - the threshold is generous (25%): this is a trajectory guard against
-#     real regressions, not a microbenchmark tribunal.
+# Runs the short benchmarks fresh (-benchmem) and compares each against
+# the latest committed BENCH_<N>.json snapshot by name, failing when
+# ns/op or allocs/op regresses more than its threshold. To keep
+# one-shot (-benchtime 1x) noise from tripping the gate:
+#   - each fresh value is the MIN over -count runs (min is the robust
+#     statistic for "has the code gotten slower", and it drops a first
+#     run's one-time allocations);
+#   - for ns/op, benchmarks faster than MIN_NS are skipped (sub-
+#     millisecond one-shot timings are dominated by scheduling noise,
+#     and a regression there is invisible in wall time), and the
+#     threshold is generous (25%): this is a trajectory guard against
+#     real regressions, not a microbenchmark tribunal;
+#   - allocs/op does not depend on the host's speed, so it is gated on
+#     every benchmark whose baseline records it, sub-millisecond ones
+#     included, at a tighter bound: ALLOCS_PCT (15%) of the baseline
+#     plus ALLOCS_FLOOR (16) allocations of slack for tiny counts. Over
+#     seven suite runs at GOMAXPROCS 1, 2 and 4 no benchmark's min
+#     moved by more than 5 allocations (9%, on 55) or 0.3% (on 123k).
 #
 # Usage: scripts/bench_diff.sh [baseline.json]
 # Default baseline: the highest-numbered BENCH_<N>.json at the repo root.
@@ -21,6 +28,8 @@ cd "$(dirname "$0")/.."
 THRESHOLD_PCT="${BENCH_DIFF_THRESHOLD_PCT:-25}"
 MIN_NS="${BENCH_DIFF_MIN_NS:-1000000}" # skip benchmarks under 1ms
 COUNT="${BENCH_DIFF_COUNT:-3}"
+ALLOCS_PCT=15
+ALLOCS_FLOOR=16
 
 if [ $# -ge 1 ]; then
     baseline="$1"
@@ -29,30 +38,38 @@ else
     [ -n "$baseline" ] || { echo "bench_diff: no BENCH_<N>.json baseline found" >&2; exit 1; }
     baseline="BENCH_${baseline}.json"
 fi
-echo "bench_diff: baseline $baseline, threshold ${THRESHOLD_PCT}%, min ${MIN_NS} ns, count ${COUNT}"
+echo "bench_diff: baseline $baseline, threshold ${THRESHOLD_PCT}%, min ${MIN_NS} ns, allocs ${ALLOCS_PCT}% + ${ALLOCS_FLOOR}, count ${COUNT}"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -short -run '^$' -bench . -benchtime 1x -count "$COUNT" ./... | tee "$raw"
+go test -short -run '^$' -bench . -benchtime 1x -count "$COUNT" -benchmem ./... | tee "$raw"
 
-awk -v baseline="$baseline" -v thresh="$THRESHOLD_PCT" -v minns="$MIN_NS" '
-    # Pass 1: committed baseline ns/op by benchmark name.
+awk -v baseline="$baseline" -v thresh="$THRESHOLD_PCT" -v minns="$MIN_NS" \
+    -v allocpct="$ALLOCS_PCT" -v allocfloor="$ALLOCS_FLOOR" '
+    # Pass 1: committed baseline ns/op and allocs/op by benchmark name.
     FILENAME == baseline {
         if (match($0, /"name": "[^"]+"/)) {
             name = substr($0, RSTART + 9, RLENGTH - 10)
             if (match($0, /"ns_per_op": [0-9]+/)) {
                 base[name] = substr($0, RSTART + 13, RLENGTH - 13) + 0
             }
+            if (match($0, /"allocs_per_op": [0-9]+/)) {
+                baseallocs[name] = substr($0, RSTART + 17, RLENGTH - 17) + 0
+            }
         }
         next
     }
-    # Pass 2: fresh runs; keep the min ns/op per name.
+    # Pass 2: fresh runs; keep the min ns/op and min allocs/op per name.
     /^Benchmark/ && NF >= 4 && $4 == "ns/op" {
         name = $1
         sub(/-[0-9]+$/, "", name)
         ns = $3 + 0
         if (!(name in fresh) || ns < fresh[name]) fresh[name] = ns
+        if (NF >= 8 && $8 == "allocs/op") {
+            allocs = $7 + 0
+            if (!(name in freshallocs) || allocs < freshallocs[name]) freshallocs[name] = allocs
+        }
     }
     END {
         fail = 0
@@ -72,6 +89,17 @@ awk -v baseline="$baseline" -v thresh="$THRESHOLD_PCT" -v minns="$MIN_NS" '
                 fail = 1
             } else {
                 printf "ok:   %-50s %12d -> %12d ns/op (%+.1f%%)\n", name, b, f, pct
+            }
+        }
+        for (name in freshallocs) {
+            if (!(name in baseallocs)) continue
+            b = baseallocs[name]; f = freshallocs[name]
+            limit = b * (1 + allocpct / 100.0) + allocfloor
+            if (f > limit) {
+                printf "FAIL: %-50s %12d -> %12d allocs/op (over %d%% + %d)\n", name, b, f, allocpct, allocfloor
+                fail = 1
+            } else {
+                printf "ok:   %-50s %12d -> %12d allocs/op\n", name, b, f
             }
         }
         for (name in base) {
