@@ -198,7 +198,14 @@ func (en *Engine) Simulate(w Workload, f Fabric) (*Result, error) {
 // the workload on the same topology kind), and only the timed execution
 // runs here.
 func (en *Engine) SimulateCtx(ctx context.Context, w Workload, f Fabric) (*Result, error) {
-	return exp.CachedCostCtx(ctx, en.pool, "time:"+exp.Key("simulate", w, f), costSim, func(cctx context.Context) (*Result, error) {
+	k := keysOf(w)
+	return en.simulate(ctx, k.time(f), w, f)
+}
+
+// simulate is SimulateCtx under the Time key the caller derived for
+// (w, f).
+func (en *Engine) simulate(ctx context.Context, key string, w Workload, f Fabric) (*Result, error) {
+	return exp.CachedCostCtx(ctx, en.pool, key, costSim, func(cctx context.Context) (*Result, error) {
 		topoKind, mode, err := fabricRealization(f)
 		if err != nil {
 			return nil, err
@@ -217,7 +224,8 @@ func (en *Engine) SimulateCtx(ctx context.Context, w Workload, f Fabric) (*Resul
 // kind. Every Time- and Provision-stage run of the workload shares the
 // one cached Program.
 func (en *Engine) programCtx(ctx context.Context, w Workload, kind topo.FabricKind) (*workload.Program, error) {
-	return exp.CachedCostCtx(ctx, en.pool, "build:"+exp.Key(w, int(kind)), costProgram, func(context.Context) (*workload.Program, error) {
+	k := keysOf(w)
+	return exp.CachedCostCtx(ctx, en.pool, k.build(kind), costProgram, func(context.Context) (*workload.Program, error) {
 		return w.build(kind)
 	})
 }
@@ -238,7 +246,14 @@ func (en *Engine) programCtx(ctx context.Context, w Workload, kind topo.FabricKi
 // doesn't match, the loop falls back to full passes from the reactive
 // profile.
 func (en *Engine) provisionedStableCtx(ctx context.Context, w Workload, latencyMS float64) (*Result, error) {
-	return exp.CachedCostCtx(ctx, en.pool, "provision:"+exp.Key("provisioned-stable", w, latencyMS), costSim, func(cctx context.Context) (*Result, error) {
+	k := keysOf(w)
+	return en.provision(ctx, k.provision(latencyMS), w, latencyMS)
+}
+
+// provision is provisionedStableCtx under the Provision key the caller
+// derived for (w, latencyMS).
+func (en *Engine) provision(ctx context.Context, key string, w Workload, latencyMS float64) (*Result, error) {
+	return exp.CachedCostCtx(ctx, en.pool, key, costSim, func(cctx context.Context) (*Result, error) {
 		return en.provisionedStableStaged(cctx, w, latencyMS)
 	})
 }
@@ -251,11 +266,13 @@ func (en *Engine) provisionedStableStaged(ctx context.Context, w Workload, laten
 	// Profiling pass (reactive) — also the fallback schedule. Fetched
 	// through the Time stage, so a grid's Photonic cell at the same
 	// latency and this stage share one simulation.
-	reactive, err := en.SimulateCtx(ctx, w, Fabric{Kind: PhotonicRail, ReconfigLatencyMS: latencyMS})
+	k := keysOf(w)
+	f := Fabric{Kind: PhotonicRail, ReconfigLatencyMS: latencyMS}
+	reactive, err := en.simulate(ctx, k.time(f), w, f)
 	if err != nil {
 		return nil, err
 	}
-	wkey := exp.Key("provision-seed", w)
+	wkey := k.seed()
 	best := reactive.inner
 	profile := en.internProfile(wkey, best.Profile)
 	if seed := en.lookupSeed(wkey); seed != nil && seed.Equal(profile) {
@@ -341,7 +358,8 @@ func (en *Engine) provisionedStable(w Workload, latencyMS float64) (*Result, err
 // run that the window analysis consumes. Traced results carry the full
 // per-op trace, so they weigh costTraced units in a bounded cache.
 func (en *Engine) simulateTracedCtx(ctx context.Context, w Workload) (*netsim.Result, error) {
-	return exp.CachedCostCtx(ctx, en.pool, "time:"+exp.Key("simulate-traced", w), costTraced, func(cctx context.Context) (*netsim.Result, error) {
+	k := keysOf(w)
+	return exp.CachedCostCtx(ctx, en.pool, k.traced(), costTraced, func(cctx context.Context) (*netsim.Result, error) {
 		prog, err := en.programCtx(cctx, w, topo.FabricElectricalRail)
 		if err != nil {
 			return nil, err

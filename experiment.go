@@ -630,21 +630,34 @@ func DescribeExperiments(w io.Writer) error {
 }
 
 // ExperimentKey is the canonical content-address of one experiment
-// invocation: a stable hash over the registry name and every parameter
-// that can affect the result (OnProgress is observational and excluded).
-// The raild daemon keys its request-level singleflight on it, and the
-// railgate front door keys its durable result store on the same hash —
-// so identical requests coalesce in flight, dedup across daemons, and
-// resolve to one stored object across restarts. Parameters are hashed
-// as given: a zero value and its spelled-out default produce different
-// keys even though they run identically, matching the daemon's
-// singleflight behavior since PR 4.
+// invocation: 64 lowercase hex digits, the sha256 of exp.KeyEncoder's
+// encoding (format exp.KeyVersion) of the key name "exp", the registry
+// name, and every Params field that can affect the result, in
+// declaration order: Iterations, WindowIterations, LatenciesMS, Rail,
+// GPUs, and every field of the Grid spec. OnProgress is observational
+// and excluded. A nil Grid encodes like an empty spec, and a nil list
+// like an empty one (both mean the default, and the wire omits empty
+// lists). The raild daemon keys its request-level singleflight on it,
+// and the railgate front door keys its durable result store on the same
+// hash — so identical requests coalesce in flight, dedup across
+// daemons, and resolve to one stored object across restarts.
+// Parameters are otherwise hashed as given: a zero value and its
+// spelled-out default produce different keys even though they run
+// identically, as the daemon's singleflight has always keyed them.
 func ExperimentKey(name string, p Params) string {
+	e := exp.NewKeyEncoder("exp")
+	e.String(name)
+	e.Int(p.Iterations)
+	e.Int(p.WindowIterations)
+	e.Float64s(p.LatenciesMS)
+	e.Int(p.Rail)
+	e.Int(p.GPUs)
 	var spec GridSpec
 	if p.Grid != nil {
 		spec = *p.Grid
 	}
-	return exp.Key("exp", name, p.Iterations, p.WindowIterations, p.LatenciesMS, p.Rail, p.GPUs, spec)
+	spec.AppendKey(&e)
+	return e.Sum("")
 }
 
 // ExperimentNames lists the registered experiment names, sorted.

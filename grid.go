@@ -162,7 +162,8 @@ func gridWorkload(c GridCell) Workload {
 
 // runCell executes one cell: skip if infeasible, otherwise simulate the
 // cell's fabric and its electrical baseline (both memoized) and report
-// timing, telemetry, and normalized slowdown.
+// timing, telemetry, and normalized slowdown. The cell's workload is
+// encoded once, and both memo keys derive from that encoding.
 func (en *Engine) runCell(ctx context.Context, c GridCell) (GridCellResult, error) {
 	out := GridCellResult{Cell: c}
 	if reason := c.Skip(); reason != "" {
@@ -171,7 +172,9 @@ func (en *Engine) runCell(ctx context.Context, c GridCell) (GridCellResult, erro
 		return out, nil
 	}
 	w := gridWorkload(c)
-	base, err := en.SimulateCtx(ctx, w, Fabric{Kind: ElectricalRail})
+	k := keysOf(w)
+	electrical := Fabric{Kind: ElectricalRail}
+	base, err := en.simulate(ctx, k.time(electrical), w, electrical)
 	if err != nil {
 		return out, fmt.Errorf("photonrail: cell %s baseline: %w", c.Name(), err)
 	}
@@ -183,11 +186,13 @@ func (en *Engine) runCell(ctx context.Context, c GridCell) (GridCellResult, erro
 	case scenario.Electrical:
 		res = base
 	case scenario.Photonic:
-		res, err = en.SimulateCtx(ctx, w, Fabric{Kind: PhotonicRail, ReconfigLatencyMS: c.LatencyMS})
+		f := Fabric{Kind: PhotonicRail, ReconfigLatencyMS: c.LatencyMS}
+		res, err = en.simulate(ctx, k.time(f), w, f)
 	case scenario.PhotonicProvisioned:
-		res, err = en.provisionedStableCtx(ctx, w, c.LatencyMS)
+		res, err = en.provision(ctx, k.provision(c.LatencyMS), w, c.LatencyMS)
 	case scenario.PhotonicStatic:
-		res, err = en.SimulateCtx(ctx, w, Fabric{Kind: PhotonicStaticPartition})
+		f := Fabric{Kind: PhotonicStaticPartition}
+		res, err = en.simulate(ctx, k.time(f), w, f)
 	default:
 		err = fmt.Errorf("unknown grid fabric kind %v", c.Fabric)
 	}

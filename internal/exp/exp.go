@@ -36,13 +36,19 @@
 // design: fail-fast stops scheduling once any job errors, so which
 // jobs ran — and therefore which error surfaces when several could
 // fail — depends on scheduling order.
+//
+// Every key the engine memoizes or coalesces on, and every durable
+// result address built above it, is made by KeyEncoder: the key's name
+// and the values that determine the result, written through typed
+// appends in a fixed order into a versioned, self-delimiting binary
+// encoding, hashed once with sha256. No key depends on reflection, on
+// how Go spells a type, or on a memory address; KeyVersion changes
+// whenever the encoding of any keyed type does.
 package exp
 
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"strings"
@@ -577,16 +583,4 @@ func MapProgressCtx[T any](ctx context.Context, e *Engine, n int, fn func(ctx co
 		}
 	}
 	return out, nil
-}
-
-// Key derives a canonical cache key from its parts: each part is
-// rendered with %#v — deterministic for the value-only structs the
-// experiments key on (fmt sorts map keys; do not pass pointers, whose
-// rendering includes addresses) — and hashed.
-func Key(parts ...any) string {
-	h := sha256.New()
-	for _, p := range parts {
-		fmt.Fprintf(h, "%#v\x1f", p)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

@@ -1,8 +1,12 @@
 package exp
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -183,21 +187,94 @@ func TestNewDefaultsWorkers(t *testing.T) {
 }
 
 func TestKeyCanonical(t *testing.T) {
-	type cfg struct {
-		A int
-		B string
+	key := func(name string, parts ...any) string {
+		e := NewKeyEncoder(name)
+		for _, p := range parts {
+			switch v := p.(type) {
+			case string:
+				e.String(v)
+			case int:
+				e.Int(v)
+			case float64:
+				e.Float64(v)
+			case bool:
+				e.Bool(v)
+			case []int:
+				e.Ints(v)
+			default:
+				t.Fatalf("unhandled part %T", p)
+			}
+		}
+		return e.Sum("sim")
 	}
-	k1 := Key("sim", cfg{1, "x"}, 2.5)
-	k2 := Key("sim", cfg{1, "x"}, 2.5)
-	if k1 != k2 {
+	k1 := key("sim", 1, "x", 2.5, true)
+	if k2 := key("sim", 1, "x", 2.5, true); k1 != k2 {
 		t.Fatal("identical parts hashed differently")
 	}
-	if k1 == Key("sim", cfg{2, "x"}, 2.5) {
-		t.Fatal("different parts collided")
+	if !strings.HasPrefix(k1, "sim:") || len(k1) != len("sim:")+64 || strings.ToLower(k1) != k1 {
+		t.Fatalf("key %q: want sim: and 64 lowercase hex digits", k1)
 	}
-	// Part boundaries matter: ("ab", "c") != ("a", "bc").
-	if Key("ab", "c") == Key("a", "bc") {
-		t.Fatal("part boundary not canonical")
+	for i, changed := range []string{
+		key("sim2", 1, "x", 2.5, true),
+		key("sim", 2, "x", 2.5, true),
+		key("sim", 1, "y", 2.5, true),
+		key("sim", 1, "x", 2.25, true),
+		key("sim", 1, "x", 2.5, false),
+	} {
+		if changed == k1 {
+			t.Errorf("change %d collided with the original key", i)
+		}
+	}
+	if key("k", 0.0) == key("k", math.Copysign(0, -1)) {
+		t.Error("0 and -0 share a key; Float64 encodes IEEE bits")
+	}
+	// Part boundaries matter: ("ab", "c") != ("a", "bc"), and list
+	// boundaries too: [1,2],[3] != [1],[2,3].
+	if key("k", "ab", "c") == key("k", "a", "bc") {
+		t.Error("string boundary not canonical")
+	}
+	if key("k", []int{1, 2}, []int{3}) == key("k", []int{1}, []int{2, 3}) {
+		t.Error("list boundary not canonical")
+	}
+	if key("k", []int(nil)) != key("k", []int{}) {
+		t.Error("a nil and an empty list encode differently")
+	}
+}
+
+// TestKeyEncoding pins the byte encoding of every typed append, across
+// the spill from the encoder's inline buffer.
+func TestKeyEncoding(t *testing.T) {
+	long := strings.Repeat("x", 300)
+	e := NewKeyEncoder("k")
+	e.String(long)
+	e.Int(-2)
+	e.Int64(300)
+	e.Float64(1)
+	e.Bool(true)
+	e.Strings([]string{"a"})
+	e.Float64s(nil)
+	e.Bools([]bool{false})
+	sub := NewKeyEncoder("s")
+	e.Append(&sub)
+
+	var want []byte
+	want = append(want, KeyVersion, 1, 'k')
+	want = append(want, 0xac, 0x02) // uvarint 300
+	want = append(want, long...)
+	want = append(want, 0x03)       // zigzag -2
+	want = append(want, 0xd8, 0x04) // zigzag 300
+	want = append(want, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0)
+	want = append(want, 1)
+	want = append(want, 1, 1, 'a')
+	want = append(want, 0)
+	want = append(want, 1, 0)
+	want = append(want, KeyVersion, 1, 's')
+	if got := append(append([]byte(nil), e.head...), e.buf[:e.n]...); !bytes.Equal(got, want) {
+		t.Fatalf("encoding\n got %x\nwant %x", got, want)
+	}
+	sum := sha256.Sum256(want)
+	if got, wantKey := e.Sum("st"), "st:"+hex.EncodeToString(sum[:]); got != wantKey {
+		t.Fatalf("Sum = %s, want %s", got, wantKey)
 	}
 }
 

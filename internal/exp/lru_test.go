@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,7 +107,7 @@ func TestMostRecentEntrySurvivesOversizedCost(t *testing.T) {
 func TestUnboundedNeverEvicts(t *testing.T) {
 	e := New(1)
 	for i := 0; i < 1000; i++ {
-		if _, err := CachedCost(e, Key("k", i), 100, func() (int, error) { return i, nil }); err != nil {
+		if _, err := CachedCost(e, "k"+strconv.Itoa(i), 100, func() (int, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -411,7 +411,7 @@ func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message
 // registry would — an explicit spec wins; a built-in grid experiment
 // falls back to its registered grid; bare "grid" falls back to the
 // paper-default custom grid — and executes it as one fleet fan-out,
-// keyed on the resolved grid.
+// keyed on the effective grid spec.
 func (f *Coordinator) gridRequest(req opusnet.ExpRequestPayload) (*railserve.Request, error) {
 	var spec scenario.Spec
 	switch {
@@ -427,8 +427,10 @@ func (f *Coordinator) gridRequest(req opusnet.ExpRequestPayload) (*railserve.Req
 	if err != nil {
 		return nil, err
 	}
+	key := exp.NewKeyEncoder("fleet")
+	spec.AppendKey(&key)
 	return &railserve.Request{
-		Key:   exp.Key("fleet", grid),
+		Key:   key.Sum(""),
 		Cells: grid.CellCount(),
 		Execute: func(ctx context.Context, progress func(done, total int)) (any, error) {
 			rows, err := f.executeGrid(ctx, spec, grid, progress)

@@ -293,10 +293,10 @@ func (s *Server) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, boo
 
 // serveCells executes a subset of a grid's cells — the fleet
 // coordinator's partial-execution path. Identical subset requests
-// coalesce (singleflight keyed on the resolved grid AND the index
-// list), cells simulate on the shared bounded engine cache, and the
-// wait honors the same deadline/cancel/teardown contract as the
-// experiment path.
+// coalesce (singleflight keyed on the grid spec AND the index list),
+// cells simulate on the shared bounded engine cache, and the wait
+// honors the same deadline/cancel/teardown contract as the experiment
+// path.
 func (s *Server) serveCells(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
 	seq := msg.Seq
 	fail := func(err error) {
@@ -330,10 +330,13 @@ func (s *Server) serveCells(msg *opusnet.Message, reply func(*opusnet.Message, b
 		seen[idx] = true
 	}
 	indices := append([]int(nil), req.Indices...)
+	key := exp.NewKeyEncoder("cells")
+	req.Spec.AppendKey(&key)
+	key.Ints(indices)
 
 	s.Serve(&Request{
 		Seq: seq, TimeoutMS: req.TimeoutMS,
-		Key:   exp.Key("cells", grid, indices),
+		Key:   key.Sum(""),
 		Exp:   "cells",
 		Cells: len(indices),
 		Desc:  fmt.Sprintf("railserve: grid %q %d-cell subset", grid.Name, len(indices)),

@@ -29,8 +29,12 @@
 //     refreshes) are evicted until it fits, never evicting the object
 //     just written.
 //
-// The store is safe for concurrent use by one process. It deliberately
-// holds no cross-process locks: gateways do not share a directory.
+// The store is safe for concurrent use by one process. Get reads,
+// verifies and touches an object's file without holding the store's
+// lock, so reads never queue behind each other's disk I/O; Put and
+// eviction still write and remove files under it. The store
+// deliberately holds no cross-process locks: gateways do not share a
+// directory.
 package resultstore
 
 import (
@@ -38,7 +42,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -204,9 +210,12 @@ func decodeObject(data []byte) (Entry, error) {
 	return ent, err
 }
 
-// validKey accepts the lowercase-hex hashes photonrail.ExperimentKey
-// produces (and nothing that could traverse paths or collide with temp
-// files).
+// validKey accepts lowercase hex of 16 to 128 digits, which covers the
+// keys photonrail.ExperimentKey produces (64 digits: the sha256 of
+// exp.KeyEncoder's versioned encoding) and nothing that could traverse
+// paths or collide with temp files. An object stored under a key of an
+// older format stays valid, so Open indexes it and eviction can reclaim
+// it; no current request's key names it, so it is never served.
 func validKey(key string) bool {
 	if len(key) < 16 || len(key) > 128 {
 		return false
@@ -239,6 +248,13 @@ func (s *Store) Stats() Stats {
 
 // Get returns the entry stored under key, refreshing its recency. A
 // corrupt object is removed (self-healing) and reported as a miss.
+//
+// The lock covers only the index: Get looks the object up under it,
+// reads, verifies and touches the file without it, and retakes it to
+// record the outcome, so no reader or writer waits behind another
+// read's disk I/O. A racing Put may replace the object meanwhile, so a
+// corrupt read drops the object only if the index still holds the one
+// looked up; a file a racing eviction removed is a plain miss.
 func (s *Store) Get(key string) (Entry, bool) {
 	if !validKey(key) {
 		s.mu.Lock()
@@ -247,10 +263,12 @@ func (s *Store) Get(key string) (Entry, bool) {
 		return Entry{}, false
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	obj, ok := s.index[key]
 	if !ok {
 		s.stats.Misses++
+	}
+	s.mu.Unlock()
+	if !ok {
 		return Entry{}, false
 	}
 	data, err := os.ReadFile(s.path(key))
@@ -259,19 +277,38 @@ func (s *Store) Get(key string) (Entry, bool) {
 		ent, err = decodeObject(data)
 	}
 	if err != nil {
-		// Torn by an external hand, corrupt on disk, or written without a
-		// checksum: drop the object so the next Put rewrites it cleanly.
-		s.dropLocked(key, obj)
-		s.stats.Errors++
-		s.stats.Misses++
+		s.failedRead(key, obj, errors.Is(err, fs.ErrNotExist))
 		return Entry{}, false
 	}
 	now := s.now()
-	if chErr := os.Chtimes(s.path(key), now, now); chErr == nil {
+	touched := os.Chtimes(s.path(key), now, now) == nil
+	s.mu.Lock()
+	if touched && s.index[key] == obj {
 		obj.mtime = now
 	}
 	s.stats.Hits++
+	s.mu.Unlock()
 	return ent, true
+}
+
+// failedRead records a Get that could not read or verify obj, as a
+// miss. While the index still holds obj, the object is torn by an
+// external hand, corrupt on disk, written without a checksum, or gone
+// from under the store: it is dropped, so the next Put rewrites it
+// cleanly, and counted as an error. Otherwise a racing Put replaced it
+// or a racing eviction removed it, and the index is left alone; a file
+// the eviction removed (missing) is a plain miss.
+func (s *Store) failedRead(key string, obj *object, missing bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Misses++
+	switch {
+	case s.index[key] == obj:
+		s.dropLocked(key, obj)
+		s.stats.Errors++
+	case !missing:
+		s.stats.Errors++
+	}
 }
 
 // Put stores the entry under key, atomically (write-then-rename), then

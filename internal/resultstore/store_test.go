@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -279,5 +280,109 @@ func TestReopenEnforcesBound(t *testing.T) {
 		if _, ok := s.Get(k); !ok {
 			t.Fatalf("newest objects should survive the reopen trim (missing %s)", k[:8])
 		}
+	}
+}
+
+// TestConcurrentGetPutEvict races Gets of one key against Puts that
+// rewrite it, Puts of other keys that evict it (the bound holds about
+// two objects), and a hand that tears its file. Every Get must miss or
+// return the exact stored bytes; afterwards a re-Put object survives and
+// the index accounts for every resident byte.
+func TestConcurrentGetPutEvict(t *testing.T) {
+	ent := Entry{Experiment: "fig8", RowsJSON: strings.Repeat("row\n", 64)}
+	data, err := encodeObject(ent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := openTest(t, Config{MaxBytes: int64(2*len(data) + len(data)/2)})
+	key := testKey(0)
+	const rounds = 200
+	var wg sync.WaitGroup
+	run := func(fn func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				fn(i)
+			}
+		}()
+	}
+	for r := 0; r < 3; r++ {
+		run(func(int) {
+			if got, ok := s.Get(key); ok && got != ent {
+				t.Errorf("Get served %+v, want the stored entry or a miss", got)
+			}
+		})
+	}
+	run(func(int) {
+		if err := s.Put(key, ent); err != nil {
+			t.Error(err)
+		}
+	})
+	run(func(i int) {
+		if err := s.Put(testKey(byte(1+i%3)), Entry{Experiment: "other", RowsJSON: ent.RowsJSON}); err != nil {
+			t.Error(err)
+		}
+	})
+	run(func(i int) {
+		if i%4 != 0 {
+			return
+		}
+		if err := os.WriteFile(s.path(key), []byte("{torn"), 0o644); err != nil {
+			t.Error(err)
+		}
+	})
+	wg.Wait()
+
+	if err := s.Put(key, ent); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(key); !ok || got != ent {
+		t.Fatalf("re-Put object Get = %+v, %v; want the stored entry", got, ok)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var sum int64
+	for k, obj := range s.index {
+		sum += obj.size
+		if _, err := os.Stat(s.path(k)); err != nil {
+			t.Errorf("indexed object %s has no file: %v", k, err)
+		}
+	}
+	if sum != s.bytes {
+		t.Fatalf("index sizes sum to %d, store counts %d resident bytes", sum, s.bytes)
+	}
+}
+
+// TestFailedReadSparesReplacedObject pins the outcomes a Get records
+// after reading without the lock: a failed read of an object a racing
+// Put has replaced leaves the new object in place, and a file a racing
+// eviction removed is a plain miss, not an error.
+func TestFailedReadSparesReplacedObject(t *testing.T) {
+	s := openTest(t, Config{})
+	key := testKey(0)
+	ent := Entry{Experiment: "e", Rendered: "r"}
+	if err := s.Put(key, ent); err != nil {
+		t.Fatal(err)
+	}
+	stale := s.index[key]
+	if err := s.Put(key, ent); err != nil { // the racing re-Put
+		t.Fatal(err)
+	}
+	s.failedRead(key, stale, false)
+	if st := s.Stats(); st.Errors != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("after a corrupt read of a replaced object: stats = %+v, want 1 error / 1 miss / 1 entry", st)
+	}
+	if got, ok := s.Get(key); !ok || got != ent {
+		t.Fatalf("re-Put object Get = %+v, %v; want it to survive", got, ok)
+	}
+
+	evicted := s.index[key]
+	s.mu.Lock()
+	s.dropLocked(key, evicted) // the racing eviction
+	s.mu.Unlock()
+	s.failedRead(key, evicted, true)
+	if st := s.Stats(); st.Errors != 1 || st.Misses != 2 {
+		t.Fatalf("after reading an evicted object: stats = %+v, want still 1 error, 2 misses", st)
 	}
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"photonrail/internal/exp"
 	"photonrail/internal/model"
 	"photonrail/internal/topo"
 	"photonrail/internal/units"
@@ -14,9 +15,9 @@ import (
 // kinds, schedules, the NIC split) is carried by name or scalar, so a
 // Spec marshals to compact JSON and travels the opusnet protocol to a
 // raild daemon. Resolve turns it back into a Grid; SpecOf is the
-// inverse. For preset-based grids the pair round-trips exactly, so a
-// daemon keying its request-level deduplication on the resolved grid
-// sees identical keys for identical client specs.
+// inverse. For preset-based grids the pair round-trips exactly. The
+// serving layers key their request-level deduplication on the spec
+// itself (AppendKey), so identical client specs share one key.
 type Spec struct {
 	Name           string        `json:"name,omitempty"`
 	Models         []string      `json:"models,omitempty"`
@@ -32,6 +33,37 @@ type Spec struct {
 	Microbatches   int           `json:"microbatches,omitempty"`
 	MicrobatchSize int           `json:"microbatchSize,omitempty"`
 	Iterations     int           `json:"iterations,omitempty"`
+}
+
+// AppendKey writes every field of the spec, in declaration order, to a
+// canonical key: photonrail.ExperimentKey, raild's cells singleflight
+// and the fleet coordinator's grid singleflight all encode the spec
+// through it. A nil and an empty list encode alike, as they resolve
+// alike and travel alike (the wire omits empty lists). A field added to
+// Spec or Parallelism must be added here too; the key completeness
+// test fails until it is.
+func (s Spec) AppendKey(e *exp.KeyEncoder) {
+	e.String(s.Name)
+	e.Strings(s.Models)
+	e.Strings(s.GPUs)
+	e.Strings(s.Fabrics)
+	e.Float64s(s.LatenciesMS)
+	e.Len(len(s.Parallelisms))
+	for _, p := range s.Parallelisms {
+		e.Int(p.TP)
+		e.Int(p.DP)
+		e.Int(p.PP)
+		e.Int(p.CP)
+		e.Int(p.EP)
+	}
+	e.Strings(s.Schedules)
+	e.Float64s(s.JitterFracs)
+	e.Bools(s.EagerRS)
+	e.Int(s.NICPorts)
+	e.Int64(s.NICPerPortBps)
+	e.Int(s.Microbatches)
+	e.Int(s.MicrobatchSize)
+	e.Int(s.Iterations)
 }
 
 // ParseSchedule parses the CLI/wire spelling of a pipeline schedule.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"photonrail/internal/exp"
 	"photonrail/internal/model"
 )
 
@@ -26,6 +27,30 @@ func TestSpecRoundTripsFig8Grid(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g, back) {
 		t.Fatalf("round trip diverged:\n in: %#v\nout: %#v", g, back)
+	}
+}
+
+// TestSpecKeySurvivesTheWire: a spec keys the same after the JSON trip
+// the wire gives it, where an empty list arrives as nil, so a sender and
+// the daemon it asks agree on the singleflight key.
+func TestSpecKeySurvivesTheWire(t *testing.T) {
+	key := func(s Spec) string {
+		e := exp.NewKeyEncoder("spec")
+		s.AppendKey(&e)
+		return e.Sum("")
+	}
+	s := SpecOf(Fig8Grid5D())
+	s.JitterFracs, s.EagerRS = []float64{}, []bool{}
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Spec
+	if err := json.Unmarshal(b, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.JitterFracs != nil || key(decoded) != key(s) {
+		t.Fatalf("key changed across the wire: %s -> %s", key(s), key(decoded))
 	}
 }
 

@@ -1,0 +1,103 @@
+package photonrail
+
+import (
+	"photonrail/internal/exp"
+	"photonrail/internal/topo"
+)
+
+// appendKey writes every field of the workload, nested model.Spec,
+// model.GPU and topo.PortConfig fields included, in declaration order.
+// A field added to any of them must be added here too; the key
+// completeness test fails until it is.
+func (w Workload) appendKey(e *exp.KeyEncoder) {
+	m := w.Model
+	e.String(m.Name)
+	e.Int(m.Layers)
+	e.Int(m.Hidden)
+	e.Int(m.FFNHidden)
+	e.Int(m.Heads)
+	e.Int(m.KVHeads)
+	e.Int(m.Vocab)
+	e.Int(m.SeqLen)
+	e.Int(m.BytesPerParam)
+	e.Int(m.BytesPerGrad)
+	e.Int(m.Experts)
+	e.Int(m.TopK)
+	e.String(w.GPU.Name)
+	e.Float64(w.GPU.PeakFLOPS)
+	e.Float64(w.GPU.MFU)
+	e.Int(w.NumNodes)
+	e.Int(w.GPUsPerNode)
+	e.Int(w.NIC.Ports)
+	e.Int64(int64(w.NIC.PerPort))
+	e.Int(w.TP)
+	e.Int(w.DP)
+	e.Int(w.PP)
+	e.Int(w.CP)
+	e.Int(w.EP)
+	e.Int(w.Microbatches)
+	e.Int(w.MicrobatchSize)
+	e.Int(w.Iterations)
+	e.Bool(w.EagerRS)
+	e.Float64(w.JitterFrac)
+	e.Bool(w.UseGPipe)
+}
+
+// appendKey writes every field of the fabric in declaration order.
+func (f Fabric) appendKey(e *exp.KeyEncoder) {
+	e.Int(int(f.Kind))
+	e.Float64(f.ReconfigLatencyMS)
+	e.Bool(f.Provision)
+}
+
+// workloadKeys derives a workload's memo keys from one encoding of it:
+// a grid cell encodes its workload once and keys both its electrical
+// baseline and its own fabric from that encoding.
+type workloadKeys struct{ enc exp.KeyEncoder }
+
+func keysOf(w Workload) workloadKeys {
+	e := exp.NewKeyEncoder("workload")
+	w.appendKey(&e)
+	return workloadKeys{e}
+}
+
+// derive starts a key named name over the workload's encoding.
+func (k *workloadKeys) derive(name string) exp.KeyEncoder {
+	e := exp.NewKeyEncoder(name)
+	e.Append(&k.enc)
+	return e
+}
+
+// time keys the Time stage: one timed execution on fabric f.
+func (k *workloadKeys) time(f Fabric) string {
+	e := k.derive("simulate")
+	f.appendKey(&e)
+	return e.Sum("time")
+}
+
+// traced keys the Time stage's trace-recording electrical run.
+func (k *workloadKeys) traced() string {
+	e := k.derive("simulate-traced")
+	return e.Sum("time")
+}
+
+// build keys the Build stage: the program compiled on topology kind.
+func (k *workloadKeys) build(kind topo.FabricKind) string {
+	e := k.derive("build")
+	e.Int(int(kind))
+	return e.Sum("build")
+}
+
+// provision keys the Provision stage at one reconfiguration latency.
+func (k *workloadKeys) provision(latencyMS float64) string {
+	e := k.derive("provisioned-stable")
+	e.Float64(latencyMS)
+	return e.Sum("provision")
+}
+
+// seed names the workload's namespace in the Provision stage's
+// latency-free profile caches.
+func (k *workloadKeys) seed() string {
+	e := k.derive("provision-seed")
+	return e.Sum("")
+}

@@ -105,7 +105,12 @@ func (en *Engine) CostComparisonCtx(ctx context.Context) ([]cost.Fig7Row, error)
 	sizes := cost.PaperSizes()
 	cat := cost.DefaultCatalog()
 	return exp.MapCtx(ctx, en.pool, len(sizes), func(ctx context.Context, i int) (cost.Fig7Row, error) {
-		return exp.CachedCtx(ctx, en.pool, exp.Key("fig7-row", sizes[i], topo.DGXH200GPUsPerNode, cat),
+		// The catalog is not encoded: it is always DefaultCatalog, a
+		// constant of the program, and a memo never outlives its process.
+		k := exp.NewKeyEncoder("fig7-row")
+		k.Int(sizes[i])
+		k.Int(topo.DGXH200GPUsPerNode)
+		return exp.CachedCtx(ctx, en.pool, k.Sum(""),
 			func(context.Context) (cost.Fig7Row, error) {
 				rows, err := cost.Fig7([]int{sizes[i]}, topo.DGXH200GPUsPerNode, cat)
 				if err != nil {
