@@ -51,6 +51,11 @@ type Engine struct {
 	seeds    map[string]*netsim.Profile
 
 	seedHits, seedMisses atomic.Uint64
+
+	// rowMu guards skipRows, the rendered rows of skipped grid cells
+	// (see cellRow), capped at maxSkipRows.
+	rowMu    sync.Mutex
+	skipRows map[string]*GridRow
 }
 
 // Cache entry costs, in simulation units: a traced result pins the full
@@ -90,6 +95,7 @@ func newEngine(pool *exp.Engine) *Engine {
 		pool:     pool,
 		profiles: make(map[string]*netsim.Profile),
 		seeds:    make(map[string]*netsim.Profile),
+		skipRows: make(map[string]*GridRow),
 	}
 }
 
@@ -178,6 +184,9 @@ func (en *Engine) ResetCache() {
 	en.profiles = make(map[string]*netsim.Profile)
 	en.seeds = make(map[string]*netsim.Profile)
 	en.profMu.Unlock()
+	en.rowMu.Lock()
+	en.skipRows = make(map[string]*GridRow)
+	en.rowMu.Unlock()
 }
 
 // Simulate is the memoized form of the package-level Simulate: the

@@ -22,8 +22,10 @@ package photonrail
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"photonrail/internal/cost"
@@ -108,6 +110,10 @@ type ExperimentResult struct {
 	Sections []Section
 	// Rows is the structured payload: exactly what -json emits.
 	Rows any
+
+	// rowJSON holds a grid run's rows as rendered bytes, in Cells
+	// order: RenderJSON joins them instead of encoding Rows again.
+	rowJSON [][]byte
 }
 
 // RenderText writes the aligned-text rendering: tables aligned, text
@@ -146,8 +152,16 @@ func (r *ExperimentResult) sections(csv bool) []Section {
 	}
 }
 
-// RenderJSON writes the structured rows as indented JSON.
+// RenderJSON writes the structured rows as indented JSON. A grid
+// experiment's Run renders each row once, as the engine computes it,
+// and RenderJSON joins those bytes with AppendGridJSON: the same bytes
+// report.JSON writes for its Rows, which callers must treat as
+// read-only.
 func (r *ExperimentResult) RenderJSON(w io.Writer) error {
+	if g, ok := r.Rows.(GridRows); ok && r.rowJSON != nil {
+		_, err := w.Write(AppendGridJSON(nil, g.Grid, r.rowJSON))
+		return err
+	}
 	return report.JSON(w, r.Rows)
 }
 
@@ -304,6 +318,57 @@ type Fig8Sweep struct {
 type GridRows struct {
 	Grid  string         `json:"grid"`
 	Cells []scenario.Row `json:"cells"`
+}
+
+// GridRow is one executed (or skipped) grid cell as a grid's JSON
+// rendering carries it: its flat Row and that row's indented JSON
+// (GridRowJSON). An engine renders each row once and keeps it beside
+// the memoized result that produced it, so the rows a run returns are
+// shared: treat both fields as read-only.
+type GridRow struct {
+	Row  scenario.Row
+	JSON []byte
+}
+
+// GridRowJSON renders one row as a grid's JSON rendering carries it:
+// indented, at the depth of an element of GridRows' "cells". The
+// engine's rows and rows a daemon sends structured both go through it,
+// so AppendGridJSON joins the same bytes whichever way a row arrived.
+func GridRowJSON(row scenario.Row) ([]byte, error) {
+	return json.MarshalIndent(row, "    ", "  ")
+}
+
+// The fixed text of a grid's JSON rendering around its rows.
+const (
+	gridJSONHead  = "{\n  \"grid\": "
+	gridJSONCells = ",\n  \"cells\": ["
+	gridJSONRow   = "\n    "
+	gridJSONTail  = "\n  ]\n}\n"
+	gridJSONEmpty = "]\n}\n"
+)
+
+// AppendGridJSON appends a grid's JSON rendering to dst, built from each
+// row's GridRowJSON bytes in cell order: byte for byte what report.JSON
+// writes for GridRows{Grid: name, Cells: rows}, with no row decoded or
+// encoded again. dst grows at most once.
+func AppendGridJSON(dst []byte, name string, rows [][]byte) []byte {
+	quoted, _ := json.Marshal(name) // a string always marshals
+	n := len(gridJSONHead) + len(quoted) + len(gridJSONCells) + len(gridJSONTail)
+	for _, row := range rows {
+		n += len(gridJSONRow) + len(row) + 1 // its separator and comma
+	}
+	dst = slices.Grow(dst, n)
+	dst = append(append(append(dst, gridJSONHead...), quoted...), gridJSONCells...)
+	if len(rows) == 0 {
+		return append(dst, gridJSONEmpty...)
+	}
+	for i, row := range rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(dst, gridJSONRow...), row...)
+	}
+	return append(dst, gridJSONTail...)
 }
 
 // tableExperiment registers a static-table experiment: one table, one
@@ -592,13 +657,21 @@ func runBOM(ctx context.Context, en *Engine, p Params) (*ExperimentResult, error
 }
 
 // runGrid executes a resolved grid and shapes its rows as the grid
-// experiment's result.
+// experiment's result, keeping each row's rendered bytes for
+// RenderJSON.
 func runGrid(ctx context.Context, en *Engine, g Grid, onCell func(done, total int)) (*ExperimentResult, error) {
-	res, err := en.RunGridProgressCtx(ctx, g, onCell)
+	rows, err := en.gridRows(ctx, g, onCell)
 	if err != nil {
 		return nil, err
 	}
-	return GridExperimentResult(g.Name, res.Rows()), nil
+	cells := make([]scenario.Row, len(rows))
+	js := make([][]byte, len(rows))
+	for i, row := range rows {
+		cells[i], js[i] = row.Row, row.JSON
+	}
+	res := GridExperimentResult(g.Name, cells)
+	res.rowJSON = js
+	return res, nil
 }
 
 // GridExperimentResult shapes executed grid rows as the grid

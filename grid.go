@@ -122,6 +122,18 @@ func (en *Engine) RunCellsCtx(ctx context.Context, g Grid, indices []int) ([]Gri
 // cell with the running count and the subset's size; cancellation and
 // fail-fast semantics match RunGridProgressCtx.
 func (en *Engine) RunCellsProgressCtx(ctx context.Context, g Grid, indices []int, onCell func(done, total int)) ([]GridCellResult, error) {
+	cells, err := expandFor(g, indices)
+	if err != nil {
+		return nil, err
+	}
+	return exp.MapProgressCtx(ctx, en.pool, len(indices), func(ctx context.Context, i int) (GridCellResult, error) {
+		return en.runCell(ctx, cells[indices[i]])
+	}, onCell)
+}
+
+// expandFor validates g and expands it, refusing indices outside the
+// expansion.
+func expandFor(g Grid, indices []int) ([]GridCell, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -131,9 +143,7 @@ func (en *Engine) RunCellsProgressCtx(ctx context.Context, g Grid, indices []int
 			return nil, fmt.Errorf("photonrail: cell index %d outside grid %q (%d cells)", idx, g.Name, len(cells))
 		}
 	}
-	return exp.MapProgressCtx(ctx, en.pool, len(indices), func(ctx context.Context, i int) (GridCellResult, error) {
-		return en.runCell(ctx, cells[indices[i]])
-	}, onCell)
+	return cells, nil
 }
 
 // gridWorkload compiles a cell's coordinates into the Workload the
@@ -162,8 +172,7 @@ func gridWorkload(c GridCell) Workload {
 
 // runCell executes one cell: skip if infeasible, otherwise simulate the
 // cell's fabric and its electrical baseline (both memoized) and report
-// timing, telemetry, and normalized slowdown. The cell's workload is
-// encoded once, and both memo keys derive from that encoding.
+// timing, telemetry, and normalized slowdown.
 func (en *Engine) runCell(ctx context.Context, c GridCell) (GridCellResult, error) {
 	out := GridCellResult{Cell: c}
 	if reason := c.Skip(); reason != "" {
@@ -171,17 +180,27 @@ func (en *Engine) runCell(ctx context.Context, c GridCell) (GridCellResult, erro
 		out.SkipReason = reason
 		return out, nil
 	}
+	base, res, err := en.cellResults(ctx, c)
+	if err != nil {
+		return out, err
+	}
+	return cellResultOf(c, base, res), nil
+}
+
+// cellResults fetches a feasible cell's electrical baseline and its own
+// fabric's result, both memoized. The cell's workload is encoded once,
+// and both memo keys derive from that encoding.
+func (en *Engine) cellResults(ctx context.Context, c GridCell) (base, res *Result, err error) {
 	w := gridWorkload(c)
 	k := keysOf(w)
 	electrical := Fabric{Kind: ElectricalRail}
-	base, err := en.simulate(ctx, k.time(electrical), w, electrical)
+	base, err = en.simulate(ctx, k.time(electrical), w, electrical)
 	if err != nil {
-		return out, fmt.Errorf("photonrail: cell %s baseline: %w", c.Name(), err)
+		return nil, nil, fmt.Errorf("photonrail: cell %s baseline: %w", c.Name(), err)
 	}
 	if base.MeanIterationSeconds <= 0 {
-		return out, fmt.Errorf("photonrail: cell %s: degenerate baseline iteration time", c.Name())
+		return nil, nil, fmt.Errorf("photonrail: cell %s: degenerate baseline iteration time", c.Name())
 	}
-	var res *Result
 	switch c.Fabric {
 	case scenario.Electrical:
 		res = base
@@ -197,14 +216,119 @@ func (en *Engine) runCell(ctx context.Context, c GridCell) (GridCellResult, erro
 		err = fmt.Errorf("unknown grid fabric kind %v", c.Fabric)
 	}
 	if err != nil {
-		return out, fmt.Errorf("photonrail: cell %s: %w", c.Name(), err)
+		return nil, nil, fmt.Errorf("photonrail: cell %s: %w", c.Name(), err)
 	}
-	out.MeanIterationSeconds = res.MeanIterationSeconds
-	out.TotalSeconds = res.TotalSeconds
-	out.Slowdown = res.MeanIterationSeconds / base.MeanIterationSeconds
-	out.Reconfigurations = res.Reconfigurations
-	out.FastGrants = res.FastGrants
-	out.QueuedGrants = res.QueuedGrants
-	out.BlockedSeconds = res.BlockedSeconds
-	return out, nil
+	return base, res, nil
+}
+
+// cellResultOf reports a feasible cell from its fabric's result and
+// its workload's electrical baseline.
+func cellResultOf(c GridCell, base, res *Result) GridCellResult {
+	return GridCellResult{
+		Cell:                 c,
+		MeanIterationSeconds: res.MeanIterationSeconds,
+		TotalSeconds:         res.TotalSeconds,
+		Slowdown:             res.MeanIterationSeconds / base.MeanIterationSeconds,
+		Reconfigurations:     res.Reconfigurations,
+		FastGrants:           res.FastGrants,
+		QueuedGrants:         res.QueuedGrants,
+		BlockedSeconds:       res.BlockedSeconds,
+	}
+}
+
+// maxSkipRows caps the engine's skip-row table. Like the profile intern
+// table, it is purely an optimization, so a long-running engine that
+// crosses the cap drops the table and starts over.
+const maxSkipRows = 4096
+
+// cellRow returns a cell's row, rendered once. Every field of a row is
+// a function of the memo key of the result it was computed from: the
+// key encodes the cell's workload (model, GPU, degrees, schedule,
+// jitter, eagerness) and its fabric, latency included. So a feasible
+// cell's row hangs on that Time or Provision result, and every later
+// cell, in any grid, that hits the same entry reuses it; an evicted
+// entry takes its row along. A skipped cell's row, which no result
+// backs, lives in the engine's skip-row table under a key derived the
+// same way. The memo lookups are runCell's, so the cache counters read
+// the same with or without the rows.
+func (en *Engine) cellRow(ctx context.Context, c GridCell) (*GridRow, error) {
+	if reason := c.Skip(); reason != "" {
+		return en.skipRow(c, reason)
+	}
+	base, res, err := en.cellResults(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	if row := res.row.Load(); row != nil {
+		return row, nil
+	}
+	row, err := newGridRow(cellResultOf(c, base, res))
+	if err != nil {
+		return nil, err
+	}
+	// Racing renderers produce equal rows; keep the first.
+	res.row.CompareAndSwap(nil, row)
+	return res.row.Load(), nil
+}
+
+// skipRow returns a skipped cell's row from the skip-row table,
+// rendering it on a miss.
+func (en *Engine) skipRow(c GridCell, reason string) (*GridRow, error) {
+	k := keysOf(gridWorkload(c))
+	key := k.skipRow(c.Fabric, c.LatencyMS)
+	en.rowMu.Lock()
+	row := en.skipRows[key]
+	en.rowMu.Unlock()
+	if row != nil {
+		return row, nil
+	}
+	row, err := newGridRow(GridCellResult{Cell: c, Skipped: true, SkipReason: reason})
+	if err != nil {
+		return nil, err
+	}
+	en.rowMu.Lock()
+	defer en.rowMu.Unlock()
+	if len(en.skipRows) >= maxSkipRows {
+		en.skipRows = make(map[string]*GridRow)
+	}
+	en.skipRows[key] = row
+	return row, nil
+}
+
+// newGridRow renders one cell result as its row and the row's bytes.
+func newGridRow(cr GridCellResult) (*GridRow, error) {
+	row := scenario.RowOf(cr)
+	js, err := GridRowJSON(row)
+	if err != nil {
+		return nil, fmt.Errorf("photonrail: cell %s: %w", row.Cell, err)
+	}
+	return &GridRow{Row: row, JSON: js}, nil
+}
+
+// RunCellRowsCtx executes the cells of g at the given expansion-order
+// indices, exactly as RunCellsProgressCtx does, and returns their rows
+// in indices order, each with the bytes a grid's JSON rendering
+// carries for it. Rows come from the engine's row cache (see
+// GridRow): a warm cell renders nothing. A daemon serves a fleet
+// coordinator's cell batches from here.
+func (en *Engine) RunCellRowsCtx(ctx context.Context, g Grid, indices []int, onCell func(done, total int)) ([]*GridRow, error) {
+	cells, err := expandFor(g, indices)
+	if err != nil {
+		return nil, err
+	}
+	return exp.MapProgressCtx(ctx, en.pool, len(indices), func(ctx context.Context, i int) (*GridRow, error) {
+		return en.cellRow(ctx, cells[indices[i]])
+	}, onCell)
+}
+
+// gridRows executes every cell of g, in expansion order, through the
+// row cache; cancellation and fail-fast match RunGridProgressCtx.
+func (en *Engine) gridRows(ctx context.Context, g Grid, onCell func(done, total int)) ([]*GridRow, error) {
+	cells, err := expandFor(g, nil)
+	if err != nil {
+		return nil, err
+	}
+	return exp.MapProgressCtx(ctx, en.pool, len(cells), func(ctx context.Context, i int) (*GridRow, error) {
+		return en.cellRow(ctx, cells[i])
+	}, onCell)
 }

@@ -23,10 +23,12 @@ func seedFrame(tb testing.TB, m *Message) []byte {
 // FuzzMessageRoundTrip feeds arbitrary bytes to the frame decoder and
 // checks the codec invariants: decoding never panics; any byte stream
 // the decoder accepts re-encodes to a frame that decodes to the same
-// message (re-encode/re-decode fixpoint); and the re-encoded stream is
-// fully consumed (framing stays self-delimiting). Seeds cover every
-// message type and, between them, every payload field.
+// message, attachment byte for byte (re-encode/re-decode fixpoint);
+// and the re-encoded stream is fully consumed (framing stays
+// self-delimiting). Seeds cover every message type and, between them,
+// every payload field, attachments included.
 func FuzzMessageRoundTrip(f *testing.F) {
+	row4, row1 := "{\n      \"cell\": \"c4\"\n    }", "{\n      \"cell\": \"c1 \\\"}\"\n    }"
 	seeds := []*Message{
 		{Type: MsgRegister, Seq: 1, Rank: 3, Rail: 0, Group: "fsdp.s0.r0", Ranks: []int{0, 4, 8, 12}, Axis: 1},
 		{Type: MsgAcquire, Seq: 2, Rank: 4, Rail: 1, Group: "tp"},
@@ -102,6 +104,23 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})
 	f.Add([]byte{0, 0, 0, 2, '{', 'x'})
 	f.Add(append(seedFrame(f, &Message{Type: MsgAck, Seq: 1}), seedFrame(f, &Message{Type: MsgErr, Seq: 2, Error: "e"})...))
+	// Attachment seeds, after the adversarial ones so earlier seeds keep
+	// their numbers: a request asking for one, a grid result with its
+	// rows attached, and a cell subset's rows split by row lengths.
+	for _, m := range []*Message{
+		{Type: MsgExpReq, Seq: 28, WantRaw: true, Exp: &ExpRequestPayload{Name: "fig8-5d"}},
+		{Type: MsgExpResult, Seq: 28, ExpResult: &ExpResultPayload{Name: "fig8-5d", Grid: "fig8-5d", Shared: true},
+			Raw: []byte("{\n  \"grid\": \"fig8-5d\",\n  \"cells\": [\n    {\n      \"cell\": \"c0\"\n    }\n  ]\n}\n")},
+		{Type: MsgCellsResult, Seq: 29, CellsResult: &CellsResultPayload{
+			Name: "fig8-5d", Indices: []int{4, 1}, RowLens: []int{len(row4), len(row1)}},
+			Raw: append([]byte(row4), row1...)},
+	} {
+		frame := seedFrame(f, m)
+		if _, err := ReadMessage(bytes.NewReader(frame)); err != nil {
+			f.Fatalf("attachment seed %s does not decode: %v", m.Type, err)
+		}
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -130,6 +149,9 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(first, second) {
 			t.Fatalf("round trip diverged:\n first: %s\nsecond: %s", first, second)
+		}
+		if !bytes.Equal(msg.Raw, again.Raw) {
+			t.Fatalf("attachment diverged:\n first: %q\nsecond: %q", msg.Raw, again.Raw)
 		}
 		if buf.Len() != 0 {
 			t.Fatalf("re-encoded frame left %d trailing bytes", buf.Len())

@@ -2,6 +2,7 @@ package opusnet
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -279,5 +280,98 @@ func TestClientSurvivesServerClose(t *testing.T) {
 	_ = s.Close()
 	if err := c.RegisterGroup("g", 0, 0, []int{0, 4}); err == nil {
 		t.Error("call succeeded after server close")
+	}
+}
+
+// frameOf frames body by hand: a 4-byte length, then body as given.
+func frameOf(body string) []byte {
+	return append([]byte{byte(len(body) >> 24), byte(len(body) >> 16), byte(len(body) >> 8), byte(len(body))}, body...)
+}
+
+// TestAttachmentRoundTrip: an attachment travels after the envelope
+// byte for byte, the envelope declares its length, and a frame without
+// one is exactly the frame an attachment-unaware writer produced.
+func TestAttachmentRoundTrip(t *testing.T) {
+	rows := []byte("{\n      \"cell\": \"a\\\"}\"\n    }")
+	in := &Message{Type: MsgCellsResult, Seq: 3,
+		CellsResult: &CellsResultPayload{Name: "g", Indices: []int{0}, RowLens: []int{len(rows)}}, Raw: rows}
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	if !bytes.HasSuffix(frame, rows) || !bytes.HasPrefix(frame[4:], []byte(`{"type":"cells_result","seq":3,`)) {
+		t.Fatalf("frame = %q, want the envelope (type and seq first) then the attachment", frame)
+	}
+	if in.RawLen != 0 {
+		t.Error("WriteMessage changed the caller's message")
+	}
+	out, err := ReadMessage(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Raw, rows) || out.RawLen != len(rows) || out.CellsResult.RowLens[0] != len(rows) {
+		t.Fatalf("read back %+v with attachment %q", out, out.Raw)
+	}
+
+	plain := &Message{Type: MsgExpResult, Seq: 4, ExpResult: &ExpResultPayload{Name: "x", RowsJSON: "{}\n"}}
+	buf.Reset()
+	if err := WriteMessage(&buf, plain); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), frameOf(string(body))) {
+		t.Errorf("attachment-free frame = %q, want %q", buf.Bytes(), frameOf(string(body)))
+	}
+}
+
+// TestReadMessageRejectsMalformedAttachments: a frame whose attachment
+// does not match its declaration, or whose cells_result row lengths do
+// not split the attachment, is an error — never a panic and never a
+// message with a partial attachment.
+func TestReadMessageRejectsMalformedAttachments(t *testing.T) {
+	env := func(extra string) string { return `{"type":"exp_result","seq":1` + extra + `}` }
+	cells := func(lens string) string {
+		return `{"type":"cells_result","seq":2,"cellsResult":{"name":"g","indices":[0,1],"rows":null,"rowLens":` + lens + `},"rawLen":4}`
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"attachment longer than declared", frameOf(env(`,"rawLen":3`) + "abcd")},
+		{"attachment shorter than declared", frameOf(env(`,"rawLen":5`) + "abcd")},
+		{"declared attachment missing", frameOf(env(`,"rawLen":2`))},
+		{"bytes after an envelope that declares none", frameOf(env("") + "abcd")},
+		{"whitespace after an envelope that declares none", frameOf(env("") + "\n")},
+		{"negative attachment length", frameOf(env(`,"rawLen":-4`) + "abcd")},
+		{"row lengths short of the attachment", frameOf(cells("[1,2]") + "abcd")},
+		{"row lengths past the attachment", frameOf(cells("[3,2]") + "abcd")},
+		{"negative row length", frameOf(cells("[-1,5]") + "abcd")},
+		{"attachment without row lengths", frameOf(cells("null") + "abcd")},
+		{"row lengths without an attachment", frameOf(`{"type":"cells_result","seq":2,"cellsResult":{"name":"g","indices":[0],"rows":null,"rowLens":[3]}}`)},
+		{"truncated attachment", frameOf(env(`,"rawLen":4`) + "abcd")[:len(frameOf(env(`,"rawLen":4`)+"abcd"))-1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := ReadMessage(bytes.NewReader(tc.frame))
+			if err == nil {
+				t.Fatalf("accepted %q as %+v with attachment %q", tc.frame, m, m.Raw)
+			}
+			if m != nil {
+				t.Fatalf("error %v came with a message", err)
+			}
+		})
+	}
+	// The well-formed twins of the cases above are accepted.
+	for _, frame := range [][]byte{frameOf(env(`,"rawLen":4`) + "abcd"), frameOf(cells("[1,3]") + "abcd")} {
+		m, err := ReadMessage(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatalf("well-formed %q refused: %v", frame, err)
+		}
+		if string(m.Raw) != "abcd" {
+			t.Fatalf("attachment = %q, want %q", m.Raw, "abcd")
+		}
 	}
 }

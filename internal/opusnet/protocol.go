@@ -1,7 +1,9 @@
 // Package opusnet is the Opus control plane as deployable software: the
 // controller runs as a TCP server ("the control plane remains electrical
 // and host-driven", §2.1) and every scale-up domain's shim connects as a
-// client. The wire protocol is length-prefixed JSON.
+// client. The wire protocol is length-prefixed JSON: each frame is a
+// 4-byte big-endian length, a JSON envelope (Message), and an optional
+// raw attachment the envelope declares (see WriteMessage).
 //
 // The server reuses the exact FC-FS controller logic of internal/opus
 // (driven by a wall-clock Clock instead of the discrete-event engine)
@@ -17,6 +19,16 @@
 // carrying a request's Seq stops that request's wait — and only that
 // request's; an execution other clients joined keeps running for them.
 // See internal/railserve.
+//
+// Result rows may travel as raw bytes instead of an escaped JSON
+// string. A requester that sets Message.WantRaw on its exp_req or
+// cells_req asks for them that way: the reply's rows follow the
+// envelope as its attachment (Message.Raw, its length in RawLen), so
+// neither side escapes, scans or unescapes them, and a coordinator can
+// splice them into its own reply unread. A requester that does not set
+// the flag gets its rows inside the envelope, frame for frame as
+// before; a server that does not know the flag ignores it and answers
+// that way too, so every requester must accept both forms.
 package opusnet
 
 import (
@@ -63,7 +75,9 @@ const (
 	// sends at most one per 50 ms per execution, none for a request
 	// that finishes sooner, and may drop one on a slow connection).
 	MsgExpProgress MsgType = "exp_progress"
-	// MsgExpResult carries a completed experiment's renderings and rows.
+	// MsgExpResult carries a completed experiment's renderings and rows:
+	// the rows' indented JSON in ExpResultPayload.RowsJSON, or, for a
+	// request that set WantRaw, as the frame's attachment.
 	MsgExpResult MsgType = "exp_result"
 	// MsgCancel cancels the sender's outstanding request with the same
 	// Seq: that request terminates promptly with MsgErr, while an
@@ -78,8 +92,11 @@ const (
 	// batch. Cells carries the grid spec and the indices.
 	MsgCellsReq MsgType = "cells_req"
 	// MsgCellsResult carries the executed subset's rows, in the order
-	// the request's indices listed them. Progress for a running subset
-	// streams as MsgExpProgress frames (done/total over the subset).
+	// the request's indices listed them: structured in
+	// CellsResultPayload.Rows, or, for a request that set WantRaw, as
+	// the frame's attachment of the rows' indented JSON, split by
+	// CellsResultPayload.RowLens. Progress for a running subset streams
+	// as MsgExpProgress frames (done/total over the subset).
 	MsgCellsResult MsgType = "cells_result"
 
 	// MsgFleetRegister announces a raild backend to a fleet
@@ -140,6 +157,17 @@ type Message struct {
 	Heartbeat *HeartbeatPayload `json:"heartbeat,omitempty"`
 	// DrainReq announces a graceful departure (MsgDrain).
 	DrainReq *DrainPayload `json:"drain,omitempty"`
+	// WantRaw, on an exp_req or cells_req, asks for the reply's rows as
+	// a raw attachment rather than inside the envelope.
+	WantRaw bool `json:"wantRaw,omitempty"`
+	// RawLen declares the length of the attachment that follows the
+	// envelope in the same frame. WriteMessage sets it from Raw;
+	// ReadMessage checks it.
+	RawLen int `json:"rawLen,omitempty"`
+	// Raw is the frame's attachment: bytes carried after the envelope
+	// as they are, never encoded or scanned as JSON. Only a reply to a
+	// WantRaw request carries one.
+	Raw []byte `json:"-"`
 }
 
 // FleetRegisterPayload is a backend's registration: who it is, where
@@ -187,14 +215,23 @@ type CellsRequestPayload struct {
 	TimeoutMS int64 `json:"timeoutMS,omitempty"`
 }
 
-// CellsResultPayload is one executed cell subset in wire form.
+// CellsResultPayload is one executed cell subset in wire form. Its
+// rows travel in one of two forms: structured in Rows, or, in reply to
+// a WantRaw request, as the frame's attachment: each row's indented
+// JSON as a grid's JSON rendering carries it, concatenated in Indices
+// order, with RowLens giving each row's length in bytes.
 type CellsResultPayload struct {
 	// Name is the resolved grid's name.
 	Name string `json:"name"`
 	// Indices echo the request's cell positions.
 	Indices []int `json:"indices"`
-	// Rows are the executed cells, ordered as Indices listed them.
+	// Rows are the executed cells, ordered as Indices listed them
+	// (empty when the rows are attached).
 	Rows []scenario.Row `json:"rows"`
+	// RowLens splits an attached reply's attachment into its rows, in
+	// Indices order. The lengths are non-negative and sum to the
+	// attachment's length; ReadMessage refuses a frame whose do not.
+	RowLens []int `json:"rowLens,omitempty"`
 	// Shared reports the request was coalesced onto an identical
 	// in-flight subset request (request-level singleflight).
 	Shared bool `json:"shared,omitempty"`
@@ -270,7 +307,8 @@ type ExpResultPayload struct {
 	RenderedCSV string `json:"renderedCSV,omitempty"`
 	// RowsJSON is the indented-JSON rendering of the structured rows
 	// (carried as a string so re-encoding the frame cannot re-compact
-	// the exact bytes).
+	// the exact bytes). In reply to a WantRaw request it is empty and
+	// the rows are the frame's attachment instead.
 	RowsJSON string `json:"rowsJSON,omitempty"`
 	// Shared reports the request was coalesced onto an identical
 	// in-flight request from another client.
@@ -334,31 +372,40 @@ type StatsPayload struct {
 }
 
 // maxFrame bounds a frame to keep a malformed peer from ballooning
-// memory. Grid results carry one row per cell (~400 bytes each), so
-// 8 MiB comfortably frames grids of thousands of cells while still
-// rejecting garbage lengths.
+// memory. Grid results carry one row per cell (~600 bytes of indented
+// JSON each), so 8 MiB comfortably frames grids of thousands of cells
+// while still rejecting garbage lengths.
 const maxFrame = 8 << 20
 
-// WriteMessage frames and writes one message: a 4-byte big-endian length
-// followed by the JSON body.
+// WriteMessage frames and writes one message in a single Write: a
+// 4-byte big-endian length, the JSON envelope, and m.Raw, if any, as
+// the attachment. The length covers envelope and attachment, and the
+// envelope's rawLen states the attachment's length. A message without
+// an attachment frames as its bare JSON body, so a peer that knows
+// nothing of attachments reads it whole.
 func WriteMessage(w io.Writer, m *Message) error {
-	body, err := json.Marshal(m)
+	env := *m
+	env.RawLen = len(m.Raw)
+	body, err := json.Marshal(&env)
 	if err != nil {
 		return fmt.Errorf("opusnet: marshal: %w", err)
 	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("opusnet: frame of %d bytes exceeds limit", len(body))
+	n := len(body) + len(m.Raw)
+	if n > maxFrame {
+		return fmt.Errorf("opusnet: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	frame := make([]byte, 4, 4+n)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	frame = append(append(frame, body...), m.Raw...)
+	_, err = w.Write(frame)
 	return err
 }
 
-// ReadMessage reads one framed message.
+// ReadMessage reads one framed message. The attachment, if the
+// envelope declares one, is handed back in Raw without being scanned.
+// A frame whose declared attachment does not match the bytes after
+// the envelope, or whose cells_result row lengths do not split the
+// attachment exactly, is an error.
 func ReadMessage(r io.Reader) (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -372,9 +419,62 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
+	end := envelopeEnd(body)
 	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
+	if err := json.Unmarshal(body[:end], &m); err != nil {
 		return nil, fmt.Errorf("opusnet: unmarshal: %w", err)
 	}
+	if m.RawLen < 0 || m.RawLen != len(body)-end {
+		return nil, fmt.Errorf("opusnet: envelope declares a %d-byte attachment, frame carries %d bytes after it", m.RawLen, len(body)-end)
+	}
+	if m.RawLen > 0 {
+		m.Raw = body[end:]
+	}
+	if m.CellsResult != nil && (m.CellsResult.RowLens != nil || m.Raw != nil) {
+		sum := 0
+		for _, l := range m.CellsResult.RowLens {
+			if l < 0 || l > len(m.Raw) {
+				return nil, fmt.Errorf("opusnet: cells_result row length %d outside its %d-byte attachment", l, len(m.Raw))
+			}
+			sum += l
+		}
+		if sum != len(m.Raw) {
+			return nil, fmt.Errorf("opusnet: cells_result row lengths sum to %d, attachment is %d bytes", sum, len(m.Raw))
+		}
+	}
 	return &m, nil
+}
+
+// envelopeEnd returns the offset just past the JSON object or array
+// that opens body: where a frame's attachment starts. For a body that
+// opens with neither, or never closes it, it returns len(body) and
+// leaves the error to json.Unmarshal.
+func envelopeEnd(body []byte) int {
+	depth := 0
+	inString, escaped := false, false
+	for i, b := range body {
+		switch {
+		case inString:
+			switch {
+			case escaped:
+				escaped = false
+			case b == '\\':
+				escaped = true
+			case b == '"':
+				inString = false
+			}
+		case b == '"':
+			inString = true
+		case b == '{' || b == '[':
+			depth++
+		case b == '}' || b == ']':
+			depth--
+			if depth == 0 {
+				return i + 1
+			}
+		case depth == 0 && b != ' ' && b != '\t' && b != '\n' && b != '\r':
+			return len(body)
+		}
+	}
+	return len(body)
 }

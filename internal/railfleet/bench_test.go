@@ -55,3 +55,41 @@ func BenchmarkFleetGrid(b *testing.B) {
 		})
 	}
 }
+
+// warmSink keeps BenchmarkWarmFleetGridRequest's result live.
+var warmSink string
+
+// BenchmarkWarmFleetGridRequest is BenchmarkWarmGridRequest through a
+// fleet: one warm fig8-5d JSON request at a time, each under a unique
+// grid name so no two coalesce, through the coordinator and two
+// in-process backends. The warm-up fills both backends' memos outside
+// the timer, so the time and allocations measure the fleet request
+// path: admission, fan-out, the backends' cell batches, the splice of
+// their rows, framing and JSON.
+func BenchmarkWarmFleetGridRequest(b *testing.B) {
+	fl := newFleet(b, 2, DefaultInFlight)
+	defer fl.stop()
+	c, err := fl.dial()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	spec := scenario.SpecOf(scenario.Fig8Grid5D())
+	request := func(i int) {
+		spec.Name = fmt.Sprintf("warm-%d", i)
+		run, err := c.RunExperiment(ctx, gridReq(spec), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if warmSink, err = run.Render("json"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	request(-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request(i)
+	}
+}

@@ -53,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -403,7 +404,7 @@ func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message
 	r.Exp = name
 	r.Desc = fmt.Sprintf("railfleet: experiment %q", name)
 	r.Count = f.exps.Count(1)
-	r.Result = railserve.ExpResult(msg.Seq, name)
+	r.Result = railserve.ExpResult(msg)
 	f.Serve(r, reply, cs)
 }
 
@@ -437,7 +438,10 @@ func (f *Coordinator) gridRequest(req opusnet.ExpRequestPayload) (*railserve.Req
 			if err != nil {
 				return nil, err
 			}
-			return railserve.RenderExpPayload(req.Name, photonrail.GridExperimentResult(grid.Name, rows))
+			// The exp_result a raild would send for the grid, with the
+			// backends' row bytes spliced in unread.
+			return &opusnet.ExpResultPayload{Name: req.Name, Grid: grid.Name,
+				RowsJSON: string(photonrail.AppendGridJSON(nil, grid.Name, rows))}, nil
 		},
 	}, nil
 }
@@ -534,14 +538,17 @@ func (f *Coordinator) proxyOrder(name string) []*backend {
 
 // executeGrid fans one expanded grid out across the fleet and merges
 // the partial rows back into canonical expansion order — the
-// coordinator's core. Cells shard by workload key with each backend's
-// capacity as rendezvous weight (AssignWeighted); each backend's share
-// is submitted in batches of at most f.inFlight cells (the per-backend
-// in-flight cap). A backend that dies or errors mid-grid has its
-// unfinished cells re-sharded across the survivors on the next wave; a
-// backend that drains mid-grid finishes the batch it holds and hands
-// its unsubmitted cells to the next wave — graceful, so no failover is
-// counted. The grid fails only when no backend is left. The returned
+// coordinator's core. Rows stay the bytes the backends sent
+// (railserve.CellsRun.RowJSON); nothing here decodes them. Cells shard
+// by workload key with each backend's capacity as rendezvous weight
+// (AssignWeighted); each backend's share is submitted in batches of at
+// most f.inFlight cells (the per-backend in-flight cap). A backend that
+// dies or errors mid-grid has its unfinished cells re-sharded across
+// the survivors on the next wave; a backend that drains mid-grid
+// finishes the batch it holds and hands its unsubmitted cells to the
+// next wave — graceful, so no failover is counted. A backend whose
+// reply does not answer its batch exactly (see runBatch) fails like a
+// dead one. The grid fails only when no backend is left. The returned
 // rows are byte-identical to a single-daemon run, whichever backends
 // executed which cells.
 //
@@ -549,13 +556,13 @@ func (f *Coordinator) proxyOrder(name string) []*backend {
 // committed cells (rows landed) plus live in-batch ticks, never
 // exceeding the total — a failed batch's ticks are discarded along
 // with its re-executed cells.
-func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid scenario.Grid, onCell func(done, total int)) ([]scenario.Row, error) {
+func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid scenario.Grid, onCell func(done, total int)) ([][]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cells := grid.Expand()
 	total := len(cells)
-	rows := make([]scenario.Row, total)
+	rows := make([][]byte, total)
 
 	var pmu sync.Mutex
 	committed, lastEmitted, batchSeq := 0, 0, 0
@@ -673,10 +680,14 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 }
 
 // runBatch executes one cell batch on one backend and merges its rows.
-// Any failure other than the caller's own cancellation marks the
-// backend failed (dropping its connection) so the wave loop re-shards.
+// A reply must echo the batch's indices exactly, in order, with one
+// row each: rows are placed by position and never read, so nothing
+// downstream could notice a misplaced one. Any failure other than the
+// caller's own cancellation, a reply that does not answer the batch
+// included, marks the backend failed (dropping its connection) so the
+// wave loop re-shards.
 func (f *Coordinator) runBatch(ctx context.Context, b *backend, spec scenario.Spec, batch []int,
-	rows []scenario.Row, pmu *sync.Mutex, committed *int, live map[int]int, batchSeq *int, emit func()) error {
+	rows [][]byte, pmu *sync.Mutex, committed *int, live map[int]int, batchSeq *int, emit func()) error {
 	pmu.Lock()
 	*batchSeq++
 	id := *batchSeq
@@ -709,8 +720,12 @@ func (f *Coordinator) runBatch(ctx context.Context, b *backend, spec scenario.Sp
 		}
 		pmu.Unlock()
 	})
-	if err == nil && len(run.Rows) != len(batch) {
-		err = fmt.Errorf("railfleet: backend %s returned %d rows for a %d-cell batch", b.address(), len(run.Rows), len(batch))
+	switch {
+	case err != nil:
+	case !slices.Equal(run.Indices, batch):
+		err = fmt.Errorf("railfleet: backend %s answered cells %v for batch %v", b.address(), run.Indices, batch)
+	case len(run.RowJSON) != len(batch):
+		err = fmt.Errorf("railfleet: backend %s returned %d rows for a %d-cell batch", b.address(), len(run.RowJSON), len(batch))
 	}
 	if err != nil {
 		if ctx.Err() == nil {
@@ -719,7 +734,7 @@ func (f *Coordinator) runBatch(ctx context.Context, b *backend, spec scenario.Sp
 		return err
 	}
 	for j, idx := range batch {
-		rows[idx] = run.Rows[j]
+		rows[idx] = run.RowJSON[j]
 	}
 	b.note(len(batch))
 	pmu.Lock()

@@ -1,6 +1,7 @@
 package railserve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -50,11 +51,12 @@ func TestCellsSubsetMatchesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Name != "subset" || len(run.Rows) != len(indices) {
-		t.Fatalf("run = %q with %d rows, want %q with %d", run.Name, len(run.Rows), "subset", len(indices))
+	if run.Name != "subset" || len(run.RowJSON) != len(indices) || run.Rows != nil {
+		t.Fatalf("run = %q with %d attached and %d structured rows, want %q with %d attached",
+			run.Name, len(run.RowJSON), len(run.Rows), "subset", len(indices))
 	}
 	for i, idx := range indices {
-		if got, want := rowsJSON(t, run.Rows[i:i+1]), rowsJSON(t, full.Rows()[idx:idx+1]); got != want {
+		if got, want := string(run.RowJSON[i]), rowBytes(t, full.Rows()[idx]); got != want {
 			t.Errorf("subset row %d (cell %d) diverged:\n got: %s\nwant: %s", i, idx, got, want)
 		}
 	}
@@ -117,7 +119,7 @@ func TestCellsSingleflightDedup(t *testing.T) {
 	if runs[0].Shared == runs[1].Shared {
 		t.Errorf("shared flags = %v/%v, want exactly one joined request", runs[0].Shared, runs[1].Shared)
 	}
-	if got, want := rowsJSON(t, runs[0].Rows), rowsJSON(t, runs[1].Rows); got != want {
+	if got, want := bytes.Join(runs[0].RowJSON, nil), bytes.Join(runs[1].RowJSON, nil); len(runs[0].RowJSON) != len(indices) || !bytes.Equal(got, want) {
 		t.Error("coalesced subset results diverged")
 	}
 }

@@ -32,9 +32,10 @@ type Client struct {
 	// behind (the goroutine-leak regression tests pin this).
 	readDone chan struct{}
 
-	// wmu serializes frame writes: WriteMessage issues two conn.Write
-	// calls (header, body), so concurrent pipelined requests would
-	// interleave bytes and corrupt the stream without it.
+	// wmu serializes frame writes. WriteMessage writes each frame in
+	// one conn.Write, but a net.Conn need not keep concurrent Writes
+	// apart, so without the lock pipelined requests could interleave
+	// bytes and corrupt the stream.
 	wmu sync.Mutex
 
 	mu      sync.Mutex
@@ -178,7 +179,13 @@ type CellsRun struct {
 	Name string
 	// Indices echo the requested expansion-order cell positions.
 	Indices []int
-	// Rows are the executed cells, ordered as Indices listed them.
+	// RowJSON are the executed cells' rows, ordered as Indices listed
+	// them, each as photonrail.GridRowJSON renders it: the bytes
+	// photonrail.AppendGridJSON joins into a grid's JSON rendering.
+	RowJSON [][]byte
+	// Rows are the same rows structured, set only when the daemon sent
+	// them that way (one from before row attachments); RowJSON then
+	// holds their renderings.
 	Rows []scenario.Row
 	// Shared reports the daemon coalesced this request onto an identical
 	// in-flight subset request.
@@ -189,10 +196,13 @@ type CellsRun struct {
 // given indices — the fleet coordinator's fan-out call. Semantics
 // mirror RunExperiment: the wait is bounded by ctx (a cancel frame is
 // sent on expiry so the daemon stops only this request's wait), and
-// onProgress receives advisory ticks over the subset.
+// onProgress receives advisory ticks over the subset. The request asks
+// for the rows as an attachment; a daemon that sends them structured
+// instead has them rendered here, through photonrail.GridRowJSON, so
+// RowJSON holds the same bytes either way.
 func (c *Client) RunCellsCtx(ctx context.Context, spec scenario.Spec, indices []int, timeout time.Duration, onProgress func(done, total int)) (*CellsRun, error) {
 	req := opusnet.CellsRequestPayload{Spec: &spec, Indices: indices, TimeoutMS: timeout.Milliseconds()}
-	p, err := c.start(&opusnet.Message{Type: opusnet.MsgCellsReq, Cells: &req}, onProgress)
+	p, err := c.start(&opusnet.Message{Type: opusnet.MsgCellsReq, Cells: &req, WantRaw: true}, onProgress)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +214,24 @@ func (c *Client) RunCellsCtx(ctx context.Context, spec scenario.Spec, indices []
 		return nil, fmt.Errorf("railserve: unexpected reply %q to cells request", resp.Type)
 	}
 	r := resp.CellsResult
-	return &CellsRun{Name: r.Name, Indices: r.Indices, Rows: r.Rows, Shared: r.Shared}, nil
+	run := &CellsRun{Name: r.Name, Indices: r.Indices, Rows: r.Rows, Shared: r.Shared}
+	if r.RowLens != nil {
+		// ReadMessage checked that the lengths split Raw exactly.
+		raw := resp.Raw
+		for _, n := range r.RowLens {
+			run.RowJSON = append(run.RowJSON, raw[:n:n])
+			raw = raw[n:]
+		}
+		return run, nil
+	}
+	for _, row := range r.Rows {
+		js, err := photonrail.GridRowJSON(row)
+		if err != nil {
+			return nil, fmt.Errorf("railserve: cells result of grid %q: %w", r.Name, err)
+		}
+		run.RowJSON = append(run.RowJSON, js)
+	}
+	return run, nil
 }
 
 // ExpRun is one completed experiment as a daemon reported it (or as
@@ -268,8 +295,11 @@ func (r *ExpRun) Render(format string) (string, error) {
 // sent so the daemon stops only this request's wait (an execution other
 // clients joined keeps running for them) and ctx.Err() is returned
 // promptly. onProgress receives advisory completion ticks.
+//
+// The request asks for the result's rows as the frame's attachment; a
+// daemon that sends them in the envelope instead is read the same way.
 func (c *Client) RunExperiment(ctx context.Context, req opusnet.ExpRequestPayload, onProgress func(done, total int)) (*ExpRun, error) {
-	p, err := c.start(&opusnet.Message{Type: opusnet.MsgExpReq, Exp: &req}, onProgress)
+	p, err := c.start(&opusnet.Message{Type: opusnet.MsgExpReq, Exp: &req, WantRaw: true}, onProgress)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +310,11 @@ func (c *Client) RunExperiment(ctx context.Context, req opusnet.ExpRequestPayloa
 	if resp.Type != opusnet.MsgExpResult || resp.ExpResult == nil {
 		return nil, fmt.Errorf("railserve: unexpected reply %q to experiment request", resp.Type)
 	}
-	return NewExpRun(resp.ExpResult), nil
+	run := NewExpRun(resp.ExpResult)
+	if resp.Raw != nil {
+		run.RowsJSON = string(resp.Raw)
+	}
+	return run, nil
 }
 
 // NewExpRun wraps an exp_result payload as the ExpRun a client renders,

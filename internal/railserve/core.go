@@ -542,14 +542,20 @@ func (c *Core) Serve(r *Request, reply func(*opusnet.Message, bool), cs *opusnet
 	}()
 }
 
-// ExpResult shapes an exp_result for one waiter from an execution's
-// rendered payload: the copy carries the waiter's own experiment name
-// (a fleet grid execution may serve requests that named it
-// differently) and whether the waiter joined an execution in flight.
-func ExpResult(seq uint64, name string) func(payload any, shared bool) *opusnet.Message {
+// ExpResult shapes the exp_result answering req for one waiter from an
+// execution's rendered payload: the copy carries the waiter's own
+// experiment name (a fleet grid execution may serve requests that
+// named it differently) and whether the waiter joined an execution in
+// flight, and its rows travel as the frame's attachment when req set
+// WantRaw.
+func ExpResult(req *opusnet.Message) func(payload any, shared bool) *opusnet.Message {
 	return func(payload any, shared bool) *opusnet.Message {
 		p := *(payload.(*opusnet.ExpResultPayload))
-		p.Name, p.Shared = name, shared
-		return &opusnet.Message{Type: opusnet.MsgExpResult, Seq: seq, ExpResult: &p}
+		p.Name, p.Shared = req.Exp.Name, shared
+		m := &opusnet.Message{Type: opusnet.MsgExpResult, Seq: req.Seq, ExpResult: &p}
+		if req.WantRaw && p.RowsJSON != "" {
+			m.Raw, p.RowsJSON = []byte(p.RowsJSON), ""
+		}
+		return m
 	}
 }

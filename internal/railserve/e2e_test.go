@@ -45,6 +45,16 @@ func rowsJSON(t *testing.T, rows []scenario.Row) string {
 	return string(b)
 }
 
+// rowBytes renders one row as a grid's JSON rendering carries it.
+func rowBytes(t *testing.T, row scenario.Row) string {
+	t.Helper()
+	b, err := photonrail.GridRowJSON(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // gridReq wraps spec as a grid-experiment request — the one path a
 // grid travels over the wire.
 func gridReq(spec scenario.Spec) opusnet.ExpRequestPayload {

@@ -41,7 +41,13 @@
 // wants its table or CSV derives it from those rows with
 // ExpRun.Render, which railclient and the railgate front door share.
 // Every other experiment carries all three renderings, since its text
-// is not a function of its rows.
+// is not a function of its rows. A grid's rows are themselves rendered
+// once per memoized result (photonrail.GridRow), so a warm grid's JSON
+// is cached row bytes joined. They travel as bytes too: a requester
+// that sets WantRaw — Client does, on every exp_req and cells_req —
+// gets an exp_result's rows, or a cells_result's rows and their
+// lengths, as the frame's attachment, and any other requester gets the
+// frames it always did (see opusnet).
 //
 // That contract lives in one place: Core, the serving skeleton (accept
 // loop, base context, request singleflight, per-request observability,
@@ -59,6 +65,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 
 	"photonrail"
 	"photonrail/internal/exp"
@@ -107,13 +114,14 @@ type Server struct {
 const maxGridName = 256
 
 // maxGridCells caps one request's cell count. The result frame carries
-// one JSON row per cell inside opusnet's 8 MiB frame limit — rows run
-// ~400 bytes and stay under 1 KiB even with pathological coordinate
-// and skip-reason strings, so 4096 cells keep the reply below half the
-// frame limit. Rejecting over-large grids up front (arithmetically,
-// via CellCount, before any expansion) keeps the daemon from being
-// OOM-killed by a huge cross-product or from simulating for minutes
-// only to fail encoding the reply.
+// one indented JSON row per cell inside opusnet's 8 MiB frame limit,
+// as an escaped string or as the attachment — rows run ~560 bytes and
+// stay under 1 KiB even with pathological coordinate and skip-reason
+// strings, so 4096 cells keep the reply below half the frame limit.
+// Rejecting over-large grids up front (arithmetically, via CellCount,
+// before any expansion) keeps the daemon from being OOM-killed by a
+// huge cross-product or from simulating for minutes only to fail
+// encoding the reply.
 const maxGridCells = 4096
 
 // NewServer starts the daemon listening on cfg.Listener (when set) or
@@ -287,7 +295,7 @@ func (s *Server) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, boo
 			}
 			return RenderExpPayload(name, res)
 		},
-		Result: ExpResult(msg.Seq, name),
+		Result: ExpResult(msg),
 	}, reply, cs)
 }
 
@@ -342,31 +350,53 @@ func (s *Server) serveCells(msg *opusnet.Message, reply func(*opusnet.Message, b
 		Desc:  fmt.Sprintf("railserve: grid %q %d-cell subset", grid.Name, len(indices)),
 		Count: s.cells.Count(uint64(len(indices))),
 		Execute: func(ctx context.Context, progress func(done, total int)) (any, error) {
-			results, err := s.engine.RunCellsProgressCtx(ctx, grid, indices, progress)
-			if err != nil {
-				return nil, err
-			}
-			res := photonrail.GridResult{Grid: grid, Cells: results}
-			return &opusnet.CellsResultPayload{Name: grid.Name, Indices: indices, Rows: res.Rows()}, nil
+			return s.engine.RunCellRowsCtx(ctx, grid, indices, progress)
 		},
 		Result: func(payload any, shared bool) *opusnet.Message {
-			p := *(payload.(*opusnet.CellsResultPayload))
-			p.Shared = shared
-			return &opusnet.Message{Type: opusnet.MsgCellsResult, Seq: seq, CellsResult: &p}
+			return cellsResult(msg, grid.Name, indices, payload.([]*photonrail.GridRow), shared)
 		},
 	}, reply, cs)
 }
 
+// cellsResult shapes one waiter's cells_result from an execution's
+// rows: their bytes as the attachment, split by RowLens, when the
+// waiter set WantRaw, and the structured rows otherwise.
+func cellsResult(req *opusnet.Message, name string, indices []int, rows []*photonrail.GridRow, shared bool) *opusnet.Message {
+	p := &opusnet.CellsResultPayload{Name: name, Indices: indices, Shared: shared}
+	m := &opusnet.Message{Type: opusnet.MsgCellsResult, Seq: req.Seq, CellsResult: p}
+	if !req.WantRaw {
+		p.Rows = make([]scenario.Row, len(rows))
+		for i, row := range rows {
+			p.Rows[i] = row.Row
+		}
+		return m
+	}
+	p.RowLens = make([]int, len(rows))
+	n := 0
+	for i, row := range rows {
+		p.RowLens[i] = len(row.JSON)
+		n += len(row.JSON)
+	}
+	m.Raw = make([]byte, 0, n)
+	for _, row := range rows {
+		m.Raw = append(m.Raw, row.JSON...)
+	}
+	return m
+}
+
 // RenderExpPayload renders a completed experiment once, server-side,
-// into its exp_result payload. raild and the fleet coordinator both
-// shape exp_result through it, so a fleet's merged grid travels
-// byte-identically to a single daemon's. A grid experiment ships only
+// into its exp_result payload; raild and railclient's in-process path
+// both shape their results through it. (The fleet coordinator builds a
+// grid's payload from its backends' row bytes instead, joined by the
+// same photonrail.AppendGridJSON a grid's RenderJSON uses, so a
+// fleet's grid travels byte-identically to a single daemon's.) A grid
+// experiment ships only
 // its JSON rows: its table and CSV are functions of those rows, and
 // the edge that asks for one derives it (see ExpRun.Render). Every
 // other experiment ships all three renderings, because its text is not
 // a function of its rows (eq1's footer, window-analysis's CDF tables).
 func RenderExpPayload(name string, res *photonrail.ExperimentResult) (*opusnet.ExpResultPayload, error) {
-	var rows bytes.Buffer
+	var rows strings.Builder
 	if err := res.RenderJSON(&rows); err != nil {
 		return nil, err
 	}

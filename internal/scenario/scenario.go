@@ -219,6 +219,13 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("scenario: unknown fabric kind %d", int(k))
 		}
 	}
+	// A cell simulates GPipe or 1F1B; any other value would run as
+	// 1F1B under another name.
+	for _, sched := range gd.Schedules {
+		if sched != workload.OneFOneB && sched != workload.GPipe {
+			return fmt.Errorf("scenario: unknown pipeline schedule %d", int(sched))
+		}
+	}
 	return nil
 }
 
@@ -439,28 +446,33 @@ type Row struct {
 func (r *Result) Rows() []Row {
 	rows := make([]Row, 0, len(r.Cells))
 	for _, cr := range r.Cells {
-		c := cr.Cell
-		row := Row{
-			Cell: c.Name(), Model: c.Model.Name, GPU: c.GPU.Name,
-			Fabric: c.Fabric.String(), LatencyMS: c.LatencyMS,
-			TP: c.Par.TP, DP: c.Par.DP, PP: c.Par.PP, CP: c.Par.CP, EP: c.Par.EP,
-			Schedule: c.Schedule.String(), JitterFrac: c.JitterFrac, EagerRS: c.EagerRS,
-			Status: "ok",
-		}
-		if cr.Skipped {
-			row.Status = "skip"
-			row.SkipReason = cr.SkipReason
-		} else {
-			row.MeanIterationSeconds = cr.MeanIterationSeconds
-			row.Slowdown = cr.Slowdown
-			row.Reconfigurations = cr.Reconfigurations
-			row.FastGrants = cr.FastGrants
-			row.QueuedGrants = cr.QueuedGrants
-			row.BlockedSeconds = cr.BlockedSeconds
-		}
-		rows = append(rows, row)
+		rows = append(rows, RowOf(cr))
 	}
 	return rows
+}
+
+// RowOf flattens one cell result.
+func RowOf(cr CellResult) Row {
+	c := cr.Cell
+	row := Row{
+		Cell: c.Name(), Model: c.Model.Name, GPU: c.GPU.Name,
+		Fabric: c.Fabric.String(), LatencyMS: c.LatencyMS,
+		TP: c.Par.TP, DP: c.Par.DP, PP: c.Par.PP, CP: c.Par.CP, EP: c.Par.EP,
+		Schedule: c.Schedule.String(), JitterFrac: c.JitterFrac, EagerRS: c.EagerRS,
+		Status: "ok",
+	}
+	if cr.Skipped {
+		row.Status = "skip"
+		row.SkipReason = cr.SkipReason
+	} else {
+		row.MeanIterationSeconds = cr.MeanIterationSeconds
+		row.Slowdown = cr.Slowdown
+		row.Reconfigurations = cr.Reconfigurations
+		row.FastGrants = cr.FastGrants
+		row.QueuedGrants = cr.QueuedGrants
+		row.BlockedSeconds = cr.BlockedSeconds
+	}
+	return row
 }
 
 // Table renders the grid results as a report table (whose Render, CSV,

@@ -7,6 +7,7 @@ import (
 
 	"photonrail/internal/model"
 	"photonrail/internal/topo"
+	"photonrail/internal/workload"
 )
 
 func TestParallelism(t *testing.T) {
@@ -129,6 +130,10 @@ func TestGridValidate(t *testing.T) {
 	}
 	if err := (Grid{Fabrics: []FabricKind{FabricKind(42)}}).Validate(); err == nil {
 		t.Error("unknown fabric kind accepted")
+	}
+	// It would simulate as 1F1B under another name.
+	if err := (Grid{Schedules: []workload.Schedule{workload.GPipe, workload.Schedule(7)}}).Validate(); err == nil {
+		t.Error("unknown pipeline schedule accepted")
 	}
 	if err := (Grid{Microbatches: -1}).Validate(); err == nil {
 		t.Error("negative microbatches accepted")

@@ -17,6 +17,7 @@ package photonrail
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"photonrail/internal/model"
 	"photonrail/internal/netsim"
@@ -178,6 +179,9 @@ type Result struct {
 	BlockedSeconds float64
 
 	inner *netsim.Result
+	// row is the grid row rendered from this result, for the one kind
+	// of cell its memo key serves (see Engine.cellRow).
+	row atomic.Pointer[GridRow]
 }
 
 // Simulate runs the workload on the fabric and reports timing and

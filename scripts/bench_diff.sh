@@ -13,6 +13,15 @@
 #     and a regression there is invisible in wall time), and the
 #     threshold is generous (25%): this is a trajectory guard against
 #     real regressions, not a microbenchmark tribunal;
+#   - ns/op is corrected for the host's speed when both the baseline
+#     and the fresh run timed BenchmarkHostSpeed, a fixed CPU and
+#     memory kernel (bench/calibrate.go's): each fresh ns/op is
+#     multiplied by (baseline kernel ns / fresh kernel ns)^SPEED_EXP
+#     before the threshold test, SPEED_EXP being the 0.6 bench/README
+#     fits for how strongly this stack's timings follow the kernel's.
+#     The raw and corrected ratios print side by side, the kernel
+#     itself is not gated on ns/op, and a baseline without the kernel
+#     is gated on the raw ratio;
 #   - allocs/op does not depend on the host's speed, so it is gated on
 #     every benchmark whose baseline records it, sub-millisecond ones
 #     included, at a tighter bound: ALLOCS_PCT (15%) of the baseline
@@ -30,6 +39,8 @@ MIN_NS="${BENCH_DIFF_MIN_NS:-1000000}" # skip benchmarks under 1ms
 COUNT="${BENCH_DIFF_COUNT:-3}"
 ALLOCS_PCT=15
 ALLOCS_FLOOR=16
+SPEED_BENCH=BenchmarkHostSpeed
+SPEED_EXP=0.6
 
 if [ $# -ge 1 ]; then
     baseline="$1"
@@ -46,7 +57,8 @@ trap 'rm -f "$raw"' EXIT
 go test -short -run '^$' -bench . -benchtime 1x -count "$COUNT" -benchmem ./... | tee "$raw"
 
 awk -v baseline="$baseline" -v thresh="$THRESHOLD_PCT" -v minns="$MIN_NS" \
-    -v allocpct="$ALLOCS_PCT" -v allocfloor="$ALLOCS_FLOOR" '
+    -v allocpct="$ALLOCS_PCT" -v allocfloor="$ALLOCS_FLOOR" \
+    -v speedbench="$SPEED_BENCH" -v speedexp="$SPEED_EXP" '
     # Pass 1: committed baseline ns/op and allocs/op by benchmark name.
     FILENAME == baseline {
         if (match($0, /"name": "[^"]+"/)) {
@@ -73,7 +85,17 @@ awk -v baseline="$baseline" -v thresh="$THRESHOLD_PCT" -v minns="$MIN_NS" \
     }
     END {
         fail = 0
+        # Host-speed correction: how much slower (or faster) this host
+        # ran the kernel than the baseline host did.
+        corr = 1
+        if ((speedbench in base) && (speedbench in fresh) && fresh[speedbench] > 0) {
+            corr = (base[speedbench] / fresh[speedbench]) ^ speedexp
+            printf "host: %-50s %12d -> %12d ns/op, ns/op corrected by x%.3f\n", speedbench, base[speedbench], fresh[speedbench], corr
+        } else {
+            printf "host: no %s in both runs, ns/op gated uncorrected\n", speedbench
+        }
         for (name in fresh) {
+            if (name == speedbench) continue
             if (!(name in base)) {
                 printf "new:  %-50s %12d ns/op (no baseline)\n", name, fresh[name]
                 continue
@@ -83,12 +105,13 @@ awk -v baseline="$baseline" -v thresh="$THRESHOLD_PCT" -v minns="$MIN_NS" \
                 printf "skip: %-50s %12d -> %12d ns/op (tiny)\n", name, b, f
                 continue
             }
-            pct = (f - b) * 100.0 / b
+            raw = (f - b) * 100.0 / b
+            pct = (f * corr - b) * 100.0 / b
             if (pct > thresh) {
-                printf "FAIL: %-50s %12d -> %12d ns/op (%+.1f%% > %d%%)\n", name, b, f, pct, thresh
+                printf "FAIL: %-50s %12d -> %12d ns/op (raw %+.1f%%, corrected %+.1f%% > %d%%)\n", name, b, f, raw, pct, thresh
                 fail = 1
             } else {
-                printf "ok:   %-50s %12d -> %12d ns/op (%+.1f%%)\n", name, b, f, pct
+                printf "ok:   %-50s %12d -> %12d ns/op (raw %+.1f%%, corrected %+.1f%%)\n", name, b, f, raw, pct
             }
         }
         for (name in freshallocs) {
