@@ -56,6 +56,12 @@ type Engine struct {
 	// (see cellRow), capped at maxSkipRows.
 	rowMu    sync.Mutex
 	skipRows map[string]*GridRow
+
+	// planMu guards the plan table: each grid's plan (see gridPlan) by
+	// planKey, and the cells the table holds, capped at maxPlanCells.
+	planMu    sync.Mutex
+	plans     map[string]*gridPlan
+	planCells int
 }
 
 // Cache entry costs, in simulation units: a traced result pins the full
@@ -96,6 +102,7 @@ func newEngine(pool *exp.Engine) *Engine {
 		profiles: make(map[string]*netsim.Profile),
 		seeds:    make(map[string]*netsim.Profile),
 		skipRows: make(map[string]*GridRow),
+		plans:    make(map[string]*gridPlan),
 	}
 }
 
@@ -187,6 +194,10 @@ func (en *Engine) ResetCache() {
 	en.rowMu.Lock()
 	en.skipRows = make(map[string]*GridRow)
 	en.rowMu.Unlock()
+	en.planMu.Lock()
+	en.plans = make(map[string]*gridPlan)
+	en.planCells = 0
+	en.planMu.Unlock()
 }
 
 // Simulate is the memoized form of the package-level Simulate: the

@@ -10,7 +10,7 @@ import (
 
 // oracleCell computes one grid cell the monolithic way: uncached
 // package-level Simulate calls (and the uncached provisioned-stable
-// loop), mirroring runCell's field assignments exactly. It is the
+// loop), mirroring cellResultOf's field assignments exactly. It is the
 // reference the staged pipeline is pinned against.
 func oracleCell(c GridCell) (GridCellResult, error) {
 	out := GridCellResult{Cell: c}

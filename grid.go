@@ -93,13 +93,11 @@ func (en *Engine) RunGridCtx(ctx context.Context, g Grid) (*GridResult, error) {
 // shared with other engine callers keep running for them. Stragglers
 // may tick onCell briefly after an early ctx-cancelled return.
 func (en *Engine) RunGridProgressCtx(ctx context.Context, g Grid, onCell func(done, total int)) (*GridResult, error) {
-	if err := g.Validate(); err != nil {
+	p, err := en.planFor(g, nil)
+	if err != nil {
 		return nil, err
 	}
-	cells := g.Expand()
-	results, err := exp.MapProgressCtx(ctx, en.pool, len(cells), func(ctx context.Context, i int) (GridCellResult, error) {
-		return en.runCell(ctx, cells[i])
-	}, onCell)
+	results, err := runCells(ctx, en, p, p.all, cellResult, onCell)
 	if err != nil {
 		return nil, err
 	}
@@ -122,28 +120,11 @@ func (en *Engine) RunCellsCtx(ctx context.Context, g Grid, indices []int) ([]Gri
 // cell with the running count and the subset's size; cancellation and
 // fail-fast semantics match RunGridProgressCtx.
 func (en *Engine) RunCellsProgressCtx(ctx context.Context, g Grid, indices []int, onCell func(done, total int)) ([]GridCellResult, error) {
-	cells, err := expandFor(g, indices)
+	p, err := en.planFor(g, indices)
 	if err != nil {
 		return nil, err
 	}
-	return exp.MapProgressCtx(ctx, en.pool, len(indices), func(ctx context.Context, i int) (GridCellResult, error) {
-		return en.runCell(ctx, cells[indices[i]])
-	}, onCell)
-}
-
-// expandFor validates g and expands it, refusing indices outside the
-// expansion.
-func expandFor(g Grid, indices []int) ([]GridCell, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	cells := g.Expand()
-	for _, idx := range indices {
-		if idx < 0 || idx >= len(cells) {
-			return nil, fmt.Errorf("photonrail: cell index %d outside grid %q (%d cells)", idx, g.Name, len(cells))
-		}
-	}
-	return cells, nil
+	return runCells(ctx, en, p, indices, cellResult, onCell)
 }
 
 // gridWorkload compiles a cell's coordinates into the Workload the
@@ -170,55 +151,284 @@ func gridWorkload(c GridCell) Workload {
 	}
 }
 
-// runCell executes one cell: skip if infeasible, otherwise simulate the
-// cell's fabric and its electrical baseline (both memoized) and report
-// timing, telemetry, and normalized slowdown.
-func (en *Engine) runCell(ctx context.Context, c GridCell) (GridCellResult, error) {
-	out := GridCellResult{Cell: c}
-	if reason := c.Skip(); reason != "" {
-		out.Skipped = true
-		out.SkipReason = reason
-		return out, nil
-	}
-	base, res, err := en.cellResults(ctx, c)
-	if err != nil {
-		return out, err
-	}
-	return cellResultOf(c, base, res), nil
+// gridPlan is everything about a grid's cells that no result decides:
+// the expansion and, for each cell, its skip reason and the memo keys
+// it reads. It is a function of every Grid field except Name (see
+// planKey), so grids that differ only in name share one, and it is
+// never written after it is built.
+type gridPlan struct {
+	cells []plannedCell
+	all   []int // 0, 1, …: every cell, in expansion order
 }
 
-// cellResults fetches a feasible cell's electrical baseline and its own
-// fabric's result, both memoized. The cell's workload is encoded once,
-// and both memo keys derive from that encoding.
-func (en *Engine) cellResults(ctx context.Context, c GridCell) (base, res *Result, err error) {
+// plannedCell is one planned cell. A skipped cell's key is its row's
+// key in the skip-row table. A feasible cell's base is its electrical
+// baseline's Time key and key its own fabric's Time or Provision key;
+// an electrical cell's result is its baseline, so its key is empty.
+type plannedCell struct {
+	cell      GridCell
+	skip      string // Skip's reason; "" when the cell is feasible
+	base, key string
+}
+
+// maxPlanCells caps the cells the engine's plan table holds, beside
+// maxSkipRows: a plan costs about half a kilobyte per cell, so a cap by
+// plan count would let a few huge grids pin a lot of memory. Like the
+// skip-row table, the plan table is purely an optimization: a grid with
+// more cells than the cap is planned but not stored, and a table that
+// would cross the cap is dropped and started over.
+const maxPlanCells = 4096
+
+// planFor validates g, on every call, and returns its plan from the
+// engine's plan table, planning and storing it on a miss. It refuses
+// indices outside the expansion.
+func (en *Engine) planFor(g Grid, indices []int) (*gridPlan, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	key := planKey(g)
+	en.planMu.Lock()
+	p := en.plans[key]
+	en.planMu.Unlock()
+	if p == nil {
+		var err error
+		if p, err = newGridPlan(g); err != nil {
+			return nil, err
+		}
+		en.storePlan(key, p)
+	}
+	for _, idx := range indices {
+		if idx < 0 || idx >= len(p.cells) {
+			return nil, fmt.Errorf("photonrail: cell index %d outside grid %q (%d cells)", idx, g.Name, len(p.cells))
+		}
+	}
+	return p, nil
+}
+
+// storePlan puts a plan in the plan table unless it alone exceeds the
+// cap, emptying the table first when the plan would take it over.
+func (en *Engine) storePlan(key string, p *gridPlan) {
+	n := len(p.cells)
+	if n > maxPlanCells {
+		return
+	}
+	en.planMu.Lock()
+	defer en.planMu.Unlock()
+	if _, ok := en.plans[key]; ok {
+		return // a racing request planned the same grid
+	}
+	if en.planCells+n > maxPlanCells {
+		en.plans = make(map[string]*gridPlan)
+		en.planCells = 0
+	}
+	en.plans[key] = p
+	en.planCells += n
+}
+
+// newGridPlan expands g and derives each cell's skip reason and keys.
+// Each cell's workload is encoded once, and its keys derive from that
+// encoding.
+func newGridPlan(g Grid) (*gridPlan, error) {
+	cells := g.Expand()
+	p := &gridPlan{cells: make([]plannedCell, len(cells)), all: make([]int, len(cells))}
+	for i, c := range cells {
+		p.all[i] = i
+		pc := &p.cells[i]
+		pc.cell = c
+		k := keysOf(gridWorkload(c))
+		if pc.skip = c.Skip(); pc.skip != "" {
+			pc.key = k.skipRow(c.Fabric, c.LatencyMS)
+			continue
+		}
+		pc.base = k.time(Fabric{Kind: ElectricalRail})
+		switch c.Fabric {
+		case scenario.Electrical:
+		case scenario.Photonic, scenario.PhotonicStatic:
+			pc.key = k.time(cellFabric(c))
+		case scenario.PhotonicProvisioned:
+			pc.key = k.provision(c.LatencyMS)
+		default:
+			return nil, fmt.Errorf("photonrail: cell %s: unknown grid fabric kind %v", c.Name(), c.Fabric)
+		}
+	}
+	return p, nil
+}
+
+// cellFabric is the fabric a Photonic or PhotonicStatic cell simulates.
+func cellFabric(c GridCell) Fabric {
+	if c.Fabric == scenario.PhotonicStatic {
+		return Fabric{Kind: PhotonicStaticPartition}
+	}
+	return Fabric{Kind: PhotonicRail, ReconfigLatencyMS: c.LatencyMS}
+}
+
+// runCells is the cell driver behind every grid entry point: it runs
+// the plan's cells at indices and returns what out makes of each, in
+// indices order. out gets a skipped cell alone, and a feasible cell
+// with its baseline and its own fabric's result.
+//
+// A cell whose memo lookups both find completed entries is served
+// inline, on the caller's goroutine and in order, and so is a skipped
+// cell, which no memo entry backs. Only the other cells go to the
+// pool, through exp.MapProgressCtx; one whose baseline was found
+// carries it there and runs only its fabric's lookup. So each memo
+// entry a cell reads is looked up once, inline or in the pool, and the
+// cache counters read as if every cell had gone to the pool. No
+// computation runs on the caller's goroutine, and no inline step waits
+// on one.
+//
+// onCell ticks 1..n: inline cells first, then pool cells continuing the
+// count. A context cancelled before or during the inline pass returns
+// ctx.Err(), and a memoized error on an inline cell returns before the
+// pool starts; otherwise cancellation and fail-fast are
+// MapProgressCtx's.
+func runCells[T any](ctx context.Context, en *Engine, p *gridPlan, indices []int, out func(*Engine, *plannedCell, *Result, *Result) (T, error), onCell func(done, total int)) ([]T, error) {
+	n := len(indices)
+	results := make([]T, n)
+	// pending is a cell left for the pool: its position in indices and
+	// its baseline, when the inline pass found it.
+	type pending struct {
+		i    int
+		base *Result
+	}
+	var misses []pending
+	done := 0
+	for i, idx := range indices {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		pc := &p.cells[idx]
+		var base, res *Result
+		if pc.skip == "" {
+			var found bool
+			var err error
+			if base, found, err = en.lookup(pc.base); err != nil {
+				return nil, baselineError(pc.cell, err)
+			}
+			if !found {
+				misses = append(misses, pending{i: i})
+				continue
+			}
+			if err := checkBaseline(pc.cell, base); err != nil {
+				return nil, err
+			}
+			res = base
+			if pc.key != "" {
+				if res, found, err = en.lookup(pc.key); err != nil {
+					return nil, fabricError(pc.cell, err)
+				}
+				if !found {
+					misses = append(misses, pending{i: i, base: base})
+					continue
+				}
+			}
+		}
+		v, err := out(en, pc, base, res)
+		if err != nil {
+			return nil, err
+		}
+		results[i] = v
+		done++
+		if onCell != nil {
+			onCell(done, n)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(misses) == 0 {
+		return results, nil
+	}
+	var hook func(done, total int)
+	if onCell != nil {
+		inline := done
+		hook = func(done, _ int) { onCell(inline+done, n) }
+	}
+	vals, err := exp.MapProgressCtx(ctx, en.pool, len(misses), func(ctx context.Context, j int) (T, error) {
+		m := misses[j]
+		pc := &p.cells[indices[m.i]]
+		base, res, err := en.cellResults(ctx, pc, m.base)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return out(en, pc, base, res)
+	}, hook)
+	if err != nil {
+		return nil, err
+	}
+	for j, m := range misses {
+		results[m.i] = vals[j]
+	}
+	return results, nil
+}
+
+// lookup returns the memoized result under key when its computation
+// has completed; see exp.Engine.Lookup.
+func (en *Engine) lookup(key string) (*Result, bool, error) {
+	v, found, err := en.pool.Lookup(key)
+	if !found || err != nil {
+		return nil, found, err
+	}
+	return v.(*Result), true, nil
+}
+
+// cellResults fetches a feasible cell's electrical baseline, unless
+// the caller already holds it, and its own fabric's result, both
+// memoized under the cell's planned keys.
+func (en *Engine) cellResults(ctx context.Context, pc *plannedCell, base *Result) (*Result, *Result, error) {
+	c := pc.cell
 	w := gridWorkload(c)
-	k := keysOf(w)
-	electrical := Fabric{Kind: ElectricalRail}
-	base, err = en.simulate(ctx, k.time(electrical), w, electrical)
-	if err != nil {
-		return nil, nil, fmt.Errorf("photonrail: cell %s baseline: %w", c.Name(), err)
+	if base == nil {
+		var err error
+		if base, err = en.simulate(ctx, pc.base, w, Fabric{Kind: ElectricalRail}); err != nil {
+			return nil, nil, baselineError(c, err)
+		}
+		if err := checkBaseline(c, base); err != nil {
+			return nil, nil, err
+		}
 	}
-	if base.MeanIterationSeconds <= 0 {
-		return nil, nil, fmt.Errorf("photonrail: cell %s: degenerate baseline iteration time", c.Name())
+	if pc.key == "" {
+		return base, base, nil
 	}
-	switch c.Fabric {
-	case scenario.Electrical:
-		res = base
-	case scenario.Photonic:
-		f := Fabric{Kind: PhotonicRail, ReconfigLatencyMS: c.LatencyMS}
-		res, err = en.simulate(ctx, k.time(f), w, f)
-	case scenario.PhotonicProvisioned:
-		res, err = en.provision(ctx, k.provision(c.LatencyMS), w, c.LatencyMS)
-	case scenario.PhotonicStatic:
-		f := Fabric{Kind: PhotonicStaticPartition}
-		res, err = en.simulate(ctx, k.time(f), w, f)
-	default:
-		err = fmt.Errorf("unknown grid fabric kind %v", c.Fabric)
+	var res *Result
+	var err error
+	if c.Fabric == scenario.PhotonicProvisioned {
+		res, err = en.provision(ctx, pc.key, w, c.LatencyMS)
+	} else {
+		res, err = en.simulate(ctx, pc.key, w, cellFabric(c))
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("photonrail: cell %s: %w", c.Name(), err)
+		return nil, nil, fabricError(c, err)
 	}
 	return base, res, nil
+}
+
+// baselineError reports a cell whose electrical baseline failed.
+func baselineError(c GridCell, err error) error {
+	return fmt.Errorf("photonrail: cell %s baseline: %w", c.Name(), err)
+}
+
+// fabricError reports a cell whose own fabric's result failed.
+func fabricError(c GridCell, err error) error {
+	return fmt.Errorf("photonrail: cell %s: %w", c.Name(), err)
+}
+
+// checkBaseline refuses a baseline no slowdown can be normalized to.
+func checkBaseline(c GridCell, base *Result) error {
+	if base.MeanIterationSeconds <= 0 {
+		return fmt.Errorf("photonrail: cell %s: degenerate baseline iteration time", c.Name())
+	}
+	return nil
+}
+
+// cellResult reports a cell as its GridCellResult: a skip with its
+// reason, or a feasible cell's result normalized to its baseline.
+func cellResult(_ *Engine, pc *plannedCell, base, res *Result) (GridCellResult, error) {
+	if pc.skip != "" {
+		return GridCellResult{Cell: pc.cell, Skipped: true, SkipReason: pc.skip}, nil
+	}
+	return cellResultOf(pc.cell, base, res), nil
 }
 
 // cellResultOf reports a feasible cell from its fabric's result and
@@ -249,20 +459,16 @@ const maxSkipRows = 4096
 // cell, in any grid, that hits the same entry reuses it; an evicted
 // entry takes its row along. A skipped cell's row, which no result
 // backs, lives in the engine's skip-row table under a key derived the
-// same way. The memo lookups are runCell's, so the cache counters read
+// same way. The memo lookups are runCells', so the cache counters read
 // the same with or without the rows.
-func (en *Engine) cellRow(ctx context.Context, c GridCell) (*GridRow, error) {
-	if reason := c.Skip(); reason != "" {
-		return en.skipRow(c, reason)
-	}
-	base, res, err := en.cellResults(ctx, c)
-	if err != nil {
-		return nil, err
+func (en *Engine) cellRow(pc *plannedCell, base, res *Result) (*GridRow, error) {
+	if pc.skip != "" {
+		return en.skipRow(pc)
 	}
 	if row := res.row.Load(); row != nil {
 		return row, nil
 	}
-	row, err := newGridRow(cellResultOf(c, base, res))
+	row, err := newGridRow(cellResultOf(pc.cell, base, res))
 	if err != nil {
 		return nil, err
 	}
@@ -273,16 +479,14 @@ func (en *Engine) cellRow(ctx context.Context, c GridCell) (*GridRow, error) {
 
 // skipRow returns a skipped cell's row from the skip-row table,
 // rendering it on a miss.
-func (en *Engine) skipRow(c GridCell, reason string) (*GridRow, error) {
-	k := keysOf(gridWorkload(c))
-	key := k.skipRow(c.Fabric, c.LatencyMS)
+func (en *Engine) skipRow(pc *plannedCell) (*GridRow, error) {
 	en.rowMu.Lock()
-	row := en.skipRows[key]
+	row := en.skipRows[pc.key]
 	en.rowMu.Unlock()
 	if row != nil {
 		return row, nil
 	}
-	row, err := newGridRow(GridCellResult{Cell: c, Skipped: true, SkipReason: reason})
+	row, err := newGridRow(GridCellResult{Cell: pc.cell, Skipped: true, SkipReason: pc.skip})
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +495,7 @@ func (en *Engine) skipRow(c GridCell, reason string) (*GridRow, error) {
 	if len(en.skipRows) >= maxSkipRows {
 		en.skipRows = make(map[string]*GridRow)
 	}
-	en.skipRows[key] = row
+	en.skipRows[pc.key] = row
 	return row, nil
 }
 
@@ -312,23 +516,19 @@ func newGridRow(cr GridCellResult) (*GridRow, error) {
 // GridRow): a warm cell renders nothing. A daemon serves a fleet
 // coordinator's cell batches from here.
 func (en *Engine) RunCellRowsCtx(ctx context.Context, g Grid, indices []int, onCell func(done, total int)) ([]*GridRow, error) {
-	cells, err := expandFor(g, indices)
+	p, err := en.planFor(g, indices)
 	if err != nil {
 		return nil, err
 	}
-	return exp.MapProgressCtx(ctx, en.pool, len(indices), func(ctx context.Context, i int) (*GridRow, error) {
-		return en.cellRow(ctx, cells[indices[i]])
-	}, onCell)
+	return runCells(ctx, en, p, indices, (*Engine).cellRow, onCell)
 }
 
 // gridRows executes every cell of g, in expansion order, through the
 // row cache; cancellation and fail-fast match RunGridProgressCtx.
 func (en *Engine) gridRows(ctx context.Context, g Grid, onCell func(done, total int)) ([]*GridRow, error) {
-	cells, err := expandFor(g, nil)
+	p, err := en.planFor(g, nil)
 	if err != nil {
 		return nil, err
 	}
-	return exp.MapProgressCtx(ctx, en.pool, len(cells), func(ctx context.Context, i int) (*GridRow, error) {
-		return en.cellRow(ctx, cells[i])
-	}, onCell)
+	return runCells(ctx, en, p, p.all, (*Engine).cellRow, onCell)
 }

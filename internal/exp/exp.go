@@ -29,6 +29,14 @@
 //     cancellation error is dropped rather than memoized, so a later
 //     request recomputes cleanly.
 //
+// Lookup answers a key from the cache alone: it returns the memoized
+// outcome (value or error) of a completed computation, counted and
+// LRU-touched as a DoCostCtx hit would be, and finds nothing, counts
+// nothing and starts nothing for a key that is missing or still
+// running. A caller that holds several keys' results can thereby serve
+// the warm ones where it stands and send only the rest to the pool,
+// with every key still counted once.
+//
 // Results are always gathered by submission index, never by completion
 // order, so a *successful* parallel run is byte-identical to a
 // sequential one as long as the jobs themselves are deterministic (the
@@ -352,6 +360,33 @@ func (e *Engine) DoCostCtx(ctx context.Context, key string, cost int64, fn func(
 		}
 		return v, err
 	}
+}
+
+// Lookup returns key's memoized outcome when its computation has
+// completed: found is true, and v and err are what DoCostCtx would
+// return for the key (a memoized error comes back as err). A found key
+// is counted as a hit, with its stage, and moves to the front of the
+// LRU, exactly as a DoCostCtx hit would. A key that is missing or
+// still running is not found: Lookup starts nothing, waits on nothing
+// and counts nothing, so a caller that goes on to DoCostCtx for it
+// counts the key once.
+func (e *Engine) Lookup(key string) (v any, found bool, err error) {
+	e.mu.Lock()
+	ent, ok := e.cache[key]
+	if !ok || !ent.completed {
+		e.mu.Unlock()
+		return nil, false, nil
+	}
+	// A completed entry still in the map is memoized, so it is on the
+	// LRU list: an abandoned one left the map when it completed.
+	e.lru.MoveToFront(ent.elem)
+	v, err = ent.val, ent.err
+	e.mu.Unlock()
+	e.hits.Add(1)
+	if sc := e.stage(key); sc != nil {
+		sc.hits.Add(1)
+	}
+	return v, true, err
 }
 
 // compute runs one detached computation and installs its outcome.

@@ -1,7 +1,6 @@
 package railfleet
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -17,10 +16,29 @@ import (
 // fabric variants of one workload on one backend, so each baseline is
 // simulated exactly once fleet-wide and the fleet's total simulation
 // count equals a single daemon's (the property test pins this).
+//
+// The key reads model|GPU|parallelism|schedule|j<jitter>|e<eagerRS>|
+// microbatches|microbatch size|iterations, the jitter in its shortest
+// %g form. It is built with appends, since the coordinator keys every
+// cell of every wave.
 func WorkloadKey(c scenario.Cell) string {
-	return fmt.Sprintf("%s|%s|%s|%s|j%g|e%v|%d|%d|%d",
-		c.Model.Name, c.GPU.Name, c.Par, c.Schedule, c.JitterFrac, c.EagerRS,
-		c.Microbatches, c.MicrobatchSize, c.Iterations)
+	var buf [96]byte
+	b := append(buf[:0], c.Model.Name...)
+	b = append(b, '|')
+	b = append(b, c.GPU.Name...)
+	b = append(b, '|')
+	b = c.Par.AppendName(b)
+	b = append(b, '|')
+	b = append(b, c.Schedule.String()...)
+	b = append(b, "|j"...)
+	b = strconv.AppendFloat(b, c.JitterFrac, 'g', -1, 64)
+	b = append(b, "|e"...)
+	b = strconv.AppendBool(b, c.EagerRS)
+	for _, v := range [...]int{c.Microbatches, c.MicrobatchSize, c.Iterations} {
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return string(b)
 }
 
 // Target is one assignable backend for weighted rendezvous sharding:
@@ -47,8 +65,12 @@ func StaticID(i int) string { return "s" + strconv.Itoa(i) }
 // highest-random-weight ordering and a weight change moves only the
 // keys that change owners.
 func weightedScore(key string, t Target) float64 {
+	// key, '#' and the target ID go straight into the hash, which
+	// never returns a write error.
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s#%s", key, t.ID)
+	_, _ = h.Write([]byte(key))
+	_, _ = h.Write([]byte{'#'})
+	_, _ = h.Write([]byte(t.ID))
 	// FNV's avalanche is weak for suffix differences: two hashes whose
 	// inputs differ only in the trailing target ID agree in their high
 	// bits, which collapses u across targets and lets the largest weight

@@ -17,6 +17,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"photonrail/internal/model"
@@ -117,16 +118,26 @@ func (p Parallelism) ScaleOutAxes() int {
 // String renders the coordinate compactly, omitting disabled axes:
 // "tp4-dp2-pp2" or "tp4-dp1-cp2-ep2-pp2".
 func (p Parallelism) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "tp%d-dp%d", p.TP, p.DP)
+	var buf [48]byte
+	return string(p.AppendName(buf[:0]))
+}
+
+// AppendName appends String's rendering of the coordinate to b.
+func (p Parallelism) AppendName(b []byte) []byte {
+	b = append(b, "tp"...)
+	b = strconv.AppendInt(b, int64(p.TP), 10)
+	b = append(b, "-dp"...)
+	b = strconv.AppendInt(b, int64(p.DP), 10)
 	if p.CP > 1 {
-		fmt.Fprintf(&sb, "-cp%d", p.CP)
+		b = append(b, "-cp"...)
+		b = strconv.AppendInt(b, int64(p.CP), 10)
 	}
 	if p.EP > 1 {
-		fmt.Fprintf(&sb, "-ep%d", p.EP)
+		b = append(b, "-ep"...)
+		b = strconv.AppendInt(b, int64(p.EP), 10)
 	}
-	fmt.Fprintf(&sb, "-pp%d", p.PP)
-	return sb.String()
+	b = append(b, "-pp"...)
+	return strconv.AppendInt(b, int64(p.PP), 10)
 }
 
 // Grid declares a scenario cross-product. Empty dimension slices take
@@ -215,7 +226,9 @@ func (g Grid) Validate() error {
 		}
 	}
 	for _, k := range gd.Fabrics {
-		if k.String() == fmt.Sprintf("FabricKind(%d)", int(k)) {
+		switch k {
+		case Electrical, Photonic, PhotonicProvisioned, PhotonicStatic:
+		default:
 			return fmt.Errorf("scenario: unknown fabric kind %d", int(k))
 		}
 	}

@@ -9,11 +9,14 @@ import (
 // keySink keeps BenchmarkCellKeys's keys live.
 var keySink string
 
-// BenchmarkCellKeys derives every key a warm fig8-5d request computes,
-// with no simulation behind them: the request's ExperimentKey, then,
-// for each of the grid's 48 cells, what runCell derives (its workload
-// encoded once, its electrical baseline's Time key, and its own Time or
-// Provision key). Its allocs/op pins the key path of a warm request.
+// BenchmarkCellKeys derives every key a fig8-5d request computes when
+// its grid is not yet planned, with no simulation behind them: the
+// request's ExperimentKey, then, for each of the grid's 48 cells, what
+// planning the cell derives (its workload encoded once, its electrical
+// baseline's Time key, and its own Time or Provision key). A request
+// whose plan is in the engine's plan table derives only the
+// ExperimentKey; its allocs/op pins the key path of a grid's first
+// request.
 func BenchmarkCellKeys(b *testing.B) {
 	cells := Fig8Grid5D().Expand()
 	spec := SpecOfGrid(Fig8Grid5D())

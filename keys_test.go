@@ -11,12 +11,16 @@ import (
 
 // keyField names how the completeness walk treats a field that is not
 // a plain value: Params.Grid is dereferenced (ExperimentKey encodes the
-// spec it points at), and Params.OnProgress is excluded (observational).
+// spec it points at), Params.OnProgress is excluded (observational),
+// and Grid.Name is ignored: walked and perturbed like any leaf, but
+// perturbing it must leave every key unchanged (a plan serves every
+// grid that differs only in name).
 type keyField int
 
 const (
 	keyDeref keyField = iota + 1
 	keyExcluded
+	keyIgnored
 )
 
 // keyedType is one type whose keys the completeness test checks.
@@ -78,6 +82,16 @@ func keyedTypes() []keyedType {
 			},
 		},
 		{
+			name:   "Grid",
+			typ:    reflect.TypeOf(Grid{}),
+			fields: map[string]keyField{"Name": keyIgnored},
+			keys: map[string]func(reflect.Value) string{
+				"plan": func(v reflect.Value) string {
+					return planKey(v.Interface().(Grid))
+				},
+			},
+		},
+		{
 			name:   "Params",
 			typ:    reflect.TypeOf(Params{}),
 			fields: map[string]keyField{"Grid": keyDeref, "OnProgress": keyExcluded},
@@ -97,18 +111,21 @@ func keyedTypes() []keyedType {
 // — a pointer, map, func, chan, interface or unexported field — fails
 // the test unless kt.fields documents it.
 type keyWalk struct {
-	t      *testing.T
-	kt     keyedType
-	target int
-	n      int
-	paths  []string
-	seq    int // populate's running value
+	t        *testing.T
+	kt       keyedType
+	target   int
+	n        int
+	paths    []string
+	ignored  []bool // per site: inside a keyIgnored field
+	ignoring bool
+	seq      int // populate's running value
 }
 
 // site records one perturbation site and reports whether it is the
 // target.
 func (w *keyWalk) site(path string) bool {
 	w.paths = append(w.paths, path)
+	w.ignored = append(w.ignored, w.ignoring)
 	w.n++
 	return w.n-1 == w.target
 }
@@ -172,6 +189,11 @@ func (w *keyWalk) walk(v reflect.Value, path string, populate bool) {
 			switch w.kt.fields[fpath] {
 			case keyExcluded:
 				continue
+			case keyIgnored:
+				w.ignoring = true
+				w.walk(v.Field(i), fpath, populate)
+				w.ignoring = false
+				continue
 			case keyDeref:
 				if populate {
 					v.Field(i).Set(reflect.New(f.Type.Elem()))
@@ -208,7 +230,8 @@ func freshKeyed(t *testing.T, kt keyedType, target int) (reflect.Value, *keyWalk
 // slice — and requires every key built from the type to change. A
 // field added later without being encoded fails here, as does a
 // pointer, map, func, chan or interface field (Params.Grid and
-// Params.OnProgress are the documented exceptions).
+// Params.OnProgress are the documented exceptions). A field the key
+// ignores by design (Grid.Name) must leave every key unchanged.
 func TestKeyCompleteness(t *testing.T) {
 	for _, kt := range keyedTypes() {
 		t.Run(kt.name, func(t *testing.T) {
@@ -227,7 +250,10 @@ func TestKeyCompleteness(t *testing.T) {
 			for i, path := range w.paths {
 				v, _ := freshKeyed(t, kt, i)
 				for name, key := range kt.keys {
-					if key(v) == baseKeys[name] {
+					switch changed := key(v) != baseKeys[name]; {
+					case w.ignored[i] && changed:
+						t.Errorf("perturbing %s changed the %s key, which ignores it", path, name)
+					case !w.ignored[i] && !changed:
 						t.Errorf("perturbing %s did not change the %s key", path, name)
 					}
 				}
