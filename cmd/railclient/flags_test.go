@@ -122,7 +122,7 @@ func TestPrintCatalog(t *testing.T) {
 }
 
 func TestWithTimeout(t *testing.T) {
-	ctx, cancel := withTimeout(t.Context(), time.Hour)
+	ctx, cancel := withTimeout(testContext(t), time.Hour)
 	if _, ok := ctx.Deadline(); !ok {
 		t.Error("positive timeout produced no deadline")
 	}
@@ -130,7 +130,7 @@ func TestWithTimeout(t *testing.T) {
 	if ctx.Err() == nil {
 		t.Error("cancel did not cancel the deadline context")
 	}
-	ctx, cancel = withTimeout(t.Context(), 0)
+	ctx, cancel = withTimeout(testContext(t), 0)
 	if _, ok := ctx.Deadline(); ok {
 		t.Error("zero timeout produced a deadline")
 	}
@@ -141,7 +141,7 @@ func TestWithTimeout(t *testing.T) {
 }
 
 func TestWithTimeoutInheritsParentCancellation(t *testing.T) {
-	parent, stop := context.WithCancel(t.Context())
+	parent, stop := context.WithCancel(testContext(t))
 	ctx, cancel := withTimeout(parent, time.Hour)
 	defer cancel()
 	stop()

@@ -60,7 +60,7 @@ func checkGolden(t *testing.T, pathFlags []string) {
 		t.Run(name, func(t *testing.T) {
 			var out, errb bytes.Buffer
 			args := append(append([]string{}, pathFlags...), tc.args...)
-			if err := run(t.Context(), args, &out, &errb); err != nil {
+			if err := run(testContext(t), args, &out, &errb); err != nil {
 				t.Fatalf("%v: %v", args, err)
 			}
 			goldentest.Check(t, out.Bytes(), filepath.Join("testdata", "golden", tc.file))

@@ -17,6 +17,15 @@ import (
 	"photonrail/internal/scenario"
 )
 
+// testContext returns a context that ends with the test, as
+// testing.T.Context does from Go 1.24 on; the module builds with Go
+// 1.22.
+func testContext(t *testing.T) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return ctx
+}
+
 func startDaemon(t *testing.T) string {
 	t.Helper()
 	s, err := railserve.NewServer(railserve.Config{})
@@ -30,7 +39,7 @@ func startDaemon(t *testing.T) string {
 func TestRemoteSweepCSV(t *testing.T) {
 	addr := startDaemon(t)
 	var out, errb bytes.Buffer
-	err := run(t.Context(), []string{"-addr", addr, "-par", "4:2:2", "-latencies", "5", "-iters", "1", "-format", "csv"},
+	err := run(testContext(t), []string{"-addr", addr, "-par", "4:2:2", "-latencies", "5", "-iters", "1", "-format", "csv"},
 		&out, &errb)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +60,7 @@ func TestRemoteSweepCSV(t *testing.T) {
 func TestRemoteStats(t *testing.T) {
 	addr := startDaemon(t)
 	var out, errb bytes.Buffer
-	if err := run(t.Context(), []string{"-addr", addr, "-par", "4:2:2", "-latencies", "5", "-iters", "1",
+	if err := run(testContext(t), []string{"-addr", addr, "-par", "4:2:2", "-latencies", "5", "-iters", "1",
 		"-format", "csv", "-stats", "-progress"}, &out, &errb); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +68,7 @@ func TestRemoteStats(t *testing.T) {
 		t.Errorf("stats = %q", errb.String())
 	}
 	var so, se bytes.Buffer
-	if err := run(t.Context(), []string{"-addr", addr, "-daemon-stats"}, &so, &se); err != nil {
+	if err := run(testContext(t), []string{"-addr", addr, "-daemon-stats"}, &so, &se); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(so.String(), "daemon: cache") {
@@ -70,7 +79,7 @@ func TestRemoteStats(t *testing.T) {
 func TestRemoteExperimentMatchesLocal(t *testing.T) {
 	addr := startDaemon(t)
 	var out, errb bytes.Buffer
-	if err := run(t.Context(), []string{"-addr", addr, "-exp", "table3", "-timeout", "1m"}, &out, &errb); err != nil {
+	if err := run(testContext(t), []string{"-addr", addr, "-exp", "table3", "-timeout", "1m"}, &out, &errb); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := photonrail.Lookup("table3")
@@ -101,7 +110,7 @@ func TestRemoteUnnamedBuiltinGridText(t *testing.T) {
 	}
 	defer c.Close()
 	spec := scenario.Spec{LatenciesMS: []float64{5}, Iterations: 1}
-	run, err := c.RunExperiment(t.Context(), opusnet.ExpRequestPayload{Name: "fig8-5d", Grid: &spec}, nil)
+	run, err := c.RunExperiment(testContext(t), opusnet.ExpRequestPayload{Name: "fig8-5d", Grid: &spec}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +179,7 @@ func TestRejectsBadInput(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer
-		if err := run(t.Context(), args, &out, &errb); err == nil {
+		if err := run(testContext(t), args, &out, &errb); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 		if out.Len() > 0 {
@@ -181,7 +190,7 @@ func TestRejectsBadInput(t *testing.T) {
 
 func TestListCatalog(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run(t.Context(), []string{"-list"}, &out, &errb); err != nil {
+	if err := run(testContext(t), []string{"-list"}, &out, &errb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"fig8-5d", "Llama3-8B", "A100", "provisioned", "window-analysis", "all: table1"} {
@@ -206,7 +215,7 @@ func TestFig8GridParallelMatchesSequential(t *testing.T) {
 	}
 	runGrid := func(parallel string) (string, string) {
 		var out, errb bytes.Buffer
-		if err := run(t.Context(), []string{"-grid", "fig8-5d", "-parallel", parallel, "-stats"}, &out, &errb); err != nil {
+		if err := run(testContext(t), []string{"-grid", "fig8-5d", "-parallel", parallel, "-stats"}, &out, &errb); err != nil {
 			t.Fatal(err)
 		}
 		return out.String(), errb.String()
@@ -233,7 +242,7 @@ func TestFig8GridParallelMatchesSequential(t *testing.T) {
 // stderr, like a daemon's ticks.
 func TestLocalProgress(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run(t.Context(), append([]string{"-progress", "-format", "csv"}, smallGrid...), &out, &errb); err != nil {
+	if err := run(testContext(t), append([]string{"-progress", "-format", "csv"}, smallGrid...), &out, &errb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errb.String(), "railclient: 3/3 cells") {
@@ -251,7 +260,7 @@ func TestExpAllRunsSweepBatch(t *testing.T) {
 	runOut := func(args ...string) string {
 		t.Helper()
 		var out, errb bytes.Buffer
-		if err := run(t.Context(), args, &out, &errb); err != nil {
+		if err := run(testContext(t), args, &out, &errb); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
@@ -305,7 +314,7 @@ func TestDaemonStatsHonorsTimeout(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var out, errb bytes.Buffer
-		done <- run(t.Context(), []string{"-addr", ln.Addr().String(), "-daemon-stats", "-timeout", "200ms"}, &out, &errb)
+		done <- run(testContext(t), []string{"-addr", ln.Addr().String(), "-daemon-stats", "-timeout", "200ms"}, &out, &errb)
 	}()
 	select {
 	case err := <-done:
@@ -359,12 +368,12 @@ func TestDaemonStatsFleetMembership(t *testing.T) {
 	// Run a sweep through the coordinator so the static member has been
 	// probed healthy and credited cells.
 	var out, errb bytes.Buffer
-	if err := run(t.Context(), []string{"-addr", f.Addr(), "-par", "4:2:2", "-latencies", "5", "-iters", "1",
+	if err := run(testContext(t), []string{"-addr", f.Addr(), "-par", "4:2:2", "-latencies", "5", "-iters", "1",
 		"-format", "csv"}, &out, &errb); err != nil {
 		t.Fatal(err)
 	}
 	var so, se bytes.Buffer
-	if err := run(t.Context(), []string{"-addr", f.Addr(), "-daemon-stats"}, &so, &se); err != nil {
+	if err := run(testContext(t), []string{"-addr", f.Addr(), "-daemon-stats"}, &so, &se); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(so.String(), "fleet: 1 members") {

@@ -52,11 +52,6 @@ type Engine struct {
 
 	seedHits, seedMisses atomic.Uint64
 
-	// rowMu guards skipRows, the rendered rows of skipped grid cells
-	// (see cellRow), capped at maxSkipRows.
-	rowMu    sync.Mutex
-	skipRows map[string]*GridRow
-
 	// planMu guards the plan table: each grid's plan (see gridPlan) by
 	// planKey, and the cells the table holds, capped at maxPlanCells.
 	planMu    sync.Mutex
@@ -101,7 +96,6 @@ func newEngine(pool *exp.Engine) *Engine {
 		pool:     pool,
 		profiles: make(map[string]*netsim.Profile),
 		seeds:    make(map[string]*netsim.Profile),
-		skipRows: make(map[string]*GridRow),
 		plans:    make(map[string]*gridPlan),
 	}
 }
@@ -191,9 +185,6 @@ func (en *Engine) ResetCache() {
 	en.profiles = make(map[string]*netsim.Profile)
 	en.seeds = make(map[string]*netsim.Profile)
 	en.profMu.Unlock()
-	en.rowMu.Lock()
-	en.skipRows = make(map[string]*GridRow)
-	en.rowMu.Unlock()
 	en.planMu.Lock()
 	en.plans = make(map[string]*gridPlan)
 	en.planCells = 0

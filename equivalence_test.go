@@ -1,6 +1,7 @@
 package photonrail
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -86,7 +87,9 @@ func TestStagedPipelineMatchesOracle(t *testing.T) {
 	indices := feasible[:sample]
 
 	en := NewEngine(0)
-	staged, err := en.RunCellsCtx(t.Context(), grid, indices)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	staged, err := en.RunCellsCtx(ctx, grid, indices)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,31 +152,33 @@ func gridWorkload(c GridCell) Workload {
 }
 
 // gridPlan is everything about a grid's cells that no result decides:
-// the expansion and, for each cell, its skip reason and the memo keys
-// it reads. It is a function of every Grid field except Name (see
-// planKey), so grids that differ only in name share one, and it is
-// never written after it is built.
+// the expansion and, for each cell, its skip reason and row or the
+// memo keys it reads. It is a function of every Grid field except Name
+// (see planKey), so grids that differ only in name share one, and it
+// is never written after it is built.
 type gridPlan struct {
 	cells []plannedCell
 	all   []int // 0, 1, …: every cell, in expansion order
 }
 
-// plannedCell is one planned cell. A skipped cell's key is its row's
-// key in the skip-row table. A feasible cell's base is its electrical
-// baseline's Time key and key its own fabric's Time or Provision key;
-// an electrical cell's result is its baseline, so its key is empty.
+// plannedCell is one planned cell. A skipped cell carries its row,
+// which depends on nothing but the cell and its skip reason. A
+// feasible cell's base is its electrical baseline's Time key and key
+// its own fabric's Time or Provision key; an electrical cell's result
+// is its baseline, so its key is empty.
 type plannedCell struct {
 	cell      GridCell
-	skip      string // Skip's reason; "" when the cell is feasible
+	skip      string   // Skip's reason; "" when the cell is feasible
+	row       *GridRow // a skipped cell's row
 	base, key string
 }
 
-// maxPlanCells caps the cells the engine's plan table holds, beside
-// maxSkipRows: a plan costs about half a kilobyte per cell, so a cap by
-// plan count would let a few huge grids pin a lot of memory. Like the
-// skip-row table, the plan table is purely an optimization: a grid with
-// more cells than the cap is planned but not stored, and a table that
-// would cross the cap is dropped and started over.
+// maxPlanCells caps the cells the engine's plan table holds: a plan
+// costs about half a kilobyte per cell, more for a skipped cell's row,
+// so a cap by plan count would let a few huge grids pin a lot of
+// memory. The plan table is purely an optimization: a grid with more
+// cells than the cap is planned but not stored, and a table that would
+// cross the cap is dropped and started over.
 const maxPlanCells = 4096
 
 // planFor validates g, on every call, and returns its plan from the
@@ -225,9 +227,9 @@ func (en *Engine) storePlan(key string, p *gridPlan) {
 	en.planCells += n
 }
 
-// newGridPlan expands g and derives each cell's skip reason and keys.
-// Each cell's workload is encoded once, and its keys derive from that
-// encoding.
+// newGridPlan expands g and derives each cell's skip reason and row,
+// or its keys. Each feasible cell's workload is encoded once, and its
+// keys derive from that encoding.
 func newGridPlan(g Grid) (*gridPlan, error) {
 	cells := g.Expand()
 	p := &gridPlan{cells: make([]plannedCell, len(cells)), all: make([]int, len(cells))}
@@ -235,11 +237,14 @@ func newGridPlan(g Grid) (*gridPlan, error) {
 		p.all[i] = i
 		pc := &p.cells[i]
 		pc.cell = c
-		k := keysOf(gridWorkload(c))
 		if pc.skip = c.Skip(); pc.skip != "" {
-			pc.key = k.skipRow(c.Fabric, c.LatencyMS)
+			var err error
+			if pc.row, err = newGridRow(GridCellResult{Cell: c, Skipped: true, SkipReason: pc.skip}); err != nil {
+				return nil, err
+			}
 			continue
 		}
+		k := keysOf(gridWorkload(c))
 		pc.base = k.time(Fabric{Kind: ElectricalRail})
 		switch c.Fabric {
 		case scenario.Electrical:
@@ -282,7 +287,7 @@ func cellFabric(c GridCell) Fabric {
 // ctx.Err(), and a memoized error on an inline cell returns before the
 // pool starts; otherwise cancellation and fail-fast are
 // MapProgressCtx's.
-func runCells[T any](ctx context.Context, en *Engine, p *gridPlan, indices []int, out func(*Engine, *plannedCell, *Result, *Result) (T, error), onCell func(done, total int)) ([]T, error) {
+func runCells[T any](ctx context.Context, en *Engine, p *gridPlan, indices []int, out func(*plannedCell, *Result, *Result) (T, error), onCell func(done, total int)) ([]T, error) {
 	n := len(indices)
 	results := make([]T, n)
 	// pending is a cell left for the pool: its position in indices and
@@ -323,7 +328,7 @@ func runCells[T any](ctx context.Context, en *Engine, p *gridPlan, indices []int
 				}
 			}
 		}
-		v, err := out(en, pc, base, res)
+		v, err := out(pc, base, res)
 		if err != nil {
 			return nil, err
 		}
@@ -352,7 +357,7 @@ func runCells[T any](ctx context.Context, en *Engine, p *gridPlan, indices []int
 			var zero T
 			return zero, err
 		}
-		return out(en, pc, base, res)
+		return out(pc, base, res)
 	}, hook)
 	if err != nil {
 		return nil, err
@@ -424,7 +429,7 @@ func checkBaseline(c GridCell, base *Result) error {
 
 // cellResult reports a cell as its GridCellResult: a skip with its
 // reason, or a feasible cell's result normalized to its baseline.
-func cellResult(_ *Engine, pc *plannedCell, base, res *Result) (GridCellResult, error) {
+func cellResult(pc *plannedCell, base, res *Result) (GridCellResult, error) {
 	if pc.skip != "" {
 		return GridCellResult{Cell: pc.cell, Skipped: true, SkipReason: pc.skip}, nil
 	}
@@ -446,11 +451,6 @@ func cellResultOf(c GridCell, base, res *Result) GridCellResult {
 	}
 }
 
-// maxSkipRows caps the engine's skip-row table. Like the profile intern
-// table, it is purely an optimization, so a long-running engine that
-// crosses the cap drops the table and starts over.
-const maxSkipRows = 4096
-
 // cellRow returns a cell's row, rendered once. Every field of a row is
 // a function of the memo key of the result it was computed from: the
 // key encodes the cell's workload (model, GPU, degrees, schedule,
@@ -458,12 +458,11 @@ const maxSkipRows = 4096
 // cell's row hangs on that Time or Provision result, and every later
 // cell, in any grid, that hits the same entry reuses it; an evicted
 // entry takes its row along. A skipped cell's row, which no result
-// backs, lives in the engine's skip-row table under a key derived the
-// same way. The memo lookups are runCells', so the cache counters read
-// the same with or without the rows.
-func (en *Engine) cellRow(pc *plannedCell, base, res *Result) (*GridRow, error) {
+// backs, was rendered with its plan. The memo lookups are runCells',
+// so the cache counters read the same with or without the rows.
+func cellRow(pc *plannedCell, base, res *Result) (*GridRow, error) {
 	if pc.skip != "" {
-		return en.skipRow(pc)
+		return pc.row, nil
 	}
 	if row := res.row.Load(); row != nil {
 		return row, nil
@@ -475,28 +474,6 @@ func (en *Engine) cellRow(pc *plannedCell, base, res *Result) (*GridRow, error) 
 	// Racing renderers produce equal rows; keep the first.
 	res.row.CompareAndSwap(nil, row)
 	return res.row.Load(), nil
-}
-
-// skipRow returns a skipped cell's row from the skip-row table,
-// rendering it on a miss.
-func (en *Engine) skipRow(pc *plannedCell) (*GridRow, error) {
-	en.rowMu.Lock()
-	row := en.skipRows[pc.key]
-	en.rowMu.Unlock()
-	if row != nil {
-		return row, nil
-	}
-	row, err := newGridRow(GridCellResult{Cell: pc.cell, Skipped: true, SkipReason: pc.skip})
-	if err != nil {
-		return nil, err
-	}
-	en.rowMu.Lock()
-	defer en.rowMu.Unlock()
-	if len(en.skipRows) >= maxSkipRows {
-		en.skipRows = make(map[string]*GridRow)
-	}
-	en.skipRows[pc.key] = row
-	return row, nil
 }
 
 // newGridRow renders one cell result as its row and the row's bytes.
@@ -520,7 +497,7 @@ func (en *Engine) RunCellRowsCtx(ctx context.Context, g Grid, indices []int, onC
 	if err != nil {
 		return nil, err
 	}
-	return runCells(ctx, en, p, indices, (*Engine).cellRow, onCell)
+	return runCells(ctx, en, p, indices, cellRow, onCell)
 }
 
 // gridRows executes every cell of g, in expansion order, through the
@@ -530,5 +507,5 @@ func (en *Engine) gridRows(ctx context.Context, g Grid, onCell func(done, total 
 	if err != nil {
 		return nil, err
 	}
-	return runCells(ctx, en, p, p.all, (*Engine).cellRow, onCell)
+	return runCells(ctx, en, p, p.all, cellRow, onCell)
 }

@@ -25,7 +25,7 @@ func TestDoCtxPreCancelledNeverComputes(t *testing.T) {
 	e := New(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.DoCtx(ctx, "k", func(context.Context) (any, error) {
+	if _, err := e.DoCostCtx(ctx, "k", 1, func(context.Context) (any, error) {
 		t.Error("fn ran under a pre-cancelled context")
 		return nil, nil
 	}); !errors.Is(err, context.Canceled) {
@@ -43,7 +43,7 @@ func TestMapCtxCancelReturnsPromptly(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	done := make(chan error, 1)
 	go func() {
-		_, err := MapCtx(ctx, e, 8, func(ctx context.Context, i int) (int, error) {
+		_, err := MapProgressCtx(ctx, e, 8, func(ctx context.Context, i int) (int, error) {
 			entered <- struct{}{}
 			select {
 			case <-gate:
@@ -51,7 +51,7 @@ func TestMapCtxCancelReturnsPromptly(t *testing.T) {
 			case <-ctx.Done():
 				return 0, ctx.Err()
 			}
-		})
+		}, nil)
 		done <- err
 	}()
 	<-entered // at least one job is mid-flight
@@ -62,7 +62,7 @@ func TestMapCtxCancelReturnsPromptly(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("MapCtx did not return promptly after cancellation")
+		t.Fatal("MapProgressCtx did not return promptly after cancellation")
 	}
 	close(gate)
 }
@@ -78,7 +78,7 @@ func TestMapCtxCancelStopsScheduling(t *testing.T) {
 	finished := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := MapCtx(ctx, e, 20, func(ctx context.Context, i int) (int, error) {
+		_, err := MapProgressCtx(ctx, e, 20, func(ctx context.Context, i int) (int, error) {
 			started.Add(1)
 			entered <- struct{}{}
 			<-gate
@@ -86,7 +86,7 @@ func TestMapCtxCancelStopsScheduling(t *testing.T) {
 				close(finished)
 			}
 			return i, nil
-		})
+		}, nil)
 		done <- err
 	}()
 	<-entered
@@ -95,7 +95,7 @@ func TestMapCtxCancelStopsScheduling(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	close(gate)
-	<-finished // the in-flight job winds down after MapCtx returned
+	<-finished // the in-flight job winds down after MapProgressCtx returned
 	// Give any (incorrect) straggler a moment to start before asserting.
 	time.Sleep(10 * time.Millisecond)
 	if n := started.Load(); n != 1 {
@@ -125,7 +125,7 @@ func TestDoCtxCancelledWaiterDoesNotPoisonSharedComputation(t *testing.T) {
 	resA := make(chan any, 1)
 	errA := make(chan error, 1)
 	go func() {
-		v, err := e.DoCtx(context.Background(), "shared", fn)
+		v, err := e.DoCostCtx(context.Background(), "shared", 1, fn)
 		resA <- v
 		errA <- err
 	}()
@@ -134,7 +134,7 @@ func TestDoCtxCancelledWaiterDoesNotPoisonSharedComputation(t *testing.T) {
 	defer cancelB()
 	errB := make(chan error, 1)
 	go func() {
-		_, err := e.DoCtx(ctxB, "shared", fn)
+		_, err := e.DoCostCtx(ctxB, "shared", 1, fn)
 		errB <- err
 	}()
 	waitFor(t, "B to join the in-flight computation", func() bool { return e.Stats().Hits == 1 })
@@ -177,7 +177,7 @@ func TestDoCtxLastWaiterDepartureCancelsComputation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.DoCtx(ctx, "k", fn)
+		_, err := e.DoCostCtx(ctx, "k", 1, fn)
 		errc <- err
 	}()
 	waitFor(t, "the computation to start", func() bool { return e.Stats().InFlight == 1 })
@@ -191,7 +191,7 @@ func TestDoCtxLastWaiterDepartureCancelsComputation(t *testing.T) {
 		t.Fatal("computation context not cancelled after its last waiter departed")
 	}
 	// The abandoned result must not have been memoized.
-	v, err := e.DoCtx(context.Background(), "k", fn)
+	v, err := e.DoCostCtx(context.Background(), "k", 1, fn)
 	if err != nil || v != 7 {
 		t.Fatalf("recompute = %v, %v; want 7 (cancellation must not be memoized)", v, err)
 	}
@@ -217,7 +217,7 @@ func TestDoCtxResultIgnoringCancelIsStillMemoized(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.DoCtx(ctx, "k", fn)
+		_, err := e.DoCostCtx(ctx, "k", 1, fn)
 		errc <- err
 	}()
 	<-entered
@@ -227,7 +227,7 @@ func TestDoCtxResultIgnoringCancelIsStillMemoized(t *testing.T) {
 	}
 	close(release)
 	waitFor(t, "the detached computation to finish", func() bool { return e.Stats().InFlight == 0 })
-	v, err := e.DoCtx(context.Background(), "k",
+	v, err := e.DoCostCtx(context.Background(), "k", 1,
 		func(context.Context) (any, error) { return nil, errors.New("recomputed") })
 	if err != nil || v != "kept" {
 		t.Fatalf("got %v, %v; want the memoized %q", v, err, "kept")
@@ -239,7 +239,7 @@ func TestDoCtxResultIgnoringCancelIsStillMemoized(t *testing.T) {
 
 func TestCachedCtxTyped(t *testing.T) {
 	e := New(2)
-	v, err := CachedCtx(context.Background(), e, "typed", func(context.Context) (int, error) { return 9, nil })
+	v, err := CachedCostCtx(context.Background(), e, "typed", 1, func(context.Context) (int, error) { return 9, nil })
 	if err != nil || v != 9 {
 		t.Fatalf("got %d, %v", v, err)
 	}

@@ -13,13 +13,14 @@
 // singleflight deduplication holds across resets: two concurrent
 // requests for one key never both compute, reset or not.
 //
-// Every operation has a context-aware form (DoCtx, CachedCtx, MapCtx)
-// with two cancellation guarantees:
+// The package has one memo call, DoCostCtx (CachedCostCtx is its typed
+// form), and one fan-out, MapProgressCtx. Both take a context, with two
+// cancellation guarantees:
 //
 //   - fan-out is fail-fast: the first job error — or a context
 //     cancellation — stops scheduling the remaining jobs, and a
-//     cancelled MapCtx returns ctx.Err() promptly instead of waiting
-//     out jobs it no longer wants;
+//     cancelled MapProgressCtx returns ctx.Err() promptly instead of
+//     waiting out jobs it no longer wants;
 //   - singleflight is detached: a computation is owned by the engine,
 //     not by the caller that started it. A caller cancelling its
 //     context departs immediately with ctx.Err(), but the shared
@@ -154,8 +155,8 @@ func New(workers int) *Engine {
 }
 
 // NewBounded builds an engine whose completed-entry cost sum is capped
-// at maxCost (in the caller's cost units; DoCost declares each entry's
-// cost, plain Do costs 1). maxCost <= 0 means unbounded. The
+// at maxCost (in the caller's cost units; DoCostCtx declares each
+// entry's cost). maxCost <= 0 means unbounded. The
 // most-recently-used entry is never evicted, so a single entry costlier
 // than the whole bound still serves repeat hits while it stays hot.
 func NewBounded(workers int, maxCost int64) *Engine {
@@ -274,25 +275,6 @@ func (e *Engine) ResetCache() {
 		delete(e.cache, key)
 	}
 	e.curCost = 0
-}
-
-// Do returns the memoized result of fn under key with cost 1; see
-// DoCost.
-func (e *Engine) Do(key string, fn func() (any, error)) (any, error) {
-	return e.DoCost(key, 1, fn)
-}
-
-// DoCost is DoCostCtx with a background context: the caller never
-// departs, so the computation is never cancelled under it.
-func (e *Engine) DoCost(key string, cost int64, fn func() (any, error)) (any, error) {
-	//lint:allow ctxbg documented contract of the non-ctx wrapper: no caller to depart, so nothing cancels it
-	return e.DoCostCtx(context.Background(), key, cost, func(context.Context) (any, error) { return fn() })
-}
-
-// DoCtx returns the memoized result of fn under key with cost 1; see
-// DoCostCtx.
-func (e *Engine) DoCtx(ctx context.Context, key string, fn func(ctx context.Context) (any, error)) (any, error) {
-	return e.DoCostCtx(ctx, key, 1, fn)
 }
 
 // DoCostCtx returns the memoized result of fn under key, computing it
@@ -492,24 +474,8 @@ func (e *Engine) evictLocked() {
 	}
 }
 
-// Cached is the typed wrapper over Do. The memoized value is shared by
-// every caller of the key: treat it as read-only.
-func Cached[T any](e *Engine, key string, fn func() (T, error)) (T, error) {
-	return CachedCost(e, key, 1, fn)
-}
-
-// CachedCost is the typed wrapper over DoCost.
-func CachedCost[T any](e *Engine, key string, cost int64, fn func() (T, error)) (T, error) {
-	//lint:allow ctxbg documented contract of the non-ctx wrapper: no caller to depart, so nothing cancels it
-	return CachedCostCtx(context.Background(), e, key, cost, func(context.Context) (T, error) { return fn() })
-}
-
-// CachedCtx is the typed wrapper over DoCtx.
-func CachedCtx[T any](ctx context.Context, e *Engine, key string, fn func(ctx context.Context) (T, error)) (T, error) {
-	return CachedCostCtx(ctx, e, key, 1, fn)
-}
-
-// CachedCostCtx is the typed wrapper over DoCostCtx.
+// CachedCostCtx is the typed wrapper over DoCostCtx. The memoized
+// value is shared by every caller of the key: treat it as read-only.
 func CachedCostCtx[T any](ctx context.Context, e *Engine, key string, cost int64, fn func(ctx context.Context) (T, error)) (T, error) {
 	v, err := e.DoCostCtx(ctx, key, cost, func(c context.Context) (any, error) { return fn(c) })
 	if err != nil {
@@ -519,47 +485,29 @@ func CachedCostCtx[T any](ctx context.Context, e *Engine, key string, cost int64
 	return v.(T), nil
 }
 
-// Map runs fn(0), …, fn(n-1) across the engine's workers and gathers
-// the results by submission index. Fan-out is fail-fast: after the
-// first job error no new jobs start (already-running jobs finish), and
-// the lowest-index error among the jobs that ran is returned — which
-// jobs those are depends on scheduling, so with several failing jobs
-// the surfaced error can differ between runs. Jobs may call Do/Cached
-// (which detach onto their own goroutine) but must not call Map —
+// MapProgressCtx runs fn(ctx, 0), …, fn(ctx, n-1) across the engine's
+// workers and gathers the results by submission index, so parallel
+// output stays byte-identical to a sequential run. Fan-out is
+// fail-fast: after the first job error no new jobs start
+// (already-running jobs finish), and the lowest-index error among the
+// jobs that ran is returned — which jobs those are depends on
+// scheduling, so with several failing jobs the surfaced error can
+// differ between runs. Jobs may call DoCostCtx or CachedCostCtx (which
+// detach onto their own goroutine) but must not call MapProgressCtx —
 // nested fan-out could exhaust the pool and deadlock.
-func Map[T any](e *Engine, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapProgress(e, n, fn, nil)
-}
-
-// MapProgress is Map with a completion hook: after each job finishes
-// (in completion order, not submission order), onDone is called with
-// the running completed count and the total. Calls are serialized, so
-// onDone may write to a shared sink without locking; it must not block,
-// or it stalls the pool. A nil onDone makes MapProgress exactly Map.
 //
-// The hook reports progress only — the returned slice is still ordered
-// by submission index, so parallel output stays byte-identical to a
-// sequential run.
-func MapProgress[T any](e *Engine, n int, fn func(i int) (T, error), onDone func(completed, total int)) ([]T, error) {
-	//lint:allow ctxbg documented contract of the non-ctx wrapper; MapProgressCtx is the cancellable entry point
-	return MapProgressCtx(context.Background(), e, n,
-		func(_ context.Context, i int) (T, error) { return fn(i) }, onDone)
-}
-
-// MapCtx is the context-aware Map: jobs receive ctx, a cancelled ctx
-// stops scheduling and returns ctx.Err() promptly, and the first job
-// error stops scheduling the remaining jobs (fail-fast).
-func MapCtx[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapProgressCtx(ctx, e, n, fn, nil)
-}
-
-// MapProgressCtx is MapCtx with MapProgress's completion hook.
+// onDone, when non-nil, is called after each job finishes (in
+// completion order, not submission order) with the running completed
+// count and the total. Calls are serialized, so onDone may write to a
+// shared sink without locking; it must not block, or it stalls the
+// pool.
 //
-// Cancellation is prompt: when ctx is cancelled, MapProgressCtx returns
-// ctx.Err() without waiting for already-running jobs to wind down (jobs
-// that honor ctx — e.g. anything built on DoCtx — return quickly on
-// their own). Stragglers may therefore still invoke onDone briefly
-// after MapProgressCtx has returned; hooks must tolerate that.
+// Cancellation is prompt: a cancelled ctx stops scheduling, and
+// MapProgressCtx returns ctx.Err() without waiting for already-running
+// jobs to wind down (jobs that honor ctx — e.g. anything built on
+// DoCostCtx — return quickly on their own). Stragglers may therefore
+// still invoke onDone briefly after MapProgressCtx has returned; hooks
+// must tolerate that.
 func MapProgressCtx[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Context, i int) (T, error), onDone func(completed, total int)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -16,7 +17,7 @@ import (
 
 func TestMapOrderStable(t *testing.T) {
 	e := New(8)
-	out, err := Map(e, 100, func(i int) (int, error) { return i * i, nil })
+	out, err := MapProgressCtx(context.Background(), e, 100, func(_ context.Context, i int) (int, error) { return i * i, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +38,10 @@ func TestMapLowestIndexError(t *testing.T) {
 	// and jobs after the first failure never start.
 	e := New(1)
 	var ran atomic.Int64
-	_, err := Map(e, 100, func(i int) (int, error) {
+	_, err := MapProgressCtx(context.Background(), e, 100, func(_ context.Context, i int) (int, error) {
 		ran.Add(1)
 		return 0, fmt.Errorf("job %d failed", i)
-	})
+	}, nil)
 	if err == nil || !strings.HasPrefix(err.Error(), "job ") {
 		t.Fatalf("err = %v, want a job error", err)
 	}
@@ -51,17 +52,17 @@ func TestMapLowestIndexError(t *testing.T) {
 
 func TestMapFailFastStopsScheduling(t *testing.T) {
 	// Regression for the pre-context error path: a failing job used to
-	// wait for every remaining queued job to run before Map returned.
-	// With one worker the first job to run fails, and no further job may
+	// wait for every remaining queued job to run before the fan-out
+	// returned. With one worker the first job to run fails, and no further job may
 	// start — the post-acquire stop check must catch the slot handoff
 	// racing the stop broadcast.
 	e := New(1)
 	boom := errors.New("boom")
 	var started atomic.Int64
-	_, err := Map(e, 50, func(i int) (int, error) {
+	_, err := MapProgressCtx(context.Background(), e, 50, func(_ context.Context, i int) (int, error) {
 		started.Add(1)
 		return 0, boom
-	})
+	}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -75,7 +76,7 @@ func TestMapRespectsWorkerBound(t *testing.T) {
 	e := New(workers)
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
-	_, err := Map(e, 50, func(i int) (int, error) {
+	_, err := MapProgressCtx(context.Background(), e, 50, func(_ context.Context, i int) (int, error) {
 		n := cur.Add(1)
 		mu.Lock()
 		if n > peak.Load() {
@@ -84,7 +85,7 @@ func TestMapRespectsWorkerBound(t *testing.T) {
 		mu.Unlock()
 		defer cur.Add(-1)
 		return i, nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +98,12 @@ func TestDoSingleflight(t *testing.T) {
 	e := New(8)
 	var computed atomic.Int64
 	// 64 concurrent requests for the same key: exactly one computation.
-	out, err := Map(e, 64, func(i int) (int, error) {
-		return Cached(e, "shared", func() (int, error) {
+	out, err := MapProgressCtx(context.Background(), e, 64, func(_ context.Context, i int) (int, error) {
+		return CachedCostCtx(context.Background(), e, "shared", 1, func(context.Context) (int, error) {
 			computed.Add(1)
 			return 42, nil
 		})
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestDoMemoizesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	var calls int
 	for i := 0; i < 3; i++ {
-		if _, err := Cached(e, "failing", func() (int, error) {
+		if _, err := CachedCostCtx(context.Background(), e, "failing", 1, func(context.Context) (int, error) {
 			calls++
 			return 0, boom
 		}); !errors.Is(err, boom) {
@@ -145,13 +146,13 @@ func TestDoPanicReleasesWaiters(t *testing.T) {
 				t.Fatal("panic swallowed")
 			}
 		}()
-		_, _ = Cached(e, "exploding", func() (int, error) { panic("boom") })
+		_, _ = CachedCostCtx(context.Background(), e, "exploding", 1, func(context.Context) (int, error) { panic("boom") })
 	}()
 	// The key must not be poisoned: later callers get an error, not a
 	// permanent block.
 	done := make(chan error, 1)
 	go func() {
-		_, err := Cached(e, "exploding", func() (int, error) { return 1, nil })
+		_, err := CachedCostCtx(context.Background(), e, "exploding", 1, func(context.Context) (int, error) { return 1, nil })
 		done <- err
 	}()
 	select {
@@ -167,12 +168,12 @@ func TestDoPanicReleasesWaiters(t *testing.T) {
 func TestResetCache(t *testing.T) {
 	e := New(1)
 	var calls int
-	fn := func() (int, error) { calls++; return calls, nil }
-	if v, _ := Cached(e, "k", fn); v != 1 {
+	fn := func(context.Context) (int, error) { calls++; return calls, nil }
+	if v, _ := CachedCostCtx(context.Background(), e, "k", 1, fn); v != 1 {
 		t.Fatalf("first = %d", v)
 	}
 	e.ResetCache()
-	if v, _ := Cached(e, "k", fn); v != 2 {
+	if v, _ := CachedCostCtx(context.Background(), e, "k", 1, fn); v != 2 {
 		t.Fatalf("after reset = %d, want recomputed", v)
 	}
 }
@@ -282,7 +283,7 @@ func TestMapProgressReportsEveryCompletion(t *testing.T) {
 	e := New(4)
 	var mu sync.Mutex
 	var dones []int
-	out, err := MapProgress(e, 25, func(i int) (int, error) { return i, nil },
+	out, err := MapProgressCtx(context.Background(), e, 25, func(_ context.Context, i int) (int, error) { return i, nil },
 		func(completed, total int) {
 			if total != 25 {
 				t.Errorf("total = %d", total)
@@ -313,7 +314,7 @@ func TestMapProgressReportsEveryCompletion(t *testing.T) {
 
 func TestMapProgressNilHookIsMap(t *testing.T) {
 	e := New(2)
-	out, err := MapProgress(e, 3, func(i int) (int, error) { return i * 2, nil }, nil)
+	out, err := MapProgressCtx(context.Background(), e, 3, func(_ context.Context, i int) (int, error) { return i * 2, nil }, nil)
 	if err != nil || len(out) != 3 || out[2] != 4 {
 		t.Fatalf("out = %v, %v", out, err)
 	}
@@ -326,7 +327,7 @@ func TestMapProgressHookRunsOnFailure(t *testing.T) {
 	e := New(1)
 	calls := 0
 	var mu sync.Mutex
-	_, err := MapProgress(e, 4, func(i int) (int, error) {
+	_, err := MapProgressCtx(context.Background(), e, 4, func(_ context.Context, i int) (int, error) {
 		return 0, errors.New("boom")
 	}, func(completed, total int) {
 		mu.Lock()
@@ -348,19 +349,19 @@ func TestStageStatsAttributesHierarchicalKeys(t *testing.T) {
 	if e.MaxCost() != 100 {
 		t.Fatalf("MaxCost() = %d, want 100", e.MaxCost())
 	}
-	compute := func() (any, error) { return 1, nil }
-	// Two stages plus an unstaged key; second Do of each key is a hit.
+	compute := func(context.Context) (any, error) { return 1, nil }
+	// Two stages plus an unstaged key; second DoCostCtx of each key is a hit.
 	for i := 0; i < 2; i++ {
-		if _, err := e.Do("build:w1", compute); err != nil {
+		if _, err := e.DoCostCtx(context.Background(), "build:w1", 1, compute); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.DoCost("time:w1|f1", 2, compute); err != nil {
+		if _, err := e.DoCostCtx(context.Background(), "time:w1|f1", 2, compute); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Do("unstaged", compute); err != nil {
+		if _, err := e.DoCostCtx(context.Background(), "unstaged", 1, compute); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Do(":leading-colon", compute); err != nil {
+		if _, err := e.DoCostCtx(context.Background(), ":leading-colon", 1, compute); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // found and not counted.
 func TestLookupCountsHitWithStage(t *testing.T) {
 	e := New(1)
-	if _, err := e.Do("time:w1", func() (any, error) { return 7, nil }); err != nil {
+	if _, err := e.DoCostCtx(context.Background(), "time:w1", 1, func(context.Context) (any, error) { return 7, nil }); err != nil {
 		t.Fatal(err)
 	}
 	v, found, err := e.Lookup("time:w1")
@@ -34,14 +34,14 @@ func TestLookupCountsHitWithStage(t *testing.T) {
 func TestLookupTouchesLRU(t *testing.T) {
 	e := NewBounded(1, 2)
 	for _, k := range []string{"a", "b"} {
-		if _, err := e.Do(k, func() (any, error) { return k, nil }); err != nil {
+		if _, err := e.DoCostCtx(context.Background(), k, 1, func(context.Context) (any, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, found, _ := e.Lookup("a"); !found {
 		t.Fatal("a not found")
 	}
-	if _, err := e.Do("c", func() (any, error) { return "c", nil }); err != nil {
+	if _, err := e.DoCostCtx(context.Background(), "c", 1, func(context.Context) (any, error) { return "c", nil }); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Evictions != 1 {
@@ -62,7 +62,7 @@ func TestLookupRunningKeyNotFound(t *testing.T) {
 	gate := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.Do("time:k", func() (any, error) { <-gate; return 1, nil })
+		_, err := e.DoCostCtx(context.Background(), "time:k", 1, func(context.Context) (any, error) { <-gate; return 1, nil })
 		done <- err
 	}()
 	waitFor(t, "the computation to start", func() bool { return e.Stats().InFlight == 1 })
@@ -86,8 +86,8 @@ func TestLookupRunningKeyNotFound(t *testing.T) {
 func TestLookupMemoizedError(t *testing.T) {
 	e := New(1)
 	boom := errors.New("boom")
-	if _, err := e.Do("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("Do err = %v, want boom", err)
+	if _, err := e.DoCostCtx(context.Background(), "k", 1, func(context.Context) (any, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("DoCostCtx err = %v, want boom", err)
 	}
 	v, found, err := e.Lookup("k")
 	if !found || v != nil || !errors.Is(err, boom) {
@@ -106,7 +106,7 @@ func TestLookupAbandonedNotFound(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.DoCtx(ctx, "k", func(ctx context.Context) (any, error) {
+		_, err := e.DoCostCtx(ctx, "k", 1, func(ctx context.Context) (any, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		})

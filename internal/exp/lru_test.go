@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -8,9 +9,9 @@ import (
 	"time"
 )
 
-// countingFn returns a Cached-able fn that counts executions per key.
-func countingFn(counts *sync.Map, key string) func() (string, error) {
-	return func() (string, error) {
+// countingFn returns a CachedCostCtx-able fn that counts executions per key.
+func countingFn(counts *sync.Map, key string) func(context.Context) (string, error) {
+	return func(context.Context) (string, error) {
 		v, _ := counts.LoadOrStore(key, new(atomic.Int64))
 		v.(*atomic.Int64).Add(1)
 		return "v:" + key, nil
@@ -29,25 +30,25 @@ func TestBoundedEvictsLeastRecentlyUsed(t *testing.T) {
 	e := NewBounded(1, 3)
 	var counts sync.Map
 	for _, k := range []string{"a", "b", "c"} {
-		if _, err := Cached(e, k, countingFn(&counts, k)); err != nil {
+		if _, err := CachedCostCtx(context.Background(), e, k, 1, countingFn(&counts, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch "a" so "b" becomes least recent, then overflow with "d".
-	if _, err := Cached(e, "a", countingFn(&counts, "a")); err != nil {
+	if _, err := CachedCostCtx(context.Background(), e, "a", 1, countingFn(&counts, "a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Cached(e, "d", countingFn(&counts, "d")); err != nil {
+	if _, err := CachedCostCtx(context.Background(), e, "d", 1, countingFn(&counts, "d")); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
 	// "a" survived its touch; "b" was the victim and recomputes.
-	if _, err := Cached(e, "a", countingFn(&counts, "a")); err != nil {
+	if _, err := CachedCostCtx(context.Background(), e, "a", 1, countingFn(&counts, "a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Cached(e, "b", countingFn(&counts, "b")); err != nil {
+	if _, err := CachedCostCtx(context.Background(), e, "b", 1, countingFn(&counts, "b")); err != nil {
 		t.Fatal(err)
 	}
 	if n := executions(&counts, "a"); n != 1 {
@@ -62,13 +63,13 @@ func TestCostAwareEviction(t *testing.T) {
 	e := NewBounded(1, 10)
 	var counts sync.Map
 	for _, k := range []string{"a", "b", "c"} {
-		if _, err := CachedCost(e, k, 1, countingFn(&counts, k)); err != nil {
+		if _, err := CachedCostCtx(context.Background(), e, k, 1, countingFn(&counts, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A heavy (traced-style) entry pushes the sum to 11 > 10: exactly the
 	// oldest cheap entry goes.
-	if _, err := CachedCost(e, "traced", 8, countingFn(&counts, "traced")); err != nil {
+	if _, err := CachedCostCtx(context.Background(), e, "traced", 8, countingFn(&counts, "traced")); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.CachedCost(); got != 10 {
@@ -77,7 +78,7 @@ func TestCostAwareEviction(t *testing.T) {
 	if st := e.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
-	if _, err := Cached(e, "a", countingFn(&counts, "a")); err != nil {
+	if _, err := CachedCostCtx(context.Background(), e, "a", 1, countingFn(&counts, "a")); err != nil {
 		t.Fatal(err)
 	}
 	if n := executions(&counts, "a"); n != 2 {
@@ -90,10 +91,10 @@ func TestMostRecentEntrySurvivesOversizedCost(t *testing.T) {
 	var counts sync.Map
 	// Costlier than the whole bound: still cached while most recent, so
 	// repeat hits are served.
-	if _, err := CachedCost(e, "huge", 5, countingFn(&counts, "huge")); err != nil {
+	if _, err := CachedCostCtx(context.Background(), e, "huge", 5, countingFn(&counts, "huge")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CachedCost(e, "huge", 5, countingFn(&counts, "huge")); err != nil {
+	if _, err := CachedCostCtx(context.Background(), e, "huge", 5, countingFn(&counts, "huge")); err != nil {
 		t.Fatal(err)
 	}
 	if n := executions(&counts, "huge"); n != 1 {
@@ -107,7 +108,7 @@ func TestMostRecentEntrySurvivesOversizedCost(t *testing.T) {
 func TestUnboundedNeverEvicts(t *testing.T) {
 	e := New(1)
 	for i := 0; i < 1000; i++ {
-		if _, err := CachedCost(e, "k"+strconv.Itoa(i), 100, func() (int, error) { return i, nil }); err != nil {
+		if _, err := CachedCostCtx(context.Background(), e, "k"+strconv.Itoa(i), 100, func(context.Context) (int, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +122,7 @@ func TestInFlightCounter(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		_, _ = Cached(e, "slow", func() (int, error) {
+		_, _ = CachedCostCtx(context.Background(), e, "slow", 1, func(context.Context) (int, error) {
 			close(started)
 			<-release
 			return 1, nil
@@ -152,7 +153,7 @@ func TestResetKeepsInFlightSingleflight(t *testing.T) {
 	var computed atomic.Int64
 	first := make(chan int, 1)
 	go func() {
-		v, _ := Cached(e, "k", func() (int, error) {
+		v, _ := CachedCostCtx(context.Background(), e, "k", 1, func(context.Context) (int, error) {
 			computed.Add(1)
 			close(started)
 			<-release
@@ -164,7 +165,7 @@ func TestResetKeepsInFlightSingleflight(t *testing.T) {
 	e.ResetCache() // must NOT orphan the running computation
 	second := make(chan int, 1)
 	go func() {
-		v, _ := Cached(e, "k", func() (int, error) {
+		v, _ := CachedCostCtx(context.Background(), e, "k", 1, func(context.Context) (int, error) {
 			computed.Add(1)
 			return -1, nil // would be a duplicated simulation
 		})
@@ -215,9 +216,9 @@ func TestResetHammerNeverDuplicatesInFlight(t *testing.T) {
 		}
 	}()
 	var overlap atomic.Bool
-	_, err := Map(e, 400, func(i int) (string, error) {
+	_, err := MapProgressCtx(context.Background(), e, 400, func(_ context.Context, i int) (string, error) {
 		k := keys[i%len(keys)]
-		return Cached(e, k, func() (string, error) {
+		return CachedCostCtx(context.Background(), e, k, 1, func(context.Context) (string, error) {
 			if running[k].Add(1) > 1 {
 				overlap.Store(true)
 			}
@@ -225,7 +226,7 @@ func TestResetHammerNeverDuplicatesInFlight(t *testing.T) {
 			running[k].Add(-1)
 			return "v:" + k, nil
 		})
-	})
+	}, nil)
 	close(stop)
 	resetter.Wait()
 	if err != nil {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -20,18 +21,18 @@ func TestObserverSeesMissesOnly(t *testing.T) {
 		got[stage]++
 		mu.Unlock()
 	})
-	compute := func() (any, error) { return 1, nil }
-	if _, err := e.Do("build:a", compute); err != nil {
+	compute := func(context.Context) (any, error) { return 1, nil }
+	if _, err := e.DoCostCtx(context.Background(), "build:a", 1, compute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Do("time:a", compute); err != nil {
+	if _, err := e.DoCostCtx(context.Background(), "time:a", 1, compute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Do("unstaged", compute); err != nil {
+	if _, err := e.DoCostCtx(context.Background(), "unstaged", 1, compute); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // hits: must not observe
-		if _, err := e.Do("build:a", compute); err != nil {
+		if _, err := e.DoCostCtx(context.Background(), "build:a", 1, compute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +52,7 @@ func TestObserverRemovable(t *testing.T) {
 	calls := 0
 	e.SetObserver(func(string, float64) { calls++ })
 	e.SetObserver(nil)
-	if _, err := e.Do("build:x", func() (any, error) { return 1, nil }); err != nil {
+	if _, err := e.DoCostCtx(context.Background(), "build:x", 1, func(context.Context) (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {

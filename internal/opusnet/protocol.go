@@ -29,6 +29,19 @@
 // the flag gets its rows inside the envelope, frame for frame as
 // before; a server that does not know the flag ignores it and answers
 // that way too, so every requester must accept both forms.
+//
+// Both ends of every connection on the protocol live here, shared by
+// the Opus control plane and the experiment stack. ClientConn is the
+// client core: it numbers requests, keeps the pending-call table, and
+// runs the one reader goroutine that routes each frame to its call,
+// tells progress frames from final ones by their payload, and fails
+// every call once the connection dies (ErrConnDown); a wait is bounded
+// by its context, and an expired wait sends a cancel frame. Client,
+// the Opus shim, and railserve.Client are typed calls over it.
+// Listener is the server side: it accepts with a backoff on transient
+// errors, serves each connection through ServeConn, tracks the live
+// ones, and ends them all on Close. Server, the Opus controller, and
+// railserve.Core each serve on one.
 package opusnet
 
 import (

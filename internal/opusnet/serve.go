@@ -85,7 +85,7 @@ func (cs *ConnState) teardown() {
 //
 // dispatch must not block the read loop: long work belongs on its own
 // goroutine, replying via the provided function when done.
-func ServeConn(conn net.Conn, dispatch func(msg *Message, reply func(*Message, bool), cs *ConnState)) {
+func ServeConn(conn net.Conn, dispatch Dispatch) {
 	out := make(chan *Message, serveReplyBuffer)
 	var wout sync.WaitGroup
 	wout.Add(1)

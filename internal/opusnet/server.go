@@ -3,7 +3,6 @@ package opusnet
 import (
 	"fmt"
 	"log"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -43,7 +42,7 @@ func (c *realClock) Immediately(fn func()) {
 
 // Server is the Opus controller as a TCP service.
 type Server struct {
-	ln net.Listener
+	lis *Listener
 
 	mu     sync.Mutex
 	ctrl   *opus.Controller
@@ -52,10 +51,6 @@ type Server struct {
 	// pendingSync[group] collects per-rank acquire arrivals until the
 	// whole group has checked in (the group-sync step).
 	pendingSync map[string]*groupSync
-
-	wg     sync.WaitGroup
-	conns  map[net.Conn]bool
-	closed bool
 }
 
 type groupSync struct {
@@ -81,7 +76,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		groups:      make(map[string]*collective.Group),
 		pendingSync: make(map[string]*groupSync),
-		conns:       make(map[net.Conn]bool),
 	}
 	clock := &realClock{mu: &s.mu, start: time.Now()}
 	plan := opus.PortPlan{
@@ -95,81 +89,29 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.ctrl = ctrl
 	s.plan = plan
-	addr := cfg.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	s.lis, err = Listen(cfg.Addr, nil, func(err error) { log.Printf("opusnet: accept: %v", err) })
 	if err != nil {
 		return nil, err
 	}
-	s.ln = ln
-	s.wg.Add(1)
-	go s.acceptLoop()
+	// Every controller reply is required: a shim waits on each one.
+	// Grant callbacks fire under s.mu, so a reply must never block on
+	// the socket: ServeConn queues it, and closes a connection too far
+	// behind to queue one (the peer sees an error) rather than parking
+	// the reply under s.mu, where it would deadlock every other
+	// connection's dispatch. Replies after a connection ends, such as a
+	// grant for a departed rank, are dropped.
+	s.lis.Start(func(msg *Message, reply func(*Message, bool), _ *ConnState) {
+		s.dispatch(msg, func(m *Message) { reply(m, true) })
+	})
 	return s, nil
 }
 
 // Addr returns the listen address for clients to dial.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.lis.Addr() }
 
 // Close stops accepting, tears down live connections, and waits for
 // connection handlers to finish.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	AcceptLoop(s.ln,
-		func() bool {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.closed
-		},
-		func(err error) { log.Printf("opusnet: accept: %v", err) },
-		func(conn net.Conn) bool {
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				return false
-			}
-			s.conns[conn] = true
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go s.handle(conn)
-			return true
-		})
-}
-
-// handle serves one shim connection on ServeConn, the serving loop
-// raild and the fleet coordinator share: replies queue to a
-// per-connection writer goroutine, so grant callbacks (which fire under
-// the server mutex) never block on the socket. Every controller reply is
-// required — a shim waits on each one — so a connection too far behind
-// to queue one is dead or wedged, and ServeConn closes it (surfacing an
-// error to the peer) rather than parking the reply under s.mu, where it
-// would deadlock every other connection's dispatch. Replies after the
-// connection ends, such as a grant for a departed rank, are dropped.
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-	}()
-	ServeConn(conn, func(msg *Message, reply func(*Message, bool), _ *ConnState) {
-		s.dispatch(msg, func(m *Message) { reply(m, true) })
-	})
-}
+func (s *Server) Close() error { return s.lis.Close() }
 
 func (s *Server) dispatch(msg *Message, reply func(*Message)) {
 	s.mu.Lock()

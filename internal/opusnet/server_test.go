@@ -22,11 +22,9 @@ func TestDeadConnectionDoesNotDeadlockServer(t *testing.T) {
 	s := newTestServer(t, 0)
 	p1, p2 := net.Pipe()
 	defer p2.Close()
-	s.mu.Lock()
-	s.conns[p1] = true
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.handle(p1)
+	if !s.lis.serve(p1) {
+		t.Fatal("a running server refused the connection")
+	}
 
 	// Register rank 0's group, consuming the one reply we ever read:
 	// after this the test never reads p2 again, so the connection's

@@ -534,7 +534,9 @@ func (g *Gateway) finishRun(rn *run, ent resultstore.Entry, err error) {
 	g.tel.Events.Emit(ev)
 }
 
-// respondRun writes a completed (or failed) run as the response.
+// respondRun writes a completed (or failed) run as the response, the
+// same way whether the run was awaited by its POST or polled: a failed
+// run answers 502, or 504 when it was cancelled or timed out.
 func (g *Gateway) respondRun(w http.ResponseWriter, r *http.Request, rn *run) {
 	<-rn.done
 	if rn.err != nil {
@@ -567,11 +569,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(map[string]string{"id": rn.id, "status": "running"})
 		return
 	}
-	if rn.err != nil {
-		g.errorJSON(w, tenant, http.StatusInternalServerError, "%v", rn.err)
-		return
-	}
-	g.serveEntry(w, r, rn, http.StatusOK)
+	g.respondRun(w, r, rn)
 }
 
 func (g *Gateway) handleRunEvents(w http.ResponseWriter, r *http.Request) {

@@ -420,7 +420,8 @@ func TestAsyncLifecycle(t *testing.T) {
 }
 
 // TestRunnerErrorSurfaces pins failure propagation: a backend error
-// answers 502 with the error envelope, and GET /v1/runs reports it.
+// answers 502 with the error envelope, and GET /v1/runs reports an
+// async run's failure with the same code and body.
 func TestRunnerErrorSurfaces(t *testing.T) {
 	fr := &fakeRunner{err: fmt.Errorf("backend exploded")}
 	_, _, srv := newTestGateway(t, Config{Runner: fr})
@@ -435,6 +436,31 @@ func TestRunnerErrorSurfaces(t *testing.T) {
 	id := resp.Header.Get("Railgate-Run")
 	if id != "" {
 		t.Fatalf("error response should not advertise a run header, got %q", id)
+	}
+
+	resp = post(t, srv, "/v1/experiments/eq1?async=1", "", "", nil)
+	var env struct{ ID string }
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		r, err := srv.Client().Get(srv.URL + "/v1/runs/" + env.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polled := readBody(t, r)
+		if r.StatusCode != http.StatusAccepted {
+			if r.StatusCode != http.StatusBadGateway || polled != body {
+				t.Fatalf("polled failed run: %d %q, want %d %q", r.StatusCode, polled, http.StatusBadGateway, body)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("async run did not finish")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -3,11 +3,9 @@ package railserve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"photonrail"
@@ -16,40 +14,20 @@ import (
 )
 
 // ErrConnDown reports the client's connection to the daemon failed
-// before (or while awaiting) a reply. Callers that fail requests over
-// to another daemon — the fleet coordinator — test for it with
-// errors.Is to distinguish a dead backend from an application-level
-// refusal a retry elsewhere would only repeat.
-var ErrConnDown = errors.New("railserve: connection down")
+// before (or while awaiting) a reply; it is opusnet.ErrConnDown.
+// Callers that fail requests over to another daemon — the fleet
+// coordinator — test for it with errors.Is to distinguish a dead
+// backend from an application-level refusal a retry elsewhere would
+// only repeat.
+var ErrConnDown = opusnet.ErrConnDown
 
-// Client is a connection to a raild daemon (or a fleet coordinator).
-// One client may pipeline several concurrent requests on the one
-// connection; replies are correlated by sequence number.
+// Client is a connection to a raild daemon (or a fleet coordinator):
+// the experiment, cell, stats and fleet calls over one
+// opusnet.ClientConn, which pipelines concurrent requests on the one
+// connection and correlates their replies by sequence number. Close is
+// the connection's: it fails outstanding calls and joins the reader.
 type Client struct {
-	conn net.Conn
-	// readDone closes when the reader goroutine exits; Close joins it,
-	// so a closed client never leaves its progress-routing reader
-	// behind (the goroutine-leak regression tests pin this).
-	readDone chan struct{}
-
-	// wmu serializes frame writes. WriteMessage writes each frame in
-	// one conn.Write, but a net.Conn need not keep concurrent Writes
-	// apart, so without the lock pipelined requests could interleave
-	// bytes and corrupt the stream.
-	wmu sync.Mutex
-
-	mu      sync.Mutex
-	seq     uint64
-	pending map[uint64]*pendingCall
-	readErr error
-}
-
-// pendingCall is one outstanding request: progress frames tick the
-// callback, the final frame (result, stats, or error) lands on result.
-type pendingCall struct {
-	seq        uint64
-	onProgress func(done, total int)
-	result     chan *opusnet.Message
+	*opusnet.ClientConn
 }
 
 // Dial connects to the daemon at addr.
@@ -65,112 +43,18 @@ func Dial(addr string) (*Client, error) {
 // (and the fleet coordinator's pluggable dialer) hand pipe-backed
 // conns in here; Dial is NewClient over a TCP connection.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{
-		conn:     conn,
-		readDone: make(chan struct{}),
-		pending:  make(map[uint64]*pendingCall),
-	}
-	go func() {
-		c.readLoop()
-		// Closed once readLoop has returned, so a reader Close joined is
-		// already off the stack (the leak tests count readLoop frames).
-		close(c.readDone)
-	}()
-	return c
+	return &Client{opusnet.NewClientConn(conn)}
 }
 
-// Close tears the connection down (outstanding calls fail) and waits
-// for the client's reader goroutine to exit, so callers that close a
-// client observe all of its goroutines gone. Do not call Close from
-// inside an onProgress callback — the reader runs those, so the join
-// would deadlock.
-func (c *Client) Close() error {
-	err := c.conn.Close()
-	<-c.readDone
-	return err
-}
-
-func (c *Client) readLoop() {
-	for {
-		msg, err := opusnet.ReadMessage(c.conn)
-		if err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			for _, p := range c.pending {
-				close(p.result)
-			}
-			c.pending = make(map[uint64]*pendingCall)
-			c.mu.Unlock()
-			return
-		}
-		// A progress frame is recognized by its payload, not its type:
-		// earlier daemons tick cells_req under the retired grid progress
-		// type, and a coordinator must not mistake those ticks for final
-		// replies.
-		progress := msg.Progress != nil
-		c.mu.Lock()
-		p, ok := c.pending[msg.Seq]
-		if ok && !progress {
-			delete(c.pending, msg.Seq) // final frame for this call
-		}
-		c.mu.Unlock()
-		if !ok {
-			continue // reply for an abandoned call
-		}
-		if progress {
-			if p.onProgress != nil {
-				p.onProgress(msg.Progress.Done, msg.Progress.Total)
-			}
-			continue
-		}
-		p.result <- msg
+// call sends a request and blocks for its final reply, bounded by ctx
+// (see opusnet.ClientConn.Call); a MsgErr reply is returned as an
+// error.
+func (c *Client) call(ctx context.Context, m *opusnet.Message, onProgress func(done, total int)) (*opusnet.Message, error) {
+	resp, err := c.Call(ctx, m, onProgress)
+	if err == nil && resp.Type == opusnet.MsgErr {
+		return nil, fmt.Errorf("railserve: %s", resp.Error)
 	}
-}
-
-// start registers a pending call and writes the request.
-func (c *Client) start(m *opusnet.Message, onProgress func(done, total int)) (*pendingCall, error) {
-	p := &pendingCall{onProgress: onProgress, result: make(chan *opusnet.Message, 1)}
-	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v", ErrConnDown, err)
-	}
-	c.seq++
-	m.Seq = c.seq
-	p.seq = m.Seq
-	c.pending[m.Seq] = p
-	c.mu.Unlock()
-	c.wmu.Lock()
-	err := opusnet.WriteMessage(c.conn, m) //lint:allow lockedblock wmu exists to serialize frame writes; it guards nothing a reader blocks on
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, m.Seq)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v", ErrConnDown, err)
-	}
-	return p, nil
-}
-
-// awaitCtx blocks for a call's final frame, bounded by ctx: on expiry a
-// best-effort cancel frame is sent, the call abandoned locally, and
-// ctx.Err() returned promptly.
-func (p *pendingCall) awaitCtx(ctx context.Context, c *Client) (*opusnet.Message, error) {
-	select {
-	case m, ok := <-p.result:
-		if !ok {
-			return nil, fmt.Errorf("%w: connection closed awaiting reply", ErrConnDown)
-		}
-		if m.Type == opusnet.MsgErr {
-			return nil, fmt.Errorf("railserve: %s", m.Error)
-		}
-		return m, nil
-	case <-ctx.Done():
-		c.sendCancel(p.seq)
-		c.forget(p.seq)
-		return nil, ctx.Err()
-	}
+	return resp, err
 }
 
 // CellsRun is one executed cell subset as the daemon reported it.
@@ -202,11 +86,7 @@ type CellsRun struct {
 // RowJSON holds the same bytes either way.
 func (c *Client) RunCellsCtx(ctx context.Context, spec scenario.Spec, indices []int, timeout time.Duration, onProgress func(done, total int)) (*CellsRun, error) {
 	req := opusnet.CellsRequestPayload{Spec: &spec, Indices: indices, TimeoutMS: timeout.Milliseconds()}
-	p, err := c.start(&opusnet.Message{Type: opusnet.MsgCellsReq, Cells: &req, WantRaw: true}, onProgress)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.awaitCtx(ctx, c)
+	resp, err := c.call(ctx, &opusnet.Message{Type: opusnet.MsgCellsReq, Cells: &req, WantRaw: true}, onProgress)
 	if err != nil {
 		return nil, err
 	}
@@ -299,11 +179,7 @@ func (r *ExpRun) Render(format string) (string, error) {
 // The request asks for the result's rows as the frame's attachment; a
 // daemon that sends them in the envelope instead is read the same way.
 func (c *Client) RunExperiment(ctx context.Context, req opusnet.ExpRequestPayload, onProgress func(done, total int)) (*ExpRun, error) {
-	p, err := c.start(&opusnet.Message{Type: opusnet.MsgExpReq, Exp: &req, WantRaw: true}, onProgress)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.awaitCtx(ctx, c)
+	resp, err := c.call(ctx, &opusnet.Message{Type: opusnet.MsgExpReq, Exp: &req, WantRaw: true}, onProgress)
 	if err != nil {
 		return nil, err
 	}
@@ -332,11 +208,7 @@ func NewExpRun(r *opusnet.ExpResultPayload) *ExpRun {
 // — the shared shape of the fleet control-plane calls (register,
 // heartbeat, drain), whose replies carry no payload.
 func (c *Client) ack(ctx context.Context, m *opusnet.Message) error {
-	p, err := c.start(m, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := p.awaitCtx(ctx, c)
+	resp, err := c.call(ctx, m, nil)
 	if err != nil {
 		return err
 	}
@@ -366,21 +238,6 @@ func (c *Client) FleetDrain(ctx context.Context, p opusnet.DrainPayload) error {
 	return c.ack(ctx, &opusnet.Message{Type: opusnet.MsgDrain, DrainReq: &p})
 }
 
-// sendCancel writes a cancel frame for an outstanding request's seq.
-func (c *Client) sendCancel(seq uint64) {
-	c.wmu.Lock()
-	//lint:allow lockedblock wmu exists to serialize frame writes; it guards nothing a reader blocks on
-	_ = opusnet.WriteMessage(c.conn, &opusnet.Message{Type: opusnet.MsgCancel, Seq: seq})
-	c.wmu.Unlock()
-}
-
-// forget abandons an outstanding call: later frames for it are dropped.
-func (c *Client) forget(seq uint64) {
-	c.mu.Lock()
-	delete(c.pending, seq)
-	c.mu.Unlock()
-}
-
 // Stats fetches the daemon's serving telemetry.
 func (c *Client) Stats() (opusnet.CacheStatsPayload, error) {
 	return c.StatsCtx(context.Background()) //lint:allow ctxbg deprecated pre-context wrapper; callers with a context use StatsCtx
@@ -389,11 +246,7 @@ func (c *Client) Stats() (opusnet.CacheStatsPayload, error) {
 // StatsCtx is Stats bounded by ctx — the fleet coordinator uses it so
 // one wedged backend cannot hang an aggregated stats reply.
 func (c *Client) StatsCtx(ctx context.Context) (opusnet.CacheStatsPayload, error) {
-	p, err := c.start(&opusnet.Message{Type: opusnet.MsgStatsReq}, nil)
-	if err != nil {
-		return opusnet.CacheStatsPayload{}, err
-	}
-	resp, err := p.awaitCtx(ctx, c)
+	resp, err := c.call(ctx, &opusnet.Message{Type: opusnet.MsgStatsReq}, nil)
 	if err != nil {
 		return opusnet.CacheStatsPayload{}, err
 	}

@@ -32,9 +32,6 @@ const progressInterval = 50 * time.Millisecond
 // the request was admitted.
 var errConnClosed = errors.New("railserve: connection closed before admission")
 
-// Dispatch serves one frame of a connection; see opusnet.ServeConn.
-type Dispatch func(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState)
-
 // CoreConfig parameterizes NewCore.
 type CoreConfig struct {
 	// Addr is the TCP listen address; empty means "127.0.0.1:0".
@@ -51,17 +48,28 @@ type CoreConfig struct {
 }
 
 // Core is the serving skeleton raild (Server) and the fleet coordinator
-// (internal/railfleet) are both built on: the accept loop and its
-// connection tracking, the base context every execution derives from,
-// the request-level singleflight (Serve), per-request observability,
-// and the WaitGroup behind Drain. It owns one request contract for both
-// servers: identical in-flight requests coalesce onto one execution,
-// each request's wait is bounded by its deadline, a cancel frame and
-// its connection, the last departing waiter cancels the execution, and
-// progress fans out, at most one tick per progressInterval, to exactly
-// the waiters still subscribed.
+// (internal/railfleet) are both built on: the request-level
+// singleflight (Serve), per-request observability, and the WaitGroup
+// behind Drain, over the opusnet.Listener it embeds. The listener
+// accepts and tracks the connections, and its Context is the base
+// context every execution and request wait derives from.
+//
+// Close is the listener's: it stops accepting, tears down live
+// connections, cancels the base context (so in-flight executions stop
+// scheduling new work), and waits for the connection handlers to
+// finish. Executions are NOT waited for: their results are
+// undeliverable once the connections are gone, so they wind down
+// promptly under the cancelled context — a SIGTERM never blocks on
+// minutes of abandoned simulation.
+//
+// Core owns one request contract for both servers: identical in-flight
+// requests coalesce onto one execution, each request's wait is bounded
+// by its deadline, a cancel frame and its connection, the last
+// departing waiter cancels the execution, and progress fans out, at
+// most one tick per progressInterval, to exactly the waiters still
+// subscribed.
 type Core struct {
-	ln     net.Listener
+	*opusnet.Listener
 	prefix string
 	logf   func(format string, args ...any)
 
@@ -73,31 +81,18 @@ type Core struct {
 	inflightG *telemetry.Gauge
 	durations *telemetry.HistogramVec
 
-	// baseCtx parents every execution and request wait; Close cancels
-	// it, so shutdown stops in-flight executions from scheduling more
-	// work.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	mu     sync.Mutex
-	runs   map[string]*waitRun // singleflight key -> running execution
-	conns  map[net.Conn]bool
-	closed bool
+	mu   sync.Mutex
+	runs map[string]*waitRun // singleflight key -> running execution
 	// execGate, when non-nil, is received from before each execution
 	// starts — a test-only hook that holds a request in flight
 	// deterministically.
 	execGate <-chan struct{}
 	// now is the progress throttle's clock: time.Now, unless a test
 	// installs its own with setClock.
-	now      func() time.Time
-	dispatch Dispatch // set by Start, before the accept loop runs
+	now func() time.Time
 
-	// wg tracks the accept loop and connection handlers — everything
-	// Close must wait for. Executions and result deliveries are tracked
-	// separately (execWG): once every connection is closed their results
-	// are undeliverable, so Close abandons them rather than blocking a
-	// shutdown on minutes of unwanted work.
-	wg     sync.WaitGroup
+	// execWG tracks executions and result deliveries, which Close
+	// abandons and Drain waits for.
 	execWG sync.WaitGroup
 }
 
@@ -105,29 +100,21 @@ type Core struct {
 // cfg.Addr and builds the request instruments under cfg.Prefix. It
 // accepts nothing until Start.
 func NewCore(cfg CoreConfig) (*Core, error) {
-	ln := cfg.Listener
-	if ln == nil {
-		addr := cfg.Addr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		var err error
-		if ln, err = net.Listen("tcp", addr); err != nil {
-			return nil, err
-		}
+	var logf func(err error)
+	if cfg.Logf != nil {
+		logf = func(err error) { cfg.Logf("%s: accept: %v", cfg.Prefix, err) }
 	}
-	//lint:allow ctxbg the server's lifetime root: every request context derives from it and Close cancels it
-	baseCtx, baseCancel := context.WithCancel(context.Background())
+	lis, err := opusnet.Listen(cfg.Addr, cfg.Listener, logf)
+	if err != nil {
+		return nil, err
+	}
 	c := &Core{
-		ln:         ln,
-		prefix:     cfg.Prefix,
-		logf:       cfg.Logf,
-		tel:        telemetry.NewSet(eventRingCapacity, func() int64 { return time.Now().UnixNano() }),
-		baseCtx:    baseCtx,
-		baseCancel: baseCancel,
-		runs:       make(map[string]*waitRun),
-		conns:      make(map[net.Conn]bool),
-		now:        time.Now,
+		Listener: lis,
+		prefix:   cfg.Prefix,
+		logf:     cfg.Logf,
+		tel:      telemetry.NewSet(eventRingCapacity, func() int64 { return time.Now().UnixNano() }),
+		runs:     make(map[string]*waitRun),
+		now:      time.Now,
 	}
 	c.inflightG = c.tel.Metrics.Gauge(cfg.Prefix+"_requests_inflight",
 		"Requests admitted (validated and joined or started an execution) and awaiting their final reply.")
@@ -141,49 +128,15 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 // reports exactly what a stats frame would, from the same stats call —
 // and begins accepting, serving each connection's frames through
 // dispatch on opusnet.ServeConn.
-func (c *Core) Start(dispatch Dispatch, stats func() opusnet.CacheStatsPayload) {
+func (c *Core) Start(dispatch opusnet.Dispatch, stats func() opusnet.CacheStatsPayload) {
 	opusnet.RegisterStatsMetrics(c.tel.Metrics, c.prefix, stats)
-	c.dispatch = dispatch
-	c.wg.Add(1)
-	go c.acceptLoop()
+	c.Listener.Start(dispatch)
 }
-
-// Addr returns the listen address for clients to dial.
-func (c *Core) Addr() string { return c.ln.Addr().String() }
 
 // Telemetry exposes the metrics registry and event log; the daemons
 // serve Telemetry().Handler() on -metrics-addr, and tests wait
 // deterministically on Telemetry().Events.
 func (c *Core) Telemetry() *telemetry.Set { return c.tel }
-
-// Context is the base context: cancelled by Close.
-func (c *Core) Context() context.Context { return c.baseCtx }
-
-// Closed reports whether Close has begun.
-func (c *Core) Closed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// Close stops accepting, tears down live connections, cancels the base
-// context (so in-flight executions stop scheduling new work), and waits
-// for the connection handlers to finish. Executions are NOT waited for:
-// their results are undeliverable once the connections are gone, so
-// they wind down promptly under the cancelled context — a SIGTERM never
-// blocks on minutes of abandoned simulation.
-func (c *Core) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	for conn := range c.conns {
-		_ = conn.Close()
-	}
-	c.mu.Unlock()
-	c.baseCancel()
-	err := c.ln.Close()
-	c.wg.Wait()
-	return err
-}
 
 // Drain waits for in-flight executions and result deliveries to
 // finish. Tests use it so abandoned executions never outlive the test
@@ -231,43 +184,6 @@ func (c *Core) setClock(now func() time.Time) {
 	c.mu.Lock()
 	c.now = now
 	c.mu.Unlock()
-}
-
-func (c *Core) acceptLoop() {
-	defer c.wg.Done()
-	opusnet.AcceptLoop(c.ln,
-		c.Closed,
-		func(err error) {
-			if c.logf != nil {
-				c.logf("%s: accept: %v", c.prefix, err)
-			}
-		},
-		func(conn net.Conn) bool {
-			c.mu.Lock()
-			if c.closed {
-				c.mu.Unlock()
-				return false
-			}
-			c.conns[conn] = true
-			c.mu.Unlock()
-			c.wg.Add(1)
-			go c.handle(conn)
-			return true
-		})
-}
-
-// handle serves one client connection on opusnet's shared serving
-// skeleton (writer goroutine, drop-advisory-frames, close-on-wedge,
-// per-connection cancellation registry — see opusnet.ServeConn).
-func (c *Core) handle(conn net.Conn) {
-	defer c.wg.Done()
-	defer func() {
-		c.mu.Lock()
-		delete(c.conns, conn)
-		c.mu.Unlock()
-		_ = conn.Close()
-	}()
-	opusnet.ServeConn(conn, c.dispatch)
 }
 
 // Request is one validated request handed to Serve.
@@ -434,7 +350,7 @@ func (c *Core) join(r *Request) (run *waitRun, shared bool) {
 		return run, true
 	}
 	gate := c.execGate
-	ctx, cancel := context.WithCancel(c.baseCtx)
+	ctx, cancel := context.WithCancel(c.Context())
 	run = &waitRun{done: make(chan struct{}), cancel: cancel, waiters: 1, now: c.now}
 	c.runs[r.Key] = run
 	c.mu.Unlock()
@@ -491,9 +407,9 @@ func (c *Core) Serve(r *Request, reply func(*opusnet.Message, bool), cs *opusnet
 	var wctx context.Context
 	var wcancel context.CancelFunc
 	if r.TimeoutMS > 0 {
-		wctx, wcancel = context.WithTimeout(c.baseCtx, time.Duration(r.TimeoutMS)*time.Millisecond)
+		wctx, wcancel = context.WithTimeout(c.Context(), time.Duration(r.TimeoutMS)*time.Millisecond)
 	} else {
-		wctx, wcancel = context.WithCancel(c.baseCtx)
+		wctx, wcancel = context.WithCancel(c.Context())
 	}
 	if !cs.Register(r.Seq, wcancel) {
 		wcancel() // connection already torn down

@@ -3,6 +3,7 @@ package railserve
 import (
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,26 +16,49 @@ import (
 // clientReaders counts live reader goroutines of this package's Client
 // — the goleak-style probe of the leak regression tests (the module
 // vendors no dependencies, so the check is a stack scan rather than
-// the goleak library).
+// the goleak library). The reader is opusnet.ClientConn's, which
+// Client runs on.
 func clientReaders() int {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	return strings.Count(string(buf[:n]), "railserve.(*Client).readLoop")
+	return strings.Count(string(buf[:n]), "opusnet.(*ClientConn).readLoop")
 }
 
-// TestClientCloseJoinsReader is the goroutine-leak regression test:
-// when the server closes the connection before the first frame,
-// RunExperiment fails over the dead connection — and closing the
-// client must leave NO progress-routing reader goroutine behind. The
-// check is strict (counted immediately after Close returns, no
-// settling retries) and repeated, so a Close that merely closes the
-// socket without joining the reader — the pre-fix behavior — is
-// caught.
+// TestClientCloseJoinsReader is the goroutine-leak regression test.
+// Closing a client must leave NO progress-routing reader goroutine
+// behind, both when the client closes a live connection and when the
+// server closed the connection before the first frame, so that
+// RunExperiment failed over the dead connection. The check is strict
+// (counted immediately after Close returns, no settling retries) and
+// repeated, so a Close that merely closes the socket without joining
+// the reader — the pre-fix behavior — is caught. The probe must first
+// see the reader of an open client, or it would pass on any Close.
 func TestClientCloseJoinsReader(t *testing.T) {
 	if n := clientReaders(); n != 0 {
 		t.Fatalf("%d client readers alive before the test", n)
 	}
 	for i := 0; i < 50; i++ {
+		// The live client runs over a pipe, whose Close does not wait
+		// for a read in progress the way a socket's does, so only the
+		// join keeps the reader from outliving Close. The pipe's write
+		// returns once the reader has read the frame (and dropped it, as
+		// no call awaits it), so the reader is running.
+		conn, peer := net.Pipe()
+		live := NewClient(conn)
+		if err := opusnet.WriteMessage(peer, &opusnet.Message{Type: opusnet.MsgAck, Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if n := clientReaders(); n != 1 {
+			t.Fatalf("iteration %d: probe counts %d readers with one client open, want 1", i, n)
+		}
+		if err := live.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if n := clientReaders(); n != 0 {
+			t.Fatalf("iteration %d: %d client reader goroutines alive after closing a live client", i, n)
+		}
+		_ = peer.Close()
+
 		s, err := NewServer(Config{})
 		if err != nil {
 			t.Fatal(err)

@@ -49,11 +49,17 @@
 // lengths, as the frame's attachment, and any other requester gets the
 // frames it always did (see opusnet).
 //
-// That contract lives in one place: Core, the serving skeleton (accept
-// loop, base context, request singleflight, per-request observability,
-// Drain). Server is Core over a warm engine; the internal/railfleet
-// coordinator is Core over a fan-out, so raild and the fleet serve
-// every request through the same join-or-start code.
+// That contract lives in one place: Core, the serving skeleton
+// (request singleflight, per-request observability, Drain). Server is
+// Core over a warm engine; the internal/railfleet coordinator is Core
+// over a fan-out, so raild and the fleet serve every request through
+// the same join-or-start code.
+//
+// The connections themselves are opusnet's, on both ends, as they are
+// for the Opus control plane: Core serves on an opusnet.Listener (the
+// accept loop, connection tracking and base context), and Client calls
+// over an opusnet.ClientConn (sequence numbers, the pending-call table
+// and the one reader that routes each frame to its call).
 //
 // The engine is cost-bounded (photonrail.NewBoundedEngine), so the
 // daemon is safe to run indefinitely: cold results are evicted LRU-wise

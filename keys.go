@@ -3,7 +3,6 @@ package photonrail
 import (
 	"photonrail/internal/exp"
 	"photonrail/internal/model"
-	"photonrail/internal/scenario"
 	"photonrail/internal/topo"
 )
 
@@ -153,15 +152,6 @@ func (k *workloadKeys) provision(latencyMS float64) string {
 	e := k.derive("provisioned-stable")
 	e.Float64(latencyMS)
 	return e.Sum("provision")
-}
-
-// skipRow keys a skipped cell's row in the engine's skip-row table: the
-// workload plus the cell's grid fabric kind and latency.
-func (k *workloadKeys) skipRow(kind scenario.FabricKind, latencyMS float64) string {
-	e := k.derive("skip-row")
-	e.Int(int(kind))
-	e.Float64(latencyMS)
-	return e.Sum("")
 }
 
 // seed names the workload's namespace in the Provision stage's

@@ -180,7 +180,7 @@ type Result struct {
 
 	inner *netsim.Result
 	// row is the grid row rendered from this result, for the one kind
-	// of cell its memo key serves (see Engine.cellRow).
+	// of cell its memo key serves (see cellRow).
 	row atomic.Pointer[GridRow]
 }
 

@@ -25,11 +25,11 @@ func holdPool(t *testing.T, en *Engine) (release func()) {
 	held.Add(en.Workers())
 	go func() {
 		defer close(done)
-		_, _ = exp.MapCtx(context.Background(), en.pool, en.Workers(), func(context.Context, int) (struct{}, error) {
+		_, _ = exp.MapProgressCtx(context.Background(), en.pool, en.Workers(), func(context.Context, int) (struct{}, error) {
 			held.Done()
 			<-gate
 			return struct{}{}, nil
-		})
+		}, nil)
 	}()
 	held.Wait()
 	var once sync.Once
@@ -153,7 +153,7 @@ func TestColdGridRunsWorkersCellsAtOnce(t *testing.T) {
 		gated.Add(1)
 		go func(key string) {
 			defer gated.Done()
-			_, _ = en.pool.Do(key, func() (any, error) {
+			_, _ = en.pool.DoCostCtx(context.Background(), key, 1, func(context.Context) (any, error) {
 				<-gate
 				return &Result{MeanIterationSeconds: 1}, nil
 			})
@@ -246,11 +246,11 @@ func TestInlineMemoizedErrorSkipsPool(t *testing.T) {
 		want    string
 	}{
 		{"baseline", func(en *Engine, pc *plannedCell) {
-			_, _ = en.pool.Do(pc.base, func() (any, error) { return nil, boom })
+			_, _ = en.pool.DoCostCtx(context.Background(), pc.base, 1, func(context.Context) (any, error) { return nil, boom })
 		}, "photonrail: cell Llama3-8B/A100/tp4-dp2-pp2/1F1B/photonic@5ms baseline: boom"},
 		{"fabric", func(en *Engine, pc *plannedCell) {
-			_, _ = en.pool.Do(pc.base, func() (any, error) { return &Result{MeanIterationSeconds: 1}, nil })
-			_, _ = en.pool.Do(pc.key, func() (any, error) { return nil, boom })
+			_, _ = en.pool.DoCostCtx(context.Background(), pc.base, 1, func(context.Context) (any, error) { return &Result{MeanIterationSeconds: 1}, nil })
+			_, _ = en.pool.DoCostCtx(context.Background(), pc.key, 1, func(context.Context) (any, error) { return nil, boom })
 		}, "photonrail: cell Llama3-8B/A100/tp4-dp2-pp2/1F1B/photonic@5ms: boom"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

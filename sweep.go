@@ -58,7 +58,7 @@ func (en *Engine) SweepReconfigLatencyCtx(ctx context.Context, w Workload, laten
 	if len(latenciesMS) == 0 {
 		latenciesMS = PaperLatenciesMS()
 	}
-	return exp.MapCtx(ctx, en.pool, len(latenciesMS), func(ctx context.Context, i int) (SweepPoint, error) {
+	return exp.MapProgressCtx(ctx, en.pool, len(latenciesMS), func(ctx context.Context, i int) (SweepPoint, error) {
 		lat := latenciesMS[i]
 		// Every point fetches the baseline through the cache: the first
 		// request simulates it, the rest share the result.
@@ -85,5 +85,5 @@ func (en *Engine) SweepReconfigLatencyCtx(ctx context.Context, w Workload, laten
 			ReactiveReconfigs:    reactive.Reconfigurations,
 			ProvisionedReconfigs: provisioned.Reconfigurations,
 		}, nil
-	})
+	}, nil)
 }

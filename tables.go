@@ -104,13 +104,13 @@ func (en *Engine) CostComparison() ([]cost.Fig7Row, error) {
 func (en *Engine) CostComparisonCtx(ctx context.Context) ([]cost.Fig7Row, error) {
 	sizes := cost.PaperSizes()
 	cat := cost.DefaultCatalog()
-	return exp.MapCtx(ctx, en.pool, len(sizes), func(ctx context.Context, i int) (cost.Fig7Row, error) {
+	return exp.MapProgressCtx(ctx, en.pool, len(sizes), func(ctx context.Context, i int) (cost.Fig7Row, error) {
 		// The catalog is not encoded: it is always DefaultCatalog, a
 		// constant of the program, and a memo never outlives its process.
 		k := exp.NewKeyEncoder("fig7-row")
 		k.Int(sizes[i])
 		k.Int(topo.DGXH200GPUsPerNode)
-		return exp.CachedCtx(ctx, en.pool, k.Sum(""),
+		return exp.CachedCostCtx(ctx, en.pool, k.Sum(""), 1,
 			func(context.Context) (cost.Fig7Row, error) {
 				rows, err := cost.Fig7([]int{sizes[i]}, topo.DGXH200GPUsPerNode, cat)
 				if err != nil {
@@ -118,7 +118,7 @@ func (en *Engine) CostComparisonCtx(ctx context.Context) ([]cost.Fig7Row, error)
 				}
 				return rows[0], nil
 			})
-	})
+	}, nil)
 }
 
 // Fig7Table renders the Fig. 7 comparison with per-design cost/power and
