@@ -3,6 +3,7 @@ package photonrail
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"photonrail/internal/exp"
 	"photonrail/internal/scenario"
@@ -152,24 +153,25 @@ func gridWorkload(c GridCell) Workload {
 }
 
 // gridPlan is everything about a grid's cells that no result decides:
-// the expansion and, for each cell, its skip reason and row or the
-// memo keys it reads. It is a function of every Grid field except Name
-// (see planKey), so grids that differ only in name share one, and it
-// is never written after it is built.
+// the expansion and, for each cell, its skip reason or the memo keys
+// it reads. It is a function of every Grid field except Name (see
+// planKey), so grids that differ only in name share one, and it is
+// never written after it is built, apart from the skipped cells' rows
+// that cellRow renders into it.
 type gridPlan struct {
 	cells []plannedCell
 	all   []int // 0, 1, …: every cell, in expansion order
 }
 
-// plannedCell is one planned cell. A skipped cell carries its row,
-// which depends on nothing but the cell and its skip reason. A
-// feasible cell's base is its electrical baseline's Time key and key
-// its own fabric's Time or Provision key; an electrical cell's result
-// is its baseline, so its key is empty.
+// plannedCell is one planned cell. A skipped cell keeps its row once
+// cellRow has rendered it: the row depends on nothing but the cell and
+// its skip reason. A feasible cell's base is its electrical baseline's
+// Time key and key its own fabric's Time or Provision key; an
+// electrical cell's result is its baseline, so its key is empty.
 type plannedCell struct {
 	cell      GridCell
-	skip      string   // Skip's reason; "" when the cell is feasible
-	row       *GridRow // a skipped cell's row
+	skip      string                  // Skip's reason; "" when the cell is feasible
+	row       atomic.Pointer[GridRow] // a skipped cell's row, once rendered
 	base, key string
 }
 
@@ -227,9 +229,9 @@ func (en *Engine) storePlan(key string, p *gridPlan) {
 	en.planCells += n
 }
 
-// newGridPlan expands g and derives each cell's skip reason and row,
-// or its keys. Each feasible cell's workload is encoded once, and its
-// keys derive from that encoding.
+// newGridPlan expands g and derives each cell's skip reason or its
+// keys. Each feasible cell's workload is encoded once, and its keys
+// derive from that encoding.
 func newGridPlan(g Grid) (*gridPlan, error) {
 	cells := g.Expand()
 	p := &gridPlan{cells: make([]plannedCell, len(cells)), all: make([]int, len(cells))}
@@ -238,10 +240,6 @@ func newGridPlan(g Grid) (*gridPlan, error) {
 		pc := &p.cells[i]
 		pc.cell = c
 		if pc.skip = c.Skip(); pc.skip != "" {
-			var err error
-			if pc.row, err = newGridRow(GridCellResult{Cell: c, Skipped: true, SkipReason: pc.skip}); err != nil {
-				return nil, err
-			}
 			continue
 		}
 		k := keysOf(gridWorkload(c))
@@ -458,22 +456,28 @@ func cellResultOf(c GridCell, base, res *Result) GridCellResult {
 // cell's row hangs on that Time or Provision result, and every later
 // cell, in any grid, that hits the same entry reuses it; an evicted
 // entry takes its row along. A skipped cell's row, which no result
-// backs, was rendered with its plan. The memo lookups are runCells',
-// so the cache counters read the same with or without the rows.
+// backs, hangs on its plan entry instead, so a stored plan keeps it.
+// The memo lookups are runCells', so the cache counters read the same
+// with or without the rows.
 func cellRow(pc *plannedCell, base, res *Result) (*GridRow, error) {
-	if pc.skip != "" {
-		return pc.row, nil
+	slot := &pc.row
+	if pc.skip == "" {
+		slot = &res.row
 	}
-	if row := res.row.Load(); row != nil {
+	if row := slot.Load(); row != nil {
 		return row, nil
 	}
-	row, err := newGridRow(cellResultOf(pc.cell, base, res))
+	cr := GridCellResult{Cell: pc.cell, Skipped: true, SkipReason: pc.skip}
+	if pc.skip == "" {
+		cr = cellResultOf(pc.cell, base, res)
+	}
+	row, err := newGridRow(cr)
 	if err != nil {
 		return nil, err
 	}
 	// Racing renderers produce equal rows; keep the first.
-	res.row.CompareAndSwap(nil, row)
-	return res.row.Load(), nil
+	slot.CompareAndSwap(nil, row)
+	return slot.Load(), nil
 }
 
 // newGridRow renders one cell result as its row and the row's bytes.

@@ -187,7 +187,7 @@ func (c *ClientConn) forget(seq uint64) {
 // controller's typed calls over a ClientConn, each stamped with the
 // rank. A call waits for its reply or the connection's end.
 type Client struct {
-	*ClientConn
+	cc   *ClientConn
 	rank int
 }
 
@@ -197,17 +197,21 @@ func Dial(addr string, rank int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{ClientConn: NewClientConn(conn), rank: rank}, nil
+	return &Client{cc: NewClientConn(conn), rank: rank}, nil
 }
 
 // Rank returns the client's global rank.
 func (c *Client) Rank() int { return c.rank }
 
+// Close tears the connection down and joins its reader; see
+// ClientConn.Close.
+func (c *Client) Close() error { return c.cc.Close() }
+
 // call sends a request from the client's rank and blocks for its
 // reply; a MsgErr reply is returned as an error.
 func (c *Client) call(m *Message) (*Message, error) {
 	m.Rank = c.rank
-	p, err := c.start(m, nil)
+	p, err := c.cc.start(m, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package opusnet
 
 import (
+	"errors"
 	"net"
 	"runtime"
 	"strings"
@@ -28,7 +29,7 @@ func TestClientCloseJoinsReadLoop(t *testing.T) {
 	// running.
 	conn, peer := net.Pipe()
 	defer peer.Close()
-	c := &Client{ClientConn: NewClientConn(conn), rank: 3}
+	c := &Client{cc: NewClientConn(conn), rank: 3}
 	if err := WriteMessage(peer, &Message{Type: MsgAck, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +47,9 @@ func TestClientCloseJoinsReadLoop(t *testing.T) {
 
 	// The join guarantee: the loop's teardown already happened by the
 	// time Close returned — no sleep or retry needed to observe it.
-	c.mu.Lock()
-	readErr := c.readErr
-	c.mu.Unlock()
+	c.cc.mu.Lock()
+	readErr := c.cc.readErr
+	c.cc.mu.Unlock()
 	if readErr == nil {
 		t.Fatal("Close returned before the read loop recorded its exit")
 	}
@@ -68,5 +69,37 @@ func TestClientCloseJoinsReadLoop(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("second Close hangs")
+	}
+
+	// ...and reports the connection's own error. A pipe's second Close
+	// returns nil, so this half dials a socket, as a shim does.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		accepted <- conn
+	}()
+	tc, err := Dial(ln.Addr().String(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case conn := <-accepted:
+		defer conn.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never accepted the dial")
+	}
+	if err := tc.Close(); err != nil {
+		t.Fatalf("first Close: %v", err)
+	}
+	if err := tc.Close(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("second Close = %v, want the net.ErrClosed of the already-closed conn", err)
 	}
 }

@@ -24,10 +24,9 @@ var ErrConnDown = opusnet.ErrConnDown
 // Client is a connection to a raild daemon (or a fleet coordinator):
 // the experiment, cell, stats and fleet calls over one
 // opusnet.ClientConn, which pipelines concurrent requests on the one
-// connection and correlates their replies by sequence number. Close is
-// the connection's: it fails outstanding calls and joins the reader.
+// connection and correlates their replies by sequence number.
 type Client struct {
-	*opusnet.ClientConn
+	cc *opusnet.ClientConn
 }
 
 // Dial connects to the daemon at addr.
@@ -46,11 +45,15 @@ func NewClient(conn net.Conn) *Client {
 	return &Client{opusnet.NewClientConn(conn)}
 }
 
+// Close tears the connection down, failing outstanding calls, and
+// joins its reader; see opusnet.ClientConn.Close.
+func (c *Client) Close() error { return c.cc.Close() }
+
 // call sends a request and blocks for its final reply, bounded by ctx
 // (see opusnet.ClientConn.Call); a MsgErr reply is returned as an
 // error.
 func (c *Client) call(ctx context.Context, m *opusnet.Message, onProgress func(done, total int)) (*opusnet.Message, error) {
-	resp, err := c.Call(ctx, m, onProgress)
+	resp, err := c.cc.Call(ctx, m, onProgress)
 	if err == nil && resp.Type == opusnet.MsgErr {
 		return nil, fmt.Errorf("railserve: %s", resp.Error)
 	}

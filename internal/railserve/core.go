@@ -50,9 +50,9 @@ type CoreConfig struct {
 // Core is the serving skeleton raild (Server) and the fleet coordinator
 // (internal/railfleet) are both built on: the request-level
 // singleflight (Serve), per-request observability, and the WaitGroup
-// behind Drain, over the opusnet.Listener it embeds. The listener
-// accepts and tracks the connections, and its Context is the base
-// context every execution and request wait derives from.
+// behind Drain, over an opusnet.Listener. The listener accepts and
+// tracks the connections, and its Context is the base context every
+// execution and request wait derives from.
 //
 // Close is the listener's: it stops accepting, tears down live
 // connections, cancels the base context (so in-flight executions stop
@@ -69,7 +69,7 @@ type CoreConfig struct {
 // most one tick per progressInterval, to exactly the waiters still
 // subscribed.
 type Core struct {
-	*opusnet.Listener
+	lis    *opusnet.Listener
 	prefix string
 	logf   func(format string, args ...any)
 
@@ -109,12 +109,12 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 		return nil, err
 	}
 	c := &Core{
-		Listener: lis,
-		prefix:   cfg.Prefix,
-		logf:     cfg.Logf,
-		tel:      telemetry.NewSet(eventRingCapacity, func() int64 { return time.Now().UnixNano() }),
-		runs:     make(map[string]*waitRun),
-		now:      time.Now,
+		lis:    lis,
+		prefix: cfg.Prefix,
+		logf:   cfg.Logf,
+		tel:    telemetry.NewSet(eventRingCapacity, func() int64 { return time.Now().UnixNano() }),
+		runs:   make(map[string]*waitRun),
+		now:    time.Now,
 	}
 	c.inflightG = c.tel.Metrics.Gauge(cfg.Prefix+"_requests_inflight",
 		"Requests admitted (validated and joined or started an execution) and awaiting their final reply.")
@@ -130,8 +130,21 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 // dispatch on opusnet.ServeConn.
 func (c *Core) Start(dispatch opusnet.Dispatch, stats func() opusnet.CacheStatsPayload) {
 	opusnet.RegisterStatsMetrics(c.tel.Metrics, c.prefix, stats)
-	c.Listener.Start(dispatch)
+	c.lis.Start(dispatch)
 }
+
+// Addr returns the listen address for clients to dial.
+func (c *Core) Addr() string { return c.lis.Addr() }
+
+// Context is the server's base context: Close cancels it.
+func (c *Core) Context() context.Context { return c.lis.Context() }
+
+// Closed reports whether Close has begun.
+func (c *Core) Closed() bool { return c.lis.Closed() }
+
+// Close stops accepting, tears down live connections, cancels Context
+// and waits for the connection handlers; see the type's doc.
+func (c *Core) Close() error { return c.lis.Close() }
 
 // Telemetry exposes the metrics registry and event log; the daemons
 // serve Telemetry().Handler() on -metrics-addr, and tests wait

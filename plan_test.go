@@ -507,3 +507,45 @@ func TestPlanTableBounded(t *testing.T) {
 		t.Errorf("a grid above the cap was stored (table %d cells, was %d)", en.planCells, held)
 	}
 }
+
+// TestSkippedRowRenderedOnFirstUse: a skipped cell's row is rendered
+// by the first request that asks for rows, not when the plan is built,
+// so RunGrid renders none; a stored plan then serves the same row to
+// every later request.
+func TestSkippedRowRenderedOnFirstUse(t *testing.T) {
+	en := NewEngine(1)
+	// A dense model has no EP coordinate, so every cell is skipped.
+	g := Grid{
+		Fabrics:      []GridFabricKind{GridPhotonic},
+		LatenciesMS:  []float64{1, 2},
+		Parallelisms: []GridParallelism{{TP: 4, DP: 1, EP: 2, PP: 2}},
+	}
+	if _, err := en.RunGrid(g); err != nil {
+		t.Fatal(err)
+	}
+	p, err := en.planFor(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.cells {
+		if p.cells[i].skip == "" {
+			t.Fatalf("cell %d is feasible; want every cell skipped", i)
+		}
+		if p.cells[i].row.Load() != nil {
+			t.Fatalf("RunGrid rendered skipped cell %d's row", i)
+		}
+	}
+	first, err := en.gridRows(context.Background(), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := en.gridRows(context.Background(), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.cells {
+		if first[i] == nil || first[i] != second[i] || p.cells[i].row.Load() != first[i] {
+			t.Fatalf("cell %d: rows %p then %p, plan holds %p; want one row", i, first[i], second[i], p.cells[i].row.Load())
+		}
+	}
+}
