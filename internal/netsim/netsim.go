@@ -288,7 +288,8 @@ func (p *Profile) upcomingGroupsUncached(tasks []*workload.Task, t *workload.Tas
 
 // Run executes the program under the given options.
 func Run(p *workload.Program, opts Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	ix, err := p.ValidIndex()
+	if err != nil {
 		return nil, err
 	}
 	if opts.ReconfigLatency < 0 {
@@ -306,7 +307,7 @@ func Run(p *workload.Program, opts Options) (*Result, error) {
 		}
 		opts.Profile = prof.Profile
 	}
-	ex, err := newExecutor(p, opts)
+	ex, err := newExecutor(p, ix, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -422,8 +423,7 @@ func tableOf(ix *workload.Index, plan opus.PortPlan) *opus.CircuitTable {
 	return ix.Aux(plan, func() any { return opus.NewCircuitTable(plan) }).(*opus.CircuitTable)
 }
 
-func newExecutor(p *workload.Program, opts Options) (*executor, error) {
-	ix := p.Index()
+func newExecutor(p *workload.Program, ix *workload.Index, opts Options) (*executor, error) {
 	ex := &executor{
 		p:      p,
 		ix:     ix,

@@ -52,16 +52,37 @@ type Stats struct {
 // request is one queued circuit acquisition on a rail.
 type request struct {
 	group    *collective.Group
+	state    *groupState // the group's entry on the request's rail
 	circuits ocs.Matching
-	// waiters are grant callbacks attached by Acquire; a purely
-	// speculative (provisioned) request may have none yet.
-	waiters []func()
-	// arrivals records when each waiter's collective arrived, for
-	// BlockedTime accounting.
-	arrivals []units.Duration
+	// waiters are the grants Acquire attached, in arrival order; a
+	// purely speculative (provisioned) request may have none yet.
+	waiters []waiter
 	// inFlight marks the request as part of the reconfiguration batch
 	// currently actuating; such requests can no longer be cancelled.
 	inFlight bool
+}
+
+// waiter is one acquisition waiting on a queued request.
+type waiter struct {
+	granted func(any)
+	arg     any
+	// arrival is when the collective arrived, for BlockedTime.
+	arrival units.Duration
+}
+
+// groupState is one communication group's state on a rail: its
+// installed circuits and its in-flight transfers, in one entry so a
+// call hashes the group's name once. An entry outlives its circuits'
+// tear-down, so a rail allocates one per group it ever serves.
+type groupState struct {
+	// circuits are the group's installed circuits; nil while it has
+	// none set up.
+	circuits ocs.Matching
+	// active counts the group's in-flight transfers.
+	active int
+	// tearing marks the group for tear-down by the batch processNow is
+	// assembling.
+	tearing bool
 }
 
 // railState is the controller's per-rail view.
@@ -69,18 +90,36 @@ type railState struct {
 	// sw is the device; its matching is the union of installed groups'
 	// circuits.
 	sw *ocs.Switch
-	// installed maps group name -> its circuits, currently set up.
-	installed map[string]ocs.Matching
-	// active counts in-flight transfers per installed group.
-	active map[string]int
+	// groups holds every group the rail has served, by name.
+	groups map[string]*groupState
+	// installed lists the groups whose circuits are set up, in no
+	// particular order.
+	installed []*groupState
 	// queue is the FC-FS request queue.
 	queue []*request
-	// reconfiguring marks an in-progress switch reconfiguration.
+	// reconfiguring marks an in-progress switch reconfiguration, whose
+	// requests are batch.
 	reconfiguring bool
+	batch         []*request
 	// processScheduled marks a pending deferred queue scan; deferring to
 	// the end of the current instant lets same-instant requests coalesce
 	// into one physical reconfiguration.
 	processScheduled bool
+	// processFn and installFn are the rail's deferred queue scan and
+	// its batch's set-up, made once so scheduling them allocates
+	// nothing.
+	processFn, installFn func()
+}
+
+// group returns the rail's entry for the named group, adding it on
+// first use.
+func (rs *railState) group(name string) *groupState {
+	g := rs.groups[name]
+	if g == nil {
+		g = &groupState{}
+		rs.groups[name] = g
+	}
+	return g
 }
 
 // Controller is the Opus controller: it owns every rail's OCS and serves
@@ -90,7 +129,7 @@ type Controller struct {
 	plan    PortPlan
 	table   *CircuitTable
 	latency units.Duration
-	rails   map[topo.RailID]*railState
+	rails   []railState // indexed by RailID
 	stats   Stats
 }
 
@@ -119,17 +158,29 @@ func NewControllerWithTable(clock Clock, table *CircuitTable, latency units.Dura
 		plan:    plan,
 		table:   table,
 		latency: latency,
-		rails:   make(map[topo.RailID]*railState),
+		rails:   make([]railState, plan.Cluster.NumRails()),
 	}
 	tech := ocs.Technology{Name: "sweep", Vendor: "sim", ReconfigTime: latency, Radix: plan.Radix()}
-	for r := 0; r < plan.Cluster.NumRails(); r++ {
-		c.rails[topo.RailID(r)] = &railState{
-			sw:        ocs.NewSwitch(fmt.Sprintf("rail%d-ocs", r), tech),
-			installed: make(map[string]ocs.Matching),
-			active:    make(map[string]int),
+	for r := range c.rails {
+		rs := &c.rails[r]
+		rs.sw = ocs.NewSwitch(fmt.Sprintf("rail%d-ocs", r), tech)
+		rs.groups = make(map[string]*groupState)
+		rs.processFn = func() {
+			rs.processScheduled = false
+			c.processNow(rs)
 		}
+		rs.installFn = func() { c.install(rs) }
 	}
 	return c, nil
+}
+
+// rail returns the state of rail r, or nil if the cluster has no such
+// rail.
+func (c *Controller) rail(r topo.RailID) *railState {
+	if r < 0 || int(r) >= len(c.rails) {
+		return nil
+	}
+	return &c.rails[r]
 }
 
 // Stats returns a copy of the accumulated telemetry.
@@ -140,12 +191,12 @@ func (c *Controller) Latency() units.Duration { return c.latency }
 
 // Installed reports whether the group's circuits are currently set up.
 func (c *Controller) Installed(rail topo.RailID, group string) bool {
-	rs := c.rails[rail]
+	rs := c.rail(rail)
 	if rs == nil {
 		return false
 	}
-	_, ok := rs.installed[group]
-	return ok
+	g := rs.groups[group]
+	return g != nil && g.circuits != nil
 }
 
 // Acquire requests circuits for group on rail. granted runs (possibly
@@ -164,46 +215,36 @@ func ignoreArg(arg any) { arg.(func())() }
 // argument, so the fast path — circuits already installed — allocates
 // nothing.
 func (c *Controller) AcquireArg(rail topo.RailID, group *collective.Group, granted func(any), arg any) error {
-	rs := c.rails[rail]
+	rs := c.rail(rail)
 	if rs == nil {
 		return fmt.Errorf("opus: unknown rail %d", rail)
 	}
-	if live, ok := rs.installed[group.Name]; ok {
+	g := rs.group(group.Name)
+	if g.circuits != nil {
 		// Speculation yields to demand: a queued waiterless (shim-
 		// provisioned) request that would tear our live circuits was a
 		// mis-prediction — cancel it rather than stall real traffic
 		// behind it. It re-enters when its group actually communicates.
-		c.cancelSpeculation(rs, live)
-		if !c.pendingConflicts(rs, group.Name) {
+		c.cancelSpeculation(rs, g.circuits)
+		if !c.pendingConflicts(rs, g) {
 			// Fast path: circuits live and no queued demand
 			// reconfiguration is about to tear them down ahead of us.
 			c.stats.FastGrants++
-			rs.active[group.Name]++
+			g.active++
 			granted(arg)
 			return nil
 		}
 	}
 	c.stats.QueuedGrants++
-	arrival := c.clock.Now()
-	wrapped := func() {
-		rs.active[group.Name]++
-		c.stats.BlockedTime += c.clock.Now() - arrival
-		granted(arg)
-	}
-	if req := c.findPending(rs, group.Name); req != nil {
-		req.waiters = append(req.waiters, wrapped)
-		req.arrivals = append(req.arrivals, arrival)
+	w := waiter{granted: granted, arg: arg, arrival: c.clock.Now()}
+	if req := c.findPending(rs, g); req != nil {
+		req.waiters = append(req.waiters, w)
 	} else {
 		circuits, err := c.table.CircuitsFor(group)
 		if err != nil {
 			return err
 		}
-		rs.queue = append(rs.queue, &request{
-			group:    group,
-			circuits: circuits,
-			waiters:  []func(){wrapped},
-			arrivals: []units.Duration{arrival},
-		})
+		rs.queue = append(rs.queue, &request{group: group, state: g, circuits: circuits, waiters: []waiter{w}})
 	}
 	c.process(rs)
 	return nil
@@ -214,14 +255,15 @@ func (c *Controller) AcquireArg(rail topo.RailID, group *collective.Group, grant
 // controller can overlap the reconfiguration with the current
 // inter-parallelism window (Fig. 5b).
 func (c *Controller) Provision(rail topo.RailID, group *collective.Group) error {
-	rs := c.rails[rail]
+	rs := c.rail(rail)
 	if rs == nil {
 		return fmt.Errorf("opus: unknown rail %d", rail)
 	}
-	if _, ok := rs.installed[group.Name]; ok && !c.pendingConflicts(rs, group.Name) {
+	g := rs.group(group.Name)
+	if g.circuits != nil && !c.pendingConflicts(rs, g) {
 		return nil // already live
 	}
-	if c.findPending(rs, group.Name) != nil {
+	if c.findPending(rs, g) != nil {
 		return nil // already requested
 	}
 	circuits, err := c.table.CircuitsFor(group)
@@ -229,7 +271,7 @@ func (c *Controller) Provision(rail topo.RailID, group *collective.Group) error 
 		return err
 	}
 	c.stats.ProvisionedRequests++
-	rs.queue = append(rs.queue, &request{group: group, circuits: circuits})
+	rs.queue = append(rs.queue, &request{group: group, state: g, circuits: circuits})
 	c.process(rs)
 	return nil
 }
@@ -237,17 +279,15 @@ func (c *Controller) Provision(rail topo.RailID, group *collective.Group) error 
 // Release marks one transfer of group on rail complete and lets the
 // controller make progress on queued reconfigurations.
 func (c *Controller) Release(rail topo.RailID, group *collective.Group) error {
-	rs := c.rails[rail]
+	rs := c.rail(rail)
 	if rs == nil {
 		return fmt.Errorf("opus: unknown rail %d", rail)
 	}
-	if rs.active[group.Name] <= 0 {
+	g := rs.groups[group.Name]
+	if g == nil || g.active <= 0 {
 		return fmt.Errorf("opus: release of inactive group %s on rail %d", group.Name, rail)
 	}
-	rs.active[group.Name]--
-	if rs.active[group.Name] == 0 {
-		delete(rs.active, group.Name)
-	}
+	g.active--
 	c.process(rs)
 	return nil
 }
@@ -266,27 +306,26 @@ func (c *Controller) cancelSpeculation(rs *railState, live ocs.Matching) {
 	rs.queue = kept
 }
 
-// findPending returns the queued request for the named group, if any.
-func (c *Controller) findPending(rs *railState, group string) *request {
+// findPending returns the queued request for the group, if any.
+func (c *Controller) findPending(rs *railState, g *groupState) *request {
 	for _, r := range rs.queue {
-		if r.group.Name == group {
+		if r.state == g {
 			return r
 		}
 	}
 	return nil
 }
 
-// pendingConflicts reports whether any queued request will tear down the
-// named installed group. Granting past it would let traffic pin circuits
-// the head-of-line reconfiguration is waiting to remove, starving it —
-// the control divergence Objective 3 forbids.
-func (c *Controller) pendingConflicts(rs *railState, group string) bool {
-	installed, ok := rs.installed[group]
-	if !ok {
+// pendingConflicts reports whether any queued request will tear down
+// the installed group g. Granting past it would let traffic pin
+// circuits the head-of-line reconfiguration is waiting to remove,
+// starving it — the control divergence Objective 3 forbids.
+func (c *Controller) pendingConflicts(rs *railState, g *groupState) bool {
+	if g.circuits == nil {
 		return false
 	}
 	for _, req := range rs.queue {
-		if conflicts(installed, req.circuits) {
+		if conflicts(g.circuits, req.circuits) {
 			return true
 		}
 	}
@@ -311,10 +350,7 @@ func (c *Controller) process(rs *railState) {
 		return
 	}
 	rs.processScheduled = true
-	c.clock.Immediately(func() {
-		rs.processScheduled = false
-		c.processNow(rs)
-	})
+	c.clock.Immediately(rs.processFn)
 }
 
 // processNow drives the FC-FS queue of one rail. It serves the longest
@@ -327,10 +363,7 @@ func (c *Controller) processNow(rs *railState) {
 	}
 	// Serve queued requests whose circuits are already installed
 	// (a previous batch may have covered them).
-	for len(rs.queue) > 0 {
-		if _, ok := rs.installed[rs.queue[0].group.Name]; !ok {
-			break
-		}
+	for len(rs.queue) > 0 && rs.queue[0].state.circuits != nil {
 		c.grant(rs, rs.queue[0])
 	}
 	if len(rs.queue) == 0 {
@@ -339,39 +372,34 @@ func (c *Controller) processNow(rs *railState) {
 	// Grow the batch from the head: stop at the first request that
 	// conflicts with the batch or whose tear-down targets are busy.
 	// Stopping (rather than skipping) preserves FC-FS order.
-	var batch []*request
-	pending := ocs.Matching{} // union of the batch's new circuits
-	tearDown := map[string]bool{}
+	batch := rs.batch[:0]
+	var tearDown []*groupState
+grow:
 	for _, req := range rs.queue {
-		if conflicts(req.circuits, pending) {
-			break
-		}
-		serviceable := true
-		var reqTears []string
-		for name, m := range rs.installed {
-			if tearDown[name] {
-				continue // already being torn down by this batch
+		for _, b := range batch {
+			if conflicts(req.circuits, b.circuits) {
+				break grow
 			}
-			if conflicts(m, req.circuits) {
-				if rs.active[name] > 0 {
-					serviceable = false
-					break
+		}
+		marked := len(tearDown)
+		for _, g := range rs.installed {
+			if g.tearing || !conflicts(g.circuits, req.circuits) {
+				continue // already being torn down by this batch, or unaffected
+			}
+			if g.active > 0 {
+				for _, t := range tearDown[marked:] {
+					t.tearing = false
 				}
-				reqTears = append(reqTears, name) //lint:allow maporder reqTears is consumed into the tearDown set; order is immaterial
+				tearDown = tearDown[:marked]
+				break grow
 			}
-		}
-		if !serviceable {
-			break
-		}
-		for _, name := range reqTears {
-			tearDown[name] = true
-		}
-		for p, q := range req.circuits {
-			pending[p] = q
+			g.tearing = true
+			tearDown = append(tearDown, g)
 		}
 		req.inFlight = true
 		batch = append(batch, req)
 	}
+	rs.batch = batch
 	if len(batch) == 0 {
 		return // head blocked on busy circuits: retry on Release
 	}
@@ -379,39 +407,55 @@ func (c *Controller) processNow(rs *railState) {
 	// latency, set up, grant in queue order.
 	rs.reconfiguring = true
 	next := rs.sw.Current()
-	for name := range tearDown {
-		for p := range rs.installed[name] {
+	for _, g := range tearDown {
+		for p := range g.circuits {
 			next.Disconnect(p)
 		}
-		delete(rs.installed, name)
+		g.circuits = nil
+		g.tearing = false
 	}
+	kept := rs.installed[:0]
+	for _, g := range rs.installed {
+		if g.circuits != nil {
+			kept = append(kept, g)
+		}
+	}
+	rs.installed = kept
 	if err := rs.sw.ApplyOwned(next); err != nil {
 		panic(fmt.Sprintf("opus: tear-down of idle circuits failed: %v", err))
 	}
-	c.clock.After(c.latency, func() {
-		next := rs.sw.Current()
-		for _, req := range batch {
-			for p, q := range req.circuits {
-				if p < q {
-					if err := next.Connect(p, q); err != nil {
-						panic(fmt.Sprintf("opus: set-up failed: %v", err))
-					}
+	c.clock.After(c.latency, rs.installFn)
+}
+
+// install completes the rail's reconfiguration once the switching
+// latency has elapsed: it sets up the batch's circuits, grants its
+// requests in queue order, and scans the queue again.
+func (c *Controller) install(rs *railState) {
+	next := rs.sw.Current()
+	for _, req := range rs.batch {
+		for p, q := range req.circuits {
+			if p < q {
+				if err := next.Connect(p, q); err != nil {
+					panic(fmt.Sprintf("opus: set-up failed: %v", err))
 				}
 			}
 		}
-		if err := rs.sw.ApplyOwned(next); err != nil {
-			panic(fmt.Sprintf("opus: set-up apply failed: %v", err))
-		}
-		for _, req := range batch {
-			rs.installed[req.group.Name] = req.circuits
-		}
-		rs.reconfiguring = false
-		c.stats.Reconfigurations++
-		for range batch {
-			c.grant(rs, rs.queue[0])
-		}
-		c.processNow(rs)
-	})
+	}
+	if err := rs.sw.ApplyOwned(next); err != nil {
+		panic(fmt.Sprintf("opus: set-up apply failed: %v", err))
+	}
+	for _, req := range rs.batch {
+		req.state.circuits = req.circuits
+		rs.installed = append(rs.installed, req.state)
+	}
+	rs.reconfiguring = false
+	c.stats.Reconfigurations++
+	for range rs.batch {
+		c.grant(rs, rs.queue[0])
+	}
+	clear(rs.batch)
+	rs.batch = rs.batch[:0]
+	c.processNow(rs)
 }
 
 // grant pops the head request (which must be installed) and runs its
@@ -422,6 +466,8 @@ func (c *Controller) grant(rs *railState, head *request) {
 	}
 	rs.queue = rs.queue[1:]
 	for _, w := range head.waiters {
-		w()
+		head.state.active++
+		c.stats.BlockedTime += c.clock.Now() - w.arrival
+		w.granted(w.arg)
 	}
 }

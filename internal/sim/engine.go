@@ -5,10 +5,17 @@
 // the order they were scheduled (FIFO tie-break by a monotone sequence
 // number), which makes every run bit-reproducible — a requirement for the
 // A/B reconfiguration-latency sweeps in the photonic-rail evaluation.
+//
+// An event due at the current instant (Immediately, PostNow, PostArgNow,
+// or a zero delay) joins a FIFO instead of the heap: most of a
+// simulation's events are same-instant hand-offs, and the FIFO admits
+// and yields them in constant time. Events fire in (time, seq) order
+// across the FIFO and the heap alike.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"photonrail/internal/units"
@@ -36,9 +43,18 @@ func (e *Event) Cancel() { e.dead = true }
 // Engine runs a discrete-event simulation. The zero value is not usable;
 // construct with NewEngine.
 type Engine struct {
-	now     units.Duration
-	seq     uint64
-	queue   []*Event // binary min-heap ordered by (at, seq)
+	now units.Duration
+	seq uint64
+	// queue is a binary min-heap of the events that were in the future
+	// when scheduled, ordered by (at, seq).
+	queue []*Event
+	// fifo[head:] are the events scheduled for the instant that was
+	// current at the time, in seq order. The clock never passes an
+	// instant with FIFO events left, so these are sorted by (at, seq)
+	// too; schedule keeps that true even when a stopped RunUntil leaves
+	// the clock ahead of pending events.
+	fifo    []*Event
+	head    int
 	stopped bool
 	fired   uint64
 	free    *Event // freelist of recycled fire-and-forget events
@@ -49,13 +65,50 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// less orders the event heap by (time, seq).
-func (e *Engine) less(i, j int) bool {
-	a, b := e.queue[i], e.queue[j]
+// before orders events by (time, seq): the firing order.
+func before(a, b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// less orders the event heap.
+func (e *Engine) less(i, j int) bool { return before(e.queue[i], e.queue[j]) }
+
+// schedule queues a stamped event: in the FIFO when it is due now and
+// no FIFO event is due later, otherwise in the heap.
+func (e *Engine) schedule(ev *Event) {
+	if ev.at == e.now && (e.head == len(e.fifo) || e.fifo[len(e.fifo)-1].at <= ev.at) {
+		e.fifo = append(e.fifo, ev)
+		return
+	}
+	e.push(ev)
+}
+
+// next removes and returns the earliest pending event, by (at, seq)
+// across the FIFO and the heap, if it is due no later than deadline;
+// otherwise it returns nil.
+func (e *Engine) next(deadline units.Duration) *Event {
+	if e.head < len(e.fifo) {
+		ev := e.fifo[e.head]
+		if len(e.queue) == 0 || before(ev, e.queue[0]) {
+			if ev.at > deadline {
+				return nil
+			}
+			e.fifo[e.head] = nil
+			e.head++
+			if e.head == len(e.fifo) {
+				e.fifo = e.fifo[:0]
+				e.head = 0
+			}
+			return ev
+		}
+	}
+	if len(e.queue) == 0 || e.queue[0].at > deadline {
+		return nil
+	}
+	return e.popMin()
 }
 
 // push inserts an event into the heap. The heap is hand-rolled rather
@@ -120,7 +173,7 @@ func AcquireEngine() *Engine {
 // cleared — and returns it to the pool backing AcquireEngine. The caller
 // must not use the engine (or any *Event it returned) afterwards.
 func (e *Engine) Release() {
-	for _, ev := range e.queue {
+	for ev := e.next(math.MaxInt64); ev != nil; ev = e.next(math.MaxInt64) {
 		ev.fn = nil
 		ev.afn = nil
 		ev.arg = nil
@@ -128,7 +181,6 @@ func (e *Engine) Release() {
 			e.recycle(ev)
 		}
 	}
-	e.queue = e.queue[:0]
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
@@ -167,7 +219,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are queued (including cancelled ones not
 // yet drained).
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.queue) + len(e.fifo) - e.head }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it is always a logic bug in the caller.
@@ -177,7 +229,7 @@ func (e *Engine) At(t units.Duration, fn func()) *Event {
 	}
 	ev := &Event{at: t, seq: e.seq, fn: fn}
 	e.seq++
-	e.push(ev)
+	e.schedule(ev)
 	return ev
 }
 
@@ -208,7 +260,7 @@ func (e *Engine) PostAt(t units.Duration, fn func()) {
 	ev.seq = e.seq
 	ev.fn = fn
 	e.seq++
-	e.push(ev)
+	e.schedule(ev)
 }
 
 // PostAfter schedules fn to run d after the current virtual time; see
@@ -239,7 +291,7 @@ func (e *Engine) PostArgAt(t units.Duration, fn func(any), arg any) {
 	ev.afn = fn
 	ev.arg = arg
 	e.seq++
-	e.push(ev)
+	e.schedule(ev)
 }
 
 // PostArgAfter schedules fn(arg) to run d after the current virtual
@@ -277,33 +329,31 @@ func (e *Engine) fire(ev *Event) {
 // Run executes events until the queue drains or Stop is called. It returns
 // the final virtual time.
 func (e *Engine) Run() units.Duration {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		ev := e.popMin()
-		if ev.dead {
-			continue
-		}
-		e.fire(ev)
-	}
+	e.runUntil(math.MaxInt64)
 	return e.now
 }
 
 // RunUntil executes events with firing time <= deadline. Events scheduled
 // beyond the deadline remain queued; the clock is advanced to the deadline.
 func (e *Engine) RunUntil(deadline units.Duration) units.Duration {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > deadline {
-			break
-		}
-		ev := e.popMin()
-		if ev.dead {
-			continue
-		}
-		e.fire(ev)
-	}
+	e.runUntil(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
+}
+
+// runUntil fires events due no later than deadline, in (at, seq) order,
+// until none is left or Stop is called.
+func (e *Engine) runUntil(deadline units.Duration) {
+	e.stopped = false
+	for !e.stopped {
+		ev := e.next(deadline)
+		if ev == nil {
+			return
+		}
+		if !ev.dead {
+			e.fire(ev)
+		}
+	}
 }

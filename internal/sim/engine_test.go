@@ -298,15 +298,41 @@ func TestPooledEventRecyclingAndRelease(t *testing.T) {
 	if fired != 100 {
 		t.Fatalf("fired %d, want 100", fired)
 	}
-	// Everything fired sequentially, so at most one event was ever
-	// queued at a time — the freelist should satisfy later Posts.
+	// Every event fired and returned its storage: the freelist should
+	// satisfy later Posts, same-instant (FIFO) and future (heap) alike.
 	if e.free == nil {
 		t.Fatal("no recycled events on the freelist after a pooled run")
 	}
 	ev := e.free
-	e.PostNow(func() {})
-	if got := e.queue[len(e.queue)-1]; got != ev {
+	ranNow := false
+	e.PostNow(func() { ranNow = true })
+	if e.free == ev || ev.fn == nil || ev.at != e.Now() {
 		t.Error("PostNow did not reuse the freelist head")
+	}
+	ev = e.free
+	e.PostAfter(5, func() {})
+	if e.free == ev || ev.fn == nil || ev.at != e.Now()+5 {
+		t.Error("PostAfter did not reuse the freelist head")
+	}
+	e.Run()
+	if !ranNow || e.Pending() != 0 {
+		t.Fatalf("ran=%v pending=%d after Run", ranNow, e.Pending())
+	}
+	if e.free != ev {
+		t.Error("a fired pooled event did not return to the freelist head")
+	}
+	// Steady state: posting and draining on a warm engine allocates
+	// nothing, on either queue.
+	step := func() {}
+	stepArg := func(any) {}
+	if n := testing.AllocsPerRun(50, func() {
+		e.PostNow(step)
+		e.PostAfter(1, step)
+		e.PostArgNow(stepArg, nil)
+		e.PostArgAfter(2, stepArg, nil)
+		e.Run()
+	}); n != 0 {
+		t.Errorf("warm Post/Run allocated %.0f times per run, want 0", n)
 	}
 	e.Release()
 	e2 := AcquireEngine()

@@ -91,6 +91,8 @@ type Program struct {
 
 	idxOnce sync.Once
 	idx     *Index
+	valOnce sync.Once
+	valErr  error
 }
 
 // Index is a Program's derived runtime index: the DAG structure every
@@ -145,6 +147,18 @@ func (p *Program) Index() *Index {
 		p.idx = ix
 	})
 	return p.idx
+}
+
+// ValidIndex returns the program's runtime index once Validate has
+// passed, or Validate's error. Both are computed once per program and
+// shared, so a simulation run after the first pays for neither; the
+// program must not change after its first ValidIndex call.
+func (p *Program) ValidIndex() (*Index, error) {
+	p.valOnce.Do(func() { p.valErr = p.Validate() })
+	if p.valErr != nil {
+		return nil, p.valErr
+	}
+	return p.Index(), nil
 }
 
 // Aux returns the per-program cache value under key, building it with
