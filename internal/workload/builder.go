@@ -329,7 +329,7 @@ func (b *builder) makeGroups() {
 				for s := 0; s < cfg.PP; s++ {
 					ranks[s] = b.gpu(s, sh, t)
 				}
-				reg(b.ppGroupName(sh, t), parallelism.PP, ranks)
+				reg(string(b.ppGroupName(sh, t)), parallelism.PP, ranks)
 			}
 		}
 		for s := 0; s < cfg.PP; s++ {
@@ -340,7 +340,7 @@ func (b *builder) makeGroups() {
 						for d := 0; d < cfg.DP; d++ {
 							ranks[d] = b.gpu(s, shard{d, c, e}, t)
 						}
-						reg(b.fsdpGroupName(s, c, e, t), parallelism.FSDP, ranks)
+						reg(string(b.fsdpGroupName(s, c, e, t)), parallelism.FSDP, ranks)
 					}
 				}
 			}
@@ -351,7 +351,7 @@ func (b *builder) makeGroups() {
 						for c := 0; c < cfg.CP; c++ {
 							ranks[c] = b.gpu(s, shard{d, c, e}, t)
 						}
-						reg(b.cpGroupName(s, d, e, t), parallelism.CP, ranks)
+						reg(string(b.cpGroupName(s, d, e, t)), parallelism.CP, ranks)
 					}
 				}
 			}
@@ -362,7 +362,7 @@ func (b *builder) makeGroups() {
 						for e := 0; e < cfg.EP; e++ {
 							ranks[e] = b.gpu(s, shard{d, c, e}, t)
 						}
-						reg(b.epGroupName(s, d, c, t), parallelism.EP, ranks)
+						reg(string(b.epGroupName(s, d, c, t)), parallelism.EP, ranks)
 					}
 				}
 			}
@@ -370,20 +370,23 @@ func (b *builder) makeGroups() {
 	}
 }
 
-func (b *builder) ppGroupName(sh shard, t int) string {
-	return b.fmtd("pp.d%d.c%d.e%d.r%d", sh.d, sh.c, sh.e, t)
+// The group-name formatters write into the label scratch buffer, valid
+// until the next format. A lookup indexes b.groups with the bytes
+// converted in the index expression, which allocates no string.
+func (b *builder) ppGroupName(sh shard, t int) []byte {
+	return b.appendd("pp.d%d.c%d.e%d.r%d", sh.d, sh.c, sh.e, t)
 }
 
-func (b *builder) fsdpGroupName(s, c, e, t int) string {
-	return b.fmtd("fsdp.s%d.c%d.e%d.r%d", s, c, e, t)
+func (b *builder) fsdpGroupName(s, c, e, t int) []byte {
+	return b.appendd("fsdp.s%d.c%d.e%d.r%d", s, c, e, t)
 }
 
-func (b *builder) cpGroupName(s, d, e, t int) string {
-	return b.fmtd("cp.s%d.d%d.e%d.r%d", s, d, e, t)
+func (b *builder) cpGroupName(s, d, e, t int) []byte {
+	return b.appendd("cp.s%d.d%d.e%d.r%d", s, d, e, t)
 }
 
-func (b *builder) epGroupName(s, d, c, t int) string {
-	return b.fmtd("ep.s%d.d%d.c%d.r%d", s, d, c, t)
+func (b *builder) epGroupName(s, d, c, t int) []byte {
+	return b.appendd("ep.s%d.d%d.c%d.r%d", s, d, c, t)
 }
 
 // arenaChunk sizes the bt/Task arena blocks.
@@ -413,6 +416,12 @@ func (b *builder) newTask() *Task {
 // biggest formatting cost of compilation, and every one of them is
 // integers spliced into a literal.
 func (b *builder) fmtd(format string, args ...int) string {
+	return string(b.appendd(format, args...))
+}
+
+// appendd formats like fmtd into the scratch buffer and returns the
+// buffer, valid until the next format.
+func (b *builder) appendd(format string, args ...int) []byte {
 	buf := b.lbuf[:0]
 	ai := 0
 	for i := 0; i < len(format); i++ {
@@ -426,7 +435,7 @@ func (b *builder) fmtd(format string, args ...int) string {
 		buf = append(buf, c)
 	}
 	b.lbuf = buf
-	return string(buf)
+	return buf
 }
 
 // fsdpLabel formats the per-blob FSDP collective labels
@@ -628,14 +637,14 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 						if s < cfg.PP-1 {
 							srF[key] = b.add(b.collTask(
 								b.fmtd("SRf s%d>s%d d%d c%d e%d r%d mb%d", s, s+1, sh.d, sh.c, sh.e, t, m),
-								parallelism.SendRecv, parallelism.PP, b.groups[b.ppGroupName(sh, t)],
+								parallelism.SendRecv, parallelism.PP, b.groups[string(b.ppGroupName(sh, t))],
 								[]topo.GPUID{b.gpu(s, sh, t), b.gpu(s+1, sh, t)},
 								b.srBytes, t, it, m, trace.Steady))
 						}
 						if s > 0 {
 							srB[key] = b.add(b.collTask(
 								b.fmtd("SRb s%d>s%d d%d c%d e%d r%d mb%d", s, s-1, sh.d, sh.c, sh.e, t, m),
-								parallelism.SendRecv, parallelism.PP, b.groups[b.ppGroupName(sh, t)],
+								parallelism.SendRecv, parallelism.PP, b.groups[string(b.ppGroupName(sh, t))],
 								[]topo.GPUID{b.gpu(s, sh, t), b.gpu(s-1, sh, t)},
 								b.srBytes, t, it, m, trace.Steady))
 						}
@@ -657,8 +666,7 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 			for e := 0; e < cfg.EP; e++ {
 				for c := 0; c < cfg.CP; c++ {
 					for t := 0; t < cfg.TP; t++ {
-						gname := b.fsdpGroupName(s, c, e, t)
-						g := b.groups[gname]
+						g := b.groups[string(b.fsdpGroupName(s, c, e, t))]
 						var prev *bt
 						for bi, bl := range blobs {
 							n := b.add(b.collTask(
@@ -758,9 +766,8 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 							// before attention (fwd AG per layer). One op
 							// per CP group, gated on every member.
 							if cfg.CP > 1 {
-								cg := b.cpGroupName(s, sh.d, sh.e, t)
 								cp := getShared(cKey{"cpag", s, sh.d, -1, sh.e, t, op.mb, l}, func() *Task {
-									g := b.groups[cg]
+									g := b.groups[string(b.cpGroupName(s, sh.d, sh.e, t))]
 									return b.collTask(
 										b.fmtd("CPAG s%d d%d e%d r%d mb%d L%d", s, sh.d, sh.e, t, op.mb, l),
 										parallelism.AllGather, parallelism.CP, g,
@@ -771,9 +778,8 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 							// EP: dispatch tokens to experts before the
 							// MLP (AllToAll per layer).
 							if cfg.EP > 1 {
-								eg := b.epGroupName(s, sh.d, sh.c, t)
 								disp := getShared(cKey{"epd", s, sh.d, sh.c, -1, t, op.mb, l}, func() *Task {
-									g := b.groups[eg]
+									g := b.groups[string(b.epGroupName(s, sh.d, sh.c, t))]
 									return b.collTask(
 										b.fmtd("EPA2A-d s%d d%d c%d r%d mb%d L%d", s, sh.d, sh.c, t, op.mb, l),
 										parallelism.AllToAll, parallelism.EP, g,
@@ -795,9 +801,8 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 							chain = b.add(ct, deps...)
 							// EP: combine expert outputs after the MLP.
 							if cfg.EP > 1 {
-								eg := b.epGroupName(s, sh.d, sh.c, t)
 								chain = getShared(cKey{"epc", s, sh.d, sh.c, -1, t, op.mb, l}, func() *Task {
-									g := b.groups[eg]
+									g := b.groups[string(b.epGroupName(s, sh.d, sh.c, t))]
 									return b.collTask(
 										b.fmtd("EPA2A-c s%d d%d c%d r%d mb%d L%d", s, sh.d, sh.c, t, op.mb, l),
 										parallelism.AllToAll, parallelism.EP, g,
@@ -819,9 +824,8 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 							// EP backward: combine gradients in, dispatch
 							// gradients out.
 							if cfg.EP > 1 {
-								eg := b.epGroupName(s, sh.d, sh.c, t)
 								comb := getShared(cKey{"epcb", s, sh.d, sh.c, -1, t, op.mb, l}, func() *Task {
-									g := b.groups[eg]
+									g := b.groups[string(b.epGroupName(s, sh.d, sh.c, t))]
 									return b.collTask(
 										b.fmtd("EPA2A-cb s%d d%d c%d r%d mb%d L%d", s, sh.d, sh.c, t, op.mb, l),
 										parallelism.AllToAll, parallelism.EP, g,
@@ -842,9 +846,8 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 							}
 							chain = b.add(ct, deps...)
 							if cfg.EP > 1 {
-								eg := b.epGroupName(s, sh.d, sh.c, t)
 								chain = getShared(cKey{"epdb", s, sh.d, sh.c, -1, t, op.mb, l}, func() *Task {
-									g := b.groups[eg]
+									g := b.groups[string(b.epGroupName(s, sh.d, sh.c, t))]
 									return b.collTask(
 										b.fmtd("EPA2A-db s%d d%d c%d r%d mb%d L%d", s, sh.d, sh.c, t, op.mb, l),
 										parallelism.AllToAll, parallelism.EP, g,
@@ -854,9 +857,8 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 							// CP backward: reduce-scatter the context
 							// gradients (bwd RS per layer).
 							if cfg.CP > 1 {
-								cg := b.cpGroupName(s, sh.d, sh.e, t)
 								chain = getShared(cKey{"cprs", s, sh.d, -1, sh.e, t, op.mb, l}, func() *Task {
-									g := b.groups[cg]
+									g := b.groups[string(b.cpGroupName(s, sh.d, sh.e, t))]
 									return b.collTask(
 										b.fmtd("CPRS s%d d%d e%d r%d mb%d L%d", s, sh.d, sh.e, t, op.mb, l),
 										parallelism.ReduceScatter, parallelism.CP, g,
@@ -931,11 +933,11 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 		arPPOf := make(map[shard]*bt)
 		if cfg.PP > 1 {
 			for _, sh := range shards {
-				gname := b.ppGroupName(sh, t)
+				g := b.groups[string(b.ppGroupName(sh, t))]
 				n := b.add(b.collTask(
 					b.fmtd("AR norm-pp d%d c%d e%d r%d", sh.d, sh.c, sh.e, t),
-					parallelism.AllReduce, parallelism.PP, b.groups[gname],
-					b.groups[gname].Ranks, cfg.SyncARBytes, t, it, -1, trace.Sync))
+					parallelism.AllReduce, parallelism.PP, g,
+					g.Ranks, cfg.SyncARBytes, t, it, -1, trace.Sync))
 				for s := 0; s < cfg.PP; s++ {
 					if cfg.DP > 1 {
 						b.addDeps(n, rsTask[agKey{s, sh.c, sh.e, t, 0}]) // final RS of the chain
@@ -951,11 +953,11 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 			if cfg.DP > 1 {
 				for e := 0; e < cfg.EP; e++ {
 					for c := 0; c < cfg.CP; c++ {
-						gname := b.fsdpGroupName(s, c, e, t)
+						g := b.groups[string(b.fsdpGroupName(s, c, e, t))]
 						arDP := b.add(b.collTask(
 							b.fmtd("AR norm-dp s%d c%d e%d r%d", s, c, e, t),
-							parallelism.AllReduce, parallelism.FSDP, b.groups[gname],
-							b.groups[gname].Ranks, cfg.SyncARBytes, t, it, -1, trace.Sync))
+							parallelism.AllReduce, parallelism.FSDP, g,
+							g.Ranks, cfg.SyncARBytes, t, it, -1, trace.Sync))
 						for d := 0; d < cfg.DP; d++ {
 							sh := shard{d, c, e}
 							if n := arPPOf[sh]; n != nil {
@@ -990,11 +992,11 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 			if cfg.DP > 1 {
 				for e := 0; e < cfg.EP; e++ {
 					for c := 0; c < cfg.CP; c++ {
-						gname := b.fsdpGroupName(s, c, e, t)
+						g := b.groups[string(b.fsdpGroupName(s, c, e, t))]
 						loss := b.add(b.collTask(
 							b.fmtd("AR loss s%d c%d e%d r%d", s, c, e, t),
-							parallelism.AllReduce, parallelism.FSDP, b.groups[gname],
-							b.groups[gname].Ranks, cfg.SyncARBytes, t, it, -1, trace.Sync))
+							parallelism.AllReduce, parallelism.FSDP, g,
+							g.Ranks, cfg.SyncARBytes, t, it, -1, trace.Sync))
 						for d := 0; d < cfg.DP; d++ {
 							b.addDeps(loss, prevEnd[rkey{s, shard{d, c, e}, t}])
 						}
