@@ -121,8 +121,8 @@ func (r *Result) MeanIterationTime() units.Duration {
 // provisioned passes of several latency points at once. The speculation
 // decisions it implies (upcomingGroups) are pure functions of the
 // profile, the program, and the port plan — latency never enters — so
-// they are memoized on the Profile itself and shared by every pass at
-// every latency.
+// they are computed once, for every profiled op, on the Profile itself
+// and shared by every pass at every latency.
 type Profile struct {
 	// order[rail] lists task IDs in completion order.
 	order map[topo.RailID][]workload.TaskID
@@ -130,16 +130,23 @@ type Profile struct {
 	// tasks outside every rail order (compute, scale-up collectives).
 	pos []int
 
-	// spec memoizes upcomingGroups per task ID for one port plan (in
-	// practice the only plan a profile is ever consulted with — only
-	// single-plan Photonic runs provision); guarded by mu. Task-indexed
-	// slices cost two allocations per profile where a map would churn
-	// buckets for every task in the program. A consultation under a
-	// different plan (specPlan mismatch) bypasses the memo.
-	mu       sync.Mutex
-	specPlan opus.PortPlan
-	spec     [][]*collective.Group
-	specDone []bool
+	// spec holds the speculation decision of every profiled op, made
+	// at the first consultation from that run's program and port plan
+	// (in practice the only ones a profile is ever consulted with: the
+	// program it was recorded from, and the one plan of a provisioning
+	// Photonic run). A consultation under another plan computes its
+	// decision afresh.
+	specOnce sync.Once
+	spec     speculation
+}
+
+// speculation is upcomingGroups' answer for every profiled op, back to
+// back: the op at index i of rail r's order speculates on
+// groups[start[r][i]:start[r][i+1]].
+type speculation struct {
+	plan   opus.PortPlan
+	start  [][]int32
+	groups []*collective.Group
 }
 
 // Equal reports whether two profiles record the same per-rail op order.
@@ -202,55 +209,63 @@ func (p *Profile) Fingerprint() string {
 const provisionLookahead = 8
 
 // upcomingGroups returns the distinct groups of the next parallelism
-// phase following task t on its rail: it walks the profiled order,
-// skipping t's own group, collecting mutually conflict-free groups, and
-// stopping at the first group that conflicts with one already collected
-// (that group belongs to the phase after next) or at a return to t's
-// group.
+// phase following task t on its rail; see appendUpcoming. Callers must
+// not modify the returned slice.
 func (p *Profile) upcomingGroups(tasks []*workload.Task, t *workload.Task, table *opus.CircuitTable) []*collective.Group {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.specDone == nil {
-		p.specPlan = table.Plan()
-		p.spec = make([][]*collective.Group, len(tasks))
-		p.specDone = make([]bool, len(tasks))
-	}
-	id := int(t.ID)
-	memo := p.specPlan == table.Plan() && id < len(p.specDone)
-	if memo && p.specDone[id] {
-		return p.spec[id]
-	}
-	gs := p.upcomingGroupsUncached(tasks, t, table)
-	if memo {
-		p.spec[id] = gs
-		p.specDone[id] = true
-	}
-	return gs
-}
-
-// upcomingGroupsUncached computes one speculation decision; see
-// upcomingGroups for the memoized entry point.
-func (p *Profile) upcomingGroupsUncached(tasks []*workload.Task, t *workload.Task, table *opus.CircuitTable) []*collective.Group {
-	if int(t.ID) >= len(p.pos) {
-		return nil // profile from a smaller program (foreign-profile runs)
+	if int(t.ID) >= len(p.pos) || p.pos[t.ID] < 0 {
+		return nil // unprofiled op, or a profile from a smaller program
 	}
 	idx := p.pos[t.ID]
-	if idx < 0 {
-		return nil
+	p.specOnce.Do(func() { p.spec = p.speculate(tasks, table) })
+	if sp := &p.spec; sp.plan == table.Plan() && int(t.Rail) < len(sp.start) && idx+1 < len(sp.start[t.Rail]) {
+		st := sp.start[t.Rail]
+		return sp.groups[st[idx]:st[idx+1]:st[idx+1]]
 	}
-	order := p.order[t.Rail]
+	return p.appendUpcoming(nil, tasks, p.order[t.Rail], idx, t.Group.Name, table)
+}
+
+// speculate computes the decision of every profiled op for the
+// program of tasks under the table's plan.
+func (p *Profile) speculate(tasks []*workload.Task, table *opus.CircuitTable) speculation {
+	rails, ops := 0, 0
+	for r, order := range p.order {
+		rails = max(rails, int(r)+1)
+		ops += len(order)
+	}
+	sp := speculation{plan: table.Plan(), start: make([][]int32, rails)}
+	buf := make([]int32, 0, ops+rails)
+	for r := range sp.start {
+		order := p.order[topo.RailID(r)]
+		from := len(buf)
+		for i := range order {
+			buf = append(buf, int32(len(sp.groups)))
+			sp.groups = p.appendUpcoming(sp.groups, tasks, order, i, tasks[order[i]].Group.Name, table)
+		}
+		buf = append(buf, int32(len(sp.groups)))
+		sp.start[r] = buf[from:len(buf):len(buf)]
+	}
+	return sp
+}
+
+// appendUpcoming appends to dst the distinct groups of the next
+// parallelism phase following the op of group own at index idx of a
+// rail's order: it walks the profiled order, skipping own, collecting
+// mutually conflict-free groups, and stopping at the first group that
+// conflicts with one already collected (that group belongs to the phase
+// after next) or at a return to own.
+func (p *Profile) appendUpcoming(dst []*collective.Group, tasks []*workload.Task, order []workload.TaskID, idx int, own string, table *opus.CircuitTable) []*collective.Group {
 	// Only the last op of a group run triggers provisioning: while our
 	// own group still has profiled traffic immediately ahead, a
 	// speculative conflicting request would stall that traffic behind
 	// the FC-FS queue (tearing down circuits the phase still needs).
-	if idx+1 < len(order) && tasks[order[idx+1]].Group.Name == t.Group.Name {
-		return nil
+	if idx+1 < len(order) && tasks[order[idx+1]].Group.Name == own {
+		return dst
 	}
-	var out []*collective.Group
+	mark := len(dst)
 	phaseStarted := false
-	for j := idx + 1; j < len(order) && len(out) < provisionLookahead; j++ {
+	for j := idx + 1; j < len(order) && len(dst)-mark < provisionLookahead; j++ {
 		g := tasks[order[j]].Group
-		if g.Name == t.Group.Name {
+		if g.Name == own {
 			if phaseStarted {
 				break // the phase after next returns to our group
 			}
@@ -258,7 +273,7 @@ func (p *Profile) upcomingGroupsUncached(tasks []*workload.Task, t *workload.Tas
 		}
 		phaseStarted = true
 		dup := false
-		for _, seen := range out {
+		for _, seen := range dst[mark:] {
 			if seen.Name == g.Name {
 				dup = true
 				break
@@ -268,10 +283,10 @@ func (p *Profile) upcomingGroupsUncached(tasks []*workload.Task, t *workload.Tas
 			continue
 		}
 		conflict := false
-		for _, seen := range out {
+		for _, seen := range dst[mark:] {
 			c, err := table.GroupsConflict(seen, g)
 			if err != nil {
-				return out
+				return dst
 			}
 			if c {
 				conflict = true
@@ -281,9 +296,9 @@ func (p *Profile) upcomingGroupsUncached(tasks []*workload.Task, t *workload.Tas
 		if conflict {
 			break // start of the phase after next
 		}
-		out = append(out, g)
+		dst = append(dst, g)
 	}
-	return out
+	return dst
 }
 
 // Run executes the program under the given options.
