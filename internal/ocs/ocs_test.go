@@ -301,6 +301,54 @@ func TestSwitchTrafficConflict(t *testing.T) {
 	}
 }
 
+// TearDown and SetUp change the installed matching in place, group by
+// group, with Apply's safety rules: a busy circuit stays, a used port
+// is not reused, and a refused call leaves the switch unchanged.
+func TestSwitchTearDownSetUp(t *testing.T) {
+	s := NewSwitch("rail0", PLZT) // radix 16
+	pair := func(a, b Port) Matching {
+		m := Matching{}
+		_ = m.Connect(a, b)
+		return m
+	}
+	a, b := pair(0, 1), pair(2, 3)
+	for _, m := range []Matching{a, b} {
+		if err := s.SetUp(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Connected(0, 1) || !s.Connected(3, 2) {
+		t.Fatal("SetUp did not install its circuits")
+	}
+	if err := s.PinTraffic(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.TearDown(a); err == nil {
+		t.Error("tear-down disturbed ongoing traffic")
+	}
+	if err := s.TearDown(pair(4, 5)); err == nil {
+		t.Error("tear-down of an uninstalled circuit accepted")
+	}
+	if err := s.TearDown(b); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Connected(0, 1) || s.Connected(2, 3) {
+		t.Error("TearDown removed the wrong circuits")
+	}
+	for _, m := range []Matching{pair(1, 7), pair(6, 20)} {
+		if err := s.SetUp(m); err == nil {
+			t.Errorf("SetUp(%v) accepted", m)
+		}
+	}
+	want := pair(0, 1)
+	if cur := s.Current(); !cur.Equal(want) {
+		t.Errorf("refused calls changed the switch: %v, want %v", cur, want)
+	}
+	if s.Reconfigurations() != 0 {
+		t.Errorf("TearDown/SetUp counted %d reconfigurations", s.Reconfigurations())
+	}
+}
+
 func TestSwitchPinErrors(t *testing.T) {
 	s := NewSwitch("rail0", MEMS3D)
 	if err := s.PinTraffic(0); err == nil {

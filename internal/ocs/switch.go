@@ -119,19 +119,6 @@ func (s *Switch) CanApply(next Matching) (Port, bool) {
 // the radix or conflicts with ongoing traffic. Applying an identical
 // matching is a no-op and does not count as a reconfiguration.
 func (s *Switch) Apply(next Matching) error {
-	return s.apply(next, false)
-}
-
-// ApplyOwned is Apply taking ownership of next: the switch installs it
-// without the defensive copy, so the caller must not touch next
-// afterwards. Hot reconfiguration paths that build a fresh matching per
-// actuation (the Opus controller) use it to halve matching churn; all
-// validation is identical to Apply.
-func (s *Switch) ApplyOwned(next Matching) error {
-	return s.apply(next, true)
-}
-
-func (s *Switch) apply(next Matching, owned bool) error {
 	if err := next.ValidateRadix(s.tech.Radix); err != nil {
 		return fmt.Errorf("ocs %s: %w", s.name, err)
 	}
@@ -141,11 +128,48 @@ func (s *Switch) apply(next Matching, owned bool) error {
 	if p, ok := s.CanApply(next); !ok {
 		return fmt.Errorf("ocs %s: reconfiguration conflicts with ongoing traffic on port %d", s.name, p)
 	}
-	if owned {
-		s.current = next
-	} else {
-		s.current = next.Clone()
-	}
+	s.current = next.Clone()
 	s.reconfig++
+	return nil
+}
+
+// TearDown removes m's circuits from the installed matching in place.
+// With SetUp it is the incremental form of Apply for a controller that
+// reconfigures one communication group at a time (the Opus controller):
+// no copy of the installed matching, and no pass over the circuits m
+// leaves alone. Like Apply it refuses to disturb a circuit that carries
+// traffic; it also refuses a circuit of m that is not installed. On
+// error the switch is unchanged. TearDown and SetUp do not count toward
+// Reconfigurations.
+func (s *Switch) TearDown(m Matching) error {
+	for a, b := range m {
+		if peer, ok := s.current[a]; !ok || peer != b {
+			return fmt.Errorf("ocs %s: tear-down of uninstalled circuit %d<->%d", s.name, a, b)
+		}
+		if s.Busy(a) {
+			return fmt.Errorf("ocs %s: reconfiguration conflicts with ongoing traffic on port %d", s.name, a)
+		}
+	}
+	for a := range m {
+		delete(s.current, a)
+	}
+	return nil
+}
+
+// SetUp adds m's circuits to the installed matching in place; see
+// TearDown. It refuses a matching that is invalid for the radix and a
+// port that is already in a circuit. On error the switch is unchanged.
+func (s *Switch) SetUp(m Matching) error {
+	if err := m.ValidateRadix(s.tech.Radix); err != nil {
+		return fmt.Errorf("ocs %s: %w", s.name, err)
+	}
+	for a := range m {
+		if peer, ok := s.current[a]; ok {
+			return fmt.Errorf("ocs %s: port %d already connected to %d", s.name, a, peer)
+		}
+	}
+	for a, b := range m {
+		s.current[a] = b
+	}
 	return nil
 }

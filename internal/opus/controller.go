@@ -101,6 +101,9 @@ type railState struct {
 	// requests are batch.
 	reconfiguring bool
 	batch         []*request
+	// tearDown is processNow's scratch list of the groups its batch
+	// tears down.
+	tearDown []*groupState
 	// processScheduled marks a pending deferred queue scan; deferring to
 	// the end of the current instant lets same-instant requests coalesce
 	// into one physical reconfiguration.
@@ -131,6 +134,10 @@ type Controller struct {
 	latency units.Duration
 	rails   []railState // indexed by RailID
 	stats   Stats
+	// free recycles requests that left their queue, so a run allocates
+	// requests up to its peak queue depth rather than one per queued
+	// acquisition.
+	free []*request
 }
 
 // NewController builds a controller for every rail of the plan's
@@ -244,7 +251,9 @@ func (c *Controller) AcquireArg(rail topo.RailID, group *collective.Group, grant
 		if err != nil {
 			return err
 		}
-		rs.queue = append(rs.queue, &request{group: group, state: g, circuits: circuits, waiters: []waiter{w}})
+		req := c.newRequest(group, g, circuits)
+		req.waiters = append(req.waiters, w)
+		rs.queue = append(rs.queue, req)
 	}
 	c.process(rs)
 	return nil
@@ -271,9 +280,29 @@ func (c *Controller) Provision(rail topo.RailID, group *collective.Group) error 
 		return err
 	}
 	c.stats.ProvisionedRequests++
-	rs.queue = append(rs.queue, &request{group: group, state: g, circuits: circuits})
+	rs.queue = append(rs.queue, c.newRequest(group, g, circuits))
 	c.process(rs)
 	return nil
+}
+
+// newRequest returns a waiterless request, recycled when one is free.
+func (c *Controller) newRequest(group *collective.Group, g *groupState, circuits ocs.Matching) *request {
+	var req *request
+	if n := len(c.free); n > 0 {
+		req = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		req = &request{}
+	}
+	req.group, req.state, req.circuits = group, g, circuits
+	return req
+}
+
+// recycle returns a request that has left its queue for reuse.
+func (c *Controller) recycle(req *request) {
+	clear(req.waiters)
+	*req = request{waiters: req.waiters[:0]}
+	c.free = append(c.free, req)
 }
 
 // Release marks one transfer of group on rail complete and lets the
@@ -299,10 +328,12 @@ func (c *Controller) cancelSpeculation(rs *railState, live ocs.Matching) {
 	kept := rs.queue[:0]
 	for _, req := range rs.queue {
 		if len(req.waiters) == 0 && !req.inFlight && conflicts(req.circuits, live) {
+			c.recycle(req)
 			continue
 		}
 		kept = append(kept, req)
 	}
+	clear(rs.queue[len(kept):])
 	rs.queue = kept
 }
 
@@ -372,8 +403,7 @@ func (c *Controller) processNow(rs *railState) {
 	// Grow the batch from the head: stop at the first request that
 	// conflicts with the batch or whose tear-down targets are busy.
 	// Stopping (rather than skipping) preserves FC-FS order.
-	batch := rs.batch[:0]
-	var tearDown []*groupState
+	batch, tearDown := rs.batch[:0], rs.tearDown[:0]
 grow:
 	for _, req := range rs.queue {
 		for _, b := range batch {
@@ -406,24 +436,23 @@ grow:
 	// One physical reconfiguration: tear down, wait the switching
 	// latency, set up, grant in queue order.
 	rs.reconfiguring = true
-	next := rs.sw.Current()
 	for _, g := range tearDown {
-		for p := range g.circuits {
-			next.Disconnect(p)
+		if err := rs.sw.TearDown(g.circuits); err != nil {
+			panic(fmt.Sprintf("opus: tear-down of idle circuits failed: %v", err))
 		}
 		g.circuits = nil
 		g.tearing = false
 	}
+	clear(tearDown)
+	rs.tearDown = tearDown[:0]
 	kept := rs.installed[:0]
 	for _, g := range rs.installed {
 		if g.circuits != nil {
 			kept = append(kept, g)
 		}
 	}
+	clear(rs.installed[len(kept):])
 	rs.installed = kept
-	if err := rs.sw.ApplyOwned(next); err != nil {
-		panic(fmt.Sprintf("opus: tear-down of idle circuits failed: %v", err))
-	}
 	c.clock.After(c.latency, rs.installFn)
 }
 
@@ -431,20 +460,10 @@ grow:
 // latency has elapsed: it sets up the batch's circuits, grants its
 // requests in queue order, and scans the queue again.
 func (c *Controller) install(rs *railState) {
-	next := rs.sw.Current()
 	for _, req := range rs.batch {
-		for p, q := range req.circuits {
-			if p < q {
-				if err := next.Connect(p, q); err != nil {
-					panic(fmt.Sprintf("opus: set-up failed: %v", err))
-				}
-			}
+		if err := rs.sw.SetUp(req.circuits); err != nil {
+			panic(fmt.Sprintf("opus: set-up failed: %v", err))
 		}
-	}
-	if err := rs.sw.ApplyOwned(next); err != nil {
-		panic(fmt.Sprintf("opus: set-up apply failed: %v", err))
-	}
-	for _, req := range rs.batch {
 		req.state.circuits = req.circuits
 		rs.installed = append(rs.installed, req.state)
 	}
@@ -464,10 +483,12 @@ func (c *Controller) grant(rs *railState, head *request) {
 	if rs.queue[0] != head {
 		panic("opus: grant out of FC-FS order")
 	}
+	rs.queue[0] = nil
 	rs.queue = rs.queue[1:]
 	for _, w := range head.waiters {
 		head.state.active++
 		c.stats.BlockedTime += c.clock.Now() - w.arrival
 		w.granted(w.arg)
 	}
+	c.recycle(head)
 }
