@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -220,9 +221,20 @@ func (c *Client) call(m *Message) (*Message, error) {
 		return nil, errClosedAwaitingReply
 	}
 	if resp.Type == MsgErr {
-		return nil, fmt.Errorf("opusnet: %s", resp.Error)
+		return nil, PeerError("opusnet: ", resp.Error)
 	}
 	return resp, nil
+}
+
+// PeerError returns a peer's MsgErr text as an error under prefix, the
+// name of the client's package ("opusnet: ", "railserve: "). The servers
+// of this repo write their texts under that same name, so the prefix is
+// added only where the text does not already start with it.
+func PeerError(prefix, text string) error {
+	if strings.HasPrefix(text, prefix) {
+		return errors.New(text)
+	}
+	return errors.New(prefix + text)
 }
 
 // RegisterGroup declares a communication group in the controller's

@@ -79,14 +79,18 @@ func (l *Listener) Closed() bool {
 
 // Close stops accepting, closes every live connection, cancels
 // Context, and waits for the accept loop and the connection handlers
-// to finish.
+// to finish. It takes the connection set under the lock and closes the
+// connections after releasing it: a TCP conn's Close waits for the read
+// in progress on it, and Closed and serve must not wait behind that.
 func (l *Listener) Close() error {
 	l.mu.Lock()
 	l.closed = true
-	for conn := range l.conns {
+	conns := l.conns
+	l.conns = nil // serve tracks no conn once closed
+	l.mu.Unlock()
+	for conn := range conns {
 		_ = conn.Close()
 	}
-	l.mu.Unlock()
 	l.cancel()
 	err := l.ln.Close()
 	l.wg.Wait()

@@ -3,6 +3,7 @@ package opusnet
 import (
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -162,5 +163,125 @@ func TestAcceptLoopClosesConnWhenRegisterRefuses(t *testing.T) {
 	closeWithin(t, l)
 	if !c.closed {
 		t.Fatal("refused connection was not closed")
+	}
+}
+
+// chanListener accepts the conns sent on conns until it is closed.
+type chanListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (l *chanListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *chanListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *chanListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// slowCloseConn's Close blocks until release, as a TCP conn's Close
+// waits for the read in progress on it; closing reports that a Close
+// has begun.
+type slowCloseConn struct {
+	net.Conn
+	closing, release chan struct{}
+	once             sync.Once
+}
+
+func (c *slowCloseConn) Close() error {
+	c.once.Do(func() { close(c.closing) })
+	<-c.release
+	return c.Conn.Close()
+}
+
+// closedConn reports its Close on closed.
+type closedConn struct {
+	net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *closedConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestCloseReleasesLockWhileClosingConns: Close closes the live
+// connections outside the listener's lock, so while one of them blocks
+// in its Close, Closed still answers and a connection accepted
+// meanwhile is still refused and closed.
+func TestCloseReleasesLockWhileClosingConns(t *testing.T) {
+	ln := &chanListener{conns: make(chan net.Conn), closed: make(chan struct{})}
+	l, err := Listen("", ln, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Start(func(*Message, func(*Message, bool), *ConnState) {})
+	a, aPeer := net.Pipe()
+	defer aPeer.Close()
+	slow := &slowCloseConn{Conn: a, closing: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(slow.release) })
+	defer release() // a failed run's blocked Closes
+	ln.conns <- slow
+	tracked := func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		_, ok := l.conns[slow]
+		return ok
+	}
+	for deadline := time.Now().Add(5 * time.Second); !tracked(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the accepted connection was never tracked")
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	within := func(what string, done <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s did not return while a connection's Close was in progress", what)
+		}
+	}
+	within("the first connection's Close", slow.closing)
+
+	answered := make(chan struct{})
+	go func() {
+		if !l.Closed() {
+			t.Error("Closed() = false during Close")
+		}
+		close(answered)
+	}()
+	within("Closed", answered)
+
+	b, bPeer := net.Pipe()
+	defer bPeer.Close()
+	late := &closedConn{Conn: b, closed: make(chan struct{})}
+	select {
+	case ln.conns <- late:
+		within("closing a connection accepted during Close", late.closed)
+	case <-time.After(2 * time.Second):
+		t.Error("the accept loop stopped accepting before Close closed the listener")
+	}
+
+	release()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("Close = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
 	}
 }

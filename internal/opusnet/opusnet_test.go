@@ -253,6 +253,18 @@ func TestProvisionOverTCP(t *testing.T) {
 	}
 }
 
+// TestShimErrorTextPrefixedOnce: the controller writes its error texts
+// under "opusnet: ", and the shim client hands them on with that prefix
+// once.
+func TestShimErrorTextPrefixedOnce(t *testing.T) {
+	s := newTestServer(t, 0)
+	c := dialRank(t, s, 0)
+	err := c.Release("nope", 0)
+	if want := `opusnet: release of unknown group "nope"`; err == nil || err.Error() != want {
+		t.Errorf("release err = %v, want %s", err, want)
+	}
+}
+
 func TestDuplicateAcquireRejected(t *testing.T) {
 	s := newTestServer(t, 0)
 	c0 := dialRank(t, s, 0)

@@ -55,7 +55,7 @@ func (c *Client) Close() error { return c.cc.Close() }
 func (c *Client) call(ctx context.Context, m *opusnet.Message, onProgress func(done, total int)) (*opusnet.Message, error) {
 	resp, err := c.cc.Call(ctx, m, onProgress)
 	if err == nil && resp.Type == opusnet.MsgErr {
-		return nil, fmt.Errorf("railserve: %s", resp.Error)
+		return nil, opusnet.PeerError("railserve: ", resp.Error)
 	}
 	return resp, err
 }

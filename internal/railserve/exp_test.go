@@ -262,6 +262,28 @@ func TestExpDeadline(t *testing.T) {
 	}
 }
 
+// TestErrorTextsPrefixedOnce: raild writes its error texts under
+// "railserve: ", and the client hands them on with that prefix once,
+// for a refused request and for a server-side deadline alike.
+func TestErrorTextsPrefixedOnce(t *testing.T) {
+	s := newTestServer(t, 0, 0)
+	c := dialTest(t, s)
+	_, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "fig99"}, nil)
+	want := `railserve: unknown experiment (see photonrail.Experiments; grids run via name "grid")`
+	if err == nil || err.Error() != want {
+		t.Errorf("unknown experiment err = %v, want %s", err, want)
+	}
+	gate := make(chan struct{})
+	s.setExecGate(gate)
+	_, err = c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "table1", TimeoutMS: 50}, nil)
+	close(gate)
+	s.setExecGate(nil)
+	want = `railserve: experiment "table1": context deadline exceeded`
+	if err == nil || err.Error() != want {
+		t.Errorf("deadline err = %v, want %s", err, want)
+	}
+}
+
 // TestExpRejectsBadRequests: unknown names, grids on non-grid
 // experiments, and oversized grids are refused without executing.
 func TestExpRejectsBadRequests(t *testing.T) {
