@@ -51,7 +51,6 @@ type Stats struct {
 
 // request is one queued circuit acquisition on a rail.
 type request struct {
-	group    *collective.Group
 	state    *groupState // the group's entry on the request's rail
 	circuits ocs.Matching
 	// waiters are the grants Acquire attached, in arrival order; a
@@ -251,7 +250,7 @@ func (c *Controller) AcquireArg(rail topo.RailID, group *collective.Group, grant
 		if err != nil {
 			return err
 		}
-		req := c.newRequest(group, g, circuits)
+		req := c.newRequest(g, circuits)
 		req.waiters = append(req.waiters, w)
 		rs.queue = append(rs.queue, req)
 	}
@@ -280,13 +279,13 @@ func (c *Controller) Provision(rail topo.RailID, group *collective.Group) error 
 		return err
 	}
 	c.stats.ProvisionedRequests++
-	rs.queue = append(rs.queue, c.newRequest(group, g, circuits))
+	rs.queue = append(rs.queue, c.newRequest(g, circuits))
 	c.process(rs)
 	return nil
 }
 
 // newRequest returns a waiterless request, recycled when one is free.
-func (c *Controller) newRequest(group *collective.Group, g *groupState, circuits ocs.Matching) *request {
+func (c *Controller) newRequest(g *groupState, circuits ocs.Matching) *request {
 	var req *request
 	if n := len(c.free); n > 0 {
 		req = c.free[n-1]
@@ -294,7 +293,7 @@ func (c *Controller) newRequest(group *collective.Group, g *groupState, circuits
 	} else {
 		req = &request{}
 	}
-	req.group, req.state, req.circuits = group, g, circuits
+	req.state, req.circuits = g, circuits
 	return req
 }
 
@@ -333,7 +332,6 @@ func (c *Controller) cancelSpeculation(rs *railState, live ocs.Matching) {
 		}
 		kept = append(kept, req)
 	}
-	clear(rs.queue[len(kept):])
 	rs.queue = kept
 }
 
@@ -443,7 +441,6 @@ grow:
 		g.circuits = nil
 		g.tearing = false
 	}
-	clear(tearDown)
 	rs.tearDown = tearDown[:0]
 	kept := rs.installed[:0]
 	for _, g := range rs.installed {
@@ -451,7 +448,6 @@ grow:
 			kept = append(kept, g)
 		}
 	}
-	clear(rs.installed[len(kept):])
 	rs.installed = kept
 	c.clock.After(c.latency, rs.installFn)
 }
@@ -472,7 +468,6 @@ func (c *Controller) install(rs *railState) {
 	for range rs.batch {
 		c.grant(rs, rs.queue[0])
 	}
-	clear(rs.batch)
 	rs.batch = rs.batch[:0]
 	c.processNow(rs)
 }
@@ -483,7 +478,6 @@ func (c *Controller) grant(rs *railState, head *request) {
 	if rs.queue[0] != head {
 		panic("opus: grant out of FC-FS order")
 	}
-	rs.queue[0] = nil
 	rs.queue = rs.queue[1:]
 	for _, w := range head.waiters {
 		head.state.active++

@@ -7,10 +7,11 @@
 // A/B reconfiguration-latency sweeps in the photonic-rail evaluation.
 //
 // An event due at the current instant (Immediately, PostNow, PostArgNow,
-// or a zero delay) joins a FIFO instead of the heap: most of a
-// simulation's events are same-instant hand-offs, and the FIFO admits
-// and yields them in constant time. Events fire in (time, seq) order
-// across the FIFO and the heap alike.
+// or a zero delay) joins a FIFO instead of the heap: a network
+// simulation hands every ready task and every controller queue scan on
+// at the instant it arises, and the FIFO admits and yields such events
+// in constant time. Events fire in (time, seq) order across the FIFO
+// and the heap alike.
 package sim
 
 import (
