@@ -192,7 +192,7 @@ func drive(w *orderWorld, steps []units.Duration, now func() units.Duration,
 // TestEngineOrderMatchesReference checks the engine's firing order
 // against the oracle on generated schedules: callbacks post nested
 // events at zero and non-zero delays through every scheduling call,
-// cancel earlier events, and stop the run, while the driver alternates
+// cancel earlier events, and stop the run, while drive alternates
 // Run with RunUntil at random deadlines — some behind the clock, some
 // between pending events. The fired sequence, the clock and the queue
 // depth must agree after every step.
