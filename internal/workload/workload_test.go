@@ -44,6 +44,52 @@ func TestBuildValidates(t *testing.T) {
 	}
 }
 
+// TestValidIndex: a valid program's ValidIndex is its Index, whose
+// successor lists and indegrees mirror the tasks' dependencies; an
+// invalid program's is Validate's error, decided once — the verdict
+// stands for the program's lifetime, which is immutable once built.
+func TestValidIndex(t *testing.T) {
+	p := MustBuild(paperConfig(t, 1))
+	ix, err := p.ValidIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix != p.Index() {
+		t.Error("ValidIndex returned another index than Index")
+	}
+	succs, edges := 0, 0
+	for _, task := range p.Tasks {
+		if ix.Indeg[task.ID] != len(task.Deps) {
+			t.Fatalf("task %d: indegree %d, %d deps", task.ID, ix.Indeg[task.ID], len(task.Deps))
+		}
+		for _, d := range task.Deps {
+			found := false
+			for _, s := range ix.Succ[d] {
+				found = found || s == task.ID
+			}
+			if !found {
+				t.Fatalf("task %d missing from its dependency %d's successors", task.ID, d)
+			}
+		}
+		succs += len(ix.Succ[task.ID])
+		edges += len(task.Deps)
+	}
+	if succs != edges {
+		t.Errorf("successor lists hold %d edges, the tasks %d", succs, edges)
+	}
+
+	bad := MustBuild(paperConfig(t, 1))
+	bad.Tasks[0].Deps = append(bad.Tasks[0].Deps, bad.Tasks[len(bad.Tasks)-1].ID)
+	ix, err = bad.ValidIndex()
+	if err == nil || ix != nil {
+		t.Fatalf("forward dependency: ValidIndex = %v, %v", ix, err)
+	}
+	bad.Tasks[0].Deps = bad.Tasks[0].Deps[:0]
+	if _, again := bad.ValidIndex(); again != err {
+		t.Errorf("second ValidIndex = %v, want the first verdict %v", again, err)
+	}
+}
+
 func TestTaskIDsAndDepsOrdered(t *testing.T) {
 	p := MustBuild(paperConfig(t, 2))
 	for i, task := range p.Tasks {
