@@ -204,8 +204,9 @@ func TestListCatalog(t *testing.T) {
 // check: the built-in >=24-cell grid in parallel produces output
 // byte-identical to -parallel 1, with skips reported and the shared
 // electrical baselines simulated exactly once per batch (5 workload
-// baselines + 15 photonic + 15 provisioned points + 10 compiled
-// programs = 45 misses; every further lookup is a hit).
+// baselines + 15 photonic + 15 provisioned points + 5 compiled
+// programs, one per workload for every fabric = 40 misses; every
+// further lookup is a hit).
 func TestFig8GridParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the full fig8-5d grid twice")
@@ -232,8 +233,8 @@ func TestFig8GridParallelMatchesSequential(t *testing.T) {
 		t.Errorf("-parallel did not size the engine: %q / %q", seqStats, parStats)
 	}
 	for _, stats := range []string{seqStats, parStats} {
-		if !strings.Contains(stats, "/ 45 misses") {
-			t.Errorf("cache stats = %q, want exactly 45 misses (shared baselines simulated once)", stats)
+		if !strings.Contains(stats, "/ 40 misses") {
+			t.Errorf("cache stats = %q, want exactly 40 misses (shared baselines simulated once)", stats)
 		}
 	}
 }

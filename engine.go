@@ -2,13 +2,11 @@ package photonrail
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"photonrail/internal/exp"
 	"photonrail/internal/netsim"
-	"photonrail/internal/topo"
 	"photonrail/internal/units"
 	"photonrail/internal/workload"
 )
@@ -27,9 +25,9 @@ import (
 // Simulation runs as a staged pipeline with one memo entry per stage,
 // all under the engine's single bounded LRU via hierarchical keys:
 //
-//	build:     Workload → *workload.Program (pure per workload and
-//	           topology kind; one immutable Program is shared by every
-//	           fabric/latency variant)
+//	build:     Workload → *workload.Program (pure per workload; one
+//	           immutable Program is shared by every fabric/latency
+//	           variant, the electrical baseline included)
 //	provision: (Workload, latency) → the provisioned-stable schedule,
 //	           whose converged per-rail Profile also lands in a
 //	           latency-free seed cache keyed on the Workload alone
@@ -206,8 +204,7 @@ func (en *Engine) Simulate(w Workload, f Fabric) (*Result, error) {
 //
 // This is the pipeline's Time stage: the compiled Program comes from
 // the Build stage's memo (shared across every fabric/latency variant of
-// the workload on the same topology kind), and only the timed execution
-// runs here.
+// the workload), and only the timed execution runs here.
 func (en *Engine) SimulateCtx(ctx context.Context, w Workload, f Fabric) (*Result, error) {
 	k := keysOf(w)
 	return en.simulate(ctx, k.time(f), w, f)
@@ -217,11 +214,11 @@ func (en *Engine) SimulateCtx(ctx context.Context, w Workload, f Fabric) (*Resul
 // (w, f).
 func (en *Engine) simulate(ctx context.Context, key string, w Workload, f Fabric) (*Result, error) {
 	return exp.CachedCostCtx(ctx, en.pool, key, costSim, func(cctx context.Context) (*Result, error) {
-		topoKind, mode, err := fabricRealization(f)
+		mode, err := fabricRealization(f)
 		if err != nil {
 			return nil, err
 		}
-		prog, err := en.programCtx(cctx, w, topoKind)
+		prog, err := en.programCtx(cctx, w)
 		if err != nil {
 			return nil, err
 		}
@@ -231,13 +228,13 @@ func (en *Engine) simulate(ctx context.Context, key string, w Workload, f Fabric
 }
 
 // programCtx is the Build stage: Workload → compiled immutable
-// *workload.Program, memoized per canonical workload key and topology
-// kind. Every Time- and Provision-stage run of the workload shares the
+// *workload.Program, memoized per canonical workload key. Every Time-
+// and Provision-stage run of the workload, on any fabric, shares the
 // one cached Program.
-func (en *Engine) programCtx(ctx context.Context, w Workload, kind topo.FabricKind) (*workload.Program, error) {
+func (en *Engine) programCtx(ctx context.Context, w Workload) (*workload.Program, error) {
 	k := keysOf(w)
-	return exp.CachedCostCtx(ctx, en.pool, k.build(kind), costProgram, func(context.Context) (*workload.Program, error) {
-		return w.build(kind)
+	return exp.CachedCostCtx(ctx, en.pool, k.build(), costProgram, func(context.Context) (*workload.Program, error) {
+		return w.build()
 	})
 }
 
@@ -270,7 +267,7 @@ func (en *Engine) provision(ctx context.Context, key string, w Workload, latency
 }
 
 func (en *Engine) provisionedStableStaged(ctx context.Context, w Workload, latencyMS float64) (*Result, error) {
-	prog, err := en.programCtx(ctx, w, topo.FabricPhotonicRail)
+	prog, err := en.programCtx(ctx, w)
 	if err != nil {
 		return nil, err
 	}
@@ -371,66 +368,11 @@ func (en *Engine) provisionedStable(w Workload, latencyMS float64) (*Result, err
 func (en *Engine) simulateTracedCtx(ctx context.Context, w Workload) (*netsim.Result, error) {
 	k := keysOf(w)
 	return exp.CachedCostCtx(ctx, en.pool, k.traced(), costTraced, func(cctx context.Context) (*netsim.Result, error) {
-		prog, err := en.programCtx(cctx, w, topo.FabricElectricalRail)
+		prog, err := en.programCtx(cctx, w)
 		if err != nil {
 			return nil, err
 		}
 		_, inner, err := runProgram(prog, netsim.Electrical, Fabric{Kind: ElectricalRail}, true)
 		return inner, err
 	})
-}
-
-// CompiledWorkload is a workload captured together with its Build-stage
-// output: one immutable compiled Program on a fixed topology kind,
-// reusable across every fabric variant that realizes on that kind.
-type CompiledWorkload struct {
-	w    Workload
-	kind topo.FabricKind
-	prog *workload.Program
-}
-
-// Workload returns the workload this compilation came from.
-func (cw *CompiledWorkload) Workload() Workload { return cw.w }
-
-// Compile runs only the Build stage for the workload on the fabric's
-// topology kind. See CompileCtx.
-func (en *Engine) Compile(w Workload, f Fabric) (*CompiledWorkload, error) {
-	return en.CompileCtx(context.Background(), w, f)
-}
-
-// CompileCtx runs only the pipeline's Build stage: it compiles (or
-// fetches from the build memo) the workload's Program on the topology
-// kind the fabric realizes on. The result can be passed to
-// SimulateCompiledCtx with any fabric sharing that kind — e.g. compile
-// once, then sweep reconfiguration latencies.
-func (en *Engine) CompileCtx(ctx context.Context, w Workload, f Fabric) (*CompiledWorkload, error) {
-	kind, _, err := fabricRealization(f)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := en.programCtx(ctx, w, kind)
-	if err != nil {
-		return nil, err
-	}
-	return &CompiledWorkload{w: w, kind: kind, prog: prog}, nil
-}
-
-// SimulateCompiled is SimulateCompiledCtx without cancellation.
-func (en *Engine) SimulateCompiled(cw *CompiledWorkload, f Fabric) (*Result, error) {
-	return en.SimulateCompiledCtx(context.Background(), cw, f)
-}
-
-// SimulateCompiledCtx runs the Time stage for a pre-compiled workload.
-// The fabric must realize on the same topology kind the workload was
-// compiled for. Results are identical to SimulateCtx(cw.Workload(), f)
-// and share its memo entries.
-func (en *Engine) SimulateCompiledCtx(ctx context.Context, cw *CompiledWorkload, f Fabric) (*Result, error) {
-	kind, _, err := fabricRealization(f)
-	if err != nil {
-		return nil, err
-	}
-	if kind != cw.kind {
-		return nil, fmt.Errorf("photonrail: workload compiled for topology kind %d, fabric realizes on %d", cw.kind, kind)
-	}
-	return en.SimulateCtx(ctx, cw.w, f)
 }

@@ -163,13 +163,13 @@ func TestFig8CancelledCtxReturnsPromptly(t *testing.T) {
 	}
 	// 3 latency points × (baseline + reactive + provisioned), deduped:
 	// baseline once, reactive@0/5/10, provisioned@0/5/10 = 7 runs, plus
-	// the Build stage's two compiled programs (electrical + photonic)
-	// = 9 distinct misses. The cancelled joiner must not have
+	// the Build stage's one compiled program, which every fabric shares,
+	// = 8 distinct misses. The cancelled joiner must not have
 	// duplicated any — but if it raced the shared run's completion it
 	// may legitimately have re-simulated nothing at most. Allow the
 	// exact count only.
-	if st := en.CacheStats(); st.Misses != 9 {
-		t.Fatalf("misses = %d, want 9 (no duplicated simulations)", st.Misses)
+	if st := en.CacheStats(); st.Misses != 8 {
+		t.Fatalf("misses = %d, want 8 (no duplicated simulations)", st.Misses)
 	}
 }
 

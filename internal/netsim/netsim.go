@@ -126,17 +126,18 @@ func (r *Result) MeanIterationTime() units.Duration {
 type Profile struct {
 	// order[rail] lists task IDs in completion order.
 	order map[topo.RailID][]workload.TaskID
+
+	// pos and spec are built at the first consultation, so a profile
+	// that is only compared or kept in a memoized result holds neither.
 	// pos[taskID] is the task's index within its rail's order; -1 for
 	// tasks outside every rail order (compute, scale-up collectives).
-	pos []int
-
 	// spec holds the speculation decision of every profiled op, made
-	// at the first consultation from that run's program and port plan
-	// (in practice the only ones a profile is ever consulted with: the
-	// program it was recorded from, and the one plan of a provisioning
-	// Photonic run). A consultation under another plan computes its
-	// decision afresh.
+	// from that run's program and port plan (in practice the only ones
+	// a profile is ever consulted with: the program it was recorded
+	// from, and the one plan of a provisioning Photonic run). A
+	// consultation under another plan computes its decision afresh.
 	specOnce sync.Once
+	pos      []int
 	spec     speculation
 }
 
@@ -212,16 +213,37 @@ const provisionLookahead = 8
 // phase following task t on its rail; see appendUpcoming. Callers must
 // not modify the returned slice.
 func (p *Profile) upcomingGroups(tasks []*workload.Task, t *workload.Task, table *opus.CircuitTable) []*collective.Group {
+	p.specOnce.Do(func() { p.pos, p.spec = p.positions(), p.speculate(tasks, table) })
 	if int(t.ID) >= len(p.pos) || p.pos[t.ID] < 0 {
 		return nil // unprofiled op, or a profile from a smaller program
 	}
 	idx := p.pos[t.ID]
-	p.specOnce.Do(func() { p.spec = p.speculate(tasks, table) })
 	if sp := &p.spec; sp.plan == table.Plan() && int(t.Rail) < len(sp.start) && idx+1 < len(sp.start[t.Rail]) {
 		st := sp.start[t.Rail]
 		return sp.groups[st[idx]:st[idx+1]:st[idx+1]]
 	}
 	return p.appendUpcoming(nil, tasks, p.order[t.Rail], idx, t.Group.Name, table)
+}
+
+// positions maps every profiled task to its index within its rail's
+// order and every other task below the largest profiled ID to -1.
+func (p *Profile) positions() []int {
+	n := 0
+	for _, order := range p.order {
+		for _, id := range order {
+			n = max(n, int(id)+1)
+		}
+	}
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for _, order := range p.order {
+		for i, id := range order {
+			pos[id] = i
+		}
+	}
+	return pos
 }
 
 // speculate computes the decision of every profiled op for the
@@ -717,13 +739,7 @@ func (ex *executor) provisionNext(t *workload.Task) {
 // buildProfile converts the observed per-rail completion order into the
 // provisioning profile for a subsequent run.
 func (ex *executor) buildProfile() *Profile {
-	prof := &Profile{
-		order: make(map[topo.RailID][]workload.TaskID),
-		pos:   make([]int, len(ex.p.Tasks)),
-	}
-	for i := range prof.pos {
-		prof.pos[i] = -1
-	}
+	prof := &Profile{order: make(map[topo.RailID][]workload.TaskID)}
 	for rail, ids := range ex.sc.completed {
 		if len(ids) == 0 {
 			continue // rails with no scale-out traffic have no order entry
@@ -731,9 +747,6 @@ func (ex *executor) buildProfile() *Profile {
 		cp := make([]workload.TaskID, len(ids))
 		copy(cp, ids)
 		prof.order[topo.RailID(rail)] = cp
-		for i, id := range ids {
-			prof.pos[id] = i
-		}
 	}
 	return prof
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 
 	"photonrail/internal/topo"
@@ -8,27 +9,30 @@ import (
 )
 
 func mkProfile(orders map[topo.RailID][]workload.TaskID) *Profile {
-	max := workload.TaskID(0)
-	for _, ids := range orders {
-		for _, id := range ids {
-			if id > max {
-				max = id
-			}
-		}
-	}
-	p := &Profile{order: make(map[topo.RailID][]workload.TaskID), pos: make([]int, max+1)}
-	for i := range p.pos {
-		p.pos[i] = -1
-	}
+	p := &Profile{order: make(map[topo.RailID][]workload.TaskID)}
 	for rail, ids := range orders {
 		cp := make([]workload.TaskID, len(ids))
 		copy(cp, ids)
 		p.order[rail] = cp
-		for i, id := range ids {
-			p.pos[id] = i
-		}
 	}
 	return p
+}
+
+// TestProfilePositions: a run's profile holds no positions until it is
+// consulted; positions maps each profiled op to its index in its rail's
+// order and every other ID below the largest profiled one to -1.
+func TestProfilePositions(t *testing.T) {
+	p := mkProfile(map[topo.RailID][]workload.TaskID{0: {3, 1}, 1: {5}})
+	if got, want := p.positions(), []int{-1, 1, -1, 0, -1, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("positions = %v, want %v", got, want)
+	}
+	res, err := Run(paperProgram(t, 1), Options{Mode: Photonic, ReconfigLatency: 10 * ms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Profile.pos != nil {
+		t.Error("an unconsulted profile holds positions")
+	}
 }
 
 // TestProfileEqual pins the convergence comparison: two independently

@@ -124,7 +124,7 @@ func TestRandomConfigsRunEverywhereProperty(t *testing.T) {
 // TestCorruptedProgramRejected injects structural faults into a valid
 // program and checks Run refuses rather than deadlocking silently.
 func TestCorruptedProgramRejected(t *testing.T) {
-	p := paperProgram(t, 1)
+	p := assembled(paperProgram(t, 1))
 	// Forward dependency (cycle-ish): task 0 depending on a later task.
 	p.Tasks[0].Deps = append(p.Tasks[0].Deps, p.Tasks[len(p.Tasks)-1].ID)
 	if _, err := Run(p, Options{Mode: Electrical}); err == nil {
@@ -133,7 +133,7 @@ func TestCorruptedProgramRejected(t *testing.T) {
 	p.Tasks[0].Deps = p.Tasks[0].Deps[:0]
 
 	// Collective with a rank outside its group.
-	p2 := paperProgram(t, 1)
+	p2 := assembled(paperProgram(t, 1))
 	for _, task := range p2.Tasks {
 		if task.IsCollective() {
 			task.Ranks = append([]topo.GPUID{}, task.Ranks...)
@@ -145,4 +145,11 @@ func TestCorruptedProgramRejected(t *testing.T) {
 			return
 		}
 	}
+}
+
+// assembled returns a program of p's parts that workload.Build has not
+// certified, as a caller assembling a program by hand would pass it:
+// Run must validate it itself.
+func assembled(p *workload.Program) *workload.Program {
+	return &workload.Program{Cluster: p.Cluster, Strategy: p.Strategy, Tasks: p.Tasks, Groups: p.Groups, Iterations: p.Iterations}
 }

@@ -98,7 +98,10 @@ type Cluster struct {
 	// GPUsPerNode is the scale-up domain size; it equals the number of
 	// rails.
 	GPUsPerNode int
-	// Fabric is the scale-out realization.
+	// Fabric names the scale-out realization, for descriptions such as
+	// String. It is descriptive only: the simulator reads
+	// netsim.Options.Mode, so a compiled workload's cluster, which
+	// serves every fabric, leaves it unset (the zero value).
 	Fabric FabricKind
 	// NIC is the per-GPU scale-out port configuration.
 	NIC PortConfig

@@ -230,7 +230,9 @@ func Build(cfg Config) (*Program, error) {
 		Groups:     b.groups,
 		Iterations: cfg.Iterations,
 	}
-	if err := p.Validate(); err != nil {
+	// The verdict is recorded beside the index, so the first simulation
+	// of the program does not validate it again.
+	if _, err := p.ValidIndex(); err != nil {
 		return nil, err
 	}
 	return p, nil

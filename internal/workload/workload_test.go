@@ -48,8 +48,12 @@ func TestBuildValidates(t *testing.T) {
 // successor lists and indegrees mirror the tasks' dependencies; an
 // invalid program's is Validate's error, decided once — the verdict
 // stands for the program's lifetime, which is immutable once built.
+// Build records its program's verdict before returning it.
 func TestValidIndex(t *testing.T) {
 	p := MustBuild(paperConfig(t, 1))
+	if p.idx == nil {
+		t.Error("Build returned a program without its verdict and index")
+	}
 	ix, err := p.ValidIndex()
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +82,10 @@ func TestValidIndex(t *testing.T) {
 		t.Errorf("successor lists hold %d edges, the tasks %d", succs, edges)
 	}
 
-	bad := MustBuild(paperConfig(t, 1))
+	// Build has certified its programs, so the invalid one is assembled
+	// by hand from a built program's parts.
+	built := MustBuild(paperConfig(t, 1))
+	bad := &Program{Cluster: built.Cluster, Strategy: built.Strategy, Tasks: built.Tasks, Groups: built.Groups, Iterations: built.Iterations}
 	bad.Tasks[0].Deps = append(bad.Tasks[0].Deps, bad.Tasks[len(bad.Tasks)-1].ID)
 	ix, err = bad.ValidIndex()
 	if err == nil || ix != nil {

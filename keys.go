@@ -140,10 +140,10 @@ func (k *workloadKeys) traced() string {
 	return e.Sum("time")
 }
 
-// build keys the Build stage: the program compiled on topology kind.
-func (k *workloadKeys) build(kind topo.FabricKind) string {
+// build keys the Build stage: the workload's one program, shared by
+// every fabric.
+func (k *workloadKeys) build() string {
 	e := k.derive("build")
-	e.Int(int(kind))
 	return e.Sum("build")
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"photonrail/internal/exp"
-	"photonrail/internal/topo"
 )
 
 // keyField names how the completeness walk treats a field that is not
@@ -44,7 +43,7 @@ func keyedTypes() []keyedType {
 				},
 				"build": func(v reflect.Value) string {
 					k := keysOf(workload(v))
-					return k.build(topo.FabricPhotonicRail)
+					return k.build()
 				},
 				"provision": func(v reflect.Value) string {
 					k := keysOf(workload(v))
@@ -326,9 +325,11 @@ func TestOnProgressExcludedFromKey(t *testing.T) {
 }
 
 // TestGoldenKeyVectors pins the hex of representative keys, so any
-// change to a key's encoding is deliberate: it must update this table
-// and bump exp.KeyVersion, since ExperimentKey addresses durable
-// results.
+// change to a key's encoding is deliberate: it must update this table.
+// A change to a durable key must also bump exp.KeyVersion, since
+// ExperimentKey addresses results in the store; the stage keys (build,
+// time) address only the in-process memo, so changing one alone bumps
+// nothing.
 func TestGoldenKeyVectors(t *testing.T) {
 	spec := SpecOfGrid(Fig8Grid5D())
 	w := keysOf(PaperWorkload(2))
@@ -341,10 +342,8 @@ func TestGoldenKeyVectors(t *testing.T) {
 			"bf3fae61f80579980f83831dd363e002de2d8e5f1ba310bd5ebed3d28009b7d6"},
 		{"ExperimentKey fig8 at 1 and 10 ms", ExperimentKey("fig8", Params{LatenciesMS: []float64{1, 10}}),
 			"ba4e68230b596ffb590b81dcec2573162f877b04d6abeaa9b647d9672e282840"},
-		{"build electrical", w.build(topo.FabricElectricalRail),
-			"build:768318e1c5751ec27bf93ecfda78e034d2c54f6e3bb83b9ec8d8f60e868e7304"},
-		{"build photonic", w.build(topo.FabricPhotonicRail),
-			"build:53830e1d8fab2f2af03bd80e4c1bb3876c7e5ac4058a8c63cc913682a5c0c49b"},
+		{"build", w.build(),
+			"build:6c1d6cb9e753c9551e22805264cea441db09050154ce04de8b86204ad8c43c68"},
 		{"time electrical", w.time(Fabric{Kind: ElectricalRail}),
 			"time:d586fe18231446cb6468fee316578f492d1100dd0380ad380d0985808d76b87f"},
 		{"time photonic at 10 ms", w.time(Fabric{Kind: PhotonicRail, ReconfigLatencyMS: 10}),

@@ -132,13 +132,14 @@ func scheduleOf(w Workload) workload.Schedule {
 	return workload.OneFOneB
 }
 
-// build compiles the workload into an executable program on the given
-// fabric realization.
-func (w Workload) build(kind topo.FabricKind) (*workload.Program, error) {
+// build compiles the workload into an executable program. The program
+// does not depend on the fabric: every realization keeps the rail's
+// communication semantics, so one program serves the electrical
+// baseline and every photonic run, and its cluster leaves Fabric unset.
+func (w Workload) build() (*workload.Program, error) {
 	cluster, err := topo.New(topo.Config{
 		NumNodes:    w.NumNodes,
 		GPUsPerNode: w.GPUsPerNode,
-		Fabric:      kind,
 		NIC:         w.NIC,
 	})
 	if err != nil {
@@ -214,7 +215,7 @@ func simulateProvisionedStable(w Workload, latencyMS float64) (*Result, error) {
 // provisioned passes actually ran, so tests can assert the convergence
 // early-exit fires (a stable profile must stop the re-profiling loop).
 func provisionedStableRuns(w Workload, latencyMS float64) (*Result, int, error) {
-	prog, err := w.build(topo.FabricPhotonicRail)
+	prog, err := w.build()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -264,21 +265,21 @@ func provisionedStableRuns(w Workload, latencyMS float64) (*Result, int, error) 
 	return out, passes, nil
 }
 
-// fabricRealization maps a Fabric to the topology kind the workload
-// compiles against and the simulator mode it executes under.
-func fabricRealization(f Fabric) (topo.FabricKind, netsim.Mode, error) {
+// fabricRealization maps a Fabric to the simulator mode it executes
+// under.
+func fabricRealization(f Fabric) (netsim.Mode, error) {
 	if f.ReconfigLatencyMS < 0 {
-		return 0, 0, fmt.Errorf("photonrail: negative reconfiguration latency")
+		return 0, fmt.Errorf("photonrail: negative reconfiguration latency")
 	}
 	switch f.Kind {
 	case ElectricalRail:
-		return topo.FabricElectricalRail, netsim.Electrical, nil
+		return netsim.Electrical, nil
 	case PhotonicRail:
-		return topo.FabricPhotonicRail, netsim.Photonic, nil
+		return netsim.Photonic, nil
 	case PhotonicStaticPartition:
-		return topo.FabricPhotonicRail, netsim.PhotonicStatic, nil
+		return netsim.PhotonicStatic, nil
 	default:
-		return 0, 0, fmt.Errorf("photonrail: unknown fabric kind %d", f.Kind)
+		return 0, fmt.Errorf("photonrail: unknown fabric kind %d", f.Kind)
 	}
 }
 
@@ -315,11 +316,11 @@ func wrapResult(inner *netsim.Result) *Result {
 }
 
 func simulate(w Workload, f Fabric, recordTrace bool) (*Result, *netsim.Result, error) {
-	topoKind, mode, err := fabricRealization(f)
+	mode, err := fabricRealization(f)
 	if err != nil {
 		return nil, nil, err
 	}
-	prog, err := w.build(topoKind)
+	prog, err := w.build()
 	if err != nil {
 		return nil, nil, err
 	}

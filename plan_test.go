@@ -353,6 +353,15 @@ func TestCellDriverProgress(t *testing.T) {
 // commit before grid cells were served inline, where every cell went
 // to the pool: serving them inline must count each memo lookup as that
 // path did.
+//
+// The Build columns, and the totals with them, are one-build values: a
+// workload compiles once for every fabric. Build is asked once per Time
+// miss and once per Provision miss and misses once per workload, and
+// fig8-5d has five (Llama3-8B 3D and 4D, Mixtral-8x7B 3D, 4D and 5D).
+// Phase 1 (1 ms) makes 10 Time misses (5 baselines + 5 photonic) and 5
+// Provision misses: 15 Build lookups, 5 misses and 10 hits. Phase 2
+// adds 10 + 10 more lookups, all hits (30/5). Phases 3 and 4 miss
+// nothing, so they ask Build nothing.
 func TestCacheStatsPinned(t *testing.T) {
 	stats := func(hits, misses, bh, bm, ph, pm, th, tm, sh, sm uint64) CacheStats {
 		return CacheStats{
@@ -364,10 +373,10 @@ func TestCacheStatsPinned(t *testing.T) {
 		}
 	}
 	want := []CacheStats{
-		stats(20, 25, 5, 10, 0, 5, 15, 10, 0, 5),
-		stats(95, 45, 25, 10, 5, 15, 65, 20, 4, 11),
-		stats(160, 45, 25, 10, 20, 15, 115, 20, 4, 11),
-		stats(225, 45, 25, 10, 35, 15, 165, 20, 4, 11),
+		stats(25, 20, 10, 5, 0, 5, 15, 10, 0, 5),
+		stats(100, 40, 30, 5, 5, 15, 65, 20, 4, 11),
+		stats(165, 40, 30, 5, 20, 15, 115, 20, 4, 11),
+		stats(230, 40, 30, 5, 35, 15, 165, 20, 4, 11),
 	}
 	grid, _ := Lookup("grid")
 	sub := SpecOfGrid(Fig8Grid5D())
