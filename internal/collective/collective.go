@@ -100,6 +100,10 @@ func (a Algorithm) FeasibleOnCircuits(groupSize, ports int) bool {
 // Group is a communication group: an ordered set of GPUs collectively
 // communicating along one parallelism axis. Order is ring order.
 type Group struct {
+	// ID numbers the group where it is created: a program's groups, or
+	// the groups a controller has registered, are numbered 0, 1, … in
+	// creation order, and circuit tables index their entries by it.
+	ID int
 	// Name identifies the group, e.g. "fsdp-rail0-shard1".
 	Name string
 	// Axis is the parallelism dimension that created the group.

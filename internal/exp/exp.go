@@ -81,8 +81,11 @@ type Engine struct {
 	hits, misses, evictions atomic.Uint64
 	inflight                atomic.Int64
 
+	// stages maps a stage name to its counters. The map is copied on
+	// write: a new stage publishes a copy under stageMu, and the hit and
+	// miss paths read the current one without a lock. Never nil.
 	stageMu sync.Mutex
-	stages  map[string]*stageCounter
+	stages  atomic.Pointer[map[string]*stageCounter]
 
 	// observe, when set, receives the wall-clock duration of every
 	// computed (miss-path) result, labeled with its stage — the raw feed
@@ -166,13 +169,15 @@ func NewBounded(workers int, maxCost int64) *Engine {
 	if maxCost < 0 {
 		maxCost = 0
 	}
-	return &Engine{
+	e := &Engine{
 		workers: workers,
 		slots:   make(chan struct{}, workers),
 		cache:   make(map[string]*entry),
 		lru:     list.New(),
 		maxCost: maxCost,
 	}
+	e.stages.Store(&map[string]*stageCounter{})
+	return e
 }
 
 // Workers reports the pool size.
@@ -214,10 +219,9 @@ type StageStats struct {
 // stage prefix are not attributed. Counters accumulate since
 // construction and survive ResetCache, like Stats.
 func (e *Engine) StageStats() map[string]StageStats {
-	e.stageMu.Lock()
-	defer e.stageMu.Unlock()
-	out := make(map[string]StageStats, len(e.stages))
-	for name, c := range e.stages {
+	stages := *e.stages.Load()
+	out := make(map[string]StageStats, len(stages))
+	for name, c := range stages {
 		out[name] = StageStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 	}
 	return out
@@ -239,16 +243,22 @@ func (e *Engine) stage(key string) *stageCounter {
 	if name == "" {
 		return nil
 	}
+	if c := (*e.stages.Load())[name]; c != nil {
+		return c
+	}
 	e.stageMu.Lock()
 	defer e.stageMu.Unlock()
-	if e.stages == nil {
-		e.stages = make(map[string]*stageCounter)
+	old := *e.stages.Load()
+	if c := old[name]; c != nil {
+		return c // another caller added the stage meanwhile
 	}
-	c, ok := e.stages[name]
-	if !ok {
-		c = &stageCounter{}
-		e.stages[name] = c
+	stages := make(map[string]*stageCounter, len(old)+1)
+	for n, c := range old {
+		stages[n] = c
 	}
+	c := &stageCounter{}
+	stages[name] = c
+	e.stages.Store(&stages)
 	return c
 }
 

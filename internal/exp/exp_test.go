@@ -383,3 +383,46 @@ func TestStageStatsAttributesHierarchicalKeys(t *testing.T) {
 		t.Errorf("Stats() = %+v, want 4 hits / 4 misses", s)
 	}
 }
+
+// TestStageStatsConcurrentStages counts hits and misses of stages that
+// goroutines create and read at once (the counters' copy-on-write map
+// is read without a lock), so no count is lost to a stage published
+// twice.
+func TestStageStatsConcurrentStages(t *testing.T) {
+	e := New(4)
+	compute := func(context.Context) (any, error) { return 1, nil }
+	const goroutines, stages, rounds = 8, 5, 20
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for st := 0; st < stages; st++ {
+					key := fmt.Sprintf("s%d:%d", st, r)
+					if _, err := e.DoCostCtx(context.Background(), key, 1, compute); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, found, _ := e.Lookup(key); !found {
+						t.Errorf("Lookup(%q) missed after DoCostCtx", key)
+					}
+				}
+				_ = e.StageStats()
+			}
+		}()
+	}
+	wg.Wait()
+	st := e.StageStats()
+	if len(st) != stages {
+		t.Fatalf("StageStats() has %d stages, want %d: %v", len(st), stages, st)
+	}
+	// Every key misses once; every other DoCostCtx call and every
+	// Lookup hits.
+	want := StageStats{Hits: 2*goroutines*rounds - rounds, Misses: rounds}
+	for name, c := range st {
+		if c != want {
+			t.Errorf("stage %q = %+v, want %+v", name, c, want)
+		}
+	}
+}

@@ -222,7 +222,7 @@ func (p *Profile) upcomingGroups(tasks []*workload.Task, t *workload.Task, table
 		st := sp.start[t.Rail]
 		return sp.groups[st[idx]:st[idx+1]:st[idx+1]]
 	}
-	return p.appendUpcoming(nil, tasks, p.order[t.Rail], idx, t.Group.Name, table)
+	return p.appendUpcoming(nil, tasks, p.order[t.Rail], idx, t.Group, table)
 }
 
 // positions maps every profiled task to its index within its rail's
@@ -261,7 +261,7 @@ func (p *Profile) speculate(tasks []*workload.Task, table *opus.CircuitTable) sp
 		from := len(buf)
 		for i := range order {
 			buf = append(buf, int32(len(sp.groups)))
-			sp.groups = p.appendUpcoming(sp.groups, tasks, order, i, tasks[order[i]].Group.Name, table)
+			sp.groups = p.appendUpcoming(sp.groups, tasks, order, i, tasks[order[i]].Group, table)
 		}
 		buf = append(buf, int32(len(sp.groups)))
 		sp.start[r] = buf[from:len(buf):len(buf)]
@@ -275,19 +275,19 @@ func (p *Profile) speculate(tasks []*workload.Task, table *opus.CircuitTable) sp
 // mutually conflict-free groups, and stopping at the first group that
 // conflicts with one already collected (that group belongs to the phase
 // after next) or at a return to own.
-func (p *Profile) appendUpcoming(dst []*collective.Group, tasks []*workload.Task, order []workload.TaskID, idx int, own string, table *opus.CircuitTable) []*collective.Group {
+func (p *Profile) appendUpcoming(dst []*collective.Group, tasks []*workload.Task, order []workload.TaskID, idx int, own *collective.Group, table *opus.CircuitTable) []*collective.Group {
 	// Only the last op of a group run triggers provisioning: while our
 	// own group still has profiled traffic immediately ahead, a
 	// speculative conflicting request would stall that traffic behind
 	// the FC-FS queue (tearing down circuits the phase still needs).
-	if idx+1 < len(order) && tasks[order[idx+1]].Group.Name == own {
+	if idx+1 < len(order) && tasks[order[idx+1]].Group == own {
 		return dst
 	}
 	mark := len(dst)
 	phaseStarted := false
 	for j := idx + 1; j < len(order) && len(dst)-mark < provisionLookahead; j++ {
 		g := tasks[order[j]].Group
-		if g.Name == own {
+		if g == own {
 			if phaseStarted {
 				break // the phase after next returns to our group
 			}
@@ -296,7 +296,7 @@ func (p *Profile) appendUpcoming(dst []*collective.Group, tasks []*workload.Task
 		phaseStarted = true
 		dup := false
 		for _, seen := range dst[mark:] {
-			if seen.Name == g.Name {
+			if seen == g {
 				dup = true
 				break
 			}
@@ -415,12 +415,9 @@ type executor struct {
 	ix     *workload.Index
 	opts   Options
 	engine *sim.Engine
-	ctrl   *opus.Controller
-	// plans maps a parallelism-axis index to its static port plan
-	// (PhotonicStatic); Photonic uses plans[0] for everything.
-	planFor  func(t *workload.Task) opus.PortPlan
-	ctrlFor  func(t *workload.Task) *opus.Controller
-	tableFor func(t *workload.Task) *opus.CircuitTable
+	// fabrics holds Photonic's one Opus fabric, or PhotonicStatic's
+	// partitions indexed by parallelism axis; see fabricOf.
+	fabrics []fabric
 
 	sc        *scratch
 	doneCount int
@@ -453,11 +450,27 @@ func (ex *executor) putXfer(x *xfer) {
 	ex.sc.freeXfer = x
 }
 
+// fabric is one port plan's realization on the rails: the plan, its
+// circuit table and the controller that serves it.
+type fabric struct {
+	plan  opus.PortPlan
+	table *opus.CircuitTable
+	ctrl  *opus.Controller
+}
+
+// fabricOf returns the fabric that serves scale-out collective t.
+func (ex *executor) fabricOf(t *workload.Task) *fabric {
+	if ex.opts.Mode == Photonic {
+		return &ex.fabrics[0]
+	}
+	return &ex.fabrics[t.Axis]
+}
+
 // tableOf returns the program-wide circuit table for plan, so every run
 // of the program — any latency, any provisioning pass — shares one set
 // of derived ring matchings and conflict verdicts.
 func tableOf(ix *workload.Index, plan opus.PortPlan) *opus.CircuitTable {
-	return ix.Aux(plan, func() any { return opus.NewCircuitTable(plan) }).(*opus.CircuitTable)
+	return ix.Aux(plan, func() any { return opus.NewCircuitTable(plan, ix.Groups) }).(*opus.CircuitTable)
 }
 
 func newExecutor(p *workload.Program, ix *workload.Index, opts Options) (*executor, error) {
@@ -497,10 +510,7 @@ func newExecutor(p *workload.Program, ix *workload.Index, opts Options) (*execut
 			ex.release()
 			return nil, err
 		}
-		ex.ctrl = ctrl
-		ex.planFor = func(*workload.Task) opus.PortPlan { return plan }
-		ex.ctrlFor = func(*workload.Task) *opus.Controller { return ctrl }
-		ex.tableFor = func(*workload.Task) *opus.CircuitTable { return table }
+		ex.fabrics = []fabric{{plan: plan, table: table, ctrl: ctrl}}
 	case PhotonicStatic:
 		if err := ex.setupStatic(); err != nil {
 			ex.release()
@@ -536,9 +546,9 @@ func (ex *executor) setupStatic() error {
 		return fmt.Errorf("netsim: static partitioning infeasible: %d scale-out axes need %d ports, NIC has %d (constraint C2)",
 			len(axes), 2*len(axes), ports)
 	}
-	plans := make(map[int]opus.PortPlan, len(axes))
-	ctrls := make(map[int]*opus.Controller, len(axes))
-	tables := make(map[int]*opus.CircuitTable, len(axes))
+	if len(axes) > 0 {
+		ex.fabrics = make([]fabric, axes[len(axes)-1]+1)
+	}
 	for i, a := range axes {
 		plan := opus.PortPlan{Cluster: ex.p.Cluster, PortsPerGPU: ports, PortBase: 2 * i, RingPairs: 1}
 		table := tableOf(ex.ix, plan)
@@ -546,26 +556,26 @@ func (ex *executor) setupStatic() error {
 		if err != nil {
 			return err
 		}
-		plans[int(a)] = plan
-		ctrls[int(a)] = ctrl
-		tables[int(a)] = table
+		ex.fabrics[a] = fabric{plan: plan, table: table, ctrl: ctrl}
 	}
-	ex.planFor = func(t *workload.Task) opus.PortPlan { return plans[int(t.Axis)] }
-	ex.ctrlFor = func(t *workload.Task) *opus.Controller { return ctrls[int(t.Axis)] }
-	ex.tableFor = func(t *workload.Task) *opus.CircuitTable { return tables[int(t.Axis)] }
 	return nil
 }
 
+// scaleOutAxes returns the axes of the program's scale-out collectives
+// in ascending order.
 func scaleOutAxes(p *workload.Program) []parallelism.Axis {
-	seen := map[parallelism.Axis]bool{}
-	var out []parallelism.Axis
+	var seen uint64 // bit a: axis a has a scale-out collective
 	for _, t := range p.Tasks {
-		if t.IsCollective() && !t.ScaleUp && !seen[t.Axis] {
-			seen[t.Axis] = true
-			out = append(out, t.Axis)
+		if t.IsCollective() && !t.ScaleUp {
+			seen |= 1 << t.Axis
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []parallelism.Axis
+	for a := parallelism.Axis(0); seen>>a != 0; a++ {
+		if seen&(1<<a) != 0 {
+			out = append(out, a)
+		}
+	}
 	return out
 }
 
@@ -587,8 +597,8 @@ func (ex *executor) run() (*Result, error) {
 		res.IterationTimes = append(res.IterationTimes, end-prev)
 		prev = end
 	}
-	if ex.ctrl != nil {
-		st := ex.ctrl.Stats()
+	if ex.opts.Mode == Photonic {
+		st := ex.fabrics[0].ctrl.Stats()
 		res.Reconfigurations = st.Reconfigurations
 		res.FastGrants = st.FastGrants
 		res.QueuedGrants = st.QueuedGrants
@@ -609,7 +619,7 @@ func (ex *executor) start(t *workload.Task) {
 	case ex.opts.Mode == Electrical:
 		ex.transfer(t, arrival, ex.p.Cluster.NIC.Total(), ex.p.Cluster.ScaleOutLatency, false)
 	default:
-		if err := ex.ctrlFor(t).AcquireArg(t.Rail, t.Group, ex.grantFn, t); err != nil {
+		if err := ex.fabricOf(t).ctrl.AcquireArg(t.Rail, t.Group, ex.grantFn, t); err != nil {
 			panic(err)
 		}
 	}
@@ -628,9 +638,10 @@ func (ex *executor) granted(t *workload.Task) {
 // joining its endpoint pair.
 func (ex *executor) circuitBandwidth(t *workload.Task) units.Bandwidth {
 	perPort := ex.p.Cluster.NIC.PerPort
-	plan := ex.planFor(t)
+	fab := ex.fabricOf(t)
+	plan := fab.plan
 	if t.CollKind == collective.SendRecv && len(t.Ranks) == 2 {
-		m, err := ex.tableFor(t).CircuitsFor(t.Group)
+		m, err := fab.table.CircuitsFor(t.Group)
 		if err != nil {
 			panic(err)
 		}
@@ -671,7 +682,7 @@ func (ex *executor) finishTransfer(x *xfer) {
 	t, start, release := x.t, x.start, x.release
 	ex.putXfer(x)
 	if release {
-		if err := ex.ctrlFor(t).Release(t.Rail, t.Group); err != nil {
+		if err := ex.fabricOf(t).ctrl.Release(t.Rail, t.Group); err != nil {
 			panic(err)
 		}
 		ex.provisionNext(t)
@@ -728,9 +739,9 @@ func (ex *executor) provisionNext(t *workload.Task) {
 	if !ex.opts.Provision || ex.opts.Profile == nil {
 		return
 	}
-	table := ex.tableFor(t)
-	for _, g := range ex.opts.Profile.upcomingGroups(ex.p.Tasks, t, table) {
-		if err := ex.ctrlFor(t).Provision(t.Rail, g); err != nil {
+	fab := ex.fabricOf(t)
+	for _, g := range ex.opts.Profile.upcomingGroups(ex.p.Tasks, t, fab.table) {
+		if err := fab.ctrl.Provision(t.Rail, g); err != nil {
 			panic(err)
 		}
 	}

@@ -1,8 +1,9 @@
 package ocs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -149,23 +150,31 @@ func (m Matching) Diff(next Matching) (tearDown, setUp [][2]Port) {
 }
 
 func sortPairs(ps [][2]Port) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
+	slices.SortFunc(ps, func(x, y [2]Port) int {
+		if c := cmp.Compare(x[0], y[0]); c != 0 {
+			return c
 		}
-		return ps[i][1] < ps[j][1]
+		return cmp.Compare(x[1], y[1])
 	})
+}
+
+// AppendPairs appends the circuits to dst as canonical (low, high)
+// port pairs in ascending order, the form Switch.SetUp and
+// Switch.TearDown take, and returns the extended slice.
+func (m Matching) AppendPairs(dst [][2]Port) [][2]Port {
+	from := len(dst)
+	for a, b := range m {
+		if a < b {
+			dst = append(dst, [2]Port{a, b})
+		}
+	}
+	sortPairs(dst[from:])
+	return dst
 }
 
 // String renders the circuits as "0<->5 1<->4", sorted, for logs and tests.
 func (m Matching) String() string {
-	var pairs [][2]Port
-	for a, b := range m {
-		if a < b {
-			pairs = append(pairs, [2]Port{a, b})
-		}
-	}
-	sortPairs(pairs)
+	pairs := m.AppendPairs(nil)
 	parts := make([]string, len(pairs))
 	for i, p := range pairs {
 		parts[i] = fmt.Sprintf("%d<->%d", p[0], p[1])

@@ -313,7 +313,7 @@ func TestSwitchTearDownSetUp(t *testing.T) {
 	}
 	a, b := pair(0, 1), pair(2, 3)
 	for _, m := range []Matching{a, b} {
-		if err := s.SetUp(m); err != nil {
+		if err := s.SetUp(m.AppendPairs(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,20 +323,20 @@ func TestSwitchTearDownSetUp(t *testing.T) {
 	if err := s.PinTraffic(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.TearDown(a); err == nil {
+	if err := s.TearDown(a.AppendPairs(nil)); err == nil {
 		t.Error("tear-down disturbed ongoing traffic")
 	}
-	if err := s.TearDown(pair(4, 5)); err == nil {
+	if err := s.TearDown(pair(4, 5).AppendPairs(nil)); err == nil {
 		t.Error("tear-down of an uninstalled circuit accepted")
 	}
-	if err := s.TearDown(b); err != nil {
+	if err := s.TearDown(b.AppendPairs(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Connected(0, 1) || s.Connected(2, 3) {
 		t.Error("TearDown removed the wrong circuits")
 	}
 	for _, m := range []Matching{pair(1, 7), pair(6, 20)} {
-		if err := s.SetUp(m); err == nil {
+		if err := s.SetUp(m.AppendPairs(nil)); err == nil {
 			t.Errorf("SetUp(%v) accepted", m)
 		}
 	}

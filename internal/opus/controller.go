@@ -51,8 +51,7 @@ type Stats struct {
 
 // request is one queued circuit acquisition on a rail.
 type request struct {
-	state    *groupState // the group's entry on the request's rail
-	circuits ocs.Matching
+	state *groupState // the group's slot on the request's rail
 	// waiters are the grants Acquire attached, in arrival order; a
 	// purely speculative (provisioned) request may have none yet.
 	waiters []waiter
@@ -69,14 +68,14 @@ type waiter struct {
 	arrival units.Duration
 }
 
-// groupState is one communication group's state on a rail: its
-// installed circuits and its in-flight transfers, in one entry so a
-// call hashes the group's name once. An entry outlives its circuits'
-// tear-down, so a rail allocates one per group it ever serves.
+// groupState is one communication group's slot on a rail: whether its
+// circuits are installed, and its in-flight transfers.
 type groupState struct {
-	// circuits are the group's installed circuits; nil while it has
-	// none set up.
-	circuits ocs.Matching
+	// e is the group's circuit-table entry: its circuits, as pairs for
+	// the switch, and its conflict row.
+	e *entry
+	// installed marks the group's circuits as set up on the rail.
+	installed bool
 	// active counts the group's in-flight transfers.
 	active int
 	// tearing marks the group for tear-down by the batch processNow is
@@ -89,8 +88,9 @@ type railState struct {
 	// sw is the device; its matching is the union of installed groups'
 	// circuits.
 	sw *ocs.Switch
-	// groups holds every group the rail has served, by name.
-	groups map[string]*groupState
+	// groups holds a slot for every group of the circuit table,
+	// indexed by group number.
+	groups []*groupState
 	// installed lists the groups whose circuits are set up, in no
 	// particular order.
 	installed []*groupState
@@ -113,26 +113,16 @@ type railState struct {
 	processFn, installFn func()
 }
 
-// group returns the rail's entry for the named group, adding it on
-// first use.
-func (rs *railState) group(name string) *groupState {
-	g := rs.groups[name]
-	if g == nil {
-		g = &groupState{}
-		rs.groups[name] = g
-	}
-	return g
-}
-
 // Controller is the Opus controller: it owns every rail's OCS and serves
 // circuit acquisitions from the shims.
 type Controller struct {
 	clock   Clock
-	plan    PortPlan
 	table   *CircuitTable
 	latency units.Duration
 	rails   []railState // indexed by RailID
-	stats   Stats
+	// slots is the group count the rails' slots cover.
+	slots int
+	stats Stats
 	// free recycles requests that left their queue, so a run allocates
 	// requests up to its peak queue depth rather than one per queued
 	// acquisition.
@@ -140,11 +130,12 @@ type Controller struct {
 }
 
 // NewController builds a controller for every rail of the plan's
-// cluster, with the given reconfiguration latency. The OCS radix is
+// cluster, with the given reconfiguration latency, over a new circuit
+// table of groups (groups[n] is the group numbered n). The OCS radix is
 // sized to the plan (tech describes latency/radix bookkeeping only; the
 // latency argument wins so sweeps can explore Fig. 8's x-axis).
-func NewController(clock Clock, plan PortPlan, latency units.Duration) (*Controller, error) {
-	return NewControllerWithTable(clock, NewCircuitTable(plan), latency)
+func NewController(clock Clock, plan PortPlan, latency units.Duration, groups ...*collective.Group) (*Controller, error) {
+	return NewControllerWithTable(clock, NewCircuitTable(plan, groups), latency)
 }
 
 // NewControllerWithTable is NewController over a shared circuit table:
@@ -161,7 +152,6 @@ func NewControllerWithTable(clock Clock, table *CircuitTable, latency units.Dura
 	}
 	c := &Controller{
 		clock:   clock,
-		plan:    plan,
 		table:   table,
 		latency: latency,
 		rails:   make([]railState, plan.Cluster.NumRails()),
@@ -170,14 +160,55 @@ func NewControllerWithTable(clock Clock, table *CircuitTable, latency units.Dura
 	for r := range c.rails {
 		rs := &c.rails[r]
 		rs.sw = ocs.NewSwitch(fmt.Sprintf("rail%d-ocs", r), tech)
-		rs.groups = make(map[string]*groupState)
 		rs.processFn = func() {
 			rs.processScheduled = false
 			c.processNow(rs)
 		}
 		rs.installFn = func() { c.install(rs) }
 	}
+	c.grow()
 	return c, nil
+}
+
+// grow gives every rail a slot for each group of the table: at
+// construction, and again when the table has gained groups since
+// (opusnet.Server adds a group to its controller's table when a shim
+// registers it). A slot never moves, so requests and installed lists
+// keep pointing at it.
+func (c *Controller) grow() {
+	es := *c.table.entries.Load()
+	from, to := c.slots, len(es)
+	if to <= from {
+		return
+	}
+	n := to - from
+	slots := make([]groupState, n*len(c.rails))
+	ptrs := make([]*groupState, to*len(c.rails))
+	for r := range c.rails {
+		rs := &c.rails[r]
+		groups := ptrs[r*to : (r+1)*to : (r+1)*to]
+		copy(groups, rs.groups)
+		for i := range n {
+			g := &slots[r*n+i]
+			g.e = &es[from+i]
+			groups[from+i] = g
+		}
+		rs.groups = groups
+	}
+	c.slots = to
+}
+
+// slot returns rail rs's slot for group g, or an error when g is not in
+// the controller's circuit table.
+func (c *Controller) slot(rs *railState, g *collective.Group) (*groupState, error) {
+	e, err := c.table.entry(g)
+	if err != nil {
+		return nil, err
+	}
+	if e.id >= c.slots {
+		c.grow()
+	}
+	return rs.groups[e.id], nil
 }
 
 // rail returns the state of rail r, or nil if the cluster has no such
@@ -195,14 +226,19 @@ func (c *Controller) Stats() Stats { return c.stats }
 // Latency returns the configured reconfiguration latency.
 func (c *Controller) Latency() units.Duration { return c.latency }
 
-// Installed reports whether the group's circuits are currently set up.
+// Installed reports whether the named group's circuits are currently
+// set up.
 func (c *Controller) Installed(rail topo.RailID, group string) bool {
 	rs := c.rail(rail)
 	if rs == nil {
 		return false
 	}
-	g := rs.groups[group]
-	return g != nil && g.circuits != nil
+	for _, g := range rs.groups {
+		if g.installed && g.e.group.Name == group {
+			return true
+		}
+	}
+	return false
 }
 
 // Acquire requests circuits for group on rail. granted runs (possibly
@@ -218,20 +254,24 @@ func ignoreArg(arg any) { arg.(func())() }
 // AcquireArg is Acquire for a grant callback taking one argument. A hot
 // caller (the network executor grants one acquisition per scale-out
 // collective) passes one long-lived callback with a per-acquisition
-// argument, so the fast path — circuits already installed — allocates
-// nothing.
+// argument, so on a warm controller neither the fast path — circuits
+// already installed — nor a queued acquisition and the reconfiguration
+// that serves it allocates (TestWarmControllerAllocatesNothing).
 func (c *Controller) AcquireArg(rail topo.RailID, group *collective.Group, granted func(any), arg any) error {
 	rs := c.rail(rail)
 	if rs == nil {
 		return fmt.Errorf("opus: unknown rail %d", rail)
 	}
-	g := rs.group(group.Name)
-	if g.circuits != nil {
+	g, err := c.slot(rs, group)
+	if err != nil {
+		return err
+	}
+	if g.installed {
 		// Speculation yields to demand: a queued waiterless (shim-
 		// provisioned) request that would tear our live circuits was a
 		// mis-prediction — cancel it rather than stall real traffic
 		// behind it. It re-enters when its group actually communicates.
-		c.cancelSpeculation(rs, g.circuits)
+		c.cancelSpeculation(rs, g)
 		if !c.pendingConflicts(rs, g) {
 			// Fast path: circuits live and no queued demand
 			// reconfiguration is about to tear them down ahead of us.
@@ -246,11 +286,10 @@ func (c *Controller) AcquireArg(rail topo.RailID, group *collective.Group, grant
 	if req := c.findPending(rs, g); req != nil {
 		req.waiters = append(req.waiters, w)
 	} else {
-		circuits, err := c.table.CircuitsFor(group)
-		if err != nil {
-			return err
+		if g.e.err != nil {
+			return g.e.err
 		}
-		req := c.newRequest(g, circuits)
+		req := c.newRequest(g)
 		req.waiters = append(req.waiters, w)
 		rs.queue = append(rs.queue, req)
 	}
@@ -267,25 +306,27 @@ func (c *Controller) Provision(rail topo.RailID, group *collective.Group) error 
 	if rs == nil {
 		return fmt.Errorf("opus: unknown rail %d", rail)
 	}
-	g := rs.group(group.Name)
-	if g.circuits != nil && !c.pendingConflicts(rs, g) {
+	g, err := c.slot(rs, group)
+	if err != nil {
+		return err
+	}
+	if g.installed && !c.pendingConflicts(rs, g) {
 		return nil // already live
 	}
 	if c.findPending(rs, g) != nil {
 		return nil // already requested
 	}
-	circuits, err := c.table.CircuitsFor(group)
-	if err != nil {
-		return err
+	if g.e.err != nil {
+		return g.e.err
 	}
 	c.stats.ProvisionedRequests++
-	rs.queue = append(rs.queue, c.newRequest(g, circuits))
+	rs.queue = append(rs.queue, c.newRequest(g))
 	c.process(rs)
 	return nil
 }
 
 // newRequest returns a waiterless request, recycled when one is free.
-func (c *Controller) newRequest(g *groupState, circuits ocs.Matching) *request {
+func (c *Controller) newRequest(g *groupState) *request {
 	var req *request
 	if n := len(c.free); n > 0 {
 		req = c.free[n-1]
@@ -293,7 +334,7 @@ func (c *Controller) newRequest(g *groupState, circuits ocs.Matching) *request {
 	} else {
 		req = &request{}
 	}
-	req.state, req.circuits = g, circuits
+	req.state = g
 	return req
 }
 
@@ -311,8 +352,11 @@ func (c *Controller) Release(rail topo.RailID, group *collective.Group) error {
 	if rs == nil {
 		return fmt.Errorf("opus: unknown rail %d", rail)
 	}
-	g := rs.groups[group.Name]
-	if g == nil || g.active <= 0 {
+	g, err := c.slot(rs, group)
+	if err != nil {
+		return err
+	}
+	if g.active <= 0 {
 		return fmt.Errorf("opus: release of inactive group %s on rail %d", group.Name, rail)
 	}
 	g.active--
@@ -321,12 +365,12 @@ func (c *Controller) Release(rail topo.RailID, group *collective.Group) error {
 }
 
 // cancelSpeculation removes queued waiterless requests whose circuits
-// conflict with the given live circuits. An in-flight reconfiguration
-// cannot be recalled; only still-queued speculation is dropped.
-func (c *Controller) cancelSpeculation(rs *railState, live ocs.Matching) {
+// conflict with the live group's. An in-flight reconfiguration cannot
+// be recalled; only still-queued speculation is dropped.
+func (c *Controller) cancelSpeculation(rs *railState, live *groupState) {
 	kept := rs.queue[:0]
 	for _, req := range rs.queue {
-		if len(req.waiters) == 0 && !req.inFlight && conflicts(req.circuits, live) {
+		if len(req.waiters) == 0 && !req.inFlight && req.state.e.conflictsWith(live.e) {
 			c.recycle(req)
 			continue
 		}
@@ -350,21 +394,11 @@ func (c *Controller) findPending(rs *railState, g *groupState) *request {
 // circuits the head-of-line reconfiguration is waiting to remove,
 // starving it — the control divergence Objective 3 forbids.
 func (c *Controller) pendingConflicts(rs *railState, g *groupState) bool {
-	if g.circuits == nil {
+	if !g.installed {
 		return false
 	}
 	for _, req := range rs.queue {
-		if conflicts(g.circuits, req.circuits) {
-			return true
-		}
-	}
-	return false
-}
-
-// conflicts reports whether two matchings share any port.
-func conflicts(a, b ocs.Matching) bool {
-	for p := range a {
-		if _, ok := b.Peer(p); ok {
+		if g.e.conflictsWith(req.state.e) {
 			return true
 		}
 	}
@@ -392,7 +426,7 @@ func (c *Controller) processNow(rs *railState) {
 	}
 	// Serve queued requests whose circuits are already installed
 	// (a previous batch may have covered them).
-	for len(rs.queue) > 0 && rs.queue[0].state.circuits != nil {
+	for len(rs.queue) > 0 && rs.queue[0].state.installed {
 		c.grant(rs, rs.queue[0])
 	}
 	if len(rs.queue) == 0 {
@@ -405,13 +439,13 @@ func (c *Controller) processNow(rs *railState) {
 grow:
 	for _, req := range rs.queue {
 		for _, b := range batch {
-			if conflicts(req.circuits, b.circuits) {
+			if req.state.e.conflictsWith(b.state.e) {
 				break grow
 			}
 		}
 		marked := len(tearDown)
 		for _, g := range rs.installed {
-			if g.tearing || !conflicts(g.circuits, req.circuits) {
+			if g.tearing || !g.e.conflictsWith(req.state.e) {
 				continue // already being torn down by this batch, or unaffected
 			}
 			if g.active > 0 {
@@ -435,16 +469,16 @@ grow:
 	// latency, set up, grant in queue order.
 	rs.reconfiguring = true
 	for _, g := range tearDown {
-		if err := rs.sw.TearDown(g.circuits); err != nil {
+		if err := rs.sw.TearDown(g.e.pairs); err != nil {
 			panic(fmt.Sprintf("opus: tear-down of idle circuits failed: %v", err))
 		}
-		g.circuits = nil
+		g.installed = false
 		g.tearing = false
 	}
 	rs.tearDown = tearDown[:0]
 	kept := rs.installed[:0]
 	for _, g := range rs.installed {
-		if g.circuits != nil {
+		if g.installed {
 			kept = append(kept, g)
 		}
 	}
@@ -457,10 +491,10 @@ grow:
 // requests in queue order, and scans the queue again.
 func (c *Controller) install(rs *railState) {
 	for _, req := range rs.batch {
-		if err := rs.sw.SetUp(req.circuits); err != nil {
+		if err := rs.sw.SetUp(req.state.e.pairs); err != nil {
 			panic(fmt.Sprintf("opus: set-up failed: %v", err))
 		}
-		req.state.circuits = req.circuits
+		req.state.installed = true
 		rs.installed = append(rs.installed, req.state)
 	}
 	rs.reconfiguring = false
@@ -478,7 +512,11 @@ func (c *Controller) grant(rs *railState, head *request) {
 	if rs.queue[0] != head {
 		panic("opus: grant out of FC-FS order")
 	}
-	rs.queue = rs.queue[1:]
+	// Shift rather than reslice, so the queue keeps its capacity and a
+	// warm rail queues without allocating.
+	n := copy(rs.queue, rs.queue[1:])
+	rs.queue[n] = nil
+	rs.queue = rs.queue[:n]
 	for _, w := range head.waiters {
 		head.state.active++
 		c.stats.BlockedTime += c.clock.Now() - w.arrival

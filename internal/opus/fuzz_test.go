@@ -30,13 +30,9 @@ func TestControllerRandomWorkloadProperty(t *testing.T) {
 		engine := sim.NewEngine()
 		plan := PortPlan{Cluster: cl, PortsPerGPU: 2}
 		latency := units.Duration(rng.Int63n(int64(20 * units.Millisecond)))
-		ctrl, err := NewController(SimClock(engine), plan, latency)
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
 
-		// Random rail-0 groups: rings over random node subsets.
+		// Random rail-0 groups: rings over random node subsets, numbered
+		// in creation order and registered in the controller's table.
 		numGroups := rng.Intn(4) + 2
 		groups := make([]*collective.Group, 0, numGroups)
 		circuits := make(map[string]ocs.Matching, numGroups)
@@ -48,6 +44,7 @@ func TestControllerRandomWorkloadProperty(t *testing.T) {
 				ranks[j] = cl.GPUAt(topo.NodeID(n), 0)
 			}
 			g := &collective.Group{
+				ID:    i,
 				Name:  fmt.Sprintf("g%d", i),
 				Axis:  parallelism.FSDP,
 				Ranks: ranks,
@@ -59,6 +56,11 @@ func TestControllerRandomWorkloadProperty(t *testing.T) {
 			}
 			groups = append(groups, g)
 			circuits[g.Name] = m
+		}
+		ctrl, err := NewController(SimClock(engine), plan, latency, groups...)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
 		conflictPair := func(a, b string) bool {
 			for p := range circuits[a] {

@@ -14,7 +14,8 @@ const ms = units.Millisecond
 
 // rig is a 4-node, 4-GPU/node photonic cluster with 2-port NICs and the
 // §3.1 rail-0 groups: FSDP rings {n0,n1} and {n2,n3}, PP rings {n0,n2}
-// and {n1,n3}.
+// and {n1,n3}, numbered 0 to 3 in that order and registered in the
+// controller's circuit table.
 type rig struct {
 	engine *sim.Engine
 	plan   PortPlan
@@ -30,19 +31,25 @@ func newRig(t *testing.T, latency units.Duration) *rig {
 	cl := topo.MustNew(topo.Config{NumNodes: 4, GPUsPerNode: 4, Fabric: topo.FabricPhotonicRail})
 	engine := sim.NewEngine()
 	plan := PortPlan{Cluster: cl, PortsPerGPU: 2}
-	ctrl, err := NewController(SimClock(engine), plan, latency)
+	r := &rig{
+		engine: engine,
+		plan:   plan,
+		fsdp0:  &collective.Group{ID: 0, Name: "fsdp.s0.r0", Axis: parallelism.FSDP, Ranks: []topo.GPUID{0, 4}},
+		fsdp1:  &collective.Group{ID: 1, Name: "fsdp.s1.r0", Axis: parallelism.FSDP, Ranks: []topo.GPUID{8, 12}},
+		pp0:    &collective.Group{ID: 2, Name: "pp.d0.r0", Axis: parallelism.PP, Ranks: []topo.GPUID{0, 8}},
+		pp1:    &collective.Group{ID: 3, Name: "pp.d1.r0", Axis: parallelism.PP, Ranks: []topo.GPUID{4, 12}},
+	}
+	ctrl, err := NewController(SimClock(engine), plan, latency, r.groups()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{
-		engine: engine,
-		plan:   plan,
-		ctrl:   ctrl,
-		fsdp0:  &collective.Group{Name: "fsdp.s0.r0", Axis: parallelism.FSDP, Ranks: []topo.GPUID{0, 4}},
-		fsdp1:  &collective.Group{Name: "fsdp.s1.r0", Axis: parallelism.FSDP, Ranks: []topo.GPUID{8, 12}},
-		pp0:    &collective.Group{Name: "pp.d0.r0", Axis: parallelism.PP, Ranks: []topo.GPUID{0, 8}},
-		pp1:    &collective.Group{Name: "pp.d1.r0", Axis: parallelism.PP, Ranks: []topo.GPUID{4, 12}},
-	}
+	r.ctrl = ctrl
+	return r
+}
+
+// groups lists the rig's groups by number.
+func (r *rig) groups() []*collective.Group {
+	return []*collective.Group{r.fsdp0, r.fsdp1, r.pp0, r.pp1}
 }
 
 func TestPortPlanCircuits(t *testing.T) {
@@ -100,8 +107,11 @@ func TestPortPlanStaticPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Disjoint port ranges: the two partitions never conflict.
-	if conflicts(m0, m1) {
-		t.Errorf("static partitions share ports: %v vs %v", m0, m1)
+	for p := range m0 {
+		if _, ok := m1.Peer(p); ok {
+			t.Errorf("static partitions share ports: %v vs %v", m0, m1)
+			break
+		}
 	}
 	bad := PortPlan{Cluster: cl, PortsPerGPU: 4, PortBase: 3}
 	if bad.Validate() == nil {
@@ -360,5 +370,45 @@ func TestControllerValidation(t *testing.T) {
 	}
 	if _, err := NewController(SimClock(e), PortPlan{}, 0); err == nil {
 		t.Error("nil-cluster plan accepted")
+	}
+}
+
+// TestWarmControllerAllocatesNothing checks AcquireArg's claim: once a
+// controller has served a pattern, repeating it allocates nothing — the
+// fast path (circuits live) and a full reconfiguration cycle alike, in
+// which pp0's request tears down fsdp0's idle circuits, waits out the
+// switching latency, sets pp0's up and grants it, and fsdp0 then comes
+// back the same way.
+func TestWarmControllerAllocatesNothing(t *testing.T) {
+	r := newRig(t, 10*ms)
+	grants := 0
+	granted := func(any) { grants++ }
+	acquireRelease := func(g *collective.Group) {
+		if err := r.ctrl.AcquireArg(0, g, granted, nil); err != nil {
+			t.Fatal(err)
+		}
+		r.engine.Run()
+		if err := r.ctrl.Release(0, g); err != nil {
+			t.Fatal(err)
+		}
+		r.engine.Run()
+	}
+	cycle := func() {
+		acquireRelease(r.pp0)
+		acquireRelease(r.fsdp0)
+	}
+	cycle() // warm: slots, queue, batch and tear-down lists, free requests, engine events
+	cycle()
+	fast := testing.AllocsPerRun(100, func() { acquireRelease(r.fsdp0) })
+	reconfigs := r.ctrl.Stats().Reconfigurations
+	full := testing.AllocsPerRun(100, cycle)
+	if got := r.ctrl.Stats().Reconfigurations - reconfigs; got != 2*101 {
+		t.Fatalf("the cycle reconfigured %d times in 101 runs, want 2 per run", got)
+	}
+	if fast != 0 || full != 0 {
+		t.Errorf("warm controller allocated: fast path %.1f, reconfiguration cycle %.1f per run; want 0", fast, full)
+	}
+	if want := 2*2 + 101 + 2*101; grants != want {
+		t.Errorf("grants = %d, want %d", grants, want)
 	}
 }

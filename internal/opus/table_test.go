@@ -30,7 +30,7 @@ func TestGroupsConflict(t *testing.T) {
 
 func TestCircuitTableMemoizes(t *testing.T) {
 	r := newRig(t, 0)
-	tab := NewCircuitTable(r.plan)
+	tab := NewCircuitTable(r.plan, r.groups())
 	if tab.Plan().Cluster != r.plan.Cluster {
 		t.Error("Plan() does not return the constructed plan")
 	}
@@ -45,7 +45,8 @@ func TestCircuitTableMemoizes(t *testing.T) {
 	if reflect.ValueOf(m1).Pointer() != reflect.ValueOf(m2).Pointer() {
 		t.Error("CircuitsFor recomputed instead of returning the memoized matching")
 	}
-	// Conflict results are memoized under the unordered name pair.
+	// A conflict verdict is kept once per unordered pair: in the row of
+	// the higher-numbered group (pp0, number 2), which both orders read.
 	c1, err := tab.GroupsConflict(r.fsdp0, r.pp0)
 	if err != nil || !c1 {
 		t.Fatalf("GroupsConflict = %v, %v; want true", c1, err)
@@ -54,8 +55,11 @@ func TestCircuitTableMemoizes(t *testing.T) {
 	if err != nil || !c2 {
 		t.Fatalf("reversed GroupsConflict = %v, %v; want true", c2, err)
 	}
-	if len(tab.conflicts) != 1 {
-		t.Errorf("conflict cache has %d entries, want 1 (symmetric key)", len(tab.conflicts))
+	fsdp0, _ := tab.entry(r.fsdp0)
+	pp0, _ := tab.entry(r.pp0)
+	if len(fsdp0.conflicts) != 1 || fsdp0.conflicts[0] != 1 || pp0.conflicts[0]&1 == 0 {
+		t.Errorf("conflict rows fsdp0 %b, pp0 %b; want the pair's bit in pp0's row only (symmetric slot)",
+			fsdp0.conflicts, pp0.conflicts)
 	}
 	if c, err := tab.GroupsConflict(r.fsdp0, r.fsdp1); err != nil || c {
 		t.Errorf("GroupsConflict(fsdp0, fsdp1) = %v, %v; want false", c, err)
@@ -64,8 +68,8 @@ func TestCircuitTableMemoizes(t *testing.T) {
 
 func TestCircuitTableMemoizesErrors(t *testing.T) {
 	r := newRig(t, 0)
-	tab := NewCircuitTable(r.plan)
-	bad := &collective.Group{Name: "bad", Axis: parallelism.TP, Ranks: []topo.GPUID{0, 1}}
+	bad := &collective.Group{ID: 4, Name: "bad", Axis: parallelism.TP, Ranks: []topo.GPUID{0, 1}}
+	tab := NewCircuitTable(r.plan, append(r.groups(), bad))
 	_, err1 := tab.CircuitsFor(bad)
 	if err1 == nil {
 		t.Fatal("cross-rail group did not error")

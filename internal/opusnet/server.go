@@ -44,10 +44,13 @@ func (c *realClock) Immediately(fn func()) {
 type Server struct {
 	lis *Listener
 
-	mu     sync.Mutex
-	ctrl   *opus.Controller
-	plan   opus.PortPlan
-	groups map[string]*collective.Group // the comm-group table (§4.1)
+	mu   sync.Mutex
+	ctrl *opus.Controller
+	// table is the controller's circuit table, and groups the same
+	// groups by name (the comm-group table of §4.1): a registered group
+	// is numbered and added to both.
+	table  *opus.CircuitTable
+	groups map[string]*collective.Group
 	// pendingSync[group] collects per-rank acquire arrivals until the
 	// whole group has checked in (the group-sync step).
 	pendingSync map[string]*groupSync
@@ -83,12 +86,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		PortsPerGPU: cfg.Cluster.NIC.Ports,
 		RingPairs:   cfg.Cluster.NIC.Ports / 2,
 	}
-	ctrl, err := opus.NewController(clock, plan, cfg.ReconfigLatency)
+	s.table = opus.NewCircuitTable(plan, nil)
+	ctrl, err := opus.NewControllerWithTable(clock, s.table, cfg.ReconfigLatency)
 	if err != nil {
 		return nil, err
 	}
 	s.ctrl = ctrl
-	s.plan = plan
 	s.lis, err = Listen(cfg.Addr, nil, func(err error) { log.Printf("opusnet: accept: %v", err) })
 	if err != nil {
 		return nil, err
@@ -167,7 +170,9 @@ func (s *Server) dispatch(msg *Message, reply func(*Message)) {
 }
 
 // registerLocked installs a group in the comm-group table, verifying
-// idempotent re-registration.
+// idempotent re-registration. A new group takes the next number and
+// joins the controller's circuit table, which refuses a group whose
+// circuits cannot be derived.
 func (s *Server) registerLocked(msg *Message) (*collective.Group, error) {
 	if msg.Group == "" || len(msg.Ranks) < 2 {
 		return nil, fmt.Errorf("opusnet: register needs a name and at least 2 ranks")
@@ -176,11 +181,8 @@ func (s *Server) registerLocked(msg *Message) (*collective.Group, error) {
 	for i, r := range msg.Ranks {
 		ranks[i] = topo.GPUID(r)
 	}
-	g := &collective.Group{Name: msg.Group, Axis: parallelism.Axis(msg.Axis), Ranks: ranks}
+	g := &collective.Group{ID: len(s.groups), Name: msg.Group, Axis: parallelism.Axis(msg.Axis), Ranks: ranks}
 	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if _, err := s.plan.CircuitsFor(g); err != nil {
 		return nil, err
 	}
 	if old, ok := s.groups[msg.Group]; ok {
@@ -193,6 +195,9 @@ func (s *Server) registerLocked(msg *Message) (*collective.Group, error) {
 			}
 		}
 		return old, nil
+	}
+	if err := s.table.Add(g); err != nil {
+		return nil, err
 	}
 	s.groups[msg.Group] = g
 	return g, nil

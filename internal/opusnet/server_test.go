@@ -4,6 +4,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"photonrail/internal/parallelism"
 )
 
 // TestDeadConnectionDoesNotDeadlockServer is the regression test for
@@ -83,5 +85,67 @@ func TestDeadConnectionDoesNotDeadlockServer(t *testing.T) {
 	_ = p2.Close()
 	if _, err := c4.Stats(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupRegisteredLaterIsServed registers a group after the
+// controller has already served another: the server numbers it next,
+// adds it to the controller's circuit table, and the controller grows
+// its rails' group slots to serve it while the first group's circuits
+// are still installed. A refused registration takes no number.
+func TestGroupRegisteredLaterIsServed(t *testing.T) {
+	s := newTestServer(t, 0)
+	clients := map[int]*Client{}
+	for _, rank := range []int{0, 4, 8} {
+		clients[rank] = dialRank(t, s, rank)
+	}
+	serve := func(group string, ranks []int) {
+		t.Helper()
+		for _, r := range ranks {
+			if err := clients[r].RegisterGroup(group, 0, int(parallelism.PP), ranks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Group sync: every member's acquire returns once all have asked.
+		errs := make(chan error, len(ranks))
+		for _, r := range ranks {
+			go func(c *Client) { errs <- c.Acquire(group, 0) }(clients[r])
+		}
+		for range ranks {
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("acquire of %s never granted", group)
+			}
+		}
+		for _, r := range ranks {
+			if err := clients[r].Release(group, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serve("first", []int{0, 4})
+	if err := clients[0].RegisterGroup("cross-rail", 0, int(parallelism.PP), []int{0, 5}); err == nil {
+		t.Fatal("cross-rail group registered")
+	}
+	serve("later", []int{0, 8})
+	serve("first", []int{0, 4})
+	s.mu.Lock()
+	first, later := s.groups["first"].ID, s.groups["later"].ID
+	s.mu.Unlock()
+	if first != 0 || later != 1 {
+		t.Errorf("groups numbered %d and %d, want 0 and 1", first, later)
+	}
+	st, err := clients[0].Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "later" shares node 0's ports with "first": each switch between
+	// them tears one down and sets the other up.
+	if st.Reconfigurations != 3 {
+		t.Errorf("reconfigurations = %d, want 3", st.Reconfigurations)
 	}
 }

@@ -321,8 +321,10 @@ func (b *builder) computeBytes() {
 
 func (b *builder) makeGroups() {
 	cfg := b.cfg
+	// Groups are numbered densely in the order they are made; the
+	// program's circuit tables index their entries by the number.
 	reg := func(name string, axis parallelism.Axis, ranks []topo.GPUID) {
-		b.groups[name] = &collective.Group{Name: name, Axis: axis, Ranks: ranks}
+		b.groups[name] = &collective.Group{ID: len(b.groups), Name: name, Axis: axis, Ranks: ranks}
 	}
 	for t := 0; t < cfg.TP; t++ {
 		if cfg.PP > 1 {

@@ -84,7 +84,9 @@ type Program struct {
 	Strategy *parallelism.Strategy
 	// Tasks in ID order.
 	Tasks []*Task
-	// Groups maps group name to the communication group.
+	// Groups maps group name to the communication group. The groups
+	// are numbered densely (collective.Group.ID); Index.Groups lists
+	// them by number.
 	Groups map[string]*collective.Group
 	// Iterations is the iteration count.
 	Iterations int
@@ -106,6 +108,8 @@ type Index struct {
 	Succ [][]TaskID
 	// Indeg[id] is task id's dependency count.
 	Indeg []int
+	// Groups[n] is the program's group numbered n.
+	Groups []*collective.Group
 
 	mu  sync.Mutex
 	aux map[any]any
@@ -116,9 +120,15 @@ type Index struct {
 func (p *Program) Index() *Index {
 	p.idxOnce.Do(func() {
 		ix := &Index{
-			Succ:  make([][]TaskID, len(p.Tasks)),
-			Indeg: make([]int, len(p.Tasks)),
-			aux:   make(map[any]any),
+			Succ:   make([][]TaskID, len(p.Tasks)),
+			Indeg:  make([]int, len(p.Tasks)),
+			Groups: make([]*collective.Group, len(p.Groups)),
+			aux:    make(map[any]any),
+		}
+		for _, g := range p.Groups {
+			if g.ID >= 0 && g.ID < len(ix.Groups) {
+				ix.Groups[g.ID] = g
+			}
 		}
 		// Successor lists are carved from one flat buffer sized by a
 		// counting pass, instead of n separately grown slices.
@@ -178,8 +188,20 @@ func (ix *Index) Aux(key any, build func() any) any {
 }
 
 // Validate checks DAG structural invariants: dependencies point
-// backwards, collectives have participants, groups are registered.
+// backwards, collectives have participants, groups are registered and
+// numbered densely.
 func (p *Program) Validate() error {
+	numbered := make([]bool, len(p.Groups))
+	for name, g := range p.Groups {
+		if g.Name != name {
+			return fmt.Errorf("workload: group %s registered as %s", g.Name, name)
+		}
+		if g.ID < 0 || g.ID >= len(numbered) || numbered[g.ID] {
+			return fmt.Errorf("workload: group %s has number %d; %d groups need the numbers 0 to %d once each",
+				name, g.ID, len(numbered), len(numbered)-1)
+		}
+		numbered[g.ID] = true
+	}
 	for _, t := range p.Tasks {
 		for _, d := range t.Deps {
 			if d >= t.ID || d < 0 {
@@ -193,7 +215,7 @@ func (p *Program) Validate() error {
 			if len(t.Ranks) == 0 {
 				return fmt.Errorf("workload: collective %d (%s) has no participants", t.ID, t.Label)
 			}
-			if _, ok := p.Groups[t.Group.Name]; !ok {
+			if p.Groups[t.Group.Name] != t.Group {
 				return fmt.Errorf("workload: collective %d uses unregistered group %s", t.ID, t.Group.Name)
 			}
 			for _, r := range t.Ranks {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"photonrail/internal/collective"
 	"photonrail/internal/model"
 	"photonrail/internal/parallelism"
 	"photonrail/internal/topo"
@@ -128,6 +129,122 @@ func TestGroupsOnExpectedRails(t *testing.T) {
 			if cl.LocalRank(r) != rail {
 				t.Errorf("group %s spans rails: %v", name, g.Ranks)
 			}
+		}
+	}
+}
+
+// TestGroupsNumberedInCreationOrder checks that Build numbers a
+// program's groups 0, 1, … in the order it creates them (per rail t,
+// the pipeline groups and then, stage by stage, the FSDP, CP and EP
+// groups) and that the index lists them by number, on 3D, CP and EP
+// programs.
+func TestGroupsNumberedInCreationOrder(t *testing.T) {
+	for _, cfg := range []Config{paperConfig(t, 1), cp4DConfig(t), ep4DConfig(t)} {
+		p := MustBuild(cfg)
+		ix, err := p.ValidIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.applyDefaults()
+		b := &builder{cfg: cfg, cluster: cfg.Cluster}
+		var want []string
+		for tp := 0; tp < cfg.TP; tp++ {
+			if cfg.PP > 1 {
+				for _, sh := range b.shards() {
+					want = append(want, string(b.ppGroupName(sh, tp)))
+				}
+			}
+			for s := 0; s < cfg.PP; s++ {
+				if cfg.DP > 1 {
+					for e := 0; e < cfg.EP; e++ {
+						for c := 0; c < cfg.CP; c++ {
+							want = append(want, string(b.fsdpGroupName(s, c, e, tp)))
+						}
+					}
+				}
+				if cfg.CP > 1 {
+					for e := 0; e < cfg.EP; e++ {
+						for d := 0; d < cfg.DP; d++ {
+							want = append(want, string(b.cpGroupName(s, d, e, tp)))
+						}
+					}
+				}
+				if cfg.EP > 1 {
+					for c := 0; c < cfg.CP; c++ {
+						for d := 0; d < cfg.DP; d++ {
+							want = append(want, string(b.epGroupName(s, d, c, tp)))
+						}
+					}
+				}
+			}
+		}
+		if len(ix.Groups) != len(want) || len(p.Groups) != len(want) {
+			t.Fatalf("TP%d CP%d EP%d: index lists %d groups, program has %d, want %d",
+				cfg.TP, cfg.CP, cfg.EP, len(ix.Groups), len(p.Groups), len(want))
+		}
+		for n, g := range ix.Groups {
+			if g.ID != n || g.Name != want[n] || p.Groups[g.Name] != g {
+				t.Errorf("TP%d CP%d EP%d: group %d is %s (ID %d), want %s",
+					cfg.TP, cfg.CP, cfg.EP, n, g.Name, g.ID, want[n])
+			}
+		}
+	}
+}
+
+// TestValidateRefusesMisnumberedGroups checks that a program whose
+// groups are not numbered 0 to n-1 once each is refused: circuit tables
+// index groups by number.
+func TestValidateRefusesMisnumberedGroups(t *testing.T) {
+	built := MustBuild(paperConfig(t, 1))
+	for _, mutate := range []func(map[string]*collective.Group){
+		func(gs map[string]*collective.Group) { // a number past the end
+			for _, g := range gs {
+				if g.ID == 0 {
+					g.ID = len(gs)
+				}
+			}
+		},
+		func(gs map[string]*collective.Group) { // a number used twice
+			for _, g := range gs {
+				if g.ID == 1 {
+					g.ID = 0
+				}
+			}
+		},
+	} {
+		groups := make(map[string]*collective.Group, len(built.Groups))
+		for name, g := range built.Groups {
+			cp := *g
+			groups[name] = &cp
+		}
+		mutate(groups)
+		tasks := make([]*Task, len(built.Tasks))
+		for i, task := range built.Tasks {
+			cp := *task
+			if cp.Group != nil {
+				cp.Group = groups[cp.Group.Name]
+			}
+			tasks[i] = &cp
+		}
+		bad := &Program{Cluster: built.Cluster, Strategy: built.Strategy, Tasks: tasks, Groups: groups, Iterations: built.Iterations}
+		if err := bad.Validate(); err == nil {
+			t.Error("misnumbered groups accepted")
+		}
+	}
+	// A collective whose group is a copy of the registered one is
+	// refused too: tables hold the registered group.
+	for _, task := range built.Tasks {
+		if task.IsCollective() {
+			cp := *task
+			twin := *task.Group
+			cp.Group = &twin
+			tasks := append([]*Task(nil), built.Tasks...)
+			tasks[task.ID] = &cp
+			bad := &Program{Cluster: built.Cluster, Strategy: built.Strategy, Tasks: tasks, Groups: built.Groups, Iterations: built.Iterations}
+			if err := bad.Validate(); err == nil {
+				t.Error("collective on an unregistered copy of its group accepted")
+			}
+			break
 		}
 	}
 }
