@@ -11,7 +11,8 @@ import (
 // TestCircuitTableMatchesPortPlan builds the programs of the cold-grid
 // shapes (3D, 4D and 5D) and checks the dense circuit table against the
 // port plan it indexes, under the Opus plan and under every static
-// partition of the NIC: each group's entry is PortPlan.CircuitsFor,
+// partition of the NIC: each group's entry is PortPlan.CircuitsFor and
+// counts the circuits between two members as PortPlan.CircuitsBetween,
 // each pair's conflict bit is PortPlan.GroupsConflict, the groups are
 // numbered densely, and a group the table was not built with is
 // refused. The shapes run with their grid's two-port NIC and again
@@ -67,6 +68,15 @@ func checkTableAgainstPlan(t *testing.T, name string, plan opus.PortPlan, groups
 		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() || !got.Equal(want) {
 			t.Fatalf("%s %+v: CircuitsFor(%s) = %v, %v; PortPlan says %v, %v", name, plan, a.Name, got, gerr, want, werr)
 		}
+		for _, x := range a.Ranks {
+			for _, y := range a.Ranks {
+				n, err := tab.CircuitsBetween(a, x, y)
+				if (err == nil) != (werr == nil) || werr == nil && n != plan.CircuitsBetween(want, x, y) {
+					t.Fatalf("%s %+v: CircuitsBetween(%s, %d, %d) = %d, %v; PortPlan says %d, %v",
+						name, plan, a.Name, x, y, n, err, plan.CircuitsBetween(want, x, y), werr)
+				}
+			}
+		}
 		for _, b := range groups {
 			got, gerr := tab.GroupsConflict(a, b)
 			want, werr := plan.GroupsConflict(a, b)
@@ -86,6 +96,9 @@ func checkTableAgainstPlan(t *testing.T, name string, plan opus.PortPlan, groups
 		}
 		if _, err := tab.GroupsConflict(groups[0], g); err == nil {
 			t.Errorf("%s: GroupsConflict served %s (number %d), which the table was not built with", name, g.Name, g.ID)
+		}
+		if _, err := tab.CircuitsBetween(g, g.Ranks[0], g.Ranks[1]); err == nil {
+			t.Errorf("%s: CircuitsBetween served %s (number %d), which the table was not built with", name, g.Name, g.ID)
 		}
 	}
 }

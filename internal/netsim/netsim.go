@@ -639,19 +639,17 @@ func (ex *executor) granted(t *workload.Task) {
 func (ex *executor) circuitBandwidth(t *workload.Task) units.Bandwidth {
 	perPort := ex.p.Cluster.NIC.PerPort
 	fab := ex.fabricOf(t)
-	plan := fab.plan
 	if t.CollKind == collective.SendRecv && len(t.Ranks) == 2 {
-		m, err := fab.table.CircuitsFor(t.Group)
+		n, err := fab.table.CircuitsBetween(t.Group, t.Ranks[0], t.Ranks[1])
 		if err != nil {
 			panic(err)
 		}
-		n := plan.CircuitsBetween(m, t.Ranks[0], t.Ranks[1])
 		if n == 0 {
 			n = 1 // degenerate; never happens for ring-adjacent pairs
 		}
 		return units.Bandwidth(int64(n) * int64(perPort))
 	}
-	pairs := plan.RingPairs
+	pairs := fab.plan.RingPairs
 	if pairs <= 0 {
 		pairs = 1
 	}

@@ -2,11 +2,13 @@ package opus
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"photonrail/internal/collective"
 	"photonrail/internal/ocs"
+	"photonrail/internal/topo"
 )
 
 // CircuitTable holds a PortPlan's circuit derivations for a numbered
@@ -191,6 +193,33 @@ func (t *CircuitTable) CircuitsFor(g *collective.Group) (ocs.Matching, error) {
 		return nil, err
 	}
 	return e.circuits, e.err
+}
+
+// CircuitsBetween is PortPlan.CircuitsBetween over the circuits of g, a
+// group in the table, looked up in its pairs.
+func (t *CircuitTable) CircuitsBetween(g *collective.Group, a, b topo.GPUID) (int, error) {
+	e, err := t.entry(g)
+	if err != nil {
+		return 0, err
+	}
+	if e.err != nil {
+		return 0, e.err
+	}
+	count := 0
+	for j := 0; j < t.plan.ringPairs(); j++ {
+		for _, c := range [2][2]ocs.Port{
+			{t.plan.TxPort(a, j), t.plan.RxPort(b, j)},
+			{t.plan.TxPort(b, j), t.plan.RxPort(a, j)},
+		} {
+			if c[1] < c[0] {
+				c[0], c[1] = c[1], c[0]
+			}
+			if slices.Contains(e.pairs, c) {
+				count++
+			}
+		}
+	}
+	return count, nil
 }
 
 // GroupsConflict is PortPlan.GroupsConflict for two groups in the
