@@ -99,10 +99,11 @@ type Program struct {
 
 // Index is a Program's derived runtime index: the DAG structure every
 // run re-derived per execution (successor lists, dependency indegrees)
-// computed once and shared, plus an attachment point for other
-// per-program caches. All fields are immutable after construction; Aux
-// is internally synchronized. Treat Succ and Indeg as read-only —
-// executors copy Indeg into per-run scratch before counting down.
+// and the groups by number, computed once and shared, plus an
+// attachment point for other per-program caches (the circuit tables).
+// All fields are immutable after construction; Aux is internally
+// synchronized. Treat Succ, Indeg and Groups as read-only — executors
+// copy Indeg into per-run scratch before counting down.
 type Index struct {
 	// Succ[id] lists the tasks depending on id.
 	Succ [][]TaskID
