@@ -505,7 +505,7 @@ func newExecutor(p *workload.Program, ix *workload.Index, opts Options) (*execut
 			RingPairs:   p.Cluster.NIC.Ports / 2,
 		}
 		table := tableOf(ix, plan)
-		ctrl, err := opus.NewControllerWithTable(opus.SimClock(ex.engine), table, opts.ReconfigLatency)
+		ctrl, err := opus.NewController(opus.SimClock(ex.engine), table, opts.ReconfigLatency)
 		if err != nil {
 			ex.release()
 			return nil, err
@@ -552,7 +552,7 @@ func (ex *executor) setupStatic() error {
 	for i, a := range axes {
 		plan := opus.PortPlan{Cluster: ex.p.Cluster, PortsPerGPU: ports, PortBase: 2 * i, RingPairs: 1}
 		table := tableOf(ex.ix, plan)
-		ctrl, err := opus.NewControllerWithTable(opus.SimClock(ex.engine), table, 0)
+		ctrl, err := opus.NewController(opus.SimClock(ex.engine), table, 0)
 		if err != nil {
 			return err
 		}

@@ -25,6 +25,46 @@ var tinyModel = model.Spec{
 	BytesPerGrad:  4,
 }
 
+// randomProgram builds the workload shape seed draws from the generated
+// tests' grammar: TP, DP and PP in {1, 2, 4} and CP in {1, 2}, with some
+// scale-out traffic, PP to PP+2 microbatches and one iteration of
+// tinyModel on a photonic-rail cluster of two-port NICs.
+func randomProgram(seed int64) (*workload.Program, error) {
+	rng := rand.New(rand.NewSource(seed))
+	tp := []int{1, 2, 4}[rng.Intn(3)]
+	dp := []int{1, 2, 4}[rng.Intn(3)]
+	pp := []int{1, 2, 4}[rng.Intn(3)]
+	cp := []int{1, 2}[rng.Intn(2)]
+	if dp*pp*cp == 1 {
+		dp = 2 // ensure some scale-out traffic
+	}
+	mb := pp
+	if extra := rng.Intn(3); extra > 0 {
+		mb += extra
+	}
+	cl, err := topo.New(topo.Config{
+		NumNodes:    dp * pp * cp,
+		GPUsPerNode: tp,
+		Fabric:      topo.FabricPhotonicRail,
+		NIC:         topo.TwoPort200G,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return workload.Build(workload.Config{
+		Model:          tinyModel,
+		GPU:            model.A100,
+		Cluster:        cl,
+		TP:             tp,
+		DP:             dp,
+		PP:             pp,
+		CP:             cp,
+		Microbatches:   mb,
+		MicrobatchSize: 1,
+		Iterations:     1,
+	})
+}
+
 // TestRandomConfigsRunEverywhereProperty builds random valid workload
 // shapes and checks the cross-fabric invariants on each:
 //
@@ -37,43 +77,9 @@ func TestRandomConfigsRunEverywhereProperty(t *testing.T) {
 		t.Skip("random end-to-end sweeps")
 	}
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tp := []int{1, 2, 4}[rng.Intn(3)]
-		dp := []int{1, 2, 4}[rng.Intn(3)]
-		pp := []int{1, 2, 4}[rng.Intn(3)]
-		cp := []int{1, 2}[rng.Intn(2)]
-		if dp*pp*cp == 1 {
-			dp = 2 // ensure some scale-out traffic
-		}
-		nodes := dp * pp * cp
-		mb := pp
-		if extra := rng.Intn(3); extra > 0 {
-			mb += extra
-		}
-		cl, err := topo.New(topo.Config{
-			NumNodes:    nodes,
-			GPUsPerNode: tp,
-			Fabric:      topo.FabricPhotonicRail,
-			NIC:         topo.TwoPort200G,
-		})
+		prog, err := randomProgram(seed)
 		if err != nil {
-			t.Logf("seed %d topo: %v", seed, err)
-			return false
-		}
-		prog, err := workload.Build(workload.Config{
-			Model:          tinyModel,
-			GPU:            model.A100,
-			Cluster:        cl,
-			TP:             tp,
-			DP:             dp,
-			PP:             pp,
-			CP:             cp,
-			Microbatches:   mb,
-			MicrobatchSize: 1,
-			Iterations:     1,
-		})
-		if err != nil {
-			t.Logf("seed %d build: %v", seed, err)
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		el, err := Run(prog, Options{Mode: Electrical})

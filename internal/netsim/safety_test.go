@@ -107,3 +107,35 @@ func TestCircuitSafety4D(t *testing.T) {
 	}
 	checkCircuitSafety(t, p, res.Trace)
 }
+
+// TestCircuitSafetyGenerated checks the invariant on generated
+// programs (randomProgram's grammar) at three switching latencies, with
+// and without provisioning. The switch does not know which circuits
+// carry traffic, so this test and opus's
+// TestControllerRandomWorkloadProperty are what fail when the
+// controller tears down a group with a transfer in flight.
+func TestCircuitSafetyGenerated(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		p, err := randomProgram(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, latency := range []units.Duration{0, units.Millisecond, 20 * units.Millisecond} {
+			for _, provision := range []bool{false, true} {
+				res, err := Run(p, Options{
+					Mode:            Photonic,
+					ReconfigLatency: latency,
+					Provision:       provision,
+					RecordTrace:     true,
+				})
+				if err != nil {
+					t.Fatalf("seed %d latency %v provision %v: %v", seed, latency, provision, err)
+				}
+				checkCircuitSafety(t, p, res.Trace)
+				if t.Failed() {
+					t.Fatalf("seed %d latency %v provision %v: circuits unsafe", seed, latency, provision)
+				}
+			}
+		}
+	}
+}

@@ -15,29 +15,6 @@ type Port int
 // port a to port b (and necessarily Matching[b] == a).
 type Matching map[Port]Port
 
-// NewRingMatching returns the matching that embeds a unidirectional ring
-// over the given node ports using two ports per member: member i's "tx"
-// port connects to member (i+1 mod n)'s "rx" port. txPort and rxPort map
-// a member index to its two switch ports.
-//
-// This is the circuit shape Opus installs for ring-based collectives: a
-// physical ring over the scale-up domains a communication group spans
-// (paper §5, "Optical rails form a physical ring connecting GPUs of the
-// same rank in scale-out").
-func NewRingMatching(members []int, txPort, rxPort func(member int) Port) (Matching, error) {
-	if len(members) < 2 {
-		return nil, fmt.Errorf("ocs: ring over %d members", len(members))
-	}
-	m := Matching{}
-	for i, a := range members {
-		b := members[(i+1)%len(members)]
-		if err := m.Connect(txPort(a), rxPort(b)); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
 // Connect adds the circuit (a, b). It fails if either port is already in
 // a circuit or a == b.
 func (m Matching) Connect(a, b Port) error {
@@ -55,26 +32,15 @@ func (m Matching) Connect(a, b Port) error {
 	return nil
 }
 
-// Disconnect removes the circuit containing port a, if any.
-func (m Matching) Disconnect(a Port) {
-	if b, ok := m[a]; ok {
-		delete(m, a)
-		delete(m, b)
-	}
-}
-
 // Peer returns the port connected to a, if any.
 func (m Matching) Peer(a Port) (Port, bool) {
 	b, ok := m[a]
 	return b, ok
 }
 
-// Circuits returns the circuit count (half the connected-port count).
-func (m Matching) Circuits() int { return len(m) / 2 }
-
 // Validate checks the involution invariants: symmetric and fixed-point
-// free. A valid Matching built through Connect always passes; Validate
-// guards matchings deserialized from the control-plane wire format.
+// free. A Matching built through Connect always passes; one assembled
+// as a map literal need not.
 func (m Matching) Validate() error {
 	for a, b := range m {
 		if a == b {
@@ -111,42 +77,6 @@ func (m Matching) Equal(o Matching) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy.
-func (m Matching) Clone() Matching {
-	c := make(Matching, len(m))
-	for a, b := range m {
-		c[a] = b
-	}
-	return c
-}
-
-// Diff returns the circuits to tear down (in m but not in next) and to set
-// up (in next but not in m), as canonical (low, high) port pairs. A
-// reconfiguration's cost and conflict analysis operate on this diff: only
-// the circuits actually changing are affected (paper §5, reconfiguration
-// at the granularity of communication groups, not whole switches).
-func (m Matching) Diff(next Matching) (tearDown, setUp [][2]Port) {
-	for a, b := range m {
-		if a > b {
-			continue
-		}
-		if nb, ok := next[a]; !ok || nb != b {
-			tearDown = append(tearDown, [2]Port{a, b})
-		}
-	}
-	for a, b := range next {
-		if a > b {
-			continue
-		}
-		if ob, ok := m[a]; !ok || ob != b {
-			setUp = append(setUp, [2]Port{a, b})
-		}
-	}
-	sortPairs(tearDown)
-	sortPairs(setUp)
-	return tearDown, setUp
 }
 
 func sortPairs(ps [][2]Port) {

@@ -1,11 +1,10 @@
 package ocs
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"photonrail/internal/units"
 )
 
 // TestTable3Catalog reproduces the #GPUs columns of Table 3 exactly:
@@ -51,16 +50,6 @@ func TestTable3Catalog(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	tech, ok := ByName("Piezo")
-	if !ok || tech.Vendor != "Polatis" {
-		t.Errorf("ByName(Piezo) = %v, %v", tech, ok)
-	}
-	if _, ok := ByName("nope"); ok {
-		t.Error("ByName(nope) found something")
-	}
-}
-
 func TestOpusScaleClaim(t *testing.T) {
 	// Paper §4.2: "Opus GPU-backend network can scale up to 36K GPUs"
 	// — the Robotic/GB200 cell.
@@ -69,7 +58,7 @@ func TestOpusScaleClaim(t *testing.T) {
 	}
 }
 
-func TestMatchingConnectDisconnect(t *testing.T) {
+func TestMatchingConnect(t *testing.T) {
 	m := Matching{}
 	if err := m.Connect(0, 5); err != nil {
 		t.Fatal(err)
@@ -77,8 +66,8 @@ func TestMatchingConnectDisconnect(t *testing.T) {
 	if err := m.Connect(1, 4); err != nil {
 		t.Fatal(err)
 	}
-	if m.Circuits() != 2 {
-		t.Errorf("Circuits() = %d, want 2", m.Circuits())
+	if len(m) != 4 {
+		t.Errorf("%d connected ports, want 4", len(m))
 	}
 	if p, ok := m.Peer(5); !ok || p != 0 {
 		t.Errorf("Peer(5) = %d, %v", p, ok)
@@ -93,11 +82,6 @@ func TestMatchingConnectDisconnect(t *testing.T) {
 	if err := m.Connect(3, 3); err == nil {
 		t.Error("self-circuit accepted")
 	}
-	m.Disconnect(5)
-	if _, ok := m.Peer(0); ok {
-		t.Error("Disconnect did not remove both directions")
-	}
-	m.Disconnect(99) // no-op
 	if err := m.Validate(); err != nil {
 		t.Error(err)
 	}
@@ -121,52 +105,8 @@ func TestMatchingValidate(t *testing.T) {
 	}
 }
 
-func TestMatchingDiff(t *testing.T) {
-	a := Matching{}
-	_ = a.Connect(0, 1)
-	_ = a.Connect(2, 3)
-	b := Matching{}
-	_ = b.Connect(2, 3) // survives
-	_ = b.Connect(0, 4) // new
-	tear, set := a.Diff(b)
-	if len(tear) != 1 || tear[0] != [2]Port{0, 1} {
-		t.Errorf("tearDown = %v", tear)
-	}
-	if len(set) != 1 || set[0] != [2]Port{0, 4} {
-		t.Errorf("setUp = %v", set)
-	}
-	// Identity diff is empty.
-	tear, set = a.Diff(a.Clone())
-	if len(tear) != 0 || len(set) != 0 {
-		t.Errorf("identity diff = %v, %v", tear, set)
-	}
-}
-
-func TestRingMatching(t *testing.T) {
-	members := []int{0, 1, 2, 3}
-	tx := func(i int) Port { return Port(2 * i) }
-	rx := func(i int) Port { return Port(2*i + 1) }
-	m, err := NewRingMatching(members, tx, rx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Circuits() != 4 {
-		t.Errorf("ring circuits = %d, want 4", m.Circuits())
-	}
-	// 0.tx -> 1.rx, ..., 3.tx -> 0.rx.
-	for i := range members {
-		next := (i + 1) % len(members)
-		if p, ok := m.Peer(tx(i)); !ok || p != rx(next) {
-			t.Errorf("member %d tx peer = %v, want %v", i, p, rx(next))
-		}
-	}
-	if _, err := NewRingMatching([]int{0}, tx, rx); err == nil {
-		t.Error("1-member ring accepted")
-	}
-}
-
-// Property: any matching built through Connect validates, Equal(Clone) is
-// true, and Diff(self) is empty.
+// Property: any matching built through Connect validates, equals a
+// copy of itself, and differs from the copy once a circuit is gone.
 func TestMatchingInvariantProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -180,44 +120,18 @@ func TestMatchingInvariantProperty(t *testing.T) {
 		if m.Validate() != nil {
 			return false
 		}
-		if !m.Equal(m.Clone()) {
+		c := maps.Clone(m)
+		if !m.Equal(c) {
 			return false
 		}
-		tear, set := m.Diff(m)
-		return len(tear) == 0 && len(set) == 0
+		if pairs := m.AppendPairs(nil); len(pairs) > 0 {
+			delete(c, pairs[0][0])
+			delete(c, pairs[0][1])
+			return !m.Equal(c) && !c.Equal(m)
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Diff is a correct edit script — applying the tear-downs and
-// set-ups to the old matching yields the new matching.
-func TestMatchingDiffProperty(t *testing.T) {
-	randomMatching := func(rng *rand.Rand, circuits int) Matching {
-		m := Matching{}
-		for i := 0; i < circuits; i++ {
-			_ = m.Connect(Port(rng.Intn(64)), Port(rng.Intn(64)))
-		}
-		return m
-	}
-	f := func(seed int64, n1, n2 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		old := randomMatching(rng, int(n1%16))
-		next := randomMatching(rng, int(n2%16))
-		tear, set := old.Diff(next)
-		got := old.Clone()
-		for _, c := range tear {
-			got.Disconnect(c[0])
-		}
-		for _, c := range set {
-			if err := got.Connect(c[0], c[1]); err != nil {
-				return false
-			}
-		}
-		return got.Equal(next)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
@@ -231,81 +145,20 @@ func TestMatchingString(t *testing.T) {
 	}
 }
 
-func TestSwitchApply(t *testing.T) {
-	s := NewSwitch("rail0", MEMS3D)
-	if s.Radix() != 320 || s.ReconfigTime() != units.FromMilliseconds(15) {
-		t.Error("switch technology wiring wrong")
-	}
-	m := Matching{}
-	_ = m.Connect(0, 1)
-	if err := s.Apply(m); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Connected(0, 1) || s.Connected(0, 2) {
-		t.Error("Connected wrong")
-	}
-	if s.Reconfigurations() != 1 {
-		t.Errorf("reconfig count = %d", s.Reconfigurations())
-	}
-	// Identical apply is a no-op.
-	if err := s.Apply(m.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	if s.Reconfigurations() != 1 {
-		t.Errorf("no-op apply counted: %d", s.Reconfigurations())
-	}
-}
-
 func TestSwitchRejectsOutOfRadix(t *testing.T) {
-	s := NewSwitch("rail0", PLZT) // radix 16
+	s := NewSwitch("rail0", PLZT.Radix) // radix 16
 	m := Matching{}
 	_ = m.Connect(0, 20)
-	if err := s.Apply(m); err == nil {
-		t.Error("out-of-radix matching applied")
+	if err := s.SetUp(m.AppendPairs(nil)); err == nil {
+		t.Error("out-of-radix circuit set up")
 	}
 }
 
-func TestSwitchTrafficConflict(t *testing.T) {
-	s := NewSwitch("rail0", MEMS3D)
-	m := Matching{}
-	_ = m.Connect(0, 1)
-	_ = m.Connect(2, 3)
-	if err := s.Apply(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PinTraffic(0); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Busy(0) || !s.Busy(1) || s.Busy(2) {
-		t.Error("Busy wrong after pin")
-	}
-	// Tearing down the busy circuit must fail...
-	next := Matching{}
-	_ = next.Connect(0, 5)
-	if err := s.Apply(next); err == nil {
-		t.Error("reconfiguration disturbed ongoing traffic")
-	}
-	// ...but reconfiguring only the idle circuit is fine.
-	next2 := Matching{}
-	_ = next2.Connect(0, 1) // keep busy circuit
-	_ = next2.Connect(2, 7)
-	if err := s.Apply(next2); err != nil {
-		t.Errorf("idle-circuit reconfig rejected: %v", err)
-	}
-	// After unpinning, the original reconfig succeeds.
-	if err := s.UnpinTraffic(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Apply(next); err != nil {
-		t.Errorf("reconfig after unpin rejected: %v", err)
-	}
-}
-
-// TearDown and SetUp change the installed matching in place, group by
-// group, with Apply's safety rules: a busy circuit stays, a used port
-// is not reused, and a refused call leaves the switch unchanged.
+// TearDown and SetUp change the installed circuits in place, group by
+// group: a used port is not reused, an uninstalled circuit is not torn
+// down, and a refused call leaves the switch unchanged.
 func TestSwitchTearDownSetUp(t *testing.T) {
-	s := NewSwitch("rail0", PLZT) // radix 16
+	s := NewSwitch("rail0", 16)
 	pair := func(a, b Port) Matching {
 		m := Matching{}
 		_ = m.Connect(a, b)
@@ -317,51 +170,33 @@ func TestSwitchTearDownSetUp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.Connected(0, 1) || !s.Connected(3, 2) {
-		t.Fatal("SetUp did not install its circuits")
-	}
-	if err := s.PinTraffic(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.TearDown(a.AppendPairs(nil)); err == nil {
-		t.Error("tear-down disturbed ongoing traffic")
+	if cur := s.Current(); cur.String() != "0<->1 2<->3" {
+		t.Fatalf("SetUp installed %v, want 0<->1 2<->3", cur)
 	}
 	if err := s.TearDown(pair(4, 5).AppendPairs(nil)); err == nil {
 		t.Error("tear-down of an uninstalled circuit accepted")
 	}
-	if err := s.TearDown(b.AppendPairs(nil)); err != nil {
+	if err := s.TearDown([][2]Port{{3, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Connected(0, 1) || s.Connected(2, 3) {
-		t.Error("TearDown removed the wrong circuits")
+	if cur := s.Current(); !cur.Equal(a) {
+		t.Errorf("TearDown left %v, want %v", cur, a)
 	}
-	for _, m := range []Matching{pair(1, 7), pair(6, 20)} {
-		if err := s.SetUp(m.AppendPairs(nil)); err == nil {
-			t.Errorf("SetUp(%v) accepted", m)
+	for _, c := range []struct {
+		pairs [][2]Port
+		err   string
+	}{
+		{[][2]Port{{1, 7}}, "ocs rail0: port 1 already connected to 0"},
+		{[][2]Port{{6, 20}}, "ocs rail0: port 20 outside radix 16"},
+		{[][2]Port{{5, 5}}, "ocs rail0: port 5 matched to itself"},
+		{[][2]Port{{4, 5}, {5, 6}}, "ocs rail0: port 5 already connected to 4"},
+	} {
+		if err := s.SetUp(c.pairs); err == nil || err.Error() != c.err {
+			t.Errorf("SetUp(%v) = %v, want %q", c.pairs, err, c.err)
 		}
 	}
-	want := pair(0, 1)
-	if cur := s.Current(); !cur.Equal(want) {
-		t.Errorf("refused calls changed the switch: %v, want %v", cur, want)
-	}
-	if s.Reconfigurations() != 0 {
-		t.Errorf("TearDown/SetUp counted %d reconfigurations", s.Reconfigurations())
-	}
-}
-
-func TestSwitchPinErrors(t *testing.T) {
-	s := NewSwitch("rail0", MEMS3D)
-	if err := s.PinTraffic(0); err == nil {
-		t.Error("pin on unconnected port accepted")
-	}
-	if err := s.UnpinTraffic(0); err == nil {
-		t.Error("unpin on unconnected port accepted")
-	}
-	m := Matching{}
-	_ = m.Connect(0, 1)
-	_ = s.Apply(m)
-	if err := s.UnpinTraffic(0); err == nil {
-		t.Error("unpin without pin accepted")
+	if cur := s.Current(); !cur.Equal(a) {
+		t.Errorf("refused calls changed the switch: %v, want %v", cur, a)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package ocs models optical circuit switches: the port-matching device
-// semantics (one-to-one circuits, tear-down/set-up reconfiguration with a
-// technology-dependent latency) and the commercial technology catalog the
-// paper surveys in Table 3.
+// semantics (one-to-one circuits, set up and torn down in place) and the
+// commercial technology catalog the paper surveys in Table 3.
 package ocs
 
 import (
@@ -56,14 +55,4 @@ var (
 // Catalog lists the Table 3 technologies in the paper's row order.
 func Catalog() []Technology {
 	return []Technology{PLZT, SiP, RotorNet, MEMS3D, Piezo, LiquidCrystal, Robotic}
-}
-
-// ByName returns the catalog technology with the given name.
-func ByName(name string) (Technology, bool) {
-	for _, t := range Catalog() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return Technology{}, false
 }

@@ -20,9 +20,7 @@ type Clock interface {
 	Immediately(fn func())
 }
 
-// engineClock adapts *sim.Engine to Clock via the pooled fire-and-forget
-// scheduling calls: the controller never cancels a scheduled callback,
-// so it needs no event handles and its events recycle within the run.
+// engineClock adapts *sim.Engine to Clock.
 type engineClock struct{ e *sim.Engine }
 
 func (c engineClock) Now() units.Duration               { return c.e.Now() }
@@ -129,20 +127,13 @@ type Controller struct {
 	free []*request
 }
 
-// NewController builds a controller for every rail of the plan's
-// cluster, with the given reconfiguration latency, over a new circuit
-// table of groups (groups[n] is the group numbered n). The OCS radix is
-// sized to the plan (tech describes latency/radix bookkeeping only; the
-// latency argument wins so sweeps can explore Fig. 8's x-axis).
-func NewController(clock Clock, plan PortPlan, latency units.Duration, groups ...*collective.Group) (*Controller, error) {
-	return NewControllerWithTable(clock, NewCircuitTable(plan, groups), latency)
-}
-
-// NewControllerWithTable is NewController over a shared circuit table:
-// callers that run many simulations of one program (a latency sweep,
-// repeated provisioning passes) pass the same table to every controller
-// so ring matchings and conflict checks are derived once, not per run.
-func NewControllerWithTable(clock Clock, table *CircuitTable, latency units.Duration) (*Controller, error) {
+// NewController builds a controller for every rail of the table's
+// plan, with the given reconfiguration latency, serving the groups of
+// table. Callers that run many simulations of one program (a latency
+// sweep, repeated provisioning passes) pass the same table to every
+// controller, so ring matchings and conflict checks are derived once,
+// not per run.
+func NewController(clock Clock, table *CircuitTable, latency units.Duration) (*Controller, error) {
 	plan := table.Plan()
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -156,10 +147,9 @@ func NewControllerWithTable(clock Clock, table *CircuitTable, latency units.Dura
 		latency: latency,
 		rails:   make([]railState, plan.Cluster.NumRails()),
 	}
-	tech := ocs.Technology{Name: "sweep", Vendor: "sim", ReconfigTime: latency, Radix: plan.Radix()}
 	for r := range c.rails {
 		rs := &c.rails[r]
-		rs.sw = ocs.NewSwitch(fmt.Sprintf("rail%d-ocs", r), tech)
+		rs.sw = ocs.NewSwitch(fmt.Sprintf("rail%d-ocs", r), plan.Radix())
 		rs.processFn = func() {
 			rs.processScheduled = false
 			c.processNow(rs)
@@ -434,7 +424,10 @@ func (c *Controller) processNow(rs *railState) {
 	}
 	// Grow the batch from the head: stop at the first request that
 	// conflicts with the batch or whose tear-down targets are busy.
-	// Stopping (rather than skipping) preserves FC-FS order.
+	// Stopping (rather than skipping) preserves FC-FS order. The busy
+	// check (g.active > 0) is the only guard against tearing down
+	// circuits that carry a transfer (Objective 3): the switch does not
+	// know about traffic.
 	batch, tearDown := rs.batch[:0], rs.tearDown[:0]
 grow:
 	for _, req := range rs.queue {

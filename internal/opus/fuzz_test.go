@@ -57,7 +57,7 @@ func TestControllerRandomWorkloadProperty(t *testing.T) {
 			groups = append(groups, g)
 			circuits[g.Name] = m
 		}
-		ctrl, err := NewController(SimClock(engine), plan, latency, groups...)
+		ctrl, err := NewController(SimClock(engine), NewCircuitTable(plan, groups), latency)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -80,7 +80,7 @@ func TestControllerRandomWorkloadProperty(t *testing.T) {
 			at := units.Duration(rng.Int63n(int64(200 * units.Millisecond)))
 			hold := units.Duration(rng.Int63n(int64(10 * units.Millisecond)))
 			requested++
-			engine.At(at, func() {
+			engine.PostAfter(at, func() {
 				err := ctrl.Acquire(0, g, func() {
 					granted++
 					// Safety: no conflicting group is active right now.
@@ -90,7 +90,7 @@ func TestControllerRandomWorkloadProperty(t *testing.T) {
 						}
 					}
 					active[g.Name]++
-					engine.After(hold, func() {
+					engine.PostAfter(hold, func() {
 						active[g.Name]--
 						if err := ctrl.Release(0, g); err != nil {
 							safetyOK = false
@@ -104,7 +104,7 @@ func TestControllerRandomWorkloadProperty(t *testing.T) {
 			// Occasionally mix in speculative requests.
 			if rng.Intn(4) == 0 {
 				sg := groups[rng.Intn(len(groups))]
-				engine.At(at, func() {
+				engine.PostAfter(at, func() {
 					if err := ctrl.Provision(0, sg); err != nil {
 						safetyOK = false
 					}

@@ -39,13 +39,16 @@ func newRig(t *testing.T, latency units.Duration) *rig {
 		pp0:    &collective.Group{ID: 2, Name: "pp.d0.r0", Axis: parallelism.PP, Ranks: []topo.GPUID{0, 8}},
 		pp1:    &collective.Group{ID: 3, Name: "pp.d1.r0", Axis: parallelism.PP, Ranks: []topo.GPUID{4, 12}},
 	}
-	ctrl, err := NewController(SimClock(engine), plan, latency, r.groups()...)
+	ctrl, err := NewController(SimClock(engine), NewCircuitTable(plan, r.groups()), latency)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.ctrl = ctrl
 	return r
 }
+
+// at schedules fn at virtual time t, which must not be in the past.
+func (r *rig) at(t units.Duration, fn func()) { r.engine.PostAfter(t-r.engine.Now(), fn) }
 
 // groups lists the rig's groups by number.
 func (r *rig) groups() []*collective.Group {
@@ -59,8 +62,8 @@ func TestPortPlanCircuits(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ring over nodes 0,1: (n0.tx=0 <-> n1.rx=3), (n1.tx=2 <-> n0.rx=1).
-	if m.Circuits() != 2 {
-		t.Fatalf("circuits = %d, want 2", m.Circuits())
+	if len(m) != 4 {
+		t.Fatalf("%d connected ports, want 4 (2 circuits)", len(m))
 	}
 	if p, ok := m.Peer(0); !ok || p != 3 {
 		t.Errorf("peer(0) = %d, want 3", p)
@@ -129,13 +132,13 @@ func TestAcquireInstallsAndFastGrants(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.engine.At(0, func() { acquire(r.fsdp0) })
+	r.at(0, func() { acquire(r.fsdp0) })
 	r.engine.Run()
 	if len(grantedAt) != 1 || grantedAt[0] != 15*ms {
 		t.Fatalf("first acquire granted at %v, want 15ms", grantedAt)
 	}
 	// Second acquire of the same group: fast path, no new reconfig.
-	r.engine.At(20*ms, func() { acquire(r.fsdp0) })
+	r.at(20*ms, func() { acquire(r.fsdp0) })
 	r.engine.Run()
 	if len(grantedAt) != 2 || grantedAt[1] != 20*ms {
 		t.Fatalf("second acquire granted at %v, want 20ms", grantedAt)
@@ -152,14 +155,14 @@ func TestAcquireInstallsAndFastGrants(t *testing.T) {
 func TestConflictingGroupWaitsForTraffic(t *testing.T) {
 	r := newRig(t, 10*ms)
 	var ppGrantedAt units.Duration = -1
-	r.engine.At(0, func() {
+	r.at(0, func() {
 		// fsdp0 installs (10ms) and holds traffic until 50ms.
 		_ = r.ctrl.Acquire(0, r.fsdp0, func() {
-			r.engine.At(50*ms, func() { _ = r.ctrl.Release(0, r.fsdp0) })
+			r.at(50*ms, func() { _ = r.ctrl.Release(0, r.fsdp0) })
 		})
 	})
 	// pp0 conflicts with fsdp0 at node 0's ports; requested at 20ms.
-	r.engine.At(20*ms, func() {
+	r.at(20*ms, func() {
 		_ = r.ctrl.Acquire(0, r.pp0, func() { ppGrantedAt = r.engine.Now() })
 	})
 	r.engine.Run()
@@ -180,7 +183,7 @@ func TestConflictingGroupWaitsForTraffic(t *testing.T) {
 func TestNonConflictingGroupsCoexist(t *testing.T) {
 	r := newRig(t, 10*ms)
 	var grants []string
-	r.engine.At(0, func() {
+	r.at(0, func() {
 		_ = r.ctrl.Acquire(0, r.fsdp0, func() { grants = append(grants, "fsdp0") })
 		_ = r.ctrl.Acquire(0, r.fsdp1, func() { grants = append(grants, "fsdp1") })
 	})
@@ -200,7 +203,7 @@ func TestZeroLatencyActsAsFullConnectivity(t *testing.T) {
 	r := newRig(t, 0)
 	var order []string
 	seq := []*collective.Group{r.fsdp0, r.pp0, r.fsdp1, r.pp1, r.fsdp0}
-	r.engine.At(0, func() {
+	r.at(0, func() {
 		for _, g := range seq {
 			g := g
 			_ = r.ctrl.Acquire(0, g, func() {
@@ -226,9 +229,9 @@ func TestProvisionHidesLatency(t *testing.T) {
 	for _, provision := range []bool{false, true} {
 		r := newRig(t, 25*ms)
 		var ppGranted units.Duration = -1
-		r.engine.At(0, func() {
+		r.at(0, func() {
 			_ = r.ctrl.Acquire(0, r.fsdp0, func() {
-				r.engine.At(40*ms, func() {
+				r.at(40*ms, func() {
 					_ = r.ctrl.Release(0, r.fsdp0)
 					if provision {
 						_ = r.ctrl.Provision(0, r.pp0)
@@ -236,7 +239,7 @@ func TestProvisionHidesLatency(t *testing.T) {
 				})
 			})
 		})
-		r.engine.At(100*ms, func() {
+		r.at(100*ms, func() {
 			_ = r.ctrl.Acquire(0, r.pp0, func() { ppGranted = r.engine.Now() })
 		})
 		r.engine.Run()
@@ -255,7 +258,7 @@ func TestProvisionHidesLatency(t *testing.T) {
 
 func TestProvisionDedupes(t *testing.T) {
 	r := newRig(t, 10*ms)
-	r.engine.At(0, func() {
+	r.at(0, func() {
 		_ = r.ctrl.Provision(0, r.pp0)
 		_ = r.ctrl.Provision(0, r.pp0) // duplicate: no second request
 	})
@@ -264,7 +267,7 @@ func TestProvisionDedupes(t *testing.T) {
 		t.Errorf("provisioned requests = %d, want 1", got)
 	}
 	// Provision of an installed group is a no-op.
-	r.engine.Immediately(func() { _ = r.ctrl.Provision(0, r.pp0) })
+	r.engine.PostNow(func() { _ = r.ctrl.Provision(0, r.pp0) })
 	r.engine.Run()
 	if got := r.ctrl.Stats().ProvisionedRequests; got != 1 {
 		t.Errorf("after no-op provision: %d, want 1", got)
@@ -279,15 +282,15 @@ func TestFCFSOrdering(t *testing.T) {
 	hold := func(g *collective.Group, until units.Duration) func() {
 		return func() {
 			order = append(order, g.Name)
-			r.engine.At(until, func() { _ = r.ctrl.Release(0, g) })
+			r.at(until, func() { _ = r.ctrl.Release(0, g) })
 		}
 	}
-	r.engine.At(0, func() { _ = r.ctrl.Acquire(0, r.fsdp0, hold(r.fsdp0, 100*ms)) })
+	r.at(0, func() { _ = r.ctrl.Acquire(0, r.fsdp0, hold(r.fsdp0, 100*ms)) })
 	// pp0 conflicts with fsdp0 (busy until 100ms): queued first.
-	r.engine.At(20*ms, func() { _ = r.ctrl.Acquire(0, r.pp0, hold(r.pp0, 200*ms)) })
+	r.at(20*ms, func() { _ = r.ctrl.Acquire(0, r.pp0, hold(r.pp0, 200*ms)) })
 	// fsdp1 is conflict-free but arrives later: FC-FS means it waits
 	// behind pp0.
-	r.engine.At(30*ms, func() { _ = r.ctrl.Acquire(0, r.fsdp1, hold(r.fsdp1, 300*ms)) })
+	r.at(30*ms, func() { _ = r.ctrl.Acquire(0, r.fsdp1, hold(r.fsdp1, 300*ms)) })
 	r.engine.Run()
 	want := []string{"fsdp.s0.r0", "pp.d0.r0", "fsdp.s1.r0"}
 	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
@@ -298,7 +301,7 @@ func TestFCFSOrdering(t *testing.T) {
 func TestAcquireAttachesToPendingRequest(t *testing.T) {
 	r := newRig(t, 10*ms)
 	grants := 0
-	r.engine.At(0, func() {
+	r.at(0, func() {
 		_ = r.ctrl.Provision(0, r.pp0)
 		// Two collectives of the same group arrive while the provisioned
 		// request is in flight: both attach to it.
@@ -320,16 +323,16 @@ func TestFastPathBlockedByPendingConflict(t *testing.T) {
 	// starve it); it queues behind and re-installs after.
 	r := newRig(t, 10*ms)
 	var order []string
-	r.engine.At(0, func() {
+	r.at(0, func() {
 		_ = r.ctrl.Acquire(0, r.fsdp0, func() {
 			order = append(order, "fsdp0-a")
 			_ = r.ctrl.Release(0, r.fsdp0)
 		})
 	})
-	r.engine.At(20*ms, func() {
+	r.at(20*ms, func() {
 		_ = r.ctrl.Acquire(0, r.pp0, func() {
 			order = append(order, "pp0")
-			r.engine.At(50*ms, func() { _ = r.ctrl.Release(0, r.pp0) })
+			r.at(50*ms, func() { _ = r.ctrl.Release(0, r.pp0) })
 		})
 		_ = r.ctrl.Acquire(0, r.fsdp0, func() {
 			order = append(order, "fsdp0-b")
@@ -362,13 +365,13 @@ func TestReleaseErrors(t *testing.T) {
 func TestControllerValidation(t *testing.T) {
 	cl := topo.MustNew(topo.Config{NumNodes: 2, GPUsPerNode: 2})
 	e := sim.NewEngine()
-	if _, err := NewController(SimClock(e), PortPlan{Cluster: cl, PortsPerGPU: 2}, -ms); err == nil {
+	if _, err := NewController(SimClock(e), NewCircuitTable(PortPlan{Cluster: cl, PortsPerGPU: 2}, nil), -ms); err == nil {
 		t.Error("negative latency accepted")
 	}
-	if _, err := NewController(SimClock(e), PortPlan{Cluster: cl, PortsPerGPU: 0}, 0); err == nil {
+	if _, err := NewController(SimClock(e), NewCircuitTable(PortPlan{Cluster: cl, PortsPerGPU: 0}, nil), 0); err == nil {
 		t.Error("0-port plan accepted")
 	}
-	if _, err := NewController(SimClock(e), PortPlan{}, 0); err == nil {
+	if _, err := NewController(SimClock(e), NewCircuitTable(PortPlan{}, nil), 0); err == nil {
 		t.Error("nil-cluster plan accepted")
 	}
 }

@@ -106,7 +106,7 @@ func TestControllerLatencyAccessor(t *testing.T) {
 func TestCircuitTableAdd(t *testing.T) {
 	r := newRig(t, 0)
 	tab := NewCircuitTable(r.plan, nil)
-	ctrl, err := NewControllerWithTable(SimClock(r.engine), tab, 0)
+	ctrl, err := NewController(SimClock(r.engine), tab, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCircuitTableAdd(t *testing.T) {
 		t.Errorf("CircuitsBetween(pp0, 0, 4) = %d, %v; want 0", n, err)
 	}
 	granted := false
-	r.engine.At(0, func() {
+	r.at(0, func() {
 		if err := ctrl.Acquire(0, r.pp1, func() { granted = true }); err != nil {
 			t.Error(err)
 		}
@@ -181,7 +181,7 @@ func TestControllerRefusesUnknownGroup(t *testing.T) {
 	if _, err := tab.CircuitsBetween(bad, 0, 1); err == nil {
 		t.Error("CircuitsBetween counted circuits of an underivable group")
 	}
-	ctrl, err := NewControllerWithTable(SimClock(r.engine), tab, 0)
+	ctrl, err := NewController(SimClock(r.engine), tab, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

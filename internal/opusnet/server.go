@@ -87,7 +87,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		RingPairs:   cfg.Cluster.NIC.Ports / 2,
 	}
 	s.table = opus.NewCircuitTable(plan, nil)
-	ctrl, err := opus.NewControllerWithTable(clock, s.table, cfg.ReconfigLatency)
+	ctrl, err := opus.NewController(clock, s.table, cfg.ReconfigLatency)
 	if err != nil {
 		return nil, err
 	}

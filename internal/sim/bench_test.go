@@ -12,14 +12,14 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
 	remaining := b.N
-	var tick func()
-	tick = func() {
+	var tick func(any)
+	tick = func(any) {
 		remaining--
 		if remaining > 0 {
-			e.After(units.Nanosecond, tick)
+			e.PostArgAfter(units.Nanosecond, tick, nil)
 		}
 	}
-	e.Immediately(tick)
+	e.PostArgNow(tick, nil)
 	b.ResetTimer()
 	e.Run()
 }
@@ -29,22 +29,10 @@ func BenchmarkEngineThroughput(b *testing.B) {
 func BenchmarkEngineFanOut(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
+	nop := func(any) {}
 	for i := 0; i < b.N; i++ {
-		e.At(units.Duration((i*2654435761)%1_000_000), func() {})
+		e.PostArgAfter(units.Duration((i*2654435761)%1_000_000), nop, nil)
 	}
 	b.ResetTimer()
 	e.Run()
-}
-
-// BenchmarkBarrier measures barrier arrival processing.
-func BenchmarkBarrier(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	for i := 0; i < b.N; i++ {
-		bar := NewBarrier(e, 4, func(units.Duration) {})
-		bar.Arrive()
-		bar.Arrive()
-		bar.Arrive()
-		bar.Arrive()
-	}
 }
