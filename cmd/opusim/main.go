@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"photonrail"
+	"photonrail/internal/model"
 )
 
 func main() {
@@ -94,26 +95,11 @@ func buildWorkload(modelName, gpuName string, nodes, perNode, dp, pp, microbatch
 		MicrobatchSize: mbs,
 		Iterations:     iters,
 	}
-	switch modelName {
-	case "Llama3-8B":
-		w.Model = photonrail.Llama3_8B
-	case "Llama3-70B":
-		w.Model = photonrail.Llama3_70B
-	case "Llama3.1-405B":
-		w.Model = photonrail.Llama31_405B
-	case "Mixtral-8x7B":
-		w.Model = photonrail.Mixtral8x7B
-	default:
+	var ok bool
+	if w.Model, ok = model.ByName(modelName); !ok {
 		return w, fmt.Errorf("unknown model %q", modelName)
 	}
-	switch gpuName {
-	case "A100":
-		w.GPU = photonrail.A100
-	case "H100":
-		w.GPU = photonrail.H100
-	case "H200":
-		w.GPU = photonrail.H200
-	default:
+	if w.GPU, ok = model.GPUByName(gpuName); !ok {
 		return w, fmt.Errorf("unknown GPU %q", gpuName)
 	}
 	switch nic {

@@ -21,7 +21,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	cluster, err := topo.Perlmutter(4, topo.FabricPhotonicRail, topo.TwoPort200G)
+	cluster, err := topo.Perlmutter(4, topo.TwoPort200G)
 	if err != nil {
 		log.Fatal(err)
 	}

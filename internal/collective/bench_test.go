@@ -3,7 +3,6 @@ package collective
 import (
 	"testing"
 
-	"photonrail/internal/topo"
 	"photonrail/internal/units"
 )
 
@@ -24,21 +23,6 @@ func BenchmarkTimeAllToAllMultiHop(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Time(AllToAll, MultiHopRing, 16, 100*units.MB, 400*units.Gbps, 5*units.Microsecond); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGroupNeighbors measures ring-neighbour lookup.
-func BenchmarkGroupNeighbors(b *testing.B) {
-	g := &Group{Name: "bench"}
-	for i := 0; i < 64; i++ {
-		g.Ranks = append(g.Ranks, topo.GPUID(i*8))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := g.Neighbors(topo.GPUID(256)); err != nil {
 			b.Fatal(err)
 		}
 	}

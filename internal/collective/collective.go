@@ -125,17 +125,6 @@ func (g *Group) Contains(gpu topo.GPUID) bool {
 	return false
 }
 
-// Neighbors returns gpu's ring predecessor and successor in the group.
-func (g *Group) Neighbors(gpu topo.GPUID) (prev, next topo.GPUID, err error) {
-	for i, r := range g.Ranks {
-		if r == gpu {
-			n := len(g.Ranks)
-			return g.Ranks[(i-1+n)%n], g.Ranks[(i+1)%n], nil
-		}
-	}
-	return 0, 0, fmt.Errorf("collective: gpu %d not in group %s", gpu, g.Name)
-}
-
 // Validate checks the group is well-formed: nonempty with distinct ranks.
 func (g *Group) Validate() error {
 	if len(g.Ranks) == 0 {

@@ -182,21 +182,10 @@ func TestFeasibleOnCircuits(t *testing.T) {
 	}
 }
 
-func TestGroupNeighbors(t *testing.T) {
+func TestGroupMembership(t *testing.T) {
 	g := &Group{Name: "dp0", Axis: parallelism.FSDP, Ranks: []topo.GPUID{0, 4, 8, 12}}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	prev, next, err := g.Neighbors(0)
-	if err != nil || prev != 12 || next != 4 {
-		t.Errorf("Neighbors(0) = %d,%d,%v", prev, next, err)
-	}
-	prev, next, err = g.Neighbors(12)
-	if err != nil || prev != 8 || next != 0 {
-		t.Errorf("Neighbors(12) = %d,%d,%v", prev, next, err)
-	}
-	if _, _, err := g.Neighbors(99); err == nil {
-		t.Error("Neighbors of non-member accepted")
 	}
 	if !g.Contains(8) || g.Contains(1) {
 		t.Error("Contains wrong")

@@ -110,17 +110,6 @@ func (b BOM) TotalPower() units.Watts {
 	return total
 }
 
-// Count returns the total units of the named device.
-func (b BOM) Count(name string) int {
-	n := 0
-	for _, it := range b.Items {
-		if it.Device.Name == name {
-			n += it.Count
-		}
-	}
-	return n
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // FatTree builds the full-bisection fat-tree BOM for n GPUs (one 400G

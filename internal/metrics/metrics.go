@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics toolkit used by the
-// photonic-rail evaluation harness: empirical CDFs (Fig. 4a), histograms
-// with named buckets (Fig. 4b), and summary statistics.
+// photonic-rail evaluation harness: empirical CDFs (Fig. 4a) and
+// histograms with named buckets (Fig. 4b).
 package metrics
 
 import (
@@ -63,69 +63,6 @@ func (c *CDF) Quantile(q float64) float64 {
 
 // FractionAbove returns P(X > x).
 func (c *CDF) FractionAbove(x float64) float64 { return 1 - c.At(x) }
-
-// Points returns up to n (x, P(X<=x)) pairs suitable for plotting a CDF
-// curve; the final point is always (max, 1).
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	pts := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (i + 1) * len(c.sorted) / n
-		if idx > len(c.sorted) {
-			idx = len(c.sorted)
-		}
-		x := c.sorted[idx-1]
-		pts = append(pts, [2]float64{x, float64(idx) / float64(len(c.sorted))})
-	}
-	return pts
-}
-
-// Summary holds the usual descriptive statistics of a sample.
-type Summary struct {
-	N             int
-	Min, Max      float64
-	Mean, Median  float64
-	P25, P75, P95 float64
-	Stddev        float64
-	Sum           float64
-}
-
-// Summarize computes a Summary over samples. An empty input yields a
-// zero-valued Summary with NaN quantiles avoided (all zeros).
-func Summarize(samples []float64) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	c := NewCDF(samples)
-	var sum, sumsq float64
-	for _, v := range samples {
-		sum += v
-		sumsq += v * v
-	}
-	n := float64(len(samples))
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		N:      len(samples),
-		Min:    c.sorted[0],
-		Max:    c.sorted[len(c.sorted)-1],
-		Mean:   mean,
-		Median: c.Quantile(0.5),
-		P25:    c.Quantile(0.25),
-		P75:    c.Quantile(0.75),
-		P95:    c.Quantile(0.95),
-		Stddev: math.Sqrt(variance),
-		Sum:    sum,
-	}
-}
 
 // Bucket is one named histogram class (e.g. a Fig. 4b traffic-volume
 // class) accumulating a count and the samples assigned to it.

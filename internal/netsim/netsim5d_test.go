@@ -16,7 +16,7 @@ import (
 // be infeasible without additional NICs or switching hardware").
 func cp4DProgram(t *testing.T, nic topo.PortConfig, iterations int) *workload.Program {
 	t.Helper()
-	cl, err := topo.Perlmutter(8, topo.FabricPhotonicRail, nic)
+	cl, err := topo.Perlmutter(8, nic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestOCSLatencySensitivityOf4D(t *testing.T) {
 // TestMoEEPWorkloadRuns drives the EP AllToAll path end to end on the
 // photonic fabric (multi-hop ring embedding).
 func TestMoEEPWorkloadRuns(t *testing.T) {
-	cl, err := topo.Perlmutter(8, topo.FabricPhotonicRail, topo.TwoPort200G)
+	cl, err := topo.Perlmutter(8, topo.TwoPort200G)
 	if err != nil {
 		t.Fatal(err)
 	}

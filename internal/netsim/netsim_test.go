@@ -17,7 +17,7 @@ const ms = units.Millisecond
 // on 4 nodes x 4 A100s, 12 microbatches of size 2.
 func paperProgram(t *testing.T, iterations int) *workload.Program {
 	t.Helper()
-	cl, err := topo.Perlmutter(4, topo.FabricPhotonicRail, topo.TwoPort200G)
+	cl, err := topo.Perlmutter(4, topo.TwoPort200G)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestStaticPartitionFeasibility(t *testing.T) {
 		t.Errorf("error %v does not cite C2", err)
 	}
 	// With 4x100G ports it is feasible...
-	cl, err := topo.Perlmutter(4, topo.FabricPhotonicRail, topo.FourPort100G)
+	cl, err := topo.Perlmutter(4, topo.FourPort100G)
 	if err != nil {
 		t.Fatal(err)
 	}

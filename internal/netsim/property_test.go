@@ -45,7 +45,6 @@ func randomProgram(seed int64) (*workload.Program, error) {
 	cl, err := topo.New(topo.Config{
 		NumNodes:    dp * pp * cp,
 		GPUsPerNode: tp,
-		Fabric:      topo.FabricPhotonicRail,
 		NIC:         topo.TwoPort200G,
 	})
 	if err != nil {
@@ -157,5 +156,5 @@ func TestCorruptedProgramRejected(t *testing.T) {
 // certified, as a caller assembling a program by hand would pass it:
 // Run must validate it itself.
 func assembled(p *workload.Program) *workload.Program {
-	return &workload.Program{Cluster: p.Cluster, Strategy: p.Strategy, Tasks: p.Tasks, Groups: p.Groups, Iterations: p.Iterations}
+	return &workload.Program{Cluster: p.Cluster, Tasks: p.Tasks, Groups: p.Groups, Iterations: p.Iterations}
 }

@@ -26,7 +26,7 @@ func TestControllerRandomWorkloadProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nodes := rng.Intn(6) + 2
-		cl := topo.MustNew(topo.Config{NumNodes: nodes, GPUsPerNode: 2, Fabric: topo.FabricPhotonicRail})
+		cl := topo.MustNew(topo.Config{NumNodes: nodes, GPUsPerNode: 2})
 		engine := sim.NewEngine()
 		plan := PortPlan{Cluster: cl, PortsPerGPU: 2}
 		latency := units.Duration(rng.Int63n(int64(20 * units.Millisecond)))

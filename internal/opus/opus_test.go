@@ -28,7 +28,7 @@ type rig struct {
 
 func newRig(t *testing.T, latency units.Duration) *rig {
 	t.Helper()
-	cl := topo.MustNew(topo.Config{NumNodes: 4, GPUsPerNode: 4, Fabric: topo.FabricPhotonicRail})
+	cl := topo.MustNew(topo.Config{NumNodes: 4, GPUsPerNode: 4})
 	engine := sim.NewEngine()
 	plan := PortPlan{Cluster: cl, PortsPerGPU: 2}
 	r := &rig{
@@ -97,7 +97,7 @@ func TestPortPlanRejectsCrossRailGroup(t *testing.T) {
 }
 
 func TestPortPlanStaticPartition(t *testing.T) {
-	cl := topo.MustNew(topo.Config{NumNodes: 4, GPUsPerNode: 4, NIC: topo.FourPort100G, Fabric: topo.FabricPhotonicRail})
+	cl := topo.MustNew(topo.Config{NumNodes: 4, GPUsPerNode: 4, NIC: topo.FourPort100G})
 	g := &collective.Group{Name: "g", Ranks: []topo.GPUID{0, 4}}
 	p0 := PortPlan{Cluster: cl, PortsPerGPU: 4, PortBase: 0}
 	p1 := PortPlan{Cluster: cl, PortsPerGPU: 4, PortBase: 2}

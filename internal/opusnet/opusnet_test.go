@@ -50,7 +50,7 @@ func TestReadMessageRejectsBadFrames(t *testing.T) {
 
 func newTestServer(t *testing.T, latency units.Duration) *Server {
 	t.Helper()
-	cl := topo.MustNew(topo.Config{NumNodes: 4, GPUsPerNode: 4, Fabric: topo.FabricPhotonicRail})
+	cl := topo.MustNew(topo.Config{NumNodes: 4, GPUsPerNode: 4})
 	s, err := NewServer(ServerConfig{Cluster: cl, ReconfigLatency: latency})
 	if err != nil {
 		t.Fatal(err)

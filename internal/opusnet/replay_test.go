@@ -12,7 +12,7 @@ import (
 // TestReplayFullProgram drives a real (small) training program's
 // scale-out collectives through the TCP control plane end to end.
 func TestReplayFullProgram(t *testing.T) {
-	cl, err := topo.Perlmutter(4, topo.FabricPhotonicRail, topo.TwoPort200G)
+	cl, err := topo.Perlmutter(4, topo.TwoPort200G)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
-// Package parallelism models hybrid ML parallelism: the axes (DP, FSDP,
-// TP, SP, PP, CP, EP), multi-dimensional strategies and their rank ↔
-// coordinate mapping, the communication groups each axis induces, the
-// paper's Table 1 rule-of-thumb planner, the Table 2 per-axis
-// communication characteristics, and the Eq. 1 window-count formula.
+// Package parallelism names the axes of hybrid ML parallelism (DP, FSDP,
+// TP, TP&SP, CP, PP, EP) and the collective kinds, phases and
+// frequencies of their traffic, and holds the paper's tables and
+// formulas over them: the Table 1 rule-of-thumb planner, the Table 2
+// per-axis communication characteristics, and the Eq. 1 window count.
+// It has no notion of ranks: a program's groups and their members come
+// from workload.Build's placement.
 package parallelism
 
 import "fmt"
@@ -48,17 +50,5 @@ func (a Axis) String() string {
 // IsDataParallel reports whether the axis replicates data (DP or FSDP).
 func (a Axis) IsDataParallel() bool { return a == DP || a == FSDP }
 
-// IsTensorParallel reports whether the axis shards operators (TP or TP&SP).
-func (a Axis) IsTensorParallel() bool { return a == TP || a == TPSP }
-
 // Axes lists every axis in Table 2 row order.
 func Axes() []Axis { return []Axis{DP, FSDP, TP, TPSP, CP, PP, EP} }
-
-// Dim is one axis of a strategy with its degree (group size).
-type Dim struct {
-	Axis   Axis
-	Degree int
-}
-
-// String renders e.g. "TP=4".
-func (d Dim) String() string { return fmt.Sprintf("%v=%d", d.Axis, d.Degree) }

@@ -164,12 +164,6 @@ var table2 = map[Axis]Characteristics{
 	},
 }
 
-// CharacteristicsOf returns the Table 2 row for axis a.
-func CharacteristicsOf(a Axis) (Characteristics, bool) {
-	c, ok := table2[a]
-	return c, ok
-}
-
 // AllCharacteristics returns Table 2 in row order.
 func AllCharacteristics() []Characteristics {
 	out := make([]Characteristics, 0, len(table2))

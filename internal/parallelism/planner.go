@@ -36,23 +36,3 @@ func Plan(modelParams int64, n int) []Recommendation {
 // to a DP+PP job "would be infeasible without additional NICs or
 // switching hardware".
 func MaxSimultaneousScaleOutAxes(nicPorts int) int { return nicPorts / 2 }
-
-// FeasibleStatic reports whether strategy s fits a photonic rail fabric
-// with nicPorts ports per GPU and *no* in-job reconfiguration: every
-// scale-out axis must hold its ring circuits simultaneously.
-func FeasibleStatic(s *Strategy, gpusPerNode, nicPorts int) bool {
-	return s.RingDegreeRequirement(gpusPerNode) <= nicPorts
-}
-
-// FeasibleWithReconfiguration reports whether strategy s fits when Opus
-// time-multiplexes the rail: only the axes whose collectives overlap in
-// time need simultaneous circuits, and the paper's parallelism-ordering
-// observation (§2, §3.1) means at most one scale-out axis communicates at
-// a time per rank — so a single ring's worth of ports (2) suffices for
-// any dimensionality.
-func FeasibleWithReconfiguration(s *Strategy, gpusPerNode, nicPorts int) bool {
-	if len(s.ScaleOutAxes(gpusPerNode)) == 0 {
-		return true
-	}
-	return nicPorts >= 2
-}

@@ -1,7 +1,5 @@
 package topo
 
-import "photonrail/internal/units"
-
 // Preset scale-up domain sizes used in the paper's analysis.
 const (
 	// PerlmutterGPUsPerNode matches the §3.1 testbed: 4× A100 per node.
@@ -13,30 +11,14 @@ const (
 )
 
 // Perlmutter returns the §3.1 measurement testbed: numNodes nodes of
-// 4× A100 joined by NVLink 3.0, Slingshot-class scale-out, with the given
-// fabric. The paper used numNodes = 4 (16 GPUs).
-func Perlmutter(numNodes int, fabric FabricKind, nic PortConfig) (*Cluster, error) {
+// 4× A100 joined by NVLink 3.0, with Slingshot-class scale-out. The paper
+// used numNodes = 4 (16 GPUs).
+func Perlmutter(numNodes int, nic PortConfig) (*Cluster, error) {
 	return New(Config{
 		NumNodes:         numNodes,
 		GPUsPerNode:      PerlmutterGPUsPerNode,
-		Fabric:           fabric,
 		NIC:              nic,
 		ScaleUpBandwidth: DefaultScaleUpBandwidth, // NVLink 3.0
-		ScaleUpLatency:   DefaultScaleUpLatency,
-		ScaleOutLatency:  DefaultScaleOutLatency,
-	})
-}
-
-// DGXH200 returns a DGX H200 cluster (8 GPUs/node, ConnectX-7 NICs,
-// NVLink 4.0-class scale-up), the configuration of the paper's §3
-// example and the Fig. 7 cost study.
-func DGXH200(numNodes int, fabric FabricKind, nic PortConfig) (*Cluster, error) {
-	return New(Config{
-		NumNodes:         numNodes,
-		GPUsPerNode:      DGXH200GPUsPerNode,
-		Fabric:           fabric,
-		NIC:              nic,
-		ScaleUpBandwidth: 3600 * units.Gbps, // NVLink 4.0, 450 GB/s per direction
 		ScaleUpLatency:   DefaultScaleUpLatency,
 		ScaleOutLatency:  DefaultScaleOutLatency,
 	})

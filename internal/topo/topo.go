@@ -4,14 +4,10 @@
 // together the GPUs with local rank r across every scale-up domain
 // (Fig. 1 of the paper).
 //
-// The same logical topology supports three fabric realizations:
-//
-//   - FabricElectricalRail: each rail is a packet-switched network giving
-//     full any-to-any connectivity among same-rank GPUs (the status quo).
-//   - FabricPhotonicRail: each rail is an optical circuit switch; a GPU
-//     port connects to exactly one peer port at a time (the proposal).
-//   - FabricFatTree: a conventional full-bisection Clos connecting every
-//     NIC (the cost baseline of Fig. 7).
+// A Cluster describes that shape and the bandwidths and latencies of its
+// links; it names no fabric. Whether a rail is a packet switch or an
+// optical circuit switch is the simulator's choice (netsim.Options.Mode),
+// so one cluster serves every fabric a workload runs on.
 package topo
 
 import (
@@ -29,30 +25,6 @@ type NodeID int
 // RailID identifies a rail in [0, GPUsPerNode). Rail r contains the GPUs
 // whose local rank is r.
 type RailID int
-
-// FabricKind selects the scale-out fabric realization.
-type FabricKind int
-
-// The fabric realizations compared in the paper.
-const (
-	FabricElectricalRail FabricKind = iota
-	FabricPhotonicRail
-	FabricFatTree
-)
-
-// String returns the paper's name for the fabric kind.
-func (k FabricKind) String() string {
-	switch k {
-	case FabricElectricalRail:
-		return "rail-optimized (electrical)"
-	case FabricPhotonicRail:
-		return "photonic rail (Opus)"
-	case FabricFatTree:
-		return "fat-tree"
-	default:
-		return fmt.Sprintf("FabricKind(%d)", int(k))
-	}
-}
 
 // PortConfig is a NIC port split. ConnectX-7 exposes one physical 400G
 // cage as 1×400G, 2×200G, or 4×100G logical ports (paper §3, refs
@@ -98,11 +70,6 @@ type Cluster struct {
 	// GPUsPerNode is the scale-up domain size; it equals the number of
 	// rails.
 	GPUsPerNode int
-	// Fabric names the scale-out realization, for descriptions such as
-	// String. It is descriptive only: the simulator reads
-	// netsim.Options.Mode, so a compiled workload's cluster, which
-	// serves every fabric, leaves it unset (the zero value).
-	Fabric FabricKind
 	// NIC is the per-GPU scale-out port configuration.
 	NIC PortConfig
 	// ScaleUpBandwidth is the per-GPU bandwidth of the scale-up
@@ -120,7 +87,6 @@ type Cluster struct {
 type Config struct {
 	NumNodes         int
 	GPUsPerNode      int
-	Fabric           FabricKind
 	NIC              PortConfig
 	ScaleUpBandwidth units.Bandwidth
 	ScaleUpLatency   units.Duration
@@ -169,7 +135,6 @@ func New(cfg Config) (*Cluster, error) {
 	return &Cluster{
 		NumNodes:         cfg.NumNodes,
 		GPUsPerNode:      cfg.GPUsPerNode,
-		Fabric:           cfg.Fabric,
 		NIC:              cfg.NIC,
 		ScaleUpBandwidth: cfg.ScaleUpBandwidth,
 		ScaleUpLatency:   cfg.ScaleUpLatency,
@@ -214,42 +179,11 @@ func (c *Cluster) GPUAt(n NodeID, localRank int) GPUID {
 	return GPUID(int(n)*c.GPUsPerNode + localRank)
 }
 
-// RailMembers returns, in node order, the GPUs on rail r.
-func (c *Cluster) RailMembers(r RailID) []GPUID {
-	if int(r) < 0 || int(r) >= c.NumRails() {
-		panic(fmt.Sprintf("topo: rail %d out of range [0,%d)", r, c.NumRails()))
-	}
-	out := make([]GPUID, c.NumNodes)
-	for n := 0; n < c.NumNodes; n++ {
-		out[n] = c.GPUAt(NodeID(n), int(r))
-	}
-	return out
-}
-
-// NodeMembers returns, in local-rank order, the GPUs in node n.
-func (c *Cluster) NodeMembers(n NodeID) []GPUID {
-	if int(n) < 0 || int(n) >= c.NumNodes {
-		panic(fmt.Sprintf("topo: node %d out of range [0,%d)", n, c.NumNodes))
-	}
-	out := make([]GPUID, c.GPUsPerNode)
-	for r := 0; r < c.GPUsPerNode; r++ {
-		out[r] = c.GPUAt(n, r)
-	}
-	return out
-}
-
-// SameNode reports whether two GPUs share a scale-up domain.
-func (c *Cluster) SameNode(a, b GPUID) bool { return c.Node(a) == c.Node(b) }
-
-// SameRail reports whether two GPUs attach to the same rail.
-func (c *Cluster) SameRail(a, b GPUID) bool { return c.LocalRank(a) == c.LocalRank(b) }
-
 // Contains reports whether g is a valid GPU ID for this cluster.
 func (c *Cluster) Contains(g GPUID) bool { return g >= 0 && int(g) < c.NumGPUs() }
 
-// String summarizes the cluster, e.g.
-// "16 GPUs (4 nodes x 4), photonic rail (Opus), NIC 2x200Gbps".
+// String summarizes the cluster, e.g. "16 GPUs (4 nodes x 4), NIC 2x200Gbps".
 func (c *Cluster) String() string {
-	return fmt.Sprintf("%d GPUs (%d nodes x %d), %v, NIC %v",
-		c.NumGPUs(), c.NumNodes, c.GPUsPerNode, c.Fabric, c.NIC)
+	return fmt.Sprintf("%d GPUs (%d nodes x %d), NIC %v",
+		c.NumGPUs(), c.NumNodes, c.GPUsPerNode, c.NIC)
 }

@@ -9,7 +9,7 @@ import (
 
 func testCluster(t *testing.T) *Cluster {
 	t.Helper()
-	c, err := New(Config{NumNodes: 4, GPUsPerNode: 4, Fabric: FabricPhotonicRail})
+	c, err := New(Config{NumNodes: 4, GPUsPerNode: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,6 +23,9 @@ func TestClusterShape(t *testing.T) {
 	}
 	if c.NumRails() != 4 {
 		t.Errorf("NumRails = %d, want 4", c.NumRails())
+	}
+	if got, want := c.String(), "16 GPUs (4 nodes x 4), NIC 2x200Gbps"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 
@@ -54,47 +57,6 @@ func TestGPUMapping(t *testing.T) {
 	}
 }
 
-func TestRailMembers(t *testing.T) {
-	c := testCluster(t)
-	got := c.RailMembers(1)
-	want := []GPUID{1, 5, 9, 13}
-	if len(got) != len(want) {
-		t.Fatalf("RailMembers(1) = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("RailMembers(1)[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// All rail members share a local rank.
-	for _, g := range got {
-		if c.LocalRank(g) != 1 {
-			t.Errorf("rail member %d has local rank %d", g, c.LocalRank(g))
-		}
-	}
-}
-
-func TestNodeMembers(t *testing.T) {
-	c := testCluster(t)
-	got := c.NodeMembers(2)
-	want := []GPUID{8, 9, 10, 11}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("NodeMembers(2)[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSameNodeSameRail(t *testing.T) {
-	c := testCluster(t)
-	if !c.SameNode(8, 11) || c.SameNode(3, 4) {
-		t.Error("SameNode wrong")
-	}
-	if !c.SameRail(1, 13) || c.SameRail(1, 2) {
-		t.Error("SameRail wrong")
-	}
-}
-
 // Property: GPUAt is the inverse of (Node, LocalRank) for every GPU, and
 // rails and nodes partition the GPU set.
 func TestMappingBijectionProperty(t *testing.T) {
@@ -109,18 +71,20 @@ func TestMappingBijectionProperty(t *testing.T) {
 			}
 			seen[g] = true
 		}
-		// Rails partition the set.
-		count := 0
-		for r := 0; r < c.NumRails(); r++ {
-			for _, g := range c.RailMembers(RailID(r)) {
-				if !seen[g] {
-					return false
-				}
-				delete(seen, g)
-				count++
+		// Rails partition the set: each holds one GPU per node.
+		perRail := make(map[RailID]int)
+		for g := range seen {
+			perRail[c.Rail(g)]++
+		}
+		if len(perRail) != c.NumRails() {
+			return false
+		}
+		for _, n := range perRail {
+			if n != c.NumNodes {
+				return false
 			}
 		}
-		return count == c.NumGPUs() && len(seen) == 0
+		return len(seen) == c.NumGPUs()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -173,10 +137,8 @@ func TestDefaultsApplied(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	c := testCluster(t)
 	for name, fn := range map[string]func(){
-		"GPUAt node":  func() { c.GPUAt(99, 0) },
-		"GPUAt rank":  func() { c.GPUAt(0, 99) },
-		"RailMembers": func() { c.RailMembers(99) },
-		"NodeMembers": func() { c.NodeMembers(-1) },
+		"GPUAt node": func() { c.GPUAt(99, 0) },
+		"GPUAt rank": func() { c.GPUAt(0, 99) },
 	} {
 		func() {
 			defer func() {
@@ -190,25 +152,11 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestPresets(t *testing.T) {
-	p, err := Perlmutter(4, FabricPhotonicRail, FourPort100G)
+	p, err := Perlmutter(4, FourPort100G)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.NumGPUs() != 16 || p.NumRails() != 4 {
 		t.Errorf("Perlmutter(4): %v", p)
-	}
-	d, err := DGXH200(128, FabricElectricalRail, OnePort400G)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumGPUs() != 1024 || d.NumRails() != 8 {
-		t.Errorf("DGXH200(128): %v", d)
-	}
-}
-
-func TestFabricKindString(t *testing.T) {
-	if FabricPhotonicRail.String() == "" || FabricFatTree.String() == "" ||
-		FabricElectricalRail.String() == "" || FabricKind(99).String() == "" {
-		t.Error("FabricKind.String() empty")
 	}
 }

@@ -59,7 +59,11 @@ func TestPhaseWindowConsistencyProperty(t *testing.T) {
 				return false // adjacent phases must differ
 			}
 		}
-		if total != count || totalBytes != tr.TotalBytes(0, 0) {
+		var railBytes units.ByteSize
+		for _, s := range tr.RailSpans(0, 0) {
+			railBytes += s.Bytes
+		}
+		if total != count || totalBytes != railBytes {
 			return false
 		}
 		for _, w := range tr.Windows(0, 0) {

@@ -73,9 +73,6 @@ type Span struct {
 // than any rail.
 const ScaleUpRail topo.RailID = -1
 
-// Duration returns End - Start.
-func (s *Span) Duration() units.Duration { return s.End - s.Start }
-
 // Trace accumulates spans. The zero value is ready to use.
 type Trace struct {
 	spans []Span
@@ -145,15 +142,6 @@ func (t *Trace) Rails() []topo.RailID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// TotalBytes sums per-rank bytes of the selected rail/iteration.
-func (t *Trace) TotalBytes(r topo.RailID, iter int) units.ByteSize {
-	var total units.ByteSize
-	for _, s := range t.RailSpans(r, iter) {
-		total += s.Bytes
-	}
-	return total
 }
 
 func sortSpans(spans []Span) {

@@ -106,18 +106,6 @@ func (t *Trace) Windows(r topo.RailID, iter int) []Window {
 	return out
 }
 
-// AllWindows extracts windows for every rail and iteration.
-func (t *Trace) AllWindows() []Window {
-	var out []Window
-	iters := t.Iterations()
-	for _, r := range t.Rails() {
-		for it := 0; it < iters; it++ {
-			out = append(out, t.Windows(r, it)...)
-		}
-	}
-	return out
-}
-
 // WindowSizesMS converts positive windows into millisecond samples, the
 // unit of the Fig. 4a CDF.
 func WindowSizesMS(ws []Window) []float64 {

@@ -209,23 +209,8 @@ func Build(cfg Config) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	dims := []parallelism.Dim{{Axis: parallelism.TP, Degree: cfg.TP}}
-	if cfg.CP > 1 {
-		dims = append(dims, parallelism.Dim{Axis: parallelism.CP, Degree: cfg.CP})
-	}
-	if cfg.EP > 1 {
-		dims = append(dims, parallelism.Dim{Axis: parallelism.EP, Degree: cfg.EP})
-	}
-	dims = append(dims,
-		parallelism.Dim{Axis: parallelism.FSDP, Degree: cfg.DP},
-		parallelism.Dim{Axis: parallelism.PP, Degree: cfg.PP})
-	strategy, err := parallelism.NewStrategy(dims...)
-	if err != nil {
-		return nil, err
-	}
 	p := &Program{
 		Cluster:    cfg.Cluster,
-		Strategy:   strategy,
 		Tasks:      tasks,
 		Groups:     b.groups,
 		Iterations: cfg.Iterations,

@@ -80,8 +80,6 @@ func (t *Task) IsCollective() bool { return t.Kind == Collective }
 type Program struct {
 	// Cluster is the topology the program runs on.
 	Cluster *topo.Cluster
-	// Strategy is the parallelism layout.
-	Strategy *parallelism.Strategy
 	// Tasks in ID order.
 	Tasks []*Task
 	// Groups maps group name to the communication group. The groups
@@ -232,27 +230,4 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
-}
-
-// CollectiveCount returns the number of communication tasks.
-func (p *Program) CollectiveCount() int {
-	n := 0
-	for _, t := range p.Tasks {
-		if t.IsCollective() {
-			n++
-		}
-	}
-	return n
-}
-
-// ScaleOutBytes sums per-rank bytes of all scale-out collectives in one
-// iteration (-1 for all iterations).
-func (p *Program) ScaleOutBytes(iter int) units.ByteSize {
-	var total units.ByteSize
-	for _, t := range p.Tasks {
-		if t.IsCollective() && !t.ScaleUp && (iter < 0 || t.Iteration == iter) {
-			total += t.Bytes
-		}
-	}
-	return total
 }

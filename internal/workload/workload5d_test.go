@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 // FSDP=2, PP=2 on 8 nodes of 4 GPUs (32 GPUs).
 func cp4DConfig(t *testing.T) Config {
 	t.Helper()
-	cl, err := topo.Perlmutter(8, topo.FabricPhotonicRail, topo.TwoPort200G)
+	cl, err := topo.Perlmutter(8, topo.TwoPort200G)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +47,6 @@ func TestCPWorkloadBuilds(t *testing.T) {
 	p := MustBuild(cp4DConfig(t))
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if p.Strategy.Degree(parallelism.CP) != 2 {
-		t.Errorf("strategy CP degree = %d", p.Strategy.Degree(parallelism.CP))
 	}
 	// Per fwd microbatch per layer there is one CP AllGather; per bwd
 	// layer one CP ReduceScatter.
@@ -137,6 +136,72 @@ func TestShardNodeLayoutBijective(t *testing.T) {
 	}
 	if len(seen) != cfg.Cluster.NumNodes {
 		t.Errorf("layout covers %d of %d nodes", len(seen), cfg.Cluster.NumNodes)
+	}
+}
+
+// TestGroupRanksFollowPlacement pins the program's one rank layout on a
+// 5D job: the rank position (stage s, shard (d, c, e), TP rank r) sits on
+// GPU r + TP·(d + DP·(c + CP·(e + EP·s))), the placement of builder.node
+// and Cluster.GPUAt, and every pp, fsdp, cp and ep group lists its
+// members in that order along its own axis.
+func TestGroupRanksFollowPlacement(t *testing.T) {
+	const tp, dp, cp, ep, pp = 4, 2, 2, 2, 2
+	p := MustBuild(Config{
+		Model:        model.Mixtral8x7B,
+		GPU:          model.A100,
+		Cluster:      topo.MustNew(topo.Config{NumNodes: dp * cp * ep * pp, GPUsPerNode: tp}),
+		TP:           tp,
+		DP:           dp,
+		CP:           cp,
+		EP:           ep,
+		PP:           pp,
+		Microbatches: pp,
+	})
+	rank := func(s, d, c, e, r int) topo.GPUID {
+		return topo.GPUID(r + tp*(d+dp*(c+cp*(e+ep*s))))
+	}
+	type group struct {
+		axis  parallelism.Axis
+		ranks []topo.GPUID
+	}
+	want := make(map[string]group)
+	add := func(name string, axis parallelism.Axis, n int, at func(i int) topo.GPUID) {
+		g := group{axis: axis, ranks: make([]topo.GPUID, n)}
+		for i := range g.ranks {
+			g.ranks[i] = at(i)
+		}
+		want[name] = g
+	}
+	for s := 0; s < pp; s++ {
+		for e := 0; e < ep; e++ {
+			for c := 0; c < cp; c++ {
+				for d := 0; d < dp; d++ {
+					for r := 0; r < tp; r++ {
+						add(fmt.Sprintf("pp.d%d.c%d.e%d.r%d", d, c, e, r), parallelism.PP, pp,
+							func(i int) topo.GPUID { return rank(i, d, c, e, r) })
+						add(fmt.Sprintf("fsdp.s%d.c%d.e%d.r%d", s, c, e, r), parallelism.FSDP, dp,
+							func(i int) topo.GPUID { return rank(s, i, c, e, r) })
+						add(fmt.Sprintf("cp.s%d.d%d.e%d.r%d", s, d, e, r), parallelism.CP, cp,
+							func(i int) topo.GPUID { return rank(s, d, i, e, r) })
+						add(fmt.Sprintf("ep.s%d.d%d.c%d.r%d", s, d, c, r), parallelism.EP, ep,
+							func(i int) topo.GPUID { return rank(s, d, c, i, r) })
+					}
+				}
+			}
+		}
+	}
+	if len(p.Groups) != len(want) {
+		t.Errorf("program has %d groups, want %d", len(p.Groups), len(want))
+	}
+	for name, w := range want {
+		g, ok := p.Groups[name]
+		if !ok {
+			t.Errorf("group %s missing", name)
+			continue
+		}
+		if g.Axis != w.axis || !slices.Equal(g.Ranks, w.ranks) {
+			t.Errorf("group %s: %v %v, want %v %v", name, g.Axis, g.Ranks, w.axis, w.ranks)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // FSDP=2, PP=2 on 4 nodes of 4 GPUs.
 func paperConfig(t *testing.T, iterations int) Config {
 	t.Helper()
-	cl, err := topo.Perlmutter(4, topo.FabricPhotonicRail, topo.TwoPort200G)
+	cl, err := topo.Perlmutter(4, topo.TwoPort200G)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestValidIndex(t *testing.T) {
 	// Build has certified its programs, so the invalid one is assembled
 	// by hand from a built program's parts.
 	built := MustBuild(paperConfig(t, 1))
-	bad := &Program{Cluster: built.Cluster, Strategy: built.Strategy, Tasks: built.Tasks, Groups: built.Groups, Iterations: built.Iterations}
+	bad := &Program{Cluster: built.Cluster, Tasks: built.Tasks, Groups: built.Groups, Iterations: built.Iterations}
 	bad.Tasks[0].Deps = append(bad.Tasks[0].Deps, bad.Tasks[len(bad.Tasks)-1].ID)
 	ix, err = bad.ValidIndex()
 	if err == nil || ix != nil {
@@ -226,7 +226,7 @@ func TestValidateRefusesMisnumberedGroups(t *testing.T) {
 			}
 			tasks[i] = &cp
 		}
-		bad := &Program{Cluster: built.Cluster, Strategy: built.Strategy, Tasks: tasks, Groups: groups, Iterations: built.Iterations}
+		bad := &Program{Cluster: built.Cluster, Tasks: tasks, Groups: groups, Iterations: built.Iterations}
 		if err := bad.Validate(); err == nil {
 			t.Error("misnumbered groups accepted")
 		}
@@ -240,7 +240,7 @@ func TestValidateRefusesMisnumberedGroups(t *testing.T) {
 			cp.Group = &twin
 			tasks := append([]*Task(nil), built.Tasks...)
 			tasks[task.ID] = &cp
-			bad := &Program{Cluster: built.Cluster, Strategy: built.Strategy, Tasks: tasks, Groups: built.Groups, Iterations: built.Iterations}
+			bad := &Program{Cluster: built.Cluster, Tasks: tasks, Groups: built.Groups, Iterations: built.Iterations}
 			if err := bad.Validate(); err == nil {
 				t.Error("collective on an unregistered copy of its group accepted")
 			}
@@ -441,21 +441,25 @@ func TestMultiIterationChaining(t *testing.T) {
 
 func TestScaleOutBytesPerIteration(t *testing.T) {
 	p := MustBuild(paperConfig(t, 2))
-	it0 := p.ScaleOutBytes(0)
-	it1 := p.ScaleOutBytes(1)
-	if it0 != it1 {
-		t.Errorf("iterations differ in traffic: %v vs %v", it0, it1)
+	perIter := make(map[int]units.ByteSize)
+	for _, task := range p.Tasks {
+		if task.IsCollective() && !task.ScaleUp {
+			perIter[task.Iteration] += task.Bytes
+		}
 	}
-	if p.ScaleOutBytes(-1) != it0+it1 {
-		t.Error("total != sum of iterations")
+	if len(perIter) != 2 {
+		t.Fatalf("scale-out traffic in %d iterations, want 2", len(perIter))
 	}
-	if it0 <= 0 {
+	if perIter[0] != perIter[1] {
+		t.Errorf("iterations differ in traffic: %v vs %v", perIter[0], perIter[1])
+	}
+	if perIter[0] <= 0 {
 		t.Error("no scale-out traffic")
 	}
 }
 
 func TestDPOnlyAndPPOnlyConfigs(t *testing.T) {
-	cl := topo.MustNew(topo.Config{NumNodes: 4, GPUsPerNode: 4, Fabric: topo.FabricPhotonicRail})
+	cl := topo.MustNew(topo.Config{NumNodes: 4, GPUsPerNode: 4})
 	// DP-only (PP=1): no Send/Recv, no pp groups.
 	pDP := MustBuild(Config{
 		Model: model.Llama3_8B, GPU: model.A100, Cluster: cl,

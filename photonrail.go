@@ -250,19 +250,7 @@ func provisionedStableRuns(w Workload, latencyMS float64) (*Result, int, error) 
 		}
 		profile = res.Profile
 	}
-	out := &Result{
-		TotalSeconds:         best.Total.Seconds(),
-		MeanIterationSeconds: best.MeanIterationTime().Seconds(),
-		Reconfigurations:     best.Reconfigurations,
-		FastGrants:           best.FastGrants,
-		QueuedGrants:         best.QueuedGrants,
-		BlockedSeconds:       best.BlockedTime.Seconds(),
-		inner:                best,
-	}
-	for _, it := range best.IterationTimes {
-		out.IterationSeconds = append(out.IterationSeconds, it.Seconds())
-	}
-	return out, passes, nil
+	return wrapResult(best), passes, nil
 }
 
 // fabricRealization maps a Fabric to the simulator mode it executes

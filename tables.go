@@ -80,8 +80,8 @@ func Table3() *report.Table {
 		t.AddRow(tech.String(),
 			fmt.Sprintf("%g", tech.ReconfigTime.Milliseconds()),
 			tech.Radix,
-			tech.MaxGPUs(72),
-			tech.MaxGPUs(8))
+			tech.MaxGPUs(topo.GB200GPUsPerNode),
+			tech.MaxGPUs(topo.DGXH200GPUsPerNode))
 	}
 	return t
 }
