@@ -3,8 +3,8 @@
 // frequencies of their traffic, and holds the paper's tables and
 // formulas over them: the Table 1 rule-of-thumb planner, the Table 2
 // per-axis communication characteristics, and the Eq. 1 window count.
-// It has no notion of ranks: a program's groups and their members come
-// from workload.Build's placement.
+// A program's groups and their ranks come from workload.Build's
+// placement.
 package parallelism
 
 import "fmt"
