@@ -152,7 +152,7 @@ func demo(args []string, stdout io.Writer) error {
 	}
 	phase := func(label string, names ...string) error {
 		var wg sync.WaitGroup
-		errs := make(chan error, len(ranks))
+		errs := make(chan error, len(ranks)) // a phase's groups are disjoint
 		for _, name := range names {
 			for _, r := range groups[name] {
 				wg.Add(1)
