@@ -103,7 +103,8 @@ func TestColdGridGolden(t *testing.T) {
 }
 
 // BenchmarkColdGrid runs the cold grids on a fresh one-worker engine
-// per op, so every cell misses. One worker keeps the provisioning
+// per op, so every cell misses and every row is rendered, as in a
+// cold-sweep request. One worker keeps the provisioning
 // seeds' hits, and with them the allocation count, deterministic: the
 // perf gate pins this benchmark's allocs/op.
 func BenchmarkColdGrid(b *testing.B) {
@@ -121,7 +122,7 @@ func BenchmarkColdGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		en := NewEngine(1)
 		for _, g := range grids {
-			if _, err := en.RunGrid(g); err != nil {
+			if _, err := en.RunGrid(context.Background(), g, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -189,18 +189,14 @@ func (en *Engine) ResetCache() {
 	en.planMu.Unlock()
 }
 
-// Simulate is the memoized form of the package-level Simulate: the
+// SimulateCtx is the memoized form of the package-level Simulate: the
 // result of each distinct (Workload, Fabric) pair is computed once per
-// engine and shared. Treat the returned Result as read-only.
-func (en *Engine) Simulate(w Workload, f Fabric) (*Result, error) {
-	return en.SimulateCtx(context.Background(), w, f)
-}
-
-// SimulateCtx is Simulate under a context, with the engine cache's
-// detached-singleflight semantics: a cancelled caller returns ctx.Err()
-// promptly, but a simulation other callers have joined keeps running
-// for them, and its result still lands in the cache. The simulation
-// itself becomes cancellable only once its last waiter departs.
+// engine and shared. Treat the returned Result as read-only. It runs
+// under the engine cache's detached-singleflight semantics: a
+// cancelled caller returns ctx.Err() promptly, but a simulation other
+// callers have joined keeps running for them, and its result still
+// lands in the cache. The simulation itself becomes cancellable only
+// once its last waiter departs.
 //
 // This is the pipeline's Time stage: the compiled Program comes from
 // the Build stage's memo (shared across every fabric/latency variant of
@@ -355,11 +351,6 @@ func (en *Engine) storeSeed(wkey string, p *netsim.Profile) {
 		en.seeds = make(map[string]*netsim.Profile)
 	}
 	en.seeds[wkey] = p
-}
-
-// provisionedStable is provisionedStableCtx without cancellation.
-func (en *Engine) provisionedStable(w Workload, latencyMS float64) (*Result, error) {
-	return en.provisionedStableCtx(context.Background(), w, latencyMS)
 }
 
 // simulateTracedCtx is the memoized trace-recording electrical-baseline

@@ -1,7 +1,8 @@
 package photonrail
 
 import (
-	"encoding/json"
+	"context"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -16,13 +17,18 @@ func resetGrid() Grid {
 	}
 }
 
-func gridJSON(t *testing.T, res *GridResult) string {
+// resetGridJSON runs resetGrid on en and returns its JSON rendering.
+func resetGridJSON(t *testing.T, en *Engine) string {
 	t.Helper()
-	b, err := json.Marshal(res.Rows())
+	res, err := en.RunGrid(context.Background(), resetGrid(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	var b strings.Builder
+	if err := res.RenderJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // TestResetCacheDuringParallelGrid is the regression test for the
@@ -31,11 +37,7 @@ func gridJSON(t *testing.T, res *GridResult) string {
 // and duplicate no in-flight simulation (singleflight holds across the
 // reset), so the result stays byte-identical to an undisturbed run.
 func TestResetCacheDuringParallelGrid(t *testing.T) {
-	clean, err := NewEngine(4).RunGrid(resetGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := gridJSON(t, clean)
+	want := resetGridJSON(t, NewEngine(4))
 
 	for trial := 0; trial < 3; trial++ {
 		en := NewEngine(4)
@@ -53,14 +55,18 @@ func TestResetCacheDuringParallelGrid(t *testing.T) {
 				}
 			}
 		}()
-		res, err := en.RunGrid(resetGrid())
+		res, err := en.RunGrid(context.Background(), resetGrid(), nil)
 		close(stop)
 		wg.Wait()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if got := gridJSON(t, res); got != want {
-			t.Fatalf("trial %d: grid under ResetCache hammering diverged\ngot:  %s\nwant: %s", trial, got, want)
+		var got strings.Builder
+		if err := res.RenderJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want {
+			t.Fatalf("trial %d: grid under ResetCache hammering diverged\ngot:  %s\nwant: %s", trial, got.String(), want)
 		}
 		if st := en.CacheStats(); st.InFlight != 0 {
 			t.Fatalf("trial %d: inflight = %d after grid completed", trial, st.InFlight)
@@ -73,16 +79,9 @@ func TestResetCacheDuringParallelGrid(t *testing.T) {
 // simulations than the cap, the telemetry reports them, and results are
 // still byte-identical to an unbounded engine's.
 func TestBoundedEngineEvictsAndReports(t *testing.T) {
-	clean, err := NewEngine(2).RunGrid(resetGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := resetGridJSON(t, NewEngine(2))
 	en := NewBoundedEngine(2, 1) // at most one cached simulation
-	res, err := en.RunGrid(resetGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := gridJSON(t, res), gridJSON(t, clean); got != want {
+	if got := resetGridJSON(t, en); got != want {
 		t.Fatalf("bounded engine diverged\ngot:  %s\nwant: %s", got, want)
 	}
 	st := en.CacheStats()

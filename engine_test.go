@@ -2,6 +2,7 @@ package photonrail
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -16,12 +17,12 @@ func TestSweepParallelDeterminism(t *testing.T) {
 	lats := []float64{0, 10, 100, 1000}
 
 	seq := NewEngine(1)
-	seqPoints, err := seq.SweepReconfigLatency(w, lats)
+	seqPoints, err := seq.SweepReconfigLatencyCtx(context.Background(), w, lats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := NewEngine(8)
-	parPoints, err := par.SweepReconfigLatency(w, lats)
+	parPoints, err := par.SweepReconfigLatencyCtx(context.Background(), w, lats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSweepZeroLatencySimulated(t *testing.T) {
 	}
 
 	en := NewEngine(2)
-	points, err := en.SweepReconfigLatency(w, []float64{0})
+	points, err := en.SweepReconfigLatencyCtx(context.Background(), w, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,12 @@ func TestSweepZeroLatencySimulated(t *testing.T) {
 func TestEngineCacheSharedAcrossExperiments(t *testing.T) {
 	w := PaperWorkload(1)
 	en := NewEngine(4)
-	first, err := en.SweepReconfigLatency(w, []float64{0, 10})
+	first, err := en.SweepReconfigLatencyCtx(context.Background(), w, []float64{0, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := en.CacheStats().Misses
-	second, err := en.SweepReconfigLatency(w, []float64{0, 10})
+	second, err := en.SweepReconfigLatencyCtx(context.Background(), w, []float64{0, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +159,12 @@ func TestAnalyzeWindowsRejectsEmptyTrace(t *testing.T) {
 func TestAnalyzeWindowsEngineCache(t *testing.T) {
 	en := NewEngine(2)
 	w := PaperWorkload(2)
-	rep1, err := en.AnalyzeWindows(w)
+	rep1, err := en.AnalyzeWindowsCtx(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := en.CacheStats().Misses
-	rep2, err := en.AnalyzeWindows(w)
+	rep2, err := en.AnalyzeWindowsCtx(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestAnalyzeWindowsEngineCache(t *testing.T) {
 // as a direct evaluation and memoizes them.
 func TestCostComparisonEngine(t *testing.T) {
 	en := NewEngine(4)
-	rows, err := en.CostComparison()
+	rows, err := en.CostComparisonCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestCostComparisonEngine(t *testing.T) {
 		t.Fatalf("rows = %+v", rows)
 	}
 	misses := en.CacheStats().Misses
-	again, err := en.CostComparison()
+	again, err := en.CostComparisonCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"photonrail/internal/scenario"
@@ -11,19 +12,18 @@ import (
 
 // oracleCell computes one grid cell the monolithic way: uncached
 // package-level Simulate calls (and the uncached provisioned-stable
-// loop), mirroring cellResultOf's field assignments exactly. It is the
-// reference the staged pipeline is pinned against.
-func oracleCell(c GridCell) (GridCellResult, error) {
-	out := GridCellResult{Cell: c}
-	if reason := c.Skip(); reason != "" {
-		out.Skipped = true
-		out.SkipReason = reason
-		return out, nil
+// loop). It returns the cell's row, filled as cellRow fills it, and
+// its own fabric's result, nil for a skipped cell. It is the reference
+// the staged pipeline is pinned against.
+func oracleCell(c GridCell) (scenario.Row, *Result, error) {
+	row := scenario.RowOf(c, c.Skip())
+	if row.Status == "skip" {
+		return row, nil, nil
 	}
 	w := gridWorkload(c)
 	base, err := Simulate(w, Fabric{Kind: ElectricalRail})
 	if err != nil {
-		return out, err
+		return row, nil, err
 	}
 	var res *Result
 	switch c.Fabric {
@@ -39,26 +39,41 @@ func oracleCell(c GridCell) (GridCellResult, error) {
 		err = fmt.Errorf("unknown grid fabric kind %v", c.Fabric)
 	}
 	if err != nil {
-		return out, err
+		return row, nil, err
 	}
-	out.MeanIterationSeconds = res.MeanIterationSeconds
-	out.TotalSeconds = res.TotalSeconds
-	out.Slowdown = res.MeanIterationSeconds / base.MeanIterationSeconds
-	out.Reconfigurations = res.Reconfigurations
-	out.FastGrants = res.FastGrants
-	out.QueuedGrants = res.QueuedGrants
-	out.BlockedSeconds = res.BlockedSeconds
-	return out, nil
+	row.MeanIterationSeconds = res.MeanIterationSeconds
+	row.Slowdown = res.MeanIterationSeconds / base.MeanIterationSeconds
+	row.Reconfigurations = res.Reconfigurations
+	row.FastGrants = res.FastGrants
+	row.QueuedGrants = res.QueuedGrants
+	row.BlockedSeconds = res.BlockedSeconds
+	return row, res, nil
+}
+
+// exportedFields lists a Result's exported fields by name, so a field
+// added to Result is compared without a change here.
+func exportedFields(r *Result) map[string]any {
+	v := reflect.ValueOf(r).Elem()
+	out := make(map[string]any)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() {
+			out[f.Name] = v.Field(i).Interface()
+		}
+	}
+	return out
 }
 
 // TestStagedPipelineMatchesOracle is the equivalence property test for
 // the staged pipeline: a seeded random sample of feasible fig8-5d cells
 // is executed through the production path (Build → Provision → Time,
-// memoized, on the parallel worker pool via RunCellsCtx) and through
-// the monolithic oracle, and every sampled cell's result must be
-// byte-identical between the two. The sample is deterministic, so a
-// divergence is reproducible; running the staged side on the worker
-// pool also makes this test a data-race probe under -race.
+// memoized, on the parallel worker pool via RunCellRowsCtx) and through
+// the monolithic oracle. Every sampled cell's row must equal the
+// oracle's, and the memoized result the row came from, read back
+// through the cell's planned key, must equal the oracle's result field
+// for field, TotalSeconds and IterationSeconds included. The sample is
+// deterministic, so a divergence is reproducible; running the staged
+// side on the worker pool also makes this test a data-race probe under
+// -race.
 func TestStagedPipelineMatchesOracle(t *testing.T) {
 	grid := Fig8Grid5D()
 	cells := grid.Expand()
@@ -89,20 +104,35 @@ func TestStagedPipelineMatchesOracle(t *testing.T) {
 	en := NewEngine(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	staged, err := en.RunCellsCtx(ctx, grid, indices)
+	staged, err := en.RunCellRowsCtx(ctx, grid, indices, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := en.planFor(grid, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, idx := range indices {
 		c := cells[idx]
 		t.Run(c.Name(), func(t *testing.T) {
-			want, err := oracleCell(c)
+			wantRow, wantRes, err := oracleCell(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := staged[k]
-			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-				t.Errorf("staged cell diverges from oracle:\nstaged: %+v\noracle: %+v", got, want)
+			if got := staged[k].Row; got != wantRow {
+				t.Errorf("staged row diverges from oracle:\nstaged: %+v\noracle: %+v", got, wantRow)
+			}
+			// An electrical cell's result is its baseline.
+			key := p.cells[idx].key
+			if key == "" {
+				key = p.cells[idx].base
+			}
+			gotRes, found, err := en.lookup(key)
+			if err != nil || !found {
+				t.Fatalf("memoized result under the cell's key: found %v, err %v", found, err)
+			}
+			if got, want := exportedFields(gotRes), exportedFields(wantRes); !reflect.DeepEqual(got, want) {
+				t.Errorf("staged result diverges from oracle:\nstaged: %+v\noracle: %+v", got, want)
 			}
 		})
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -36,21 +37,23 @@ func main() {
 	}
 
 	en := photonrail.NewEngine(0)
-	res, err := en.RunGrid(grid)
+	res, err := en.RunGrid(context.Background(), grid, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := res.Table().Render(os.Stdout); err != nil {
+	// The text rendering is the grid table plus an ok/skip count.
+	if err := res.RenderText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println()
-	for _, s := range res.Skips() {
-		fmt.Printf("skipped %s: %s\n", s.Cell.Name(), s.SkipReason)
+	for _, row := range res.Rows.(photonrail.GridRows).Cells {
+		if row.Status == "skip" {
+			fmt.Printf("skipped %s: %s\n", row.Cell, row.SkipReason)
+		}
 	}
 	st := en.CacheStats()
-	fmt.Printf("\n%d cells, cache %d hits / %d misses — each workload's electrical\n",
-		len(res.Cells), st.Hits, st.Misses)
+	fmt.Printf("\ncache %d hits / %d misses — each workload's electrical\n", st.Hits, st.Misses)
 	fmt.Println("baseline simulated once and shared by every cell that normalizes to it.")
 	fmt.Println("For long grid batches over many distinct workloads, call en.ResetCache()")
 	fmt.Println("between batches (the cache retains every distinct result).")

@@ -4,9 +4,13 @@ package photonrail
 // repository reproduces is a named, parameterized, cancellable
 // Experiment. The registry is the single entry point every client
 // shares — the cmd/railclient CLI, the raild daemon (which serves
-// exp_req frames for any registered name), and library callers — while
-// the historical package-level and Engine signatures remain as thin
-// compatibility wrappers with byte-identical output.
+// exp_req frames for any registered name), and library callers. Beside
+// it, the package-level Simulate, SweepReconfigLatency, AnalyzeWindows
+// and CostComparison keep their historical signatures, and the Engine
+// has a context form of each engine-backed call (SimulateCtx,
+// SweepReconfigLatencyCtx, AnalyzeWindowsCtx, CostComparisonCtx). A
+// grid's one result is its rows: the grid experiments, Engine.RunGrid
+// and Engine.RunCellRowsCtx all return them, rendered once per cell.
 //
 // The cancellation contract, top to bottom:
 //
@@ -36,13 +40,12 @@ import (
 	"photonrail/internal/topo"
 )
 
-// Compile-time proof that the historical public signatures survive the
-// registry redesign unchanged (the compatibility contract of this API).
+// Compile-time proof that the historical package-level signatures
+// survive unchanged (the compatibility contract of this API).
 var (
 	_ func(Workload, []float64) ([]SweepPoint, error) = SweepReconfigLatency
 	_ func(Workload) (*WindowReport, error)           = AnalyzeWindows
 	_ func() ([]cost.Fig7Row, error)                  = CostComparison
-	_ func(Grid) (*GridResult, error)                 = RunGrid
 )
 
 // Params parameterizes an Experiment run. Zero values take each
@@ -472,7 +475,7 @@ func buildRegistry() map[string]Experiment {
 			if err != nil {
 				return nil, err
 			}
-			return runGrid(ctx, en, g, p.OnProgress)
+			return en.RunGrid(ctx, g, p.OnProgress)
 		},
 	})
 	for name, mk := range scenario.Grids() {
@@ -492,7 +495,7 @@ func buildRegistry() map[string]Experiment {
 						return nil, err
 					}
 				}
-				return runGrid(ctx, en, g, p.OnProgress)
+				return en.RunGrid(ctx, g, p.OnProgress)
 			},
 		})
 	}
@@ -654,24 +657,6 @@ func runBOM(ctx context.Context, en *Engine, p Params) (*ExperimentResult, error
 		"Opus vs rail-optimized at %d GPUs: cost -%.1f%%, power -%.2f%% (paper: up to -70.5%% / -95.84%%)\n",
 		gpus, 100*costFrac, 100*powerFrac)})
 	return &ExperimentResult{Sections: sections, Rows: boms}, nil
-}
-
-// runGrid executes a resolved grid and shapes its rows as the grid
-// experiment's result, keeping each row's rendered bytes for
-// RenderJSON.
-func runGrid(ctx context.Context, en *Engine, g Grid, onCell func(done, total int)) (*ExperimentResult, error) {
-	rows, err := en.gridRows(ctx, g, onCell)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]scenario.Row, len(rows))
-	js := make([][]byte, len(rows))
-	for i, row := range rows {
-		cells[i], js[i] = row.Row, row.JSON
-	}
-	res := GridExperimentResult(g.Name, cells)
-	res.rowJSON = js
-	return res, nil
 }
 
 // GridExperimentResult shapes executed grid rows as the grid

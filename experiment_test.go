@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"photonrail/internal/goldentest"
+	"photonrail/internal/scenario"
 )
 
 // TestExperimentsGoldenListing pins the registry surface — names,
@@ -73,7 +75,7 @@ func TestExperimentOutputsMatchLegacySignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := en.SweepReconfigLatency(PaperWorkload(1), []float64{0, 10})
+	points, err := en.SweepReconfigLatencyCtx(context.Background(), PaperWorkload(1), []float64{0, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +175,10 @@ func TestFig8CancelledCtxReturnsPromptly(t *testing.T) {
 	}
 }
 
-// TestGridExperimentMatchesRunGrid pins grid experiments against the
-// legacy RunGrid surface.
+// TestGridExperimentMatchesRunGrid pins the grid experiment, which
+// resolves a spec, against Engine.RunGrid over the resolved grid on a
+// fresh engine, in every rendering, and pins the text rendering's
+// shape: the grid table plus its ok/skip footer.
 func TestGridExperimentMatchesRunGrid(t *testing.T) {
 	en := NewEngine(2)
 	spec := GridSpec{
@@ -198,43 +202,47 @@ func TestGridExperimentMatchesRunGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Name = "custom"
-	legacy, err := en.RunGrid(g)
+	direct, err := NewEngine(1).RunGrid(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Rows.(GridRows)
-	if len(rows.Cells) != len(legacy.Rows()) {
-		t.Fatalf("rows = %d, legacy = %d", len(rows.Cells), len(legacy.Rows()))
+	rows, want := res.Rows.(GridRows), direct.Rows.(GridRows)
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows diverged:\n got: %+v\nwant: %+v", rows, want)
 	}
-	for i, row := range legacy.Rows() {
-		if rows.Cells[i] != row {
-			t.Fatalf("row %d diverged:\n got: %+v\nwant: %+v", i, rows.Cells[i], row)
-		}
-	}
-	var gotCSV, wantCSV bytes.Buffer
+	var gotCSV, wantCSV, gotJSON, wantJSON bytes.Buffer
 	if err := res.RenderCSV(&gotCSV); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.CSVTable().CSV(&wantCSV); err != nil {
+	if err := direct.RenderCSV(&wantCSV); err != nil {
 		t.Fatal(err)
 	}
 	if gotCSV.String() != wantCSV.String() {
 		t.Errorf("grid CSV diverged")
 	}
+	if err := res.RenderJSON(&gotJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.RenderJSON(&wantJSON); err != nil {
+		t.Fatal(err)
+	}
+	if gotJSON.String() != wantJSON.String() {
+		t.Errorf("grid JSON diverged")
+	}
 	var gotText, wantText bytes.Buffer
 	if err := res.RenderText(&gotText); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Table().Render(&wantText); err != nil {
+	if err := scenario.TableFromRows(want.Grid, want.Cells).Render(&wantText); err != nil {
 		t.Fatal(err)
 	}
 	skipped := 0
-	for _, row := range legacy.Rows() {
+	for _, row := range want.Cells {
 		if row.Status == "skip" {
 			skipped++
 		}
 	}
-	n := len(legacy.Rows())
+	n := len(want.Cells)
 	wantText.WriteString(fmt.Sprintf("\n%d cells: %d ok, %d skipped\n", n, n-skipped, skipped))
 	if gotText.String() != wantText.String() {
 		t.Errorf("grid text (table plus footer) diverged:\n got: %q\nwant: %q", gotText.String(), wantText.String())
@@ -286,13 +294,6 @@ func TestRegistrySmoke(t *testing.T) {
 	}
 	if len(PaperLatenciesMS()) == 0 || NewCDF([]float64{1, 2}).N() != 2 {
 		t.Error("helper re-exports broken")
-	}
-	// The never-cancelled compatibility wrappers still work.
-	if _, err := NewEngine(1).Simulate(PaperWorkload(1), Fabric{Kind: ElectricalRail}); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := NewEngine(1).RunGridCtx(context.Background(), Grid{LatenciesMS: []float64{5}, Iterations: 1}); err != nil || len(res.Cells) == 0 {
-		t.Fatalf("RunGridCtx = %v, %v", res, err)
 	}
 }
 

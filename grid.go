@@ -14,19 +14,12 @@ import (
 // kind × reconfiguration latency × {TP,DP,PP,CP,EP} × schedule × jitter
 // × EagerRS. It is the scenario package's type re-exported, so grids
 // are declared with photonrail presets (Llama3_8B, A100, …) and run
-// with RunGrid. See internal/scenario for the expansion and
+// with Engine.RunGrid. See internal/scenario for the expansion and
 // feasibility-validation semantics.
 type Grid = scenario.Grid
 
 // GridCell is one concrete point of an expanded grid.
 type GridCell = scenario.Cell
-
-// GridCellResult is one executed (or skipped) cell.
-type GridCellResult = scenario.CellResult
-
-// GridResult is a fully executed grid with its renderers (Table, Rows,
-// Skips).
-type GridResult = scenario.Result
 
 // GridParallelism is one {TP,DP,PP,CP,EP} coordinate.
 type GridParallelism = scenario.Parallelism
@@ -60,72 +53,61 @@ const (
 // realizations.
 func Fig8Grid5D() Grid { return scenario.Fig8Grid5D() }
 
-// RunGrid executes the grid on the default engine. See Engine.RunGrid.
-func RunGrid(g Grid) (*GridResult, error) {
-	return DefaultEngine().RunGrid(g)
-}
-
 // RunGrid expands the grid, reports infeasible cells as skips (with
 // reasons), and simulates every feasible cell on the engine's worker
 // pool. Each cell's slowdown is normalized to its workload's electrical
 // baseline, fetched through the memo cache so one baseline per distinct
 // workload is simulated per engine no matter how many cells share it.
-// Results are gathered in expansion order: a parallel run is
-// byte-identical to -parallel=1.
-func (en *Engine) RunGrid(g Grid) (*GridResult, error) {
-	return en.RunGridProgress(g, nil)
-}
-
-// RunGridProgress is RunGrid with a completion hook: onCell is called
-// after each cell finishes (in completion order) with the running count
-// and the total. It must not block; a nil hook makes this RunGrid.
-func (en *Engine) RunGridProgress(g Grid, onCell func(done, total int)) (*GridResult, error) {
-	return en.RunGridProgressCtx(context.Background(), g, onCell)
-}
-
-// RunGridCtx is RunGrid under a context; see RunGridProgressCtx.
-func (en *Engine) RunGridCtx(ctx context.Context, g Grid) (*GridResult, error) {
-	return en.RunGridProgressCtx(ctx, g, nil)
-}
-
-// RunGridProgressCtx is the context-aware RunGridProgress: a cancelled
-// ctx stops scheduling cells and returns ctx.Err() promptly, and the
-// first cell error stops the remaining cells (fail-fast). Simulations
-// shared with other engine callers keep running for them. Stragglers
-// may tick onCell briefly after an early ctx-cancelled return.
-func (en *Engine) RunGridProgressCtx(ctx context.Context, g Grid, onCell func(done, total int)) (*GridResult, error) {
+// Rows are gathered in expansion order: a parallel run is
+// byte-identical to -parallel=1. The result is a grid experiment's
+// (see GridExperimentResult), with each row's bytes kept for
+// RenderJSON; the grid experiments run here once they have resolved
+// their spec, and a grid of non-preset models, which no spec names,
+// runs here directly.
+//
+// onCell, when non-nil, is called after each cell finishes with the
+// running count and the total; it must not block. A cancelled ctx
+// stops scheduling cells and returns ctx.Err() promptly, and the first
+// cell error stops the remaining cells (fail-fast). Simulations shared
+// with other engine callers keep running for them. Stragglers may tick
+// onCell briefly after an early ctx-cancelled return.
+func (en *Engine) RunGrid(ctx context.Context, g Grid, onCell func(done, total int)) (*ExperimentResult, error) {
 	p, err := en.planFor(g, nil)
 	if err != nil {
 		return nil, err
 	}
-	results, err := runCells(ctx, en, p, p.all, cellResult, onCell)
+	rows, err := runCells(ctx, en, p, p.all, onCell)
 	if err != nil {
 		return nil, err
 	}
-	return &GridResult{Grid: g, Cells: results}, nil
+	cells := make([]scenario.Row, len(rows))
+	js := make([][]byte, len(rows))
+	for i, row := range rows {
+		cells[i], js[i] = row.Row, row.JSON
+	}
+	res := GridExperimentResult(g.Name, cells)
+	res.rowJSON = js
+	return res, nil
 }
 
-// RunCellsCtx executes the subset of g's expanded cells selected by
-// indices; see RunCellsProgressCtx.
-func (en *Engine) RunCellsCtx(ctx context.Context, g Grid, indices []int) ([]GridCellResult, error) {
-	return en.RunCellsProgressCtx(ctx, g, indices, nil)
-}
-
-// RunCellsProgressCtx executes only the cells of g at the given
-// expansion-order indices and returns their results in indices order —
-// the partial-execution primitive a fleet coordinator shards a grid
-// into. Each cell simulates exactly as it would inside RunGrid (same
-// memo cache, same electrical-baseline normalization, same skip
-// reporting), so the rows a fleet merges from disjoint subsets are
-// byte-identical to one full local run. onCell ticks per completed
-// cell with the running count and the subset's size; cancellation and
-// fail-fast semantics match RunGridProgressCtx.
-func (en *Engine) RunCellsProgressCtx(ctx context.Context, g Grid, indices []int, onCell func(done, total int)) ([]GridCellResult, error) {
+// RunCellRowsCtx executes only the cells of g at the given
+// expansion-order indices and returns their rows in indices order, each
+// with the bytes a grid's JSON rendering carries for it: the
+// partial-execution primitive a fleet coordinator shards a grid into,
+// and what a daemon serves its cell batches from. Each cell simulates
+// exactly as it would inside RunGrid (same memo cache, same
+// electrical-baseline normalization, same skip reporting), so the rows
+// a fleet merges from disjoint subsets are byte-identical to one full
+// local run. Rows come from the engine's row cache (see GridRow): a
+// warm cell renders nothing. onCell ticks per completed cell with the
+// running count and the subset's size; cancellation and fail-fast
+// semantics match RunGrid.
+func (en *Engine) RunCellRowsCtx(ctx context.Context, g Grid, indices []int, onCell func(done, total int)) ([]*GridRow, error) {
 	p, err := en.planFor(g, indices)
 	if err != nil {
 		return nil, err
 	}
-	return runCells(ctx, en, p, indices, cellResult, onCell)
+	return runCells(ctx, en, p, indices, onCell)
 }
 
 // gridWorkload compiles a cell's coordinates into the Workload the
@@ -265,10 +247,9 @@ func cellFabric(c GridCell) Fabric {
 	return Fabric{Kind: PhotonicRail, ReconfigLatencyMS: c.LatencyMS}
 }
 
-// runCells is the cell driver behind every grid entry point: it runs
-// the plan's cells at indices and returns what out makes of each, in
-// indices order. out gets a skipped cell alone, and a feasible cell
-// with its baseline and its own fabric's result.
+// runCells is the cell driver behind both grid entry points: it runs
+// the plan's cells at indices and returns each one's row (cellRow), in
+// indices order.
 //
 // A cell whose memo lookups both find completed entries is served
 // inline, on the caller's goroutine and in order, and so is a skipped
@@ -285,9 +266,9 @@ func cellFabric(c GridCell) Fabric {
 // ctx.Err(), and a memoized error on an inline cell returns before the
 // pool starts; otherwise cancellation and fail-fast are
 // MapProgressCtx's.
-func runCells[T any](ctx context.Context, en *Engine, p *gridPlan, indices []int, out func(*plannedCell, *Result, *Result) (T, error), onCell func(done, total int)) ([]T, error) {
+func runCells(ctx context.Context, en *Engine, p *gridPlan, indices []int, onCell func(done, total int)) ([]*GridRow, error) {
 	n := len(indices)
-	results := make([]T, n)
+	rows := make([]*GridRow, n)
 	// pending is a cell left for the pool: its position in indices and
 	// its baseline, when the inline pass found it.
 	type pending struct {
@@ -326,11 +307,11 @@ func runCells[T any](ctx context.Context, en *Engine, p *gridPlan, indices []int
 				}
 			}
 		}
-		v, err := out(pc, base, res)
+		row, err := cellRow(pc, base, res)
 		if err != nil {
 			return nil, err
 		}
-		results[i] = v
+		rows[i] = row
 		done++
 		if onCell != nil {
 			onCell(done, n)
@@ -340,30 +321,29 @@ func runCells[T any](ctx context.Context, en *Engine, p *gridPlan, indices []int
 		return nil, err
 	}
 	if len(misses) == 0 {
-		return results, nil
+		return rows, nil
 	}
 	var hook func(done, total int)
 	if onCell != nil {
 		inline := done
 		hook = func(done, _ int) { onCell(inline+done, n) }
 	}
-	vals, err := exp.MapProgressCtx(ctx, en.pool, len(misses), func(ctx context.Context, j int) (T, error) {
+	vals, err := exp.MapProgressCtx(ctx, en.pool, len(misses), func(ctx context.Context, j int) (*GridRow, error) {
 		m := misses[j]
 		pc := &p.cells[indices[m.i]]
 		base, res, err := en.cellResults(ctx, pc, m.base)
 		if err != nil {
-			var zero T
-			return zero, err
+			return nil, err
 		}
-		return out(pc, base, res)
+		return cellRow(pc, base, res)
 	}, hook)
 	if err != nil {
 		return nil, err
 	}
 	for j, m := range misses {
-		results[m.i] = vals[j]
+		rows[m.i] = vals[j]
 	}
-	return results, nil
+	return rows, nil
 }
 
 // lookup returns the memoized result under key when its computation
@@ -425,40 +405,17 @@ func checkBaseline(c GridCell, base *Result) error {
 	return nil
 }
 
-// cellResult reports a cell as its GridCellResult: a skip with its
-// reason, or a feasible cell's result normalized to its baseline.
-func cellResult(pc *plannedCell, base, res *Result) (GridCellResult, error) {
-	if pc.skip != "" {
-		return GridCellResult{Cell: pc.cell, Skipped: true, SkipReason: pc.skip}, nil
-	}
-	return cellResultOf(pc.cell, base, res), nil
-}
-
-// cellResultOf reports a feasible cell from its fabric's result and
-// its workload's electrical baseline.
-func cellResultOf(c GridCell, base, res *Result) GridCellResult {
-	return GridCellResult{
-		Cell:                 c,
-		MeanIterationSeconds: res.MeanIterationSeconds,
-		TotalSeconds:         res.TotalSeconds,
-		Slowdown:             res.MeanIterationSeconds / base.MeanIterationSeconds,
-		Reconfigurations:     res.Reconfigurations,
-		FastGrants:           res.FastGrants,
-		QueuedGrants:         res.QueuedGrants,
-		BlockedSeconds:       res.BlockedSeconds,
-	}
-}
-
-// cellRow returns a cell's row, rendered once. Every field of a row is
-// a function of the memo key of the result it was computed from: the
-// key encodes the cell's workload (model, GPU, degrees, schedule,
-// jitter, eagerness) and its fabric, latency included. So a feasible
-// cell's row hangs on that Time or Provision result, and every later
-// cell, in any grid, that hits the same entry reuses it; an evicted
-// entry takes its row along. A skipped cell's row, which no result
-// backs, hangs on its plan entry instead, so a stored plan keeps it.
-// The memo lookups are runCells', so the cache counters read the same
-// with or without the rows.
+// cellRow returns a cell's row, rendered once: a skip with its reason,
+// or a feasible cell's result normalized to its baseline. Every field
+// of a row is a function of the memo key of the result it was computed
+// from: the key encodes the cell's workload (model, GPU, degrees,
+// schedule, jitter, eagerness) and its fabric, latency included. So a
+// feasible cell's row hangs on that Time or Provision result, and every
+// later cell, in any grid, that hits the same entry reuses it; an
+// evicted entry takes its row along. A skipped cell's row, which no
+// result backs, hangs on its plan entry instead, so a stored plan keeps
+// it. The memo lookups are runCells', so the cache counters read the
+// same with or without the rows.
 func cellRow(pc *plannedCell, base, res *Result) (*GridRow, error) {
 	slot := &pc.row
 	if pc.skip == "" {
@@ -467,49 +424,20 @@ func cellRow(pc *plannedCell, base, res *Result) (*GridRow, error) {
 	if row := slot.Load(); row != nil {
 		return row, nil
 	}
-	cr := GridCellResult{Cell: pc.cell, Skipped: true, SkipReason: pc.skip}
+	row := scenario.RowOf(pc.cell, pc.skip)
 	if pc.skip == "" {
-		cr = cellResultOf(pc.cell, base, res)
+		row.MeanIterationSeconds = res.MeanIterationSeconds
+		row.Slowdown = res.MeanIterationSeconds / base.MeanIterationSeconds
+		row.Reconfigurations = res.Reconfigurations
+		row.FastGrants = res.FastGrants
+		row.QueuedGrants = res.QueuedGrants
+		row.BlockedSeconds = res.BlockedSeconds
 	}
-	row, err := newGridRow(cr)
-	if err != nil {
-		return nil, err
-	}
-	// Racing renderers produce equal rows; keep the first.
-	slot.CompareAndSwap(nil, row)
-	return slot.Load(), nil
-}
-
-// newGridRow renders one cell result as its row and the row's bytes.
-func newGridRow(cr GridCellResult) (*GridRow, error) {
-	row := scenario.RowOf(cr)
 	js, err := GridRowJSON(row)
 	if err != nil {
 		return nil, fmt.Errorf("photonrail: cell %s: %w", row.Cell, err)
 	}
-	return &GridRow{Row: row, JSON: js}, nil
-}
-
-// RunCellRowsCtx executes the cells of g at the given expansion-order
-// indices, exactly as RunCellsProgressCtx does, and returns their rows
-// in indices order, each with the bytes a grid's JSON rendering
-// carries for it. Rows come from the engine's row cache (see
-// GridRow): a warm cell renders nothing. A daemon serves a fleet
-// coordinator's cell batches from here.
-func (en *Engine) RunCellRowsCtx(ctx context.Context, g Grid, indices []int, onCell func(done, total int)) ([]*GridRow, error) {
-	p, err := en.planFor(g, indices)
-	if err != nil {
-		return nil, err
-	}
-	return runCells(ctx, en, p, indices, cellRow, onCell)
-}
-
-// gridRows executes every cell of g, in expansion order, through the
-// row cache; cancellation and fail-fast match RunGridProgressCtx.
-func (en *Engine) gridRows(ctx context.Context, g Grid, onCell func(done, total int)) ([]*GridRow, error) {
-	p, err := en.planFor(g, nil)
-	if err != nil {
-		return nil, err
-	}
-	return runCells(ctx, en, p, p.all, cellRow, onCell)
+	// Racing renderers produce equal rows; keep the first.
+	slot.CompareAndSwap(nil, &GridRow{Row: row, JSON: js})
+	return slot.Load(), nil
 }

@@ -1,10 +1,14 @@
 package photonrail
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+
+	"photonrail/internal/scenario"
 )
 
 // smallGrid is one workload on four fabrics at two latencies:
@@ -21,43 +25,53 @@ func smallGrid() Grid {
 	}
 }
 
-func TestRunGridSmall(t *testing.T) {
-	en := NewEngine(0)
-	res, err := en.RunGrid(smallGrid())
+// gridRowsOf runs g on en and returns its rows.
+func gridRowsOf(t testing.TB, en *Engine, g Grid) []scenario.Row {
+	t.Helper()
+	res, err := en.RunGrid(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 6 {
-		t.Fatalf("cells = %d, want 6", len(res.Cells))
+	return res.Rows.(GridRows).Cells
+}
+
+func TestRunGridSmall(t *testing.T) {
+	rows := gridRowsOf(t, NewEngine(0), smallGrid())
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(rows))
 	}
-	skips := res.Skips()
+	var skips []scenario.Row
+	byFabric := map[string][]scenario.Row{}
+	for _, row := range rows {
+		if row.Status == "skip" {
+			skips = append(skips, row)
+			continue
+		}
+		byFabric[row.Fabric] = append(byFabric[row.Fabric], row)
+	}
 	if len(skips) != 1 || !strings.Contains(skips[0].SkipReason, "C2") {
 		t.Fatalf("skips = %+v, want one C2 static skip", skips)
 	}
-	byFabric := map[GridFabricKind][]GridCellResult{}
-	for _, c := range res.Cells {
-		byFabric[c.Cell.Fabric] = append(byFabric[c.Cell.Fabric], c)
-	}
-	if got := byFabric[GridElectrical][0].Slowdown; got != 1 {
+	if got := byFabric["electrical"][0].Slowdown; got != 1 {
 		t.Errorf("electrical slowdown = %v, want exactly 1", got)
 	}
-	for _, c := range append(byFabric[GridPhotonic], byFabric[GridPhotonicProvisioned]...) {
-		if c.Slowdown < 1-1e-9 {
-			t.Errorf("cell %s faster than its electrical baseline: %v", c.Cell.Name(), c.Slowdown)
+	for _, row := range append(byFabric["photonic"], byFabric["provisioned"]...) {
+		if row.Slowdown < 1-1e-9 {
+			t.Errorf("cell %s faster than its electrical baseline: %v", row.Cell, row.Slowdown)
 		}
-		if c.Reconfigurations == 0 {
-			t.Errorf("cell %s reports no reconfigurations", c.Cell.Name())
+		if row.Reconfigurations == 0 {
+			t.Errorf("cell %s reports no reconfigurations", row.Cell)
 		}
 	}
 	// Provisioning never loses to reactive at the same latency.
-	for i := range byFabric[GridPhotonic] {
-		re, pv := byFabric[GridPhotonic][i], byFabric[GridPhotonicProvisioned][i]
-		if pv.Cell.LatencyMS != re.Cell.LatencyMS {
-			t.Fatalf("fabric groups misaligned: %v vs %v", pv.Cell.LatencyMS, re.Cell.LatencyMS)
+	for i := range byFabric["photonic"] {
+		re, pv := byFabric["photonic"][i], byFabric["provisioned"][i]
+		if pv.LatencyMS != re.LatencyMS {
+			t.Fatalf("fabric groups misaligned: %v vs %v", pv.LatencyMS, re.LatencyMS)
 		}
 		if pv.Slowdown > re.Slowdown+1e-9 {
 			t.Errorf("provisioned slower than reactive at %vms: %v > %v",
-				re.Cell.LatencyMS, pv.Slowdown, re.Slowdown)
+				re.LatencyMS, pv.Slowdown, re.Slowdown)
 		}
 	}
 }
@@ -72,9 +86,7 @@ func TestRunGridBaselineSimulatedOnce(t *testing.T) {
 		Iterations:  1,
 	}
 	en := NewEngine(4)
-	if _, err := en.RunGrid(g); err != nil {
-		t.Fatal(err)
-	}
+	gridRowsOf(t, en, g)
 	st := en.CacheStats()
 	// 3 cells: each fetches the baseline (1 Time miss + 2 Time hits);
 	// the two photonic latencies are one Time miss each. Each of the 3
@@ -89,9 +101,7 @@ func TestRunGridBaselineSimulatedOnce(t *testing.T) {
 		t.Errorf("stage stats = %+v, want 3 Time misses, 1 Build miss and 2 Build hits", st)
 	}
 	// A second identical run is served entirely from cache.
-	if _, err := en.RunGrid(g); err != nil {
-		t.Fatal(err)
-	}
+	gridRowsOf(t, en, g)
 	if st2 := en.CacheStats(); st2.Misses != 4 {
 		t.Errorf("second run re-simulated: %+v", st2)
 	}
@@ -101,26 +111,37 @@ func TestRunGridBaselineSimulatedOnce(t *testing.T) {
 // byte-identical to a sequential one across every renderer.
 func TestRunGridParallelDeterministic(t *testing.T) {
 	g := smallGrid()
-	seq, err := NewEngine(1).RunGrid(g)
+	seq, err := NewEngine(1).RunGrid(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewEngine(8).RunGrid(g)
+	par, err := NewEngine(8).RunGrid(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq.Rows(), par.Rows()) {
+	if !reflect.DeepEqual(seq.Rows, par.Rows) {
 		t.Fatal("parallel rows differ from sequential")
 	}
-	if seq.Table().String() != par.Table().String() {
-		t.Fatal("parallel table differs from sequential")
+	for _, render := range []func(*ExperimentResult, io.Writer) error{
+		(*ExperimentResult).RenderText, (*ExperimentResult).RenderCSV, (*ExperimentResult).RenderJSON,
+	} {
+		var a, b bytes.Buffer
+		if err := render(seq, &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := render(par, &b); err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() {
+			t.Fatalf("parallel rendering differs from sequential:\n%s\nvs\n%s", b.String(), a.String())
+		}
 	}
 }
 
 func TestRunGridProgressHook(t *testing.T) {
 	g := Grid{Iterations: 1} // 2 cells
 	var calls []int
-	_, err := NewEngine(1).RunGridProgress(g, func(done, total int) {
+	_, err := NewEngine(1).RunGrid(context.Background(), g, func(done, total int) {
 		if total != 2 {
 			t.Errorf("total = %d", total)
 		}
@@ -135,26 +156,27 @@ func TestRunGridProgressHook(t *testing.T) {
 }
 
 func TestRunGridRejectsMalformed(t *testing.T) {
-	if _, err := RunGrid(Grid{LatenciesMS: []float64{-3}}); err == nil {
+	if _, err := NewEngine(1).RunGrid(context.Background(), Grid{LatenciesMS: []float64{-3}}, nil); err == nil {
 		t.Error("negative latency accepted")
 	}
 }
 
 // TestRunCellsSubsetMatchesFullRun: a subset execution returns exactly
-// the full run's results at those indices (so a fleet merging disjoint
+// the full run's rows at those indices (so a fleet merging disjoint
 // subsets reconstructs a full run byte for byte), in indices order,
 // without re-simulating anything a prior run already cached.
 func TestRunCellsSubsetMatchesFullRun(t *testing.T) {
 	en := NewEngine(0)
 	g := smallGrid()
-	full, err := en.RunGrid(g)
+	full, err := en.RunGrid(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fullRows := full.Rows.(GridRows).Cells
 	misses := en.CacheStats().Misses
 	indices := []int{5, 2, 0}
 	var ticks []int
-	got, err := en.RunCellsProgressCtx(context.Background(), g, indices, func(done, total int) {
+	got, err := en.RunCellRowsCtx(context.Background(), g, indices, func(done, total int) {
 		if total != len(indices) {
 			t.Errorf("progress total = %d, want %d", total, len(indices))
 		}
@@ -164,12 +186,12 @@ func TestRunCellsSubsetMatchesFullRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(indices) {
-		t.Fatalf("results = %d, want %d", len(got), len(indices))
+		t.Fatalf("rows = %d, want %d", len(got), len(indices))
 	}
 	for i, idx := range indices {
-		if !reflect.DeepEqual(got[i], full.Cells[idx]) {
-			t.Errorf("subset result %d diverged from full run cell %d:\n got: %+v\nwant: %+v",
-				i, idx, got[i], full.Cells[idx])
+		if got[i].Row != fullRows[idx] || !bytes.Equal(got[i].JSON, full.rowJSON[idx]) {
+			t.Errorf("subset row %d diverged from full run cell %d:\n got: %+v\nwant: %+v",
+				i, idx, got[i].Row, fullRows[idx])
 		}
 	}
 	if after := en.CacheStats().Misses; after != misses {
@@ -185,7 +207,7 @@ func TestRunCellsSubsetMatchesFullRun(t *testing.T) {
 func TestRunCellsRejectsBadIndices(t *testing.T) {
 	en := NewEngine(1)
 	for _, idx := range []int{-1, 6, 1 << 30} {
-		if _, err := en.RunCellsCtx(context.Background(), smallGrid(), []int{idx}); err == nil ||
+		if _, err := en.RunCellRowsCtx(context.Background(), smallGrid(), []int{idx}, nil); err == nil ||
 			!strings.Contains(err.Error(), "outside grid") {
 			t.Errorf("index %d error = %v", idx, err)
 		}

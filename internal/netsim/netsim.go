@@ -707,18 +707,16 @@ func (ex *executor) complete(t *workload.Task, start units.Duration) {
 			rail = trace.ScaleUpRail
 		}
 		ex.tr.Add(trace.Span{
-			Label:      t.Label,
-			Kind:       t.CollKind,
-			Axis:       t.Axis,
-			Group:      t.Group.Name,
-			Rail:       rail,
-			Ranks:      t.Ranks,
-			Bytes:      t.Bytes,
-			Start:      start,
-			End:        now,
-			Iteration:  t.Iteration,
-			Phase:      t.Phase,
-			Microbatch: t.Microbatch,
+			Label:     t.Label,
+			Kind:      t.CollKind,
+			Axis:      t.Axis,
+			Group:     t.Group.Name,
+			Rail:      rail,
+			Bytes:     t.Bytes,
+			Start:     start,
+			End:       now,
+			Iteration: t.Iteration,
+			Phase:     t.Phase,
 		})
 	}
 	for _, s := range ex.ix.Succ[t.ID] {

@@ -137,15 +137,21 @@ func gridJSON(tb testing.TB, name string, rows []scenario.Row) string {
 	return b.String()
 }
 
+// localRows runs grid on en and returns its rows.
+func localRows(tb testing.TB, en *photonrail.Engine, grid scenario.Grid) []scenario.Row {
+	tb.Helper()
+	res, err := en.RunGrid(context.Background(), grid, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Rows.(photonrail.GridRows).Cells
+}
+
 // localGridJSON runs grid on a fresh local engine and renders it with
 // gridJSON — the ground truth a fleet's answer is compared against.
 func localGridJSON(tb testing.TB, grid scenario.Grid) string {
 	tb.Helper()
-	local, err := photonrail.NewEngine(0).RunGrid(grid)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return gridJSON(tb, grid.Name, local.Rows())
+	return gridJSON(tb, grid.Name, localRows(tb, photonrail.NewEngine(0), grid))
 }
 
 // fig8Ref computes the fig8-5d ground truth once for the package: the
@@ -159,11 +165,7 @@ func fig8Ref(t *testing.T) (string, uint64) {
 	t.Helper()
 	fig8RefOnce.Do(func() {
 		en := photonrail.NewEngine(0)
-		res, err := en.RunGrid(scenario.Fig8Grid5D())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fig8RefRows = gridJSON(t, "fig8-5d", res.Rows())
+		fig8RefRows = gridJSON(t, "fig8-5d", localRows(t, en, scenario.Fig8Grid5D()))
 		fig8RefMisses = en.CacheStats().Misses
 	})
 	return fig8RefRows, fig8RefMisses
@@ -422,14 +424,11 @@ func TestFleetDroppedProgressFrameHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := photonrail.NewEngine(0).RunGrid(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := localRows(t, photonrail.NewEngine(0), grid)
 	fn := faultnet.New()
 	t.Cleanup(fn.Close)
 	for _, name := range []string{"b0", "b1"} {
-		tickingBackend(fn.Listen(name), local.Rows())
+		tickingBackend(fn.Listen(name), rows)
 		fn.Endpoint(name).DropFrame(1)
 	}
 	coord, err := New(Config{
@@ -454,7 +453,7 @@ func TestFleetDroppedProgressFrameHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.RowsJSON != gridJSON(t, grid.Name, local.Rows()) {
+	if run.RowsJSON != gridJSON(t, grid.Name, rows) {
 		t.Fatal("rows diverged under dropped progress frames")
 	}
 }

@@ -74,11 +74,8 @@ func TestFleetPropertyByteIdenticalNoDuplicatedWork(t *testing.T) {
 		}
 
 		en := photonrail.NewEngine(0)
-		local, err := en.RunGrid(grid)
-		if err != nil {
-			t.Fatalf("trial %d local run: %v", trial, err)
-		}
-		wantRows := gridJSON(t, grid.Name, local.Rows())
+		rows := localRows(t, en, grid)
+		wantRows := gridJSON(t, grid.Name, rows)
 		wantMisses := en.CacheStats().Misses
 
 		fl := startFleet(t, 3, 3)
@@ -96,9 +93,9 @@ func TestFleetPropertyByteIdenticalNoDuplicatedWork(t *testing.T) {
 			fleetMisses += st.Misses
 			fleetCells += st.CellsExecuted
 		}
-		if fleetCells != uint64(len(local.Cells)) {
+		if fleetCells != uint64(len(rows)) {
 			t.Errorf("trial %d: fleet executed %d cells for a %d-cell grid (duplicated or lost work)",
-				trial, fleetCells, len(local.Cells))
+				trial, fleetCells, len(rows))
 		}
 		if fleetMisses != wantMisses {
 			t.Errorf("trial %d (spec %+v): fleet-wide misses = %d, want the single run's %d",

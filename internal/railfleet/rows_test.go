@@ -65,11 +65,7 @@ func rowsFleet(t *testing.T, spec scenario.Spec, reply func(msg *opusnet.Message
 // indices, attached, after letting edit tamper with the reply.
 func attachedRows(t *testing.T, grid scenario.Grid, edit func(p *opusnet.CellsResultPayload, raw []byte) []byte) func(msg *opusnet.Message) []*opusnet.Message {
 	t.Helper()
-	local, err := photonrail.NewEngine(0).RunGrid(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := local.Rows()
+	rows := localRows(t, photonrail.NewEngine(0), grid)
 	return func(msg *opusnet.Message) []*opusnet.Message {
 		idx := msg.Cells.Indices
 		p := &opusnet.CellsResultPayload{Name: grid.Name, Indices: slices.Clone(idx)}
@@ -142,11 +138,7 @@ func TestFleetSplicesStructuredRowsFromOldBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := photonrail.NewEngine(0).RunGrid(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := local.Rows()
+	rows := localRows(t, photonrail.NewEngine(0), grid)
 	got, failovers, executed := rowsFleet(t, spec, func(msg *opusnet.Message) []*opusnet.Message {
 		batch := make([]scenario.Row, len(msg.Cells.Indices))
 		for j, i := range msg.Cells.Indices {

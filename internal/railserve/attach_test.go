@@ -50,11 +50,8 @@ func TestOldRequesterGetsRowsInEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := photonrail.NewEngine(0).RunGrid(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := gridJSON(t, grid.Name, local.Rows())
+	rows := localRows(t, photonrail.NewEngine(0), grid)
+	want := gridJSON(t, grid.Name, rows)
 	s := newTestServer(t, 0, 0)
 	run, err := dialTest(t, s).RunExperiment(context.Background(), gridReq(spec), nil)
 	if err != nil {
@@ -95,7 +92,7 @@ func TestOldRequesterGetsRowsInEnvelope(t *testing.T) {
 	}
 	wantRows := make([]scenario.Row, len(indices))
 	for i, idx := range indices {
-		wantRows[i] = local.Rows()[idx]
+		wantRows[i] = rows[idx]
 	}
 	if got, want := rowsJSON(t, m.CellsResult.Rows), rowsJSON(t, wantRows); got != want {
 		t.Errorf("structured rows = %s, want %s", got, want)
@@ -111,11 +108,8 @@ func TestClientReadsRowsFromOldDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := photonrail.NewEngine(0).RunGrid(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := gridJSON(t, grid.Name, local.Rows())
+	rows := localRows(t, photonrail.NewEngine(0), grid)
+	want := gridJSON(t, grid.Name, rows)
 	clientConn, peer := net.Pipe()
 	c := NewClient(clientConn)
 	t.Cleanup(func() { _ = c.Close() })
@@ -148,7 +142,7 @@ func TestClientReadsRowsFromOldDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wantCSV strings.Builder
-	if err := photonrail.GridExperimentResult(grid.Name, local.Rows()).RenderCSV(&wantCSV); err != nil {
+	if err := photonrail.GridExperimentResult(grid.Name, rows).RenderCSV(&wantCSV); err != nil {
 		t.Fatal(err)
 	}
 	if csv != wantCSV.String() {

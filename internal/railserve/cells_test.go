@@ -30,10 +30,7 @@ func TestCellsSubsetMatchesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := photonrail.NewEngine(0).RunGrid(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := localRows(t, photonrail.NewEngine(0), grid)
 	s := newTestServer(t, 0, 0)
 	s.setClock(steppingClock()) // every tick is due
 	c := dialTest(t, s)
@@ -56,7 +53,7 @@ func TestCellsSubsetMatchesGrid(t *testing.T) {
 			run.Name, len(run.RowJSON), len(run.Rows), "subset", len(indices))
 	}
 	for i, idx := range indices {
-		if got, want := string(run.RowJSON[i]), rowBytes(t, full.Rows()[idx]); got != want {
+		if got, want := string(run.RowJSON[i]), rowBytes(t, full[idx]); got != want {
 			t.Errorf("subset row %d (cell %d) diverged:\n got: %s\nwant: %s", i, idx, got, want)
 		}
 	}

@@ -72,6 +72,16 @@ func gridJSON(t *testing.T, name string, rows []scenario.Row) string {
 	return b.String()
 }
 
+// localRows runs grid on en and returns its rows.
+func localRows(t *testing.T, en *photonrail.Engine, grid scenario.Grid) []scenario.Row {
+	t.Helper()
+	res, err := en.RunGrid(context.Background(), grid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows.(photonrail.GridRows).Cells
+}
+
 // TestLoopbackTwoConcurrentClientsDedup is the end-to-end loopback
 // test: an in-process raild serves two concurrent railclient sessions
 // requesting the same fig8-5d grid. The daemon must coalesce them onto
@@ -90,12 +100,8 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 	// simulation budget one execution needs, and its rows are the
 	// ground-truth results.
 	ref := photonrail.NewEngine(0)
-	refRes, err := ref.RunGrid(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantRows := gridJSON(t, grid.Name, localRows(t, ref, grid))
 	refMisses := ref.CacheStats().Misses
-	wantRows := gridJSON(t, grid.Name, refRes.Rows())
 
 	s := newTestServer(t, 0, 0)
 	// Every tick is due under the stepping clock, so both clients see

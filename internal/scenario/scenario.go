@@ -10,8 +10,12 @@
 // corners of the space side by side.
 //
 // The package is purely declarative: expansion, feasibility validation,
-// naming, and result shaping live here; execution (on the concurrent
-// memoizing engine) lives in the photonrail package's RunGrid.
+// naming, and the result's shape live here. A grid's result is its
+// rows: one flat, wire-encodable Row per cell (RowOf), rendered as a
+// table or CSV by TableFromRows and CSVTableFromRows. Execution, on
+// the concurrent memoizing engine, lives in the photonrail package
+// (Engine.RunGrid, Engine.RunCellRowsCtx), which fills each feasible
+// cell's metrics into its row.
 package scenario
 
 import (
@@ -392,44 +396,8 @@ func (g Grid) Expand() []Cell {
 	return cells
 }
 
-// CellResult is the outcome of one cell: either a skip with a reason,
-// or the simulated timing and controller telemetry plus the slowdown
-// normalized to the cell workload's electrical baseline.
-type CellResult struct {
-	Cell       Cell
-	Skipped    bool
-	SkipReason string
-
-	MeanIterationSeconds float64
-	TotalSeconds         float64
-	// Slowdown is MeanIterationSeconds over the same workload's
-	// electrical-baseline mean iteration time (1.0 = baseline parity).
-	Slowdown float64
-
-	Reconfigurations         int
-	FastGrants, QueuedGrants int
-	BlockedSeconds           float64
-}
-
-// Result is a fully executed grid.
-type Result struct {
-	Grid  Grid
-	Cells []CellResult
-}
-
-// Skips returns the skipped cells.
-func (r *Result) Skips() []CellResult {
-	var out []CellResult
-	for _, c := range r.Cells {
-		if c.Skipped {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Row is the flat, render-ready view of one cell result, shared by the
-// table/CSV/JSON renderers.
+// Row is the flat, render-ready view of one cell's outcome, shared by
+// the table/CSV/JSON renderers.
 type Row struct {
 	Cell       string  `json:"cell"`
 	Model      string  `json:"model"`
@@ -448,25 +416,19 @@ type Row struct {
 	SkipReason string  `json:"skipReason,omitempty"`
 
 	MeanIterationSeconds float64 `json:"meanIterationSeconds"`
-	Slowdown             float64 `json:"slowdown"`
-	Reconfigurations     int     `json:"reconfigurations"`
-	FastGrants           int     `json:"fastGrants"`
-	QueuedGrants         int     `json:"queuedGrants"`
-	BlockedSeconds       float64 `json:"blockedSeconds"`
+	// Slowdown is MeanIterationSeconds over the same workload's
+	// electrical-baseline mean iteration time (1.0 = baseline parity).
+	Slowdown         float64 `json:"slowdown"`
+	Reconfigurations int     `json:"reconfigurations"`
+	FastGrants       int     `json:"fastGrants"`
+	QueuedGrants     int     `json:"queuedGrants"`
+	BlockedSeconds   float64 `json:"blockedSeconds"`
 }
 
-// Rows flattens the results in cell order.
-func (r *Result) Rows() []Row {
-	rows := make([]Row, 0, len(r.Cells))
-	for _, cr := range r.Cells {
-		rows = append(rows, RowOf(cr))
-	}
-	return rows
-}
-
-// RowOf flattens one cell result.
-func RowOf(cr CellResult) Row {
-	c := cr.Cell
+// RowOf flattens one cell's coordinates into its row: status "skip"
+// with the reason when skipReason is set, else "ok", with the metrics
+// left zero for the caller that ran the cell to fill in.
+func RowOf(c Cell, skipReason string) Row {
 	row := Row{
 		Cell: c.Name(), Model: c.Model.Name, GPU: c.GPU.Name,
 		Fabric: c.Fabric.String(), LatencyMS: c.LatencyMS,
@@ -474,30 +436,16 @@ func RowOf(cr CellResult) Row {
 		Schedule: c.Schedule.String(), JitterFrac: c.JitterFrac, EagerRS: c.EagerRS,
 		Status: "ok",
 	}
-	if cr.Skipped {
+	if skipReason != "" {
 		row.Status = "skip"
-		row.SkipReason = cr.SkipReason
-	} else {
-		row.MeanIterationSeconds = cr.MeanIterationSeconds
-		row.Slowdown = cr.Slowdown
-		row.Reconfigurations = cr.Reconfigurations
-		row.FastGrants = cr.FastGrants
-		row.QueuedGrants = cr.QueuedGrants
-		row.BlockedSeconds = cr.BlockedSeconds
+		row.SkipReason = skipReason
 	}
 	return row
 }
 
-// Table renders the grid results as a report table (whose Render, CSV,
-// and MarshalJSON methods provide the three output formats).
-func (r *Result) Table() *report.Table {
-	return TableFromRows(r.Grid.Name, r.Rows())
-}
-
-// TableFromRows renders flat rows as the aligned grid table — the form
-// remote consumers (railclient) use, since rows are wire-encodable
-// while cells are not. A Result's Table() is exactly
-// TableFromRows(grid name, rows).
+// TableFromRows renders flat rows as the aligned grid table, titled
+// with the grid's name. Rows are wire-encodable, so a remote consumer
+// (railclient) renders the same table a local run does.
 func TableFromRows(name string, rows []Row) *report.Table {
 	title := "Scenario grid"
 	if name != "" {
@@ -527,14 +475,9 @@ func TableFromRows(name string, rows []Row) *report.Table {
 	return t
 }
 
-// CSVTable renders the results with one fully numeric column per field
-// (no display dashes), the shape scripted consumers want from -format
-// csv.
-func (r *Result) CSVTable() *report.Table {
-	return CSVTableFromRows(r.Rows())
-}
-
-// CSVTableFromRows is CSVTable over wire-encodable flat rows.
+// CSVTableFromRows renders flat rows with one fully numeric column per
+// field (no display dashes), the shape scripted consumers want from
+// -format csv.
 func CSVTableFromRows(rows []Row) *report.Table {
 	t := report.NewTable("",
 		"cell", "model", "gpu", "fabric", "latency_ms",

@@ -140,36 +140,37 @@ func TestGridValidate(t *testing.T) {
 	}
 }
 
+// TestResultRenderers: a grid's result is its rows, RowOf renders a
+// cell's coordinates and status into one, and the table and CSV
+// renderers take the rows as they are.
 func TestResultRenderers(t *testing.T) {
 	cells := Grid{Name: "t", Fabrics: []FabricKind{Electrical, Photonic, PhotonicStatic}}.Expand()
-	res := &Result{Grid: Grid{Name: "t"}}
+	var rows []Row
 	for _, c := range cells {
-		cr := CellResult{Cell: c}
-		if reason := c.Skip(); reason != "" {
-			cr.Skipped, cr.SkipReason = true, reason
-		} else {
-			cr.MeanIterationSeconds, cr.Slowdown = 12.5, 1.25
+		row := RowOf(c, c.Skip())
+		if row.Status == "ok" {
+			row.MeanIterationSeconds, row.Slowdown = 12.5, 1.25
 		}
-		res.Cells = append(res.Cells, cr)
+		rows = append(rows, row)
 	}
-	if len(res.Skips()) != 1 { // static violates C2 on the default NIC
-		t.Fatalf("skips = %d, want 1", len(res.Skips()))
-	}
-	rows := res.Rows()
+	// The static cell violates C2 on the default NIC.
 	if len(rows) != 3 || rows[0].Status != "ok" || rows[2].Status != "skip" {
 		t.Fatalf("rows = %+v", rows)
 	}
 	if rows[2].SkipReason == "" || rows[2].Slowdown != 0 {
 		t.Errorf("skip row carries metrics: %+v", rows[2])
 	}
-	tbl := res.Table().String()
+	if rows[1].Cell != cells[1].Name() || rows[1].Fabric != "photonic" || rows[1].LatencyMS != 10 || rows[1].TP != 4 {
+		t.Errorf("row 1 = %+v, want cell %s's coordinates", rows[1], cells[1].Name())
+	}
+	tbl := TableFromRows("t", rows).String()
 	for _, want := range []string{`Scenario grid "t"`, "skip: ", "1.2500", "Llama3-8B"} {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("table missing %q:\n%s", want, tbl)
 		}
 	}
 	var csv strings.Builder
-	if err := res.CSVTable().CSV(&csv); err != nil {
+	if err := CSVTableFromRows(rows).CSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(csv.String(), "cell,model,gpu,fabric,latency_ms") {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"photonrail/internal/exp"
-	"photonrail/internal/model"
 )
 
 func TestSpecRoundTripsFig8Grid(t *testing.T) {
@@ -121,51 +120,5 @@ func TestCellCountMatchesExpand(t *testing.T) {
 	}
 	if got := huge.CellCount(); got != 1<<31-1 {
 		t.Errorf("huge grid CellCount = %d, want clamp at MaxInt32", got)
-	}
-}
-
-func mustModel(t *testing.T, name string) model.Spec {
-	t.Helper()
-	m, ok := model.ByName(name)
-	if !ok {
-		t.Fatalf("no model preset %q", name)
-	}
-	return m
-}
-
-func mustGPU(t *testing.T, name string) model.GPU {
-	t.Helper()
-	g, ok := model.GPUByName(name)
-	if !ok {
-		t.Fatalf("no GPU preset %q", name)
-	}
-	return g
-}
-
-// TestTableFromRowsMatchesResultTable pins the renderer refactor: a
-// remote client rendering from wire rows must produce byte-identical
-// output to the local Result renderers.
-func TestTableFromRowsMatchesResultTable(t *testing.T) {
-	res := &Result{
-		Grid: Grid{Name: "r"},
-		Cells: []CellResult{
-			{
-				Cell: Cell{Model: mustModel(t, "Llama3-8B"), GPU: mustGPU(t, "A100"),
-					Fabric: Photonic, LatencyMS: 10, Par: Parallelism{TP: 4, DP: 2, PP: 2}},
-				MeanIterationSeconds: 1.23456, Slowdown: 1.01, Reconfigurations: 7,
-				FastGrants: 5, QueuedGrants: 2, BlockedSeconds: 0.5,
-			},
-			{
-				Cell: Cell{Model: mustModel(t, "Llama3-8B"), GPU: mustGPU(t, "A100"),
-					Fabric: PhotonicStatic, Par: Parallelism{TP: 4, DP: 2, PP: 2}},
-				Skipped: true, SkipReason: "C2",
-			},
-		},
-	}
-	if got, want := TableFromRows(res.Grid.Name, res.Rows()).String(), res.Table().String(); got != want {
-		t.Errorf("table from rows diverged:\n%s\nvs\n%s", got, want)
-	}
-	if got, want := CSVTableFromRows(res.Rows()).String(), res.CSVTable().String(); got != want {
-		t.Errorf("csv from rows diverged:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // Property: for any random span sequence on a rail,
 //
 //   - phases partition the spans, adjacent phases have different keys;
-//   - every window's size equals After.Start − Before.End;
+//   - window i lies between phases i and i+1: it ends at phase i+1,
+//     and its size equals that phase's start minus phase i's end;
 //   - phase byte totals equal the sum of member span bytes.
 func TestPhaseWindowConsistencyProperty(t *testing.T) {
 	keys := []PhaseKey{
@@ -66,15 +67,20 @@ func TestPhaseWindowConsistencyProperty(t *testing.T) {
 		if total != count || totalBytes != railBytes {
 			return false
 		}
-		for _, w := range tr.Windows(0, 0) {
-			if w.Size != w.After.Start-w.Before.End {
+		ws := tr.Windows(0, 0)
+		if len(ws) != maxInt(0, len(phases)-1) {
+			return false
+		}
+		for i, w := range ws {
+			next := phases[i+1]
+			if w.After.Key != next.Key || w.After.Start != next.Start || w.Size != next.Start-phases[i].End {
 				return false
 			}
 			if w.AfterBytes != w.After.Bytes {
 				return false
 			}
 		}
-		return len(tr.Windows(0, 0)) == maxInt(0, len(phases)-1)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

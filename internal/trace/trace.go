@@ -53,8 +53,6 @@ type Span struct {
 	Group string
 	// Rail is the rail the op used; ScaleUpRail for intra-node traffic.
 	Rail topo.RailID
-	// Ranks are the participating GPUs.
-	Ranks []topo.GPUID
 	// Bytes is the per-rank payload.
 	Bytes units.ByteSize
 	// Start and End bound the op in virtual time. Start is the instant
@@ -65,8 +63,6 @@ type Span struct {
 	Iteration int
 	// Phase is the pipeline-schedule phase.
 	Phase PipePhase
-	// Microbatch is the microbatch index, or -1.
-	Microbatch int
 }
 
 // ScaleUpRail marks spans that ran on the scale-up interconnect rather

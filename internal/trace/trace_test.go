@@ -14,7 +14,7 @@ func span(label string, axis parallelism.Axis, kind parallelism.CollectiveKind,
 	group string, rail topo.RailID, start, end units.Duration, bytes units.ByteSize, iter int) Span {
 	return Span{
 		Label: label, Axis: axis, Kind: kind, Group: group, Rail: rail,
-		Start: start, End: end, Bytes: bytes, Iteration: iter, Microbatch: -1,
+		Start: start, End: end, Bytes: bytes, Iteration: iter,
 	}
 }
 
@@ -86,9 +86,9 @@ func TestWindowExtraction(t *testing.T) {
 	if ws[2].AfterBytes != 800*units.MB {
 		t.Errorf("window 2 after-bytes = %v", ws[2].AfterBytes)
 	}
-	// All transitions here change the group set except none... check one:
-	if !ws[0].GroupSetChanged {
-		t.Error("AG->SR should change groups")
+	// Window 0 ends where the PP send's phase begins.
+	if ws[0].After.Key != (PhaseKey{parallelism.PP, parallelism.SendRecv}) {
+		t.Errorf("window 0 ends at phase %v, want PP/SR", ws[0].After.Key)
 	}
 }
 

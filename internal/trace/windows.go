@@ -35,8 +35,6 @@ type CommPhase struct {
 	Start, End units.Duration
 	// Bytes is the total per-rank traffic of the phase.
 	Bytes units.ByteSize
-	// Groups is the set of communication group names.
-	Groups map[string]bool
 }
 
 // Window is one inter-parallelism idle window: the gap between two
@@ -48,18 +46,13 @@ type CommPhase struct {
 // in Fig. 3b); such windows are recorded but offer no reconfiguration
 // slack.
 type Window struct {
-	Rail      topo.RailID
-	Iteration int
-	// Before and After are the phases bounding the window.
-	Before, After *CommPhase
+	// After is the phase that ends the window.
+	After *CommPhase
 	// Size is the idle time between the phases.
 	Size units.Duration
 	// AfterBytes is the traffic volume following the window (the Fig. 4b
 	// categorization key).
 	AfterBytes units.ByteSize
-	// GroupSetChanged reports whether the phases use different
-	// communication groups — only then does the rail need new circuits.
-	GroupSetChanged bool
 }
 
 // Phases segments the scale-out spans of rail r in iteration iter into
@@ -71,7 +64,7 @@ func (t *Trace) Phases(r topo.RailID, iter int) []*CommPhase {
 	for _, s := range spans {
 		key := phaseKey(s)
 		if cur == nil || cur.Key != key {
-			cur = &CommPhase{Key: key, Start: s.Start, End: s.End, Groups: map[string]bool{}}
+			cur = &CommPhase{Key: key, Start: s.Start, End: s.End}
 			phases = append(phases, cur)
 		}
 		cur.Spans = append(cur.Spans, s)
@@ -82,7 +75,6 @@ func (t *Trace) Phases(r topo.RailID, iter int) []*CommPhase {
 			cur.End = s.End
 		}
 		cur.Bytes += s.Bytes
-		cur.Groups[s.Group] = true
 	}
 	return phases
 }
@@ -94,13 +86,9 @@ func (t *Trace) Windows(r topo.RailID, iter int) []Window {
 	for i := 1; i < len(phases); i++ {
 		p1, p2 := phases[i-1], phases[i]
 		out = append(out, Window{
-			Rail:            r,
-			Iteration:       iter,
-			Before:          p1,
-			After:           p2,
-			Size:            p2.Start - p1.End,
-			AfterBytes:      p2.Bytes,
-			GroupSetChanged: !sameGroups(p1.Groups, p2.Groups),
+			After:      p2,
+			Size:       p2.Start - p1.End,
+			AfterBytes: p2.Bytes,
 		})
 	}
 	return out
@@ -116,16 +104,4 @@ func WindowSizesMS(ws []Window) []float64 {
 		}
 	}
 	return out
-}
-
-func sameGroups(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for g := range a {
-		if !b[g] {
-			return false
-		}
-	}
-	return true
 }

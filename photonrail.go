@@ -190,7 +190,7 @@ type Result struct {
 //
 // Simulate is the monolithic reference path: it compiles the workload
 // and runs the simulation end to end, uncached, on every call. The
-// staged pipeline behind Engine.Simulate (Build → Provision → Time,
+// staged pipeline behind Engine.SimulateCtx (Build → Provision → Time,
 // each memoized) produces byte-identical results and is what every
 // experiment driver uses; this entry point stays alive as the oracle
 // the equivalence tests pin the pipeline against.

@@ -49,7 +49,7 @@ func warmFig8Engine(t *testing.T) *Engine {
 	t.Helper()
 	warmFig8.once.Do(func() {
 		warmFig8.en = NewEngine(2)
-		_, warmFig8.err = warmFig8.en.gridRows(context.Background(), Fig8Grid5D(), nil)
+		_, warmFig8.err = warmFig8.en.RunGrid(context.Background(), Fig8Grid5D(), nil)
 	})
 	if warmFig8.err != nil {
 		t.Fatal(warmFig8.err)
@@ -62,9 +62,9 @@ func warmFig8Engine(t *testing.T) *Engine {
 var coldLatency atomic.Int64
 
 // TestWarmGridNeedsNoPoolSlot: with every pool slot held, a fully warm
-// fig8-5d completes through gridRows and through RunCellRowsCtx, and
-// the same request with one cold cell does not complete until the
-// slots are released.
+// fig8-5d completes through RunGrid and through RunCellRowsCtx, both
+// serving each cell's one cached row, and the same request with one
+// cold cell does not complete until the slots are released.
 func TestWarmGridNeedsNoPoolSlot(t *testing.T) {
 	en := warmFig8Engine(t)
 	release := holdPool(t, en)
@@ -74,10 +74,11 @@ func TestWarmGridNeedsNoPoolSlot(t *testing.T) {
 
 	g := Fig8Grid5D()
 	g.Name = "warm-held"
-	rows, err := en.gridRows(ctx, g, nil)
+	res, err := en.RunGrid(ctx, g, nil)
 	if err != nil {
-		t.Fatalf("warm gridRows with the pool held: %v", err)
+		t.Fatalf("warm RunGrid with the pool held: %v", err)
 	}
+	rows := res.Rows.(GridRows).Cells
 	if len(rows) != 48 {
 		t.Fatalf("rows = %d, want 48", len(rows))
 	}
@@ -89,8 +90,9 @@ func TestWarmGridNeedsNoPoolSlot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm RunCellRowsCtx with the pool held: %v", err)
 	}
+	// The same cached row: its fields, and the very bytes RunGrid joined.
 	for i, idx := range all {
-		if subset[i] != rows[idx] {
+		if subset[i].Row != rows[idx] || &subset[i].JSON[0] != &res.rowJSON[idx][0] {
 			t.Fatalf("subset row %d is not the grid's row %d", i, idx)
 		}
 	}
@@ -166,7 +168,7 @@ func TestColdGridRunsWorkersCellsAtOnce(t *testing.T) {
 	})
 	errc := make(chan error, 1)
 	go func() {
-		_, err := en.RunGridCtx(context.Background(), g)
+		_, err := en.RunGrid(context.Background(), g, nil)
 		errc <- err
 	}()
 	workers := uint64(en.Workers())
@@ -202,11 +204,11 @@ func TestCellDriverCancel(t *testing.T) {
 	warm := warmFig8Engine(t)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := warm.gridRows(cancelled, Fig8Grid5D(), nil); !errors.Is(err, context.Canceled) {
+	if _, err := warm.RunGrid(cancelled, Fig8Grid5D(), nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("warm grid under a cancelled context: err = %v, want context.Canceled", err)
 	}
 	cold := NewEngine(1)
-	if _, err := cold.RunGridCtx(cancelled, smallGrid()); !errors.Is(err, context.Canceled) {
+	if _, err := cold.RunGrid(cancelled, smallGrid(), nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cold grid under a cancelled context: err = %v, want context.Canceled", err)
 	}
 	if st := cold.CacheStats(); st.Misses != 0 {
@@ -216,7 +218,7 @@ func TestCellDriverCancel(t *testing.T) {
 	for _, at := range []int{1, 47, 48} {
 		ctx, cancel := context.WithCancel(context.Background())
 		ticks := 0
-		_, err := warm.gridRows(ctx, Fig8Grid5D(), func(done, _ int) {
+		_, err := warm.RunGrid(ctx, Fig8Grid5D(), func(done, _ int) {
 			if ticks++; done == at {
 				cancel()
 			}
@@ -265,7 +267,7 @@ func TestInlineMemoizedErrorSkipsPool(t *testing.T) {
 			defer release()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			_, err = en.RunCellsCtx(ctx, g, []int{1, 0})
+			_, err = en.RunCellRowsCtx(ctx, g, []int{1, 0}, nil)
 			if !errors.Is(err, boom) || err.Error() != tc.want {
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
@@ -278,19 +280,24 @@ func TestInlineMemoizedErrorSkipsPool(t *testing.T) {
 
 // TestCellDriverProgress: ticks run 1..n, strictly rising, on a grid
 // whose warm cells are served inline and whose cold cells go to the
-// pool. The inline cells tick first, before any computation, and the
-// pool's ticks continue the count.
+// pool, through the whole-grid entry and through the subset entry
+// asked for every cell. The inline cells tick first, before any
+// computation, and the pool's ticks continue the count.
 func TestCellDriverProgress(t *testing.T) {
 	for _, path := range []struct {
 		name string
 		run  func(en *Engine, g Grid, onCell func(done, total int)) error
 	}{
-		{"RunGridProgressCtx", func(en *Engine, g Grid, onCell func(done, total int)) error {
-			_, err := en.RunGridProgressCtx(context.Background(), g, onCell)
+		{"RunGrid", func(en *Engine, g Grid, onCell func(done, total int)) error {
+			_, err := en.RunGrid(context.Background(), g, onCell)
 			return err
 		}},
-		{"gridRows", func(en *Engine, g Grid, onCell func(done, total int)) error {
-			_, err := en.gridRows(context.Background(), g, onCell)
+		{"RunCellRowsCtx", func(en *Engine, g Grid, onCell func(done, total int)) error {
+			every := make([]int, len(g.Expand()))
+			for i := range every {
+				every[i] = i
+			}
+			_, err := en.RunCellRowsCtx(context.Background(), g, every, onCell)
 			return err
 		}},
 	} {
@@ -391,7 +398,7 @@ func TestCacheStatsPinned(t *testing.T) {
 			func() error { _, err := grid.Run(context.Background(), en, Params{Grid: &sub}); return err },
 			func() error { _, err := grid.Run(context.Background(), en, Params{Grid: &full}); return err },
 			func() error { _, err := grid.Run(context.Background(), en, Params{Grid: &renamed}); return err },
-			func() error { _, err := en.RunGrid(Fig8Grid5D()); return err },
+			func() error { _, err := en.RunGrid(context.Background(), Fig8Grid5D(), nil); return err },
 		}
 		for i, phase := range phases {
 			if err := phase(); err != nil {
@@ -408,7 +415,7 @@ func TestCacheStatsPinned(t *testing.T) {
 // preset's name but not its layers gets its own plan, so its rows are
 // its own, equal to a fresh engine's. A plan keyed by the grid's wire
 // spec, which carries models by name, would serve it the preset's
-// cells.
+// rows.
 func TestPlanKeyCarriesModelsByValue(t *testing.T) {
 	preset := Grid{
 		Name:        "preset",
@@ -424,28 +431,11 @@ func TestPlanKeyCarriesModelsByValue(t *testing.T) {
 	custom.Models = []model.Spec{m}
 
 	en := NewEngine(0)
-	if _, err := en.RunGrid(preset); err != nil {
-		t.Fatal(err)
-	}
-	got, err := en.RunGrid(custom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewEngine(0).RunGrid(custom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Cells, want.Cells) {
-		t.Fatalf("the custom model's cells diverged from a fresh engine's:\n got: %+v\nwant: %+v", got.Cells, want.Cells)
-	}
-	rows, err := en.gridRows(context.Background(), custom, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range want.Rows() {
-		if rows[i].Row != row {
-			t.Errorf("row %d = %+v, want %+v", i, rows[i].Row, row)
-		}
+	gridRowsOf(t, en, preset)
+	got := gridRowsOf(t, en, custom)
+	want := gridRowsOf(t, NewEngine(0), custom)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the custom model's rows diverged from a fresh engine's:\n got: %+v\nwant: %+v", got, want)
 	}
 	if planKey(custom) == planKey(preset) {
 		t.Error("the custom model's grid shares the preset's plan key")
@@ -491,24 +481,18 @@ func TestPlanTableBounded(t *testing.T) {
 	en.planMu.Lock()
 	held := en.planCells
 	en.planMu.Unlock()
-	res, err := en.RunGrid(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != maxPlanCells+1 || len(res.Skips()) != len(res.Cells) {
-		t.Fatalf("big grid: %d cells, %d skipped; want %d, all skipped", len(res.Cells), len(res.Skips()), maxPlanCells+1)
-	}
-	if !strings.Contains(res.Cells[maxPlanCells].SkipReason, "mixture-of-experts") {
-		t.Errorf("last cell's skip reason = %q", res.Cells[maxPlanCells].SkipReason)
-	}
-	rows, err := en.gridRows(context.Background(), big, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range res.Rows() {
-		if rows[i].Row != row {
-			t.Fatalf("big grid row %d = %+v, want %+v", i, rows[i].Row, row)
+	rows := gridRowsOf(t, en, big)
+	skipped := 0
+	for _, row := range rows {
+		if row.Status == "skip" {
+			skipped++
 		}
+	}
+	if len(rows) != maxPlanCells+1 || skipped != len(rows) {
+		t.Fatalf("big grid: %d cells, %d skipped; want %d, all skipped", len(rows), skipped, maxPlanCells+1)
+	}
+	if !strings.Contains(rows[maxPlanCells].SkipReason, "mixture-of-experts") {
+		t.Errorf("last cell's skip reason = %q", rows[maxPlanCells].SkipReason)
 	}
 	en.planMu.Lock()
 	defer en.planMu.Unlock()
@@ -518,9 +502,8 @@ func TestPlanTableBounded(t *testing.T) {
 }
 
 // TestSkippedRowRenderedOnFirstUse: a skipped cell's row is rendered
-// by the first request that asks for rows, not when the plan is built,
-// so RunGrid renders none; a stored plan then serves the same row to
-// every later request.
+// by the first request for it, not when the plan is built; a stored
+// plan then serves the same row to every later request.
 func TestSkippedRowRenderedOnFirstUse(t *testing.T) {
 	en := NewEngine(1)
 	// A dense model has no EP coordinate, so every cell is skipped.
@@ -528,9 +511,6 @@ func TestSkippedRowRenderedOnFirstUse(t *testing.T) {
 		Fabrics:      []GridFabricKind{GridPhotonic},
 		LatenciesMS:  []float64{1, 2},
 		Parallelisms: []GridParallelism{{TP: 4, DP: 1, EP: 2, PP: 2}},
-	}
-	if _, err := en.RunGrid(g); err != nil {
-		t.Fatal(err)
 	}
 	p, err := en.planFor(g, nil)
 	if err != nil {
@@ -541,14 +521,14 @@ func TestSkippedRowRenderedOnFirstUse(t *testing.T) {
 			t.Fatalf("cell %d is feasible; want every cell skipped", i)
 		}
 		if p.cells[i].row.Load() != nil {
-			t.Fatalf("RunGrid rendered skipped cell %d's row", i)
+			t.Fatalf("planning rendered skipped cell %d's row", i)
 		}
 	}
-	first, err := en.gridRows(context.Background(), g, nil)
+	first, err := en.RunCellRowsCtx(context.Background(), g, p.all, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := en.gridRows(context.Background(), g, nil)
+	second, err := en.RunCellRowsCtx(context.Background(), g, p.all, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,17 +39,12 @@ func PaperLatenciesMS() []float64 {
 // and the shared electrical baseline is simulated exactly once per
 // batch. Output is deterministic and identical to a sequential run.
 func SweepReconfigLatency(w Workload, latenciesMS []float64) ([]SweepPoint, error) {
-	return DefaultEngine().SweepReconfigLatency(w, latenciesMS)
+	return DefaultEngine().SweepReconfigLatencyCtx(context.Background(), w, latenciesMS)
 }
 
-// SweepReconfigLatency is the engine form of the package-level function:
-// same semantics, with fan-out bounded by the engine's worker count and
-// results shared through its cache.
-func (en *Engine) SweepReconfigLatency(w Workload, latenciesMS []float64) ([]SweepPoint, error) {
-	return en.SweepReconfigLatencyCtx(context.Background(), w, latenciesMS)
-}
-
-// SweepReconfigLatencyCtx is SweepReconfigLatency under a context: a
+// SweepReconfigLatencyCtx is the engine form of the package-level
+// SweepReconfigLatency: same semantics, with fan-out bounded by the
+// engine's worker count and results shared through its cache. A
 // cancelled ctx stops scheduling latency points and returns ctx.Err()
 // promptly, and the first point error stops the remaining points
 // (fail-fast). Simulations other callers share are never killed by this

@@ -1,7 +1,9 @@
-// Benchmarks for the concurrent experiment engine: the acceptance bar
-// is BenchmarkSweepParallel ≥ 2× faster wall-clock than
-// BenchmarkSweepSequential on a 4+-core machine, with byte-identical
-// []SweepPoint output (asserted by TestSweepParallelDeterminism).
+// Benchmarks for the concurrent experiment engine: the same sweep on a
+// one-worker and an all-cores engine, with byte-identical []SweepPoint
+// output (asserted by TestSweepParallelDeterminism). No test asserts
+// their ratio. On a 2-core VM, BenchmarkSweepParallel ran 1.54–1.81×
+// faster than BenchmarkSweepSequential (3 runs at 5x, full Fig. 8
+// config); 4+ cores are unmeasured.
 //
 // Compare with:
 //
@@ -9,6 +11,7 @@
 package photonrail
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -31,7 +34,7 @@ func benchmarkSweep(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		en := NewEngine(workers)
-		points, err := en.SweepReconfigLatency(w, lats)
+		points, err := en.SweepReconfigLatencyCtx(context.Background(), w, lats)
 		if err != nil {
 			b.Fatal(err)
 		}

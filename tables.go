@@ -91,16 +91,12 @@ func Table3() *report.Table {
 // cluster sizes are evaluated in parallel and each (size, catalog) BOM
 // row is memoized across experiments.
 func CostComparison() ([]cost.Fig7Row, error) {
-	return DefaultEngine().CostComparison()
+	return DefaultEngine().CostComparisonCtx(context.Background())
 }
 
-// CostComparison is the engine form of the package-level function.
-func (en *Engine) CostComparison() ([]cost.Fig7Row, error) {
-	return en.CostComparisonCtx(context.Background())
-}
-
-// CostComparisonCtx is CostComparison under a context: cancellation
-// stops scheduling cluster sizes and returns ctx.Err() promptly.
+// CostComparisonCtx is the engine form of the package-level
+// CostComparison: cancellation stops scheduling cluster sizes and
+// returns ctx.Err() promptly.
 func (en *Engine) CostComparisonCtx(ctx context.Context) ([]cost.Fig7Row, error) {
 	sizes := cost.PaperSizes()
 	cat := cost.DefaultCatalog()
@@ -132,7 +128,7 @@ func Fig7Table() (*report.Table, error) {
 }
 
 // Fig7RowsTable renders already-computed Fig. 7 rows (e.g. from an
-// Engine's CostComparison).
+// Engine's CostComparisonCtx).
 func Fig7RowsTable(rows []cost.Fig7Row) *report.Table {
 	t := report.NewTable("Fig. 7: GPU-backend network cost and power (DGX H200, 400G)",
 		"GPUs", "Fat-tree cost", "Rail cost", "Opus cost", "Cost saving",

@@ -44,20 +44,16 @@ type WindowReport struct {
 // The traced baseline run goes through DefaultEngine's cache, so
 // repeated analyses of the same workload simulate it once.
 func AnalyzeWindows(w Workload) (*WindowReport, error) {
-	return DefaultEngine().AnalyzeWindows(w)
+	return DefaultEngine().AnalyzeWindowsCtx(context.Background(), w)
 }
 
-// AnalyzeWindows is the engine form of the package-level function: the
-// traced simulation is memoized per workload, the analysis itself is
-// recomputed and each report gets its own copy of the trace, so
-// callers may freely mutate the report without corrupting the cache.
-func (en *Engine) AnalyzeWindows(w Workload) (*WindowReport, error) {
-	return en.AnalyzeWindowsCtx(context.Background(), w)
-}
-
-// AnalyzeWindowsCtx is AnalyzeWindows under a context: a cancelled
-// caller returns ctx.Err() promptly, while a traced simulation shared
-// with other callers keeps running for them (see SimulateCtx).
+// AnalyzeWindowsCtx is the engine form of the package-level
+// AnalyzeWindows: the traced simulation is memoized per workload, the
+// analysis itself is recomputed and each report gets its own copy of
+// the trace, so callers may freely mutate the report without
+// corrupting the cache. A cancelled caller returns ctx.Err() promptly,
+// while a traced simulation shared with other callers keeps running
+// for them (see SimulateCtx).
 func (en *Engine) AnalyzeWindowsCtx(ctx context.Context, w Workload) (*WindowReport, error) {
 	if w.Iterations < 1 {
 		return nil, fmt.Errorf("photonrail: need at least one iteration")
