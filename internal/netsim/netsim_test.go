@@ -212,8 +212,8 @@ func TestTraceWindows(t *testing.T) {
 		if w.Size > maxWin {
 			maxWin = w.Size
 		}
-		if w.AfterBytes > maxBytes {
-			maxBytes = w.AfterBytes
+		if w.After.Bytes > maxBytes {
+			maxBytes = w.After.Bytes
 			winBeforeBiggest = w.Size
 		}
 	}

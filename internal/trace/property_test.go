@@ -76,9 +76,6 @@ func TestPhaseWindowConsistencyProperty(t *testing.T) {
 			if w.After.Key != next.Key || w.After.Start != next.Start || w.Size != next.Start-phases[i].End {
 				return false
 			}
-			if w.AfterBytes != w.After.Bytes {
-				return false
-			}
 		}
 		return true
 	}
@@ -127,7 +124,7 @@ func TestWindowOrderInvarianceProperty(t *testing.T) {
 			return false
 		}
 		for i := range wa {
-			if wa[i].Size != wb[i].Size || wa[i].AfterBytes != wb[i].AfterBytes {
+			if wa[i].Size != wb[i].Size || wa[i].After.Bytes != wb[i].After.Bytes {
 				return false
 			}
 		}

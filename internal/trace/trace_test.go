@@ -83,8 +83,8 @@ func TestWindowExtraction(t *testing.T) {
 	if ws[2].Size != 1000*ms {
 		t.Errorf("window 2 (before RS) = %v, want 1000ms", ws[2].Size)
 	}
-	if ws[2].AfterBytes != 800*units.MB {
-		t.Errorf("window 2 after-bytes = %v", ws[2].AfterBytes)
+	if ws[2].After.Bytes != 800*units.MB {
+		t.Errorf("window 2 after-bytes = %v", ws[2].After.Bytes)
 	}
 	// Window 0 ends where the PP send's phase begins.
 	if ws[0].After.Key != (PhaseKey{parallelism.PP, parallelism.SendRecv}) {
@@ -104,8 +104,8 @@ func TestBiggestWindowPrecedesBiggestTraffic(t *testing.T) {
 		if w.Size > maxSize {
 			maxSize = w.Size
 		}
-		if w.AfterBytes > maxBytes {
-			maxBytes = w.AfterBytes
+		if w.After.Bytes > maxBytes {
+			maxBytes = w.After.Bytes
 			sizeOfMaxBytes = w.Size
 		}
 	}

@@ -46,13 +46,11 @@ type CommPhase struct {
 // in Fig. 3b); such windows are recorded but offer no reconfiguration
 // slack.
 type Window struct {
-	// After is the phase that ends the window.
+	// After is the phase that ends the window. Its Bytes, the traffic
+	// volume following the window, is the Fig. 4b categorization key.
 	After *CommPhase
 	// Size is the idle time between the phases.
 	Size units.Duration
-	// AfterBytes is the traffic volume following the window (the Fig. 4b
-	// categorization key).
-	AfterBytes units.ByteSize
 }
 
 // Phases segments the scale-out spans of rail r in iteration iter into
@@ -85,11 +83,7 @@ func (t *Trace) Windows(r topo.RailID, iter int) []Window {
 	var out []Window
 	for i := 1; i < len(phases); i++ {
 		p1, p2 := phases[i-1], phases[i]
-		out = append(out, Window{
-			After:      p2,
-			Size:       p2.Start - p1.End,
-			AfterBytes: p2.Bytes,
-		})
+		out = append(out, Window{After: p2, Size: p2.Start - p1.End})
 	}
 	return out
 }

@@ -2,8 +2,8 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
+	"strings"
 
 	"photonrail/internal/collective"
 	"photonrail/internal/model"
@@ -140,40 +140,28 @@ type bt struct {
 
 // shard identifies one non-TP, non-PP coordinate: the data (d), context
 // (c), and expert (e) indices. Every (stage, shard) pair occupies one
-// scale-up domain.
+// scale-up domain, and every rank position (stage, shard, TP index) one
+// GPU: b.gpu numbers them, and the builder's per-rank state is indexed
+// by that number.
 type shard struct{ d, c, e int }
-
-// rkey identifies a rank position: pipeline stage, shard, TP index.
-type rkey struct {
-	s  int
-	sh shard
-	t  int
-}
-
-// mkey adds a microbatch to a rank position.
-type mkey struct {
-	s  int
-	sh shard
-	t  int
-	m  int
-}
 
 type builder struct {
 	cfg     Config
 	tasks   []*bt
 	groups  map[string]*collective.Group
 	cluster *topo.Cluster
+	// blobs[s] is stage s's parameter blobs, the same every iteration.
+	blobs [][]blob
 
-	// Arena blocks for bt/Task nodes and a scratch buffer for label
-	// formatting: program compilation is the pipeline's Build stage and
-	// its per-node allocations dominate a cold grid, so nodes come from
-	// chunked arenas instead of one heap object each.
+	// Arena blocks for bt/Task nodes, the program's label arena and a
+	// scratch buffer for label formatting: program compilation is the
+	// pipeline's Build stage and its per-node allocations dominate a
+	// cold grid, so nodes and labels come from chunked arenas instead of
+	// one heap object each.
 	btArena   []bt
 	taskArena []Task
+	labels    strings.Builder
 	lbuf      []byte
-	// sharedHint pre-sizes each iteration's shared-collective memo with
-	// the previous iteration's final count (iterations are isomorphic).
-	sharedHint int
 
 	// Per-layer durations (TP collectives folded in).
 	fwdLayer, bwdLayer units.Duration
@@ -197,10 +185,13 @@ func Build(cfg Config) (*Program, error) {
 	b.computeDurations()
 	b.computeBytes()
 	b.makeGroups()
+	for s := 0; s < cfg.PP; s++ {
+		b.blobs = append(b.blobs, b.stageBlobs(s))
+	}
 
-	// prevEnd[rank] is the final task of the previous iteration for each
+	// prevEnd[gpu] is the final task of the previous iteration for each
 	// rank position.
-	prevEnd := make(map[rkey]*bt)
+	prevEnd := make([]*bt, cfg.Cluster.NumGPUs())
 	for it := 0; it < cfg.Iterations; it++ {
 		b.buildIteration(it, prevEnd)
 	}
@@ -400,12 +391,32 @@ func (b *builder) newTask() *Task {
 	return t
 }
 
+// labelChunk sizes the label arena's chunks. A 2-microbatch 3D program
+// has about 30 KB of labels: eight chunks hold no more bytes than its
+// labels took as separate strings, rounded up to their size classes.
+const labelChunk = 4096
+
 // fmtd is the builder's label formatter: fmt.Sprintf restricted to %d
-// verbs over the builder's scratch buffer. Labels are the single
-// biggest formatting cost of compilation, and every one of them is
-// integers spliced into a literal.
+// verbs, returning the label as a substring of the label arena. Labels
+// are the single biggest formatting cost of compilation, and every one
+// of them is integers spliced into a literal.
 func (b *builder) fmtd(format string, args ...int) string {
-	return string(b.appendd(format, args...))
+	return b.keep(b.appendd(format, args...))
+}
+
+// keep copies a formatted label into the program's label arena and
+// returns it as a substring of the arena. The arena is a chunked
+// strings.Builder: a chunk is written only below its capacity, so the
+// strings already cut from it never move or change, and a full chunk
+// stays alive as long as any task's label points into it.
+func (b *builder) keep(label []byte) string {
+	if b.labels.Cap()-b.labels.Len() < len(label) {
+		b.labels.Reset()
+		b.labels.Grow(max(labelChunk, len(label)))
+	}
+	start := b.labels.Len()
+	b.labels.Write(label)
+	return b.labels.String()[start:]
 }
 
 // appendd formats like fmtd into the scratch buffer and returns the
@@ -444,7 +455,7 @@ func (b *builder) fsdpLabel(op, blob string, s, c, e, r int) string {
 	buf = append(buf, " r"...)
 	buf = strconv.AppendInt(buf, int64(r), 10)
 	b.lbuf = buf
-	return string(buf)
+	return b.keep(buf)
 }
 
 func (b *builder) add(t *Task, deps ...*bt) *bt {
@@ -471,15 +482,20 @@ func (b *builder) addDeps(n *bt, deps ...*bt) {
 
 // jitter derates or inflates a compute duration by a deterministic
 // per-label factor within ±JitterFrac, emulating kernel-time variance
-// without sacrificing reproducibility.
+// without sacrificing reproducibility. The factor comes from the
+// label's FNV-64a hash, computed inline: hash/fnv's hasher and the
+// label's byte copy would cost two allocations per compute task.
 func (b *builder) jitter(label string, d units.Duration) units.Duration {
 	if b.cfg.JitterFrac <= 0 {
 		return d
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(label))
+	h := uint64(14695981039346656037) // FNV-64 offset basis
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= 1099511628211 // FNV-64 prime
+	}
 	// Map the hash to [-1, 1).
-	u := float64(h.Sum64()%2048)/1024 - 1
+	u := float64(h%2048)/1024 - 1
 	return units.Duration(float64(d) * (1 + b.cfg.JitterFrac*u))
 }
 
@@ -587,55 +603,65 @@ func (b *builder) stageBlobs(s int) []blob {
 
 // collTask is a helper filling the common collective-task fields.
 func (b *builder) collTask(label string, kind parallelism.CollectiveKind, axis parallelism.Axis,
-	g *collective.Group, ranks []topo.GPUID, bytes units.ByteSize, rail int, it, mb int, phase trace.PipePhase) *Task {
+	g *collective.Group, ranks []topo.GPUID, bytes units.ByteSize, rail int, it int, phase trace.PipePhase) *Task {
 	t := b.newTask()
 	*t = Task{
-		Kind:       Collective,
-		Label:      label,
-		CollKind:   kind,
-		Axis:       axis,
-		Group:      g,
-		Ranks:      ranks,
-		Bytes:      bytes,
-		Rail:       topo.RailID(rail),
-		Iteration:  it,
-		Microbatch: mb,
-		Phase:      phase,
+		Kind:      Collective,
+		Label:     label,
+		CollKind:  kind,
+		Axis:      axis,
+		Group:     g,
+		Ranks:     ranks,
+		Bytes:     bytes,
+		Rail:      topo.RailID(rail),
+		Iteration: it,
+		Phase:     phase,
 	}
 	return t
 }
 
-// buildIteration emits one training iteration. prevEnd carries each
-// rank's final task of the previous iteration and is updated in place.
-func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
+// buildIteration emits one training iteration. prevEnd[gpu] carries
+// each rank's final task of the previous iteration and is updated in
+// place. Every table below is indexed by a rank position's GPU number
+// (b.gpu), times its microbatch, blob or layer.
+func (b *builder) buildIteration(it int, prevEnd []*bt) {
 	cfg := b.cfg
 	layers := cfg.Model.Layers / cfg.PP
+	mbs := cfg.Microbatches
+	ngpu := cfg.Cluster.NumGPUs()
 	shards := b.shards()
 
 	// Pre-create pipeline Send/Recv tasks so both endpoints can
-	// reference them. srF carries activations s -> s+1; srB carries
-	// gradients s -> s-1.
-	srF := make(map[mkey]*bt)
-	srB := make(map[mkey]*bt)
+	// reference them. srF[gpu*mbs+m] carries microbatch m's activations
+	// from the GPU's stage s to s+1; srB[gpu*mbs+m] its gradients from s
+	// to s-1. Their {src, dst} rank pairs are carved from one buffer.
+	var srF, srB []*bt
 	if cfg.PP > 1 {
+		srF = make([]*bt, ngpu*mbs)
+		srB = make([]*bt, ngpu*mbs)
+		pairs := make([]topo.GPUID, 0, 2*2*(cfg.PP-1)*len(shards)*cfg.TP*mbs)
+		pair := func(src, dst topo.GPUID) []topo.GPUID {
+			pairs = append(pairs, src, dst)
+			return pairs[len(pairs)-2 : len(pairs) : len(pairs)]
+		}
 		for s := 0; s < cfg.PP; s++ {
 			for _, sh := range shards {
 				for t := 0; t < cfg.TP; t++ {
+					g := b.gpu(s, sh, t)
 					for m := 0; m < cfg.Microbatches; m++ {
-						key := mkey{s, sh, t, m}
 						if s < cfg.PP-1 {
-							srF[key] = b.add(b.collTask(
+							srF[int(g)*mbs+m] = b.add(b.collTask(
 								b.fmtd("SRf s%d>s%d d%d c%d e%d r%d mb%d", s, s+1, sh.d, sh.c, sh.e, t, m),
 								parallelism.SendRecv, parallelism.PP, b.groups[string(b.ppGroupName(sh, t))],
-								[]topo.GPUID{b.gpu(s, sh, t), b.gpu(s+1, sh, t)},
-								b.srBytes, t, it, m, trace.Steady))
+								pair(g, b.gpu(s+1, sh, t)),
+								b.srBytes, t, it, trace.Steady))
 						}
 						if s > 0 {
-							srB[key] = b.add(b.collTask(
+							srB[int(g)*mbs+m] = b.add(b.collTask(
 								b.fmtd("SRb s%d>s%d d%d c%d e%d r%d mb%d", s, s-1, sh.d, sh.c, sh.e, t, m),
 								parallelism.SendRecv, parallelism.PP, b.groups[string(b.ppGroupName(sh, t))],
-								[]topo.GPUID{b.gpu(s, sh, t), b.gpu(s-1, sh, t)},
-								b.srBytes, t, it, m, trace.Steady))
+								pair(g, b.gpu(s-1, sh, t)),
+								b.srBytes, t, it, trace.Steady))
 						}
 					}
 				}
@@ -645,13 +671,17 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 
 	// FSDP AllGather chains, one per (stage, c, e, rail). Lazy DTensor
 	// semantics: stage s > 0 starts gathering only once the first
-	// activation arrives (dep on srF of microbatch 0).
-	type agKey struct{ s, c, e, t, bi int }
-	agTask := make(map[agKey]*bt)
-	rsTask := make(map[agKey]*bt)
+	// activation arrives (dep on srF of microbatch 0). Every member of
+	// the FSDP group finds the group's chains at its own GPU:
+	// agTask[gpu*layers+l] is the AllGather of layer l's blob, and
+	// rsTask[gpu*nblob+bi] the ReduceScatter of blob bi.
+	nblob := layers + 2
+	var agTask, rsTask []*bt
 	if cfg.DP > 1 {
+		agTask = make([]*bt, ngpu*layers)
+		rsTask = make([]*bt, ngpu*nblob)
 		for s := 0; s < cfg.PP; s++ {
-			blobs := b.stageBlobs(s)
+			blobs := b.blobs[s]
 			for e := 0; e < cfg.EP; e++ {
 				for c := 0; c < cfg.CP; c++ {
 					for t := 0; t < cfg.TP; t++ {
@@ -661,22 +691,26 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 							n := b.add(b.collTask(
 								b.fsdpLabel("AG", bl.label, s, c, e, t),
 								parallelism.AllGather, parallelism.FSDP, g,
-								g.Ranks, bl.agBytes, t, it, 0, trace.WarmUp), prev)
+								g.Ranks, bl.agBytes, t, it, trace.WarmUp), prev)
 							if bi == 0 {
 								for d := 0; d < cfg.DP; d++ {
 									sh := shard{d, c, e}
 									// Every shard must have finished the
 									// previous iteration's optimizer step.
-									b.addDeps(n, prevEnd[rkey{s, sh, t}])
+									b.addDeps(n, prevEnd[b.gpu(s, sh, t)])
 									if s > 0 && cfg.PP > 1 {
 										// Lazy DTensor: gathering starts only
 										// when the first activation arrives
 										// (§3.1).
-										b.addDeps(n, srF[mkey{s - 1, sh, t, 0}])
+										b.addDeps(n, srF[int(b.gpu(s-1, sh, t))*mbs])
 									}
 								}
 							}
-							agTask[agKey{s, c, e, t, bi}] = n
+							if bl.layer >= 0 {
+								for _, r := range g.Ranks {
+									agTask[int(r)*layers+bl.layer] = n
+								}
+							}
 							prev = n
 						}
 						// ReduceScatter chain issues top-down during the
@@ -687,8 +721,10 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 							n := b.add(b.collTask(
 								b.fsdpLabel("RS", bl.label, s, c, e, t),
 								parallelism.ReduceScatter, parallelism.FSDP, g,
-								g.Ranks, bl.rsBytes, t, it, cfg.Microbatches-1, trace.CoolDown), prevRS)
-							rsTask[agKey{s, c, e, t, bi}] = n
+								g.Ranks, bl.rsBytes, t, it, trace.CoolDown), prevRS)
+							for _, r := range g.Ranks {
+								rsTask[int(r)*nblob+bi] = n
+							}
 							prevRS = n
 						}
 					}
@@ -698,177 +734,176 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 	}
 
 	// Per-rank compute following the 1F1B schedule, with per-layer CP
-	// gathers and EP AllToAlls woven in.
-	type bwdKey struct {
-		s  int
-		sh shard
-		t  int
-		bi int
+	// gathers and EP AllToAlls woven in. lastBwd[gpu*layers+l] is the
+	// rank's latest backward of layer l.
+	var lastBwd []*bt
+	if cfg.DP > 1 {
+		lastBwd = make([]*bt, ngpu*layers)
 	}
-	lastBwdLayer := make(map[bwdKey]*bt)
 
 	// CP and EP collectives are shared by their whole group: the first
 	// member to reach the op creates it, later members attach their
-	// dependency chains (the slowest-member barrier). Keys identify one
-	// logical collective instance.
-	type cKey struct {
-		kind string
-		s    int
-		d, c, e, t,
-		m, l int
+	// dependency chains (the slowest-member barrier). A group's op for
+	// (microbatch, layer) sits in its table at the slot of the group's
+	// first member: the GPU with c = 0 for CP, e = 0 for EP.
+	var cpAG, cpRS, epDisp, epComb, epCombB, epDispB []*bt
+	if cfg.CP > 1 {
+		cpAG = make([]*bt, ngpu*mbs*layers)
+		cpRS = make([]*bt, ngpu*mbs*layers)
 	}
-	sharedColl := make(map[cKey]*bt, b.sharedHint)
-	getShared := func(key cKey, make func() *Task, deps ...*bt) *bt {
-		n, ok := sharedColl[key]
-		if !ok {
+	if cfg.EP > 1 {
+		epDisp = make([]*bt, ngpu*mbs*layers)
+		epComb = make([]*bt, ngpu*mbs*layers)
+		epCombB = make([]*bt, ngpu*mbs*layers)
+		epDispB = make([]*bt, ngpu*mbs*layers)
+	}
+	getShared := func(table []*bt, slot int, make func() *Task, deps ...*bt) *bt {
+		n := table[slot]
+		if n == nil {
 			n = b.add(make())
-			sharedColl[key] = n
+			table[slot] = n
 		}
 		b.addDeps(n, deps...)
 		return n
 	}
 	for s := 0; s < cfg.PP; s++ {
-		blobs := b.stageBlobs(s)
-		blobOfLayer := make(map[int]int)
-		for bi, bl := range blobs {
-			if bl.layer >= 0 {
-				blobOfLayer[bl.layer] = bi
-			}
-		}
 		sched := b.scheduleFor(s)
 		for _, sh := range shards {
 			for t := 0; t < cfg.TP; t++ {
 				g := b.gpu(s, sh, t)
-				rank := rkey{s, sh, t}
-				chain := prevEnd[rank]
+				cpLead := int(b.gpu(s, shard{sh.d, 0, sh.e}, t)) * mbs * layers
+				epLead := int(b.gpu(s, shard{sh.d, sh.c, 0}, t)) * mbs * layers
+				chain := prevEnd[g]
 				for _, op := range sched {
 					if op.fwd {
 						for l := 0; l < layers; l++ {
-							deps := []*bt{chain}
+							slot := op.mb*layers + l
+							// Room for the AllGather and Send/Recv deps
+							// keeps the slice on the stack.
+							deps := append(make([]*bt, 0, 3), chain)
 							if cfg.DP > 1 && op.mb == 0 {
-								deps = append(deps, agTask[agKey{s, sh.c, sh.e, t, blobOfLayer[l]}])
+								deps = append(deps, agTask[int(g)*layers+l])
 							}
 							if l == 0 && s > 0 {
-								deps = append(deps, srF[mkey{s - 1, sh, t, op.mb}])
+								deps = append(deps, srF[int(b.gpu(s-1, sh, t))*mbs+op.mb])
 							}
 							// CP: gather the other context chunks' K/V
 							// before attention (fwd AG per layer). One op
 							// per CP group, gated on every member.
 							if cfg.CP > 1 {
-								cp := getShared(cKey{"cpag", s, sh.d, -1, sh.e, t, op.mb, l}, func() *Task {
+								cp := getShared(cpAG, cpLead+slot, func() *Task {
 									g := b.groups[string(b.cpGroupName(s, sh.d, sh.e, t))]
 									return b.collTask(
 										b.fmtd("CPAG s%d d%d e%d r%d mb%d L%d", s, sh.d, sh.e, t, op.mb, l),
 										parallelism.AllGather, parallelism.CP, g,
-										g.Ranks, b.cpBytes, t, it, op.mb, op.phase)
+										g.Ranks, b.cpBytes, t, it, op.phase)
 								}, deps...)
 								deps = []*bt{cp}
 							}
 							// EP: dispatch tokens to experts before the
 							// MLP (AllToAll per layer).
 							if cfg.EP > 1 {
-								disp := getShared(cKey{"epd", s, sh.d, sh.c, -1, t, op.mb, l}, func() *Task {
+								disp := getShared(epDisp, epLead+slot, func() *Task {
 									g := b.groups[string(b.epGroupName(s, sh.d, sh.c, t))]
 									return b.collTask(
 										b.fmtd("EPA2A-d s%d d%d c%d r%d mb%d L%d", s, sh.d, sh.c, t, op.mb, l),
 										parallelism.AllToAll, parallelism.EP, g,
-										g.Ranks, b.epBytes, t, it, op.mb, op.phase)
+										g.Ranks, b.epBytes, t, it, op.phase)
 								}, deps...)
 								deps = []*bt{disp}
 							}
 							label := b.fmtd("F s%d d%d c%d e%d r%d mb%d L%d", s, sh.d, sh.c, sh.e, t, op.mb, l)
 							ct := b.newTask()
 							*ct = Task{
-								Kind:       Compute,
-								Label:      label,
-								GPU:        g,
-								Duration:   b.jitter(label, b.fwdLayer),
-								Iteration:  it,
-								Microbatch: op.mb,
-								Phase:      op.phase,
+								Kind:      Compute,
+								Label:     label,
+								GPU:       g,
+								Duration:  b.jitter(label, b.fwdLayer),
+								Iteration: it,
+								Phase:     op.phase,
 							}
 							chain = b.add(ct, deps...)
 							// EP: combine expert outputs after the MLP.
 							if cfg.EP > 1 {
-								chain = getShared(cKey{"epc", s, sh.d, sh.c, -1, t, op.mb, l}, func() *Task {
+								chain = getShared(epComb, epLead+slot, func() *Task {
 									g := b.groups[string(b.epGroupName(s, sh.d, sh.c, t))]
 									return b.collTask(
 										b.fmtd("EPA2A-c s%d d%d c%d r%d mb%d L%d", s, sh.d, sh.c, t, op.mb, l),
 										parallelism.AllToAll, parallelism.EP, g,
-										g.Ranks, b.epBytes, t, it, op.mb, op.phase)
+										g.Ranks, b.epBytes, t, it, op.phase)
 								}, chain)
 							}
 						}
 						if s < cfg.PP-1 {
-							sr := srF[mkey{s, sh, t, op.mb}]
+							sr := srF[int(g)*mbs+op.mb]
 							b.addDeps(sr, chain)
 							sr.task.Phase = op.phase
 						}
 					} else {
 						for l := layers - 1; l >= 0; l-- {
-							deps := []*bt{chain}
+							slot := op.mb*layers + l
+							deps := append(make([]*bt, 0, 2), chain)
 							if l == layers-1 && s < cfg.PP-1 {
-								deps = append(deps, srB[mkey{s + 1, sh, t, op.mb}])
+								deps = append(deps, srB[int(b.gpu(s+1, sh, t))*mbs+op.mb])
 							}
 							// EP backward: combine gradients in, dispatch
 							// gradients out.
 							if cfg.EP > 1 {
-								comb := getShared(cKey{"epcb", s, sh.d, sh.c, -1, t, op.mb, l}, func() *Task {
+								comb := getShared(epCombB, epLead+slot, func() *Task {
 									g := b.groups[string(b.epGroupName(s, sh.d, sh.c, t))]
 									return b.collTask(
 										b.fmtd("EPA2A-cb s%d d%d c%d r%d mb%d L%d", s, sh.d, sh.c, t, op.mb, l),
 										parallelism.AllToAll, parallelism.EP, g,
-										g.Ranks, b.epBytes, t, it, op.mb, op.phase)
+										g.Ranks, b.epBytes, t, it, op.phase)
 								}, deps...)
 								deps = []*bt{comb}
 							}
 							label := b.fmtd("B s%d d%d c%d e%d r%d mb%d L%d", s, sh.d, sh.c, sh.e, t, op.mb, l)
 							ct := b.newTask()
 							*ct = Task{
-								Kind:       Compute,
-								Label:      label,
-								GPU:        g,
-								Duration:   b.jitter(label, b.bwdLayer),
-								Iteration:  it,
-								Microbatch: op.mb,
-								Phase:      op.phase,
+								Kind:      Compute,
+								Label:     label,
+								GPU:       g,
+								Duration:  b.jitter(label, b.bwdLayer),
+								Iteration: it,
+								Phase:     op.phase,
 							}
 							chain = b.add(ct, deps...)
 							if cfg.EP > 1 {
-								chain = getShared(cKey{"epdb", s, sh.d, sh.c, -1, t, op.mb, l}, func() *Task {
+								chain = getShared(epDispB, epLead+slot, func() *Task {
 									g := b.groups[string(b.epGroupName(s, sh.d, sh.c, t))]
 									return b.collTask(
 										b.fmtd("EPA2A-db s%d d%d c%d r%d mb%d L%d", s, sh.d, sh.c, t, op.mb, l),
 										parallelism.AllToAll, parallelism.EP, g,
-										g.Ranks, b.epBytes, t, it, op.mb, op.phase)
+										g.Ranks, b.epBytes, t, it, op.phase)
 								}, chain)
 							}
 							// CP backward: reduce-scatter the context
 							// gradients (bwd RS per layer).
 							if cfg.CP > 1 {
-								chain = getShared(cKey{"cprs", s, sh.d, -1, sh.e, t, op.mb, l}, func() *Task {
+								chain = getShared(cpRS, cpLead+slot, func() *Task {
 									g := b.groups[string(b.cpGroupName(s, sh.d, sh.e, t))]
 									return b.collTask(
 										b.fmtd("CPRS s%d d%d e%d r%d mb%d L%d", s, sh.d, sh.e, t, op.mb, l),
 										parallelism.ReduceScatter, parallelism.CP, g,
-										g.Ranks, b.cpBytes, t, it, op.mb, op.phase)
+										g.Ranks, b.cpBytes, t, it, op.phase)
 								}, chain)
 							}
 							if cfg.DP > 1 {
 								// Overwritten by every backward; the final
 								// value is the schedule's last backward of
 								// this layer (grad accumulation complete).
-								lastBwdLayer[bwdKey{s, sh, t, blobOfLayer[l]}] = chain
+								lastBwd[int(g)*layers+l] = chain
 							}
 						}
 						if s > 0 {
-							sr := srB[mkey{s, sh, t, op.mb}]
+							sr := srB[int(g)*mbs+op.mb]
 							b.addDeps(sr, chain)
 							sr.task.Phase = op.phase
 						}
 					}
 				}
-				prevEnd[rank] = chain
+				prevEnd[g] = chain
 			}
 		}
 	}
@@ -881,20 +916,21 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 	// trace where gradient reduction fires at schedule end.
 	if cfg.DP > 1 {
 		for s := 0; s < cfg.PP; s++ {
-			blobs := b.stageBlobs(s)
+			blobs := b.blobs[s]
 			for e := 0; e < cfg.EP; e++ {
 				for c := 0; c < cfg.CP; c++ {
 					for t := 0; t < cfg.TP; t++ {
+						lead := int(b.gpu(s, shard{0, c, e}, t)) * nblob
 						for bi, bl := range blobs {
-							n := rsTask[agKey{s, c, e, t, bi}]
+							n := rsTask[lead+bi]
 							for d := 0; d < cfg.DP; d++ {
-								sh := shard{d, c, e}
+								r := b.gpu(s, shard{d, c, e}, t)
 								if bl.layer >= 0 {
-									b.addDeps(n, lastBwdLayer[bwdKey{s, sh, t, bi}])
+									b.addDeps(n, lastBwd[int(r)*layers+bl.layer])
 								} else {
 									// Embedding blob: gate on the rank's
 									// final backward task of the iteration.
-									b.addDeps(n, prevEnd[rkey{s, sh, t}])
+									b.addDeps(n, prevEnd[r])
 								}
 							}
 							if !cfg.EagerRS && bi == len(blobs)-1 {
@@ -902,7 +938,7 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 								// barrier over every rank on this rail.
 								for s2 := 0; s2 < cfg.PP; s2++ {
 									for _, sh2 := range shards {
-										b.addDeps(n, prevEnd[rkey{s2, sh2, t}])
+										b.addDeps(n, prevEnd[b.gpu(s2, sh2, t)])
 									}
 								}
 							}
@@ -917,66 +953,68 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 	// (gradient-norm partials across stages), one along DP, the
 	// optimizer update, and a final loss AllReduce along DP (§3.1,
 	// "several short AllReduce calls ... for synchronization and
-	// numerical robustness").
+	// numerical robustness"). arPP[gpu] and arDP[gpu] are the rank's
+	// PP and DP norm AllReduces.
+	arPP := make([]*bt, ngpu)
+	arDP := make([]*bt, ngpu)
 	for t := 0; t < cfg.TP; t++ {
-		arPPOf := make(map[shard]*bt)
 		if cfg.PP > 1 {
 			for _, sh := range shards {
 				g := b.groups[string(b.ppGroupName(sh, t))]
 				n := b.add(b.collTask(
 					b.fmtd("AR norm-pp d%d c%d e%d r%d", sh.d, sh.c, sh.e, t),
 					parallelism.AllReduce, parallelism.PP, g,
-					g.Ranks, cfg.SyncARBytes, t, it, -1, trace.Sync))
+					g.Ranks, cfg.SyncARBytes, t, it, trace.Sync))
 				for s := 0; s < cfg.PP; s++ {
+					r := b.gpu(s, sh, t)
 					if cfg.DP > 1 {
-						b.addDeps(n, rsTask[agKey{s, sh.c, sh.e, t, 0}]) // final RS of the chain
+						b.addDeps(n, rsTask[int(r)*nblob]) // final RS of the chain
 					} else {
-						b.addDeps(n, prevEnd[rkey{s, sh, t}])
+						b.addDeps(n, prevEnd[r])
 					}
+					arPP[r] = n
 				}
-				arPPOf[sh] = n
 			}
 		}
 		for s := 0; s < cfg.PP; s++ {
-			arDPOf := make(map[shard]*bt)
 			if cfg.DP > 1 {
 				for e := 0; e < cfg.EP; e++ {
 					for c := 0; c < cfg.CP; c++ {
 						g := b.groups[string(b.fsdpGroupName(s, c, e, t))]
-						arDP := b.add(b.collTask(
+						n := b.add(b.collTask(
 							b.fmtd("AR norm-dp s%d c%d e%d r%d", s, c, e, t),
 							parallelism.AllReduce, parallelism.FSDP, g,
-							g.Ranks, cfg.SyncARBytes, t, it, -1, trace.Sync))
+							g.Ranks, cfg.SyncARBytes, t, it, trace.Sync))
 						for d := 0; d < cfg.DP; d++ {
-							sh := shard{d, c, e}
-							if n := arPPOf[sh]; n != nil {
-								b.addDeps(arDP, n)
+							r := b.gpu(s, shard{d, c, e}, t)
+							if pp := arPP[r]; pp != nil {
+								b.addDeps(n, pp)
 							} else {
-								b.addDeps(arDP, rsTask[agKey{s, c, e, t, 0}], prevEnd[rkey{s, sh, t}])
+								b.addDeps(n, rsTask[int(r)*nblob], prevEnd[r])
 							}
-							arDPOf[sh] = arDP
+							arDP[r] = n
 						}
 					}
 				}
 			}
 			for _, sh := range shards {
+				r := b.gpu(s, sh, t)
 				ot := b.newTask()
 				*ot = Task{
-					Kind:       Compute,
-					Label:      b.fmtd("OPT s%d d%d c%d e%d r%d", s, sh.d, sh.c, sh.e, t),
-					GPU:        b.gpu(s, sh, t),
-					Duration:   cfg.OptimizerTime,
-					Iteration:  it,
-					Microbatch: -1,
-					Phase:      trace.Sync,
+					Kind:      Compute,
+					Label:     b.fmtd("OPT s%d d%d c%d e%d r%d", s, sh.d, sh.c, sh.e, t),
+					GPU:       r,
+					Duration:  cfg.OptimizerTime,
+					Iteration: it,
+					Phase:     trace.Sync,
 				}
-				opt := b.add(ot, prevEnd[rkey{s, sh, t}])
-				if n := arDPOf[sh]; n != nil {
+				opt := b.add(ot, prevEnd[r])
+				if n := arDP[r]; n != nil {
 					b.addDeps(opt, n)
-				} else if n := arPPOf[sh]; n != nil {
+				} else if n := arPP[r]; n != nil {
 					b.addDeps(opt, n)
 				}
-				prevEnd[rkey{s, sh, t}] = opt
+				prevEnd[r] = opt
 			}
 			if cfg.DP > 1 {
 				for e := 0; e < cfg.EP; e++ {
@@ -985,19 +1023,18 @@ func (b *builder) buildIteration(it int, prevEnd map[rkey]*bt) {
 						loss := b.add(b.collTask(
 							b.fmtd("AR loss s%d c%d e%d r%d", s, c, e, t),
 							parallelism.AllReduce, parallelism.FSDP, g,
-							g.Ranks, cfg.SyncARBytes, t, it, -1, trace.Sync))
+							g.Ranks, cfg.SyncARBytes, t, it, trace.Sync))
 						for d := 0; d < cfg.DP; d++ {
-							b.addDeps(loss, prevEnd[rkey{s, shard{d, c, e}, t}])
+							b.addDeps(loss, prevEnd[b.gpu(s, shard{d, c, e}, t)])
 						}
 						for d := 0; d < cfg.DP; d++ {
-							prevEnd[rkey{s, shard{d, c, e}, t}] = loss
+							prevEnd[b.gpu(s, shard{d, c, e}, t)] = loss
 						}
 					}
 				}
 			}
 		}
 	}
-	b.sharedHint = len(sharedColl)
 }
 
 // intMinHeap is a hand-rolled min-heap of creation indices for the

@@ -62,9 +62,8 @@ type Task struct {
 	Rail topo.RailID
 
 	// Annotations for trace analysis.
-	Iteration  int
-	Microbatch int
-	Phase      trace.PipePhase
+	Iteration int
+	Phase     trace.PipePhase
 }
 
 // IsCollective reports whether the task is a communication op.

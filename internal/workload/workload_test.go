@@ -314,7 +314,8 @@ func TestLazyStage1AllGather(t *testing.T) {
 			foundSR := false
 			for _, d := range task.Deps {
 				dep := byID[d]
-				if dep.CollKind == parallelism.SendRecv && dep.Microbatch == 0 {
+				if dep.CollKind == parallelism.SendRecv &&
+					strings.HasPrefix(dep.Label, "SRf s0>s1 ") && strings.HasSuffix(dep.Label, " mb0") {
 					foundSR = true
 				}
 			}

@@ -98,7 +98,7 @@ func (en *Engine) AnalyzeWindowsCtx(ctx context.Context, w Workload) (*WindowRep
 	for _, win := range rep.Windows {
 		class := trace.ClassifyWindow(win)
 		rep.Breakdown.Add(class, win.Size.Milliseconds())
-		byteSums[class] += float64(win.AfterBytes)
+		byteSums[class] += float64(win.After.Bytes)
 		byteCounts[class]++
 	}
 	// byteSums only has keys for classes that had at least one window
